@@ -212,8 +212,6 @@ def cmd_graph(cfg: Config, args) -> int:
         else:
             _emit(_dot(f"left_cell_graph_{args.n}", edges))
     else:
-        if args.n**args.n > crystal_mod.MAX_WORDS:
-            raise _BoundsError(f"crystal graph with {args.n}**{args.n} words is too large")
         triples = crystal_mod.crystal_edges(args.n, args.n)
         fmt_word = lambda word: "".join(str(a) for a in word)
         edges = sorted((fmt_word(a), fmt_word(b), f"f{i}") for a, i, b in triples)
@@ -246,15 +244,6 @@ def cmd_verify(cfg: Config, args) -> int:
         _emit("\n".join(report.lines()))
     print(f"completed in {report.wall_time:.2f}s", file=sys.stderr)
     return EXIT_OK if report.ok else EXIT_VIOLATION
-
-
-def _cache_files(cfg: Config):
-    from pathlib import Path
-
-    if cfg.cache_dir is None:
-        raise ValueError("no cache directory configured (flag or RSCELLS_CACHE_DIR)")
-    root = Path(cfg.cache_dir)
-    return root, sorted(root.glob("kl_s*.tsv")) if root.exists() else (root, [])
 
 
 def cmd_cache(cfg: Config, args) -> int:
@@ -306,7 +295,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config(args)
         return _COMMANDS[args.command](cfg, args)
-    except _BoundsError as exc:
+    except (_BoundsError, crystal_mod._WordCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUNDS
     except (ValueError, json.JSONDecodeError) as exc:

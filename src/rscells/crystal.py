@@ -3,15 +3,18 @@ Combinatorial crystals on words over the alphabet {1, ..., r}.
 
 A word is a tuple of letters, one tensor factor per position, leftmost factor
 first.  The lowering operator f_i turns a letter i into i + 1 and the raising
-operator e_i turns i + 1 into i; on longer words the two-factor rule picks
-the side by comparing eps of the first letter with phi of the rest:
+operator e_i turns i + 1 into i.  Which letter they change is decided by the
+signature rule: scanning left to right, each letter i cancels the nearest
+uncancelled i + 1 before it; e_i changes the leftmost surviving i + 1 and
+f_i the rightmost surviving i, and eps_i / phi_i count the survivors.  This
+one cancellation scan is the implementation of all four.  The recursive
+two-factor tensor rule
 
     e_i(b1 (x) b2) = b1 (x) e_i(b2)   if eps_i(b1) <= phi_i(b2), else e_i(b1) (x) b2
     f_i(b1 (x) b2) = b1 (x) f_i(b2)   if eps_i(b1) <  phi_i(b2), else f_i(b1) (x) b2
 
-Annihilation is the value None, never an exception.  The recursive rule is
-the ground truth; the signature rule is the linear-time equivalent and is
-tested against it.
+is the test oracle it is checked against (``tests/oracles.py``).
+Annihilation is the value None, never an exception.
 """
 
 from __future__ import annotations
@@ -31,8 +34,20 @@ from .tableaux import (
 
 Word = tuple[int, ...]
 
-# decompose() refuses alphabets/lengths whose word count exceeds this
+# decompose() and crystal_edges() refuse alphabets/lengths whose word count
+# exceeds this
 MAX_WORDS = 500_000
+
+
+class _WordCountError(ValueError):
+    """r**n exceeds MAX_WORDS; the command line reports it as a bound (exit 3)."""
+
+
+def _check_word_count(n: int, r: int) -> None:
+    if r**n > MAX_WORDS:
+        raise _WordCountError(
+            f"crystal with {r}**{n} words is too large (bound {MAX_WORDS})"
+        )
 
 
 def _check_index(i: int) -> None:
@@ -40,60 +55,10 @@ def _check_index(i: int) -> None:
         raise ValueError(f"operator index must be at least 1, got {i}")
 
 
-@lru_cache(maxsize=None)
-def f_op(i: int, word: Word) -> Optional[Word]:
-    """Apply the lowering operator f_i; None when it annihilates."""
-    _check_index(i)
-    if len(word) == 1:
-        return (i + 1,) if word[0] == i else None
-    head, tail = word[:1], word[1:]
-    if eps(i, head) < phi(i, tail):
-        new_tail = f_op(i, tail)
-        return None if new_tail is None else head + new_tail
-    new_head = f_op(i, head)
-    return None if new_head is None else new_head + tail
-
-
-@lru_cache(maxsize=None)
-def e_op(i: int, word: Word) -> Optional[Word]:
-    """Apply the raising operator e_i; None when it annihilates."""
-    _check_index(i)
-    if len(word) == 1:
-        return (i,) if word[0] == i + 1 else None
-    head, tail = word[:1], word[1:]
-    if eps(i, head) <= phi(i, tail):
-        new_tail = e_op(i, tail)
-        return None if new_tail is None else head + new_tail
-    new_head = e_op(i, head)
-    return None if new_head is None else new_head + tail
-
-
-@lru_cache(maxsize=None)
-def phi(i: int, word: Word) -> int:
-    """Largest k with f_i^k applicable, counted by iterated application."""
-    count = 0
-    cur = word
-    while (nxt := f_op(i, cur)) is not None:
-        count += 1
-        cur = nxt
-    return count
-
-
-@lru_cache(maxsize=None)
-def eps(i: int, word: Word) -> int:
-    """Largest k with e_i^k applicable, counted by iterated application."""
-    count = 0
-    cur = word
-    while (nxt := e_op(i, cur)) is not None:
-        count += 1
-        cur = nxt
-    return count
-
-
-def signature_rule(i: int, word: Word) -> tuple[Optional[int], Optional[int]]:
-    """0-based positions that e_i and f_i would change, by cancelling
-    (i+1, i) factor pairs: e_i hits the leftmost surviving i+1, f_i the
-    rightmost surviving i.  Must agree with the recursive operators."""
+def _cancel(i: int, word: Word) -> tuple[list[int], list[int]]:
+    """0-based positions of the letters i+1 and i left uncancelled when each
+    letter i cancels the most recent open i+1.  Every surviving i lies left
+    of every surviving i+1."""
     _check_index(i)
     open_down: list[int] = []   # positions of uncancelled letters i+1
     unmatched_up: list[int] = []  # positions of uncancelled letters i
@@ -105,26 +70,50 @@ def signature_rule(i: int, word: Word) -> tuple[Optional[int], Optional[int]]:
                 open_down.pop()
             else:
                 unmatched_up.append(pos)
-    e_pos = open_down[0] if open_down else None
-    f_pos = unmatched_up[-1] if unmatched_up else None
-    return e_pos, f_pos
+    return open_down, unmatched_up
+
+
+def signature_rule(i: int, word: Word) -> tuple[Optional[int], Optional[int]]:
+    """0-based positions that e_i and f_i change: e_i hits the leftmost
+    surviving i+1, f_i the rightmost surviving i; None where nothing survives.
+
+    >>> signature_rule(1, (2, 1, 1, 2))
+    (3, 2)
+    """
+    down, up = _cancel(i, word)
+    return (down[0] if down else None), (up[-1] if up else None)
 
 
 def signature_counts(i: int, word: Word) -> tuple[int, int]:
-    """(eps_i, phi_i) from the cancellation picture, no operator calls."""
-    _check_index(i)
-    # letters i cancel the most recent open i+1
-    down = 0
-    up = 0
-    for a in word:
-        if a == i + 1:
-            down += 1
-        elif a == i:
-            if down:
-                down -= 1
-            else:
-                up += 1
-    return down, up
+    """(eps_i, phi_i): the numbers of surviving letters i+1 and i."""
+    down, up = _cancel(i, word)
+    return len(down), len(up)
+
+
+@lru_cache(maxsize=None)
+def f_op(i: int, word: Word) -> Optional[Word]:
+    """Apply the lowering operator f_i; None when it annihilates."""
+    pos = signature_rule(i, word)[1]
+    return None if pos is None else word[:pos] + (i + 1,) + word[pos + 1 :]
+
+
+@lru_cache(maxsize=None)
+def e_op(i: int, word: Word) -> Optional[Word]:
+    """Apply the raising operator e_i; None when it annihilates."""
+    pos = signature_rule(i, word)[0]
+    return None if pos is None else word[:pos] + (i,) + word[pos + 1 :]
+
+
+@lru_cache(maxsize=None)
+def phi(i: int, word: Word) -> int:
+    """Largest k with f_i^k applicable: the surviving letters i."""
+    return signature_counts(i, word)[1]
+
+
+@lru_cache(maxsize=None)
+def eps(i: int, word: Word) -> int:
+    """Largest k with e_i^k applicable: the surviving letters i+1."""
+    return signature_counts(i, word)[0]
 
 
 def is_highest_weight(word: Word, r: int) -> bool:
@@ -197,8 +186,7 @@ def decompose(n: int, r: int | None = None, check: bool = True) -> list[CrystalC
         r = n
     if r < 1:
         raise ValueError(f"rank must be at least 1, got {r}")
-    if r**n > MAX_WORDS:
-        raise ValueError(f"{r}**{n} words exceed the configured bound {MAX_WORDS}")
+    _check_word_count(n, r)
     import itertools
 
     out = []
@@ -238,8 +226,7 @@ def crystal_edges(n: int, r: int) -> list[tuple[Word, int, Word]]:
     """All (word, i, f_i(word)) triples, for graph export."""
     import itertools
 
-    if r**n > MAX_WORDS:
-        raise ValueError(f"{r}**{n} words exceed the configured bound {MAX_WORDS}")
+    _check_word_count(n, r)
     out = []
     for word in itertools.product(range(1, r + 1), repeat=n):
         for i in range(1, r):
@@ -262,11 +249,11 @@ def djm_violations(n: int, r: int) -> tuple[int, list[str]]:
         shape = comp.shape
         symbols = {}
         for b in comp.words:
-            if word_q_symbol(b) != q:
+            symbols[b], q_b = insert_word(b)
+            if q_b != q:
                 violations.append(
                     f"component {comp.label}: word {b} has a different recording tableau"
                 )
-            symbols[b] = word_p_symbol(b)
         image = set(symbols.values())
         if len(image) != len(comp.words):
             violations.append(f"component {comp.label}: insertion is not injective")
@@ -277,10 +264,10 @@ def djm_violations(n: int, r: int) -> tuple[int, list[str]]:
                 f"B(lambda) has {len(target)}"
             )
         for b in comp.words:
+            rw = tableau_reading_embedding(symbols[b], r)
             for i in range(1, r):
                 for op in (e_op, f_op):
                     b2 = op(i, b)
-                    rw = tableau_reading_embedding(symbols[b], r)
                     rw2 = op(i, rw)
                     if (b2 is None) != (rw2 is None):
                         violations.append(
@@ -296,7 +283,7 @@ def djm_violations(n: int, r: int) -> tuple[int, list[str]]:
                             f"word {b}, op {op.__name__} i={i}: reading word "
                             f"left the tableau crystal"
                         )
-                    elif word_p_symbol(b2) != t2:
+                    elif symbols[b2] != t2:
                         violations.append(
                             f"word {b}, op {op.__name__} i={i}: insertion does "
                             f"not intertwine the operators"

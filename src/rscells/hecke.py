@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from .kl import KLTable, default_table
 from .permutations import (
+    DEFAULT_MAX_DEGREE,
     Perm,
+    all_permutations,
     check_permutation,
     identity,
     left_descents,
@@ -190,7 +192,10 @@ def canonical_basis_by_bar(n: int) -> dict[Perm, HeckeElement]:
     pins down the same elements as the recursion but by uniqueness, so the
     two construction routes check each other.
     """
-    elems = sorted(_all_perms(n), key=lambda p: (length(p), p))
+    elems = sorted(
+        all_permutations(n, limit=max(n, DEFAULT_MAX_DEGREE)),
+        key=lambda p: (length(p), p),
+    )
     lengths = {w: length(w) for w in elems}
     out: dict[Perm, HeckeElement] = {}
     for w in elems:
@@ -213,12 +218,6 @@ def canonical_basis_by_bar(n: int) -> dict[Perm, HeckeElement]:
             raise AssertionError("bar-invariance solve did not terminate")
         out[w] = x
     return out
-
-
-def _all_perms(n: int):
-    import itertools
-
-    return itertools.permutations(range(1, n + 1))
 
 
 def c_prime_coordinates(

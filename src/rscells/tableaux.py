@@ -6,8 +6,11 @@ Cells are (row, column), 1-based, rows growing downward, so a shape is the
 weakly decreasing tuple of its row lengths.  A skew tableau stores only the
 entries outside its inner shape.  Construction checks that rows and columns
 weakly increase; strictness down columns (column-strict) or in both
-directions with entries 1..n (standard) is checked by the operations that
-need it.
+directions with entries 1..n (standard) is checked by the public operations
+that need it.  Validation happens only there: the bumping and sliding loops
+(``_bump``, ``_slide``) work on plain lists and cell dicts, and
+``insert_word`` and ``evacuation`` build their ``Tableau`` results once, at
+the end.
 """
 
 from __future__ import annotations
@@ -235,31 +238,30 @@ def _from_cells(cells: dict[tuple[int, int], int], inner: Sequence[int]) -> Tabl
 # ---------------------------------------------------------------------------
 # Schensted insertion and the Robinson-Schensted correspondence
 
-def row_insert(tab: Tableau, k: int) -> tuple[Tableau, tuple[int, int]]:
-    """Insert ``k`` by row bumping; return the new tableau and the added cell.
+def _bump(rows: list[list[int]], k: int) -> tuple[int, int]:
+    """Row-insert ``k`` into ``rows`` in place; return the added cell.
 
     Within each row, ``k`` either goes at the end (if no entry exceeds it) or
     bumps the leftmost strictly greater entry into the next row.
     """
+    for x, row in enumerate(rows, start=1):
+        pos = bisect_right(row, k)
+        if pos == len(row):
+            row.append(k)
+            return x, len(row)
+        row[pos], k = k, row[pos]
+    rows.append([k])
+    return len(rows), 1
+
+
+def row_insert(tab: Tableau, k: int) -> tuple[Tableau, tuple[int, int]]:
+    """Insert ``k`` by row bumping; return the new tableau and the added cell."""
     if tab.is_skew:
         raise ValueError("row insertion requires a non-skew tableau")
     if not tab.is_column_strict():
         raise ValueError("row insertion requires a column-strict tableau")
     rows = [list(r) for r in tab.rows]
-    x = 0
-    while True:
-        if x == len(rows):
-            rows.append([k])
-            cell = (x + 1, 1)
-            break
-        row = rows[x]
-        pos = bisect_right(row, k)
-        if pos == len(row):
-            row.append(k)
-            cell = (x + 1, len(row))
-            break
-        row[pos], k = k, row[pos]
-        x += 1
+    cell = _bump(rows, k)
     return Tableau(rows), cell
 
 
@@ -299,16 +301,16 @@ def column_insert(k: int, tab: Tableau) -> tuple[Tableau, tuple[int, int]]:
 
 def insert_word(word: Sequence[int]) -> tuple[Tableau, Tableau]:
     """Row-insert the letters of ``word`` in order; return (P, recording Q)."""
-    p = EMPTY_TABLEAU
+    prows: list[list[int]] = []
     qrows: list[list[int]] = []
     for t, k in enumerate(word, start=1):
         if not isinstance(k, int) or k < 1:
             raise ValueError(f"letter {k!r} is not a positive integer")
-        p, (x, _y) = row_insert(p, k)
+        x, _y = _bump(prows, k)
         if x > len(qrows):
             qrows.append([])
         qrows[x - 1].append(t)
-    return p, Tableau(qrows)
+    return Tableau(prows), Tableau(qrows)
 
 
 def p_symbol(w: Perm) -> Tableau:
@@ -361,6 +363,23 @@ def rs_inverse(p: Tableau, q: Tableau) -> Perm:
 # ---------------------------------------------------------------------------
 # jeu de taquin
 
+def _slide(cells: dict[tuple[int, int], int], x: int, y: int) -> tuple[int, int]:
+    """Move the hole at (x, y) outward in place: it repeatedly swallows the
+    smaller of its right and lower neighbours (the lower one on ties).
+    Return the outer corner it vacates."""
+    while True:
+        below = cells.get((x + 1, y))
+        right = cells.get((x, y + 1))
+        if below is None and right is None:
+            return x, y
+        if right is None or (below is not None and below <= right):
+            cells[(x, y)] = cells.pop((x + 1, y))
+            x += 1
+        else:
+            cells[(x, y)] = cells.pop((x, y + 1))
+            y += 1
+
+
 def jdt_slide(tab: Tableau, corner: tuple[int, int]) -> Tableau:
     """One jeu de taquin slide into the given removable corner of the inner
     shape.  The hole repeatedly swallows the smaller of its right and lower
@@ -372,20 +391,7 @@ def jdt_slide(tab: Tableau, corner: tuple[int, int]) -> Tableau:
     if corner not in inner_corners(tab.inner):
         raise ValueError(f"{corner} is not a removable corner of {tab.inner}")
     cells = tab.to_dict()
-    x, y = corner
-    while True:
-        below = cells.get((x + 1, y))
-        right = cells.get((x, y + 1))
-        if below is None and right is None:
-            break
-        if right is None or (below is not None and below <= right):
-            cells[(x, y)] = below
-            del cells[(x + 1, y)]
-            x += 1
-        else:
-            cells[(x, y)] = right
-            del cells[(x, y + 1)]
-            y += 1
+    _slide(cells, *corner)
     cx, _cy = corner
     new_inner = list(tab.inner)
     new_inner[cx - 1] -= 1
@@ -452,15 +458,11 @@ def evacuation(tab: Tableau) -> Tableau:
     if tab.is_skew or not tab.is_standard():
         raise ValueError("evacuation requires a standard tableau")
     n = tab.size
+    cells = tab.to_dict()
     out: dict[tuple[int, int], int] = {}
-    cur = tab
-    for step in range(1, n + 1):
-        punctured = Tableau((cur.rows[0][1:],) + cur.rows[1:], (1,))
-        slid = rectify(punctured)
-        old, new = cur.outer, slid.outer + (0,)
-        x = next(i for i in range(len(old)) if old[i] != new[i])
-        out[(x + 1, old[x])] = n + 1 - step
-        cur = slid
+    for label in range(n, 0, -1):
+        del cells[(1, 1)]
+        out[_slide(cells, 1, 1)] = label
     return _from_cells(out, ())
 
 

@@ -303,6 +303,8 @@ def run_suite(name: str, n: int, table: KLTable | None = None) -> Report:
     """Dispatch a suite by name and time it."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if table is not None and table.n != n:
+        raise ValueError(f"suite {name} at degree {n} got a table of degree {table.n}")
     start = time.perf_counter()
     if name in _TABLE_SUITES:
         report = SUITES[name](n, table)

@@ -210,9 +210,17 @@ def test_verify_reports_violations_with_exit_code_1(capsys, monkeypatch):
 
 
 def test_graph_size_bound(capsys):
-    code, _, err = run(capsys, "graph", "8", "crystal")
+    for n in ("7", "8"):
+        code, _, err = run(capsys, "graph", n, "crystal")
+        assert code == EXIT_BOUNDS
+        assert f"{n}**{n} words is too large" in err
+
+
+def test_crystal_djm_word_bound_exits_3(capsys):
+    code, out, err = run(capsys, "--long", "verify", "crystal-djm", "7")
     assert code == EXIT_BOUNDS
-    assert "too large" in err
+    assert out == ""
+    assert "7**7 words is too large" in err
 
 
 def test_hard_max_n_bound(capsys):

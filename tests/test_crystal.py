@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import tensor_e, tensor_eps, tensor_f, tensor_phi
 from rscells.crystal import (
     component,
     crystal_edges,
@@ -88,23 +89,25 @@ def test_signature_rule_examples():
 
 
 def test_signature_rule_matches_recursive_operators():
-    for n in range(1, 6):
-        for b in all_words(n, 3):
-            for i in (1, 2):
-                e_pos, f_pos = signature_rule(i, b)
-                fb = f_op(i, b)
-                if f_pos is None:
-                    assert fb is None
-                else:
-                    expected = b[:f_pos] + (i + 1,) + b[f_pos + 1 :]
-                    assert fb == expected
-                eb = e_op(i, b)
-                if e_pos is None:
-                    assert eb is None
-                else:
-                    expected = b[:e_pos] + (i,) + b[e_pos + 1 :]
-                    assert eb == expected
-                assert signature_counts(i, b) == (eps(i, b), phi(i, b))
+    for r, max_n in ((3, 5), (4, 4)):
+        for n in range(1, max_n + 1):
+            for b in all_words(n, r):
+                for i in range(1, r):
+                    e_pos, f_pos = signature_rule(i, b)
+                    fb = tensor_f(i, b)
+                    if f_pos is None:
+                        assert fb is None
+                    else:
+                        assert fb == b[:f_pos] + (i + 1,) + b[f_pos + 1 :]
+                    eb = tensor_e(i, b)
+                    if e_pos is None:
+                        assert eb is None
+                    else:
+                        assert eb == b[:e_pos] + (i,) + b[e_pos + 1 :]
+                    assert (f_op(i, b), e_op(i, b)) == (fb, eb)
+                    expected = (tensor_eps(i, b), tensor_phi(i, b))
+                    assert signature_counts(i, b) == expected
+                    assert (eps(i, b), phi(i, b)) == expected
 
 
 def test_sl2_string_bookkeeping():

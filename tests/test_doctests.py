@@ -1,0 +1,17 @@
+"""Run the examples in every module's docstrings."""
+
+import doctest
+import importlib
+import pkgutil
+
+import pytest
+
+import rscells
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(rscells.__path__, "rscells."))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    result = doctest.testmod(importlib.import_module(name))
+    assert result.failed == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import all_perms
+from oracles import all_perms, evacuation_by_rectify
 from rscells.permutations import identity, inverse
 from rscells.tableaux import (
     EMPTY_TABLEAU,
@@ -306,10 +306,12 @@ def test_evacuation_examples():
 
 
 def test_evacuation_involution_small():
-    for n in range(1, 6):
+    for n in range(1, 8):
         for shape in partitions(n):
             for t in standard_tableaux(shape):
-                assert evacuation(evacuation(t)) == t
+                ev = evacuation(t)
+                assert ev == evacuation_by_rectify(t)
+                assert evacuation(ev) == t
 
 
 # -- superstandard tableaux ----------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from rscells.kl import KLTable
 from rscells.verify import SUITES, Report, run_suite
 
 
@@ -26,6 +27,13 @@ def test_report_shape():
 def test_unknown_suite():
     with pytest.raises(ValueError):
         run_suite("no-such-suite", 3)
+
+
+def test_run_suite_rejects_table_of_wrong_degree():
+    table = KLTable(6)
+    for name in SUITES:
+        with pytest.raises(ValueError, match="degree 4 .*degree 6"):
+            run_suite(name, 4, table)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
