@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .kl import KLTable, default_table
 from .permutations import (
-    DEFAULT_MAX_DEGREE,
     Perm,
     all_permutations,
     check_permutation,
@@ -29,7 +28,7 @@ def left_cell_graph(n: int, table: KLTable | None = None) -> dict[Perm, tuple[Pe
     subset of L(x') and mu does not vanish between x and x'."""
     if table is None:
         table = default_table(n)
-    perms = list(all_permutations(n, limit=max(n, DEFAULT_MAX_DEGREE)))
+    perms = list(all_permutations(n))
     desc = {w: left_descents(w) for w in perms}
     adj: dict[Perm, set[Perm]] = {w: set() for w in perms}
     for w in perms:

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 from . import crystal as crystal_mod
 from .cells import cells as cell_partition, left_cell_graph
-from .kl import KLTable
+from .kl import MAX_DEGREE, KLTable
 from .permutations import format_permutation, parse_permutation
 from .tableaux import Tableau, p_symbol, q_symbol, rs_inverse
 from .verify import SUITES, run_suite
 
 ENV_CACHE_DIR = "RSCELLS_CACHE_DIR"
-HARD_MAX_DEGREE = 9
+DEFAULT_MAX_DEGREE = 8
+HARD_MAX_DEGREE = MAX_DEGREE
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -36,7 +37,7 @@ EXIT_IO = 4
 @dataclass
 class Config:
     cache_dir: str | None = None
-    max_n: int = 8
+    max_n: int = DEFAULT_MAX_DEGREE
     long_run: bool = False
     fmt: str = "text"
 
@@ -52,7 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json", "dot"), default="text")
     parser.add_argument("--cache-dir", default=None, help="directory for KL cache files")
-    parser.add_argument("--max-n", type=int, default=8, help="degree bound (default 8)")
+    parser.add_argument(
+        "--max-n", type=int, default=DEFAULT_MAX_DEGREE, help="degree bound (default %(default)s)"
+    )
     parser.add_argument("--long", action="store_true", help="allow long runs (n >= 6)")
     sub = parser.add_subparsers(dest="command", required=True)
 

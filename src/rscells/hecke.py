@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from .kl import KLTable, default_table
 from .permutations import (
-    DEFAULT_MAX_DEGREE,
     Perm,
     all_permutations,
     check_permutation,
@@ -192,10 +191,7 @@ def canonical_basis_by_bar(n: int) -> dict[Perm, HeckeElement]:
     pins down the same elements as the recursion but by uniqueness, so the
     two construction routes check each other.
     """
-    elems = sorted(
-        all_permutations(n, limit=max(n, DEFAULT_MAX_DEGREE)),
-        key=lambda p: (length(p), p),
-    )
+    elems = sorted(all_permutations(n), key=lambda p: (length(p), p))
     lengths = {w: length(w) for w in elems}
     out: dict[Perm, HeckeElement] = {}
     for w in elems:

@@ -15,10 +15,17 @@ consists of the stored entries with a nonzero top-degree coefficient plus the
 lower covers s_i w for descents s_i of w (the only non-raised pairs whose mu
 can survive the degree bound).
 
+Inside a table an element is its rank in the lexicographic list of S_n
+(the identity is rank 0), and lengths, descent masks and the products by
+each s_i are arrays over ranks built once per table.  Because ranks follow
+lexicographic order, sorting ranks sorts the permutations.  Permutation
+tuples appear only at the public methods, which reject anything that is not
+a permutation of the table's degree.
+
 Columns persist to a tab-separated cache file, one record per line:
 ``y<TAB>w<TAB>c0,c1,...,cd`` with permutations in digit notation.  Files are
-written whole via an atomic rename, so concurrent readers see either the old
-or the new complete file.
+written whole to a uniquely named temporary file and renamed over the old
+one, so concurrent readers see either the old or the new complete file.
 """
 
 from __future__ import annotations
@@ -27,175 +34,173 @@ import os
 from pathlib import Path
 
 from .permutations import (
-    DEFAULT_MAX_DEGREE,
     Perm,
     all_permutations,
-    check_permutation,
     format_permutation,
-    identity,
-    left_descents,
     length,
     multiply_simple,
-    parse_permutation,
-    right_descents,
 )
 from .polynomials import ONE, ZERO, IntPolynomial
+
+# a table holds n! * n ranks up front, and digit notation stops at 9
+MAX_DEGREE = 9
 
 
 class KLTable:
     """Memoized Kazhdan-Lusztig polynomials and mu-coefficients for S_n.
 
-    Safe to share between threads: memo entries are inserted only once fully
-    built, so readers see either absence or the final value, and duplicated
-    computation is harmless (every recomputation yields the same column).
+    Construction enumerates S_n once: ``perms[r]`` is the permutation of
+    rank r in lexicographic order, and columns, supports and mu lists are
+    keyed by rank.  Degrees above MAX_DEGREE raise ValueError before any
+    enumeration.
     """
 
     def __init__(self, n: int, side: str = "left", cache_dir=None):
-        if n < 1:
-            raise ValueError(f"degree must be at least 1, got {n}")
+        if not 1 <= n <= MAX_DEGREE:
+            raise ValueError(f"degree must lie in 1..{MAX_DEGREE}, got {n}")
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         self.n = n
         self.side = side
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        e = identity(n)
-        self._columns: dict[Perm, dict[Perm, IntPolynomial]] = {e: {e: ONE}}
-        self._supports: dict[Perm, frozenset[Perm]] = {e: frozenset((e,))}
-        self._mu_lists: dict[Perm, tuple[tuple[Perm, int], ...]] = {}
-        self._desc: dict[Perm, int] = {}
-        self._len: dict[Perm, int] = {}
+        self.perms: list[Perm] = list(all_permutations(n))
+        self._index = index = {w: r for r, w in enumerate(self.perms)}
+        self._lengths = lengths = [length(w) for w in self.perms]
+        # _steps[i - 1][r]: rank of s_i * perms[r] on the recursion side
+        self._steps = steps = [
+            [index[multiply_simple(w, i, side)] for w in self.perms] for i in range(1, n)
+        ]
+        # descent set on the recursion side, bit i - 1 for s_i
+        self._masks = masks = [0] * len(lengths)
+        for i, step in enumerate(steps):
+            for r, sr in enumerate(step):
+                masks[r] |= (lengths[sr] < lengths[r]) << i
+        self._columns: dict[int, dict[int, IntPolynomial]] = {0: {0: ONE}}
+        self._supports: dict[int, frozenset[int]] = {0: frozenset((0,))}
+        self._mu_lists: dict[int, tuple[tuple[int, int], ...]] = {}
         if self.cache_dir is not None:
             self.load()
 
-    # -- bookkeeping -------------------------------------------------------
+    def _rank(self, w) -> int:
+        """The rank of ``w``; ValueError unless it is a permutation in S_n."""
+        try:
+            return self._index[tuple(w)]
+        except (KeyError, TypeError):
+            raise ValueError(f"not a permutation in S_{self.n}: {w!r}") from None
 
-    def _length(self, w: Perm) -> int:
-        l = self._len.get(w)
-        if l is None:
-            l = self._len.setdefault(w, length(w))
-        return l
+    def _by_length(self, ranks) -> list[int]:
+        return sorted(ranks, key=lambda r: (self._lengths[r], r))
 
-    def _desc_mask(self, w: Perm) -> int:
-        """Descent set on the recursion side, packed as a bitmask."""
-        m = self._desc.get(w)
-        if m is None:
-            des = left_descents(w) if self.side == "left" else right_descents(w)
-            m = 0
-            for i in des:
-                m |= 1 << (i - 1)
-            self._desc[w] = m
-        return m
-
-    def _mult(self, w: Perm, i: int) -> Perm:
-        return multiply_simple(w, i, self.side)
-
-    def _raise_to(self, y: Perm, wmask: int) -> Perm:
+    def _raise_to(self, y: int, wmask: int) -> int:
         """Push y up through the descents of w; P_{y,w} is unchanged."""
         while True:
-            rest = wmask & ~self._desc_mask(y)
+            rest = wmask & ~self._masks[y]
             if not rest:
                 return y
-            y = self._mult(y, (rest & -rest).bit_length())
+            y = self._steps[(rest & -rest).bit_length() - 1][y]
 
     # -- the recursion -----------------------------------------------------
 
-    def support(self, w: Perm) -> frozenset[Perm]:
+    def _support(self, w: int) -> frozenset[int]:
         """The Bruhat interval {y : y <= w}."""
         s = self._supports.get(w)
         if s is not None:
             return s
-        i = (self._desc_mask(w) & -self._desc_mask(w)).bit_length()
-        sv = self.support(self._mult(w, i))
-        s = frozenset(sv.union(self._mult(z, i) for z in sv))
+        mask = self._masks[w]
+        step = self._steps[(mask & -mask).bit_length() - 1]
+        sv = self._support(step[w])
+        s = sv.union([step[z] for z in sv])
         self._supports[w] = s
         return s
 
-    def column(self, w: Perm) -> dict[Perm, IntPolynomial]:
+    def _column(self, w: int) -> dict[int, IntPolynomial]:
         """P_{y,w} for every raised y <= w (descents of w all descend y)."""
         col = self._columns.get(w)
         if col is not None:
             return col
-        wmask = self._desc_mask(w)
-        i = (wmask & -wmask).bit_length()
-        v = self._mult(w, i)
-        self.column(v)
-        lw = self._length(w)
-        ibit = 1 << (i - 1)
-        muv = [(z, m) for z, m in self.mu_list(v) if self._desc_mask(z) & ibit]
+        masks, lengths = self._masks, self._lengths
+        wmask = masks[w]
+        ibit = wmask & -wmask
+        step = self._steps[ibit.bit_length() - 1]
+        v = step[w]
+        self._column(v)
+        lw = lengths[w]
+        muv = [(z, m) for z, m in self._mu_list(v) if masks[z] & ibit]
         col = {}
-        for y in self.support(w):
-            if wmask & ~self._desc_mask(y):
+        for y in self._support(w):
+            if wmask & ~masks[y]:
                 continue
-            p = self._lookup(self._mult(y, i), v) + self._lookup(y, v).shift(1)
+            p = self._lookup(step[y], v) + self._lookup(y, v).shift(1)
             for z, m in muv:
                 pyz = self._lookup(y, z)
                 if pyz:
-                    p = p - pyz.shift((lw - self._length(z)) // 2) * m
+                    p = p - pyz.shift((lw - lengths[z]) // 2) * m
             col[y] = p
         self._columns[w] = col
         return col
 
-    def _lookup(self, y: Perm, w: Perm) -> IntPolynomial:
+    def _lookup(self, y: int, w: int) -> IntPolynomial:
         if y == w:
             return ONE
-        if self._length(y) >= self._length(w):
+        if self._lengths[y] >= self._lengths[w]:
             return ZERO
-        return self.column(w).get(self._raise_to(y, self._desc_mask(w)), ZERO)
+        return self._column(w).get(self._raise_to(y, self._masks[w]), ZERO)
 
-    def mu_list(self, w: Perm) -> tuple[tuple[Perm, int], ...]:
-        """All (z, mu(z, w)) with z < w and mu(z, w) != 0."""
+    def _mu_list(self, w: int) -> tuple[tuple[int, int], ...]:
         got = self._mu_lists.get(w)
         if got is not None:
             return got
-        lw = self._length(w)
+        lw = self._lengths[w]
         pairs = []
-        for y, p in self.column(w).items():
+        for y, p in self._column(w).items():
             if y == w:
                 continue
-            d = lw - self._length(y)
+            d = lw - self._lengths[y]
             if d % 2:
                 m = p.coeff((d - 1) // 2)
                 if m:
                     pairs.append((y, m))
-        mask = self._desc_mask(w)
-        while mask:
-            i = (mask & -mask).bit_length()
-            mask &= mask - 1
-            pairs.append((self._mult(w, i), 1))
+        for i, step in enumerate(self._steps):
+            if self._masks[w] >> i & 1:
+                pairs.append((step[w], 1))
         got = tuple(sorted(pairs))
         self._mu_lists[w] = got
         return got
+
+    def _mu(self, y: int, w: int) -> int:
+        d = self._lengths[w] - self._lengths[y]
+        if d <= 0 or d % 2 == 0:
+            return 0
+        return self._lookup(y, w).coeff((d - 1) // 2)
 
     # -- public queries ----------------------------------------------------
 
     def polynomial(self, y: Perm, w: Perm) -> IntPolynomial:
         """P_{y,w}(q); the zero polynomial when y <= w fails."""
-        y, w = tuple(y), tuple(w)
-        if len(y) != self.n or len(w) != self.n:
-            raise ValueError(f"degree mismatch: table is for S_{self.n}")
-        return self._lookup(y, w)
+        return self._lookup(self._rank(y), self._rank(w))
 
     def mu(self, y: Perm, w: Perm) -> int:
         """Coefficient of q^((l(w)-l(y)-1)/2) in P_{y,w}; 0 unless the
         exponent is a nonnegative integer and y < w."""
-        y, w = tuple(y), tuple(w)
-        d = self._length(w) - self._length(y)
-        if d <= 0 or d % 2 == 0:
-            return 0
-        return self._lookup(y, w).coeff((d - 1) // 2)
+        return self._mu(self._rank(y), self._rank(w))
 
     def mu_sym(self, y: Perm, w: Perm) -> int:
         """mu on whichever side of the pair is shorter; symmetric."""
-        return self.mu(y, w) if self._length(y) < self._length(w) else self.mu(w, y)
+        y, w = self._rank(y), self._rank(w)
+        return self._mu(y, w) if self._lengths[y] < self._lengths[w] else self._mu(w, y)
+
+    def mu_list(self, w: Perm) -> tuple[tuple[Perm, int], ...]:
+        """All (z, mu(z, w)) with z < w and mu(z, w) != 0, z ascending."""
+        return tuple((self.perms[z], m) for z, m in self._mu_list(self._rank(w)))
+
+    def support(self, w: Perm) -> frozenset[Perm]:
+        """The Bruhat interval {y : y <= w}."""
+        return frozenset(self.perms[y] for y in self._support(self._rank(w)))
 
     def warm(self) -> None:
         """Compute every column, shortest elements first."""
-        perms = sorted(
-            all_permutations(self.n, limit=max(self.n, DEFAULT_MAX_DEGREE)),
-            key=lambda p: (self._length(p), p),
-        )
-        for w in perms:
-            self.column(w)
+        for w in self._by_length(range(len(self.perms))):
+            self._column(w)
 
     def entry_count(self) -> int:
         return sum(len(col) for col in self._columns.values())
@@ -212,32 +217,43 @@ class KLTable:
         """Write every computed column; atomic replace of the cache file."""
         path = self.cache_path()
         path.parent.mkdir(parents=True, exist_ok=True)
-        keyed = lambda p: (self._length(p), p)
+        names = [format_permutation(w) for w in self.perms]
         lines = []
-        for w in sorted(self._columns, key=keyed):
+        for w in self._by_length(self._columns):
             col = self._columns[w]
-            wtext = format_permutation(w)
-            for y in sorted(col, key=keyed):
+            for y in self._by_length(col):
                 coeffs = ",".join(str(c) for c in col[y].coeffs)
-                lines.append(f"{format_permutation(y)}\t{wtext}\t{coeffs}")
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text("".join(line + "\n" for line in lines))
-        os.replace(tmp, path)
+                lines.append(f"{names[y]}\t{names[w]}\t{coeffs}\n")
+        # a name no other writer uses; on failure nothing is left behind
+        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+        try:
+            with open(tmp, "x") as fh:
+                fh.write("".join(lines))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def load(self) -> int:
-        """Merge columns from the cache file, if present; returns rows read."""
+        """Merge columns from the cache file, if present; returns rows read.
+
+        Raises OSError naming the file and line of the first record that is
+        malformed or not of this table's degree."""
         path = self.cache_path()
         if not path.exists():
             return 0
-        loaded: dict[Perm, dict[Perm, IntPolynomial]] = {}
+        ranks = {format_permutation(w): r for r, w in enumerate(self.perms)}
+        loaded: dict[int, dict[int, IntPolynomial]] = {}
         count = 0
-        for line in path.read_text().splitlines():
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
             if not line.strip():
                 continue
-            ytext, wtext, ctext = line.split("\t")
-            y = parse_permutation(ytext)
-            w = parse_permutation(wtext)
-            poly = IntPolynomial(int(c) for c in ctext.split(","))
+            try:
+                ytext, wtext, ctext = line.split("\t")
+                y, w = ranks[ytext], ranks[wtext]
+                poly = IntPolynomial(int(c) for c in ctext.split(","))
+            except (KeyError, ValueError):
+                raise OSError(f"{path}:{lineno}: bad record for S_{self.n}: {line!r}") from None
             loaded.setdefault(w, {})[y] = poly
             count += 1
         self._columns.update(loaded)
@@ -257,25 +273,13 @@ def default_table(n: int, side: str = "left") -> KLTable:
 
 
 def kl_polynomial(y: Perm, w: Perm) -> IntPolynomial:
-    """P_{y,w}(q) via the shared table for the common degree."""
-    y = check_permutation(y)
-    w = check_permutation(w)
-    if len(y) != len(w):
-        raise ValueError(f"degree mismatch: {len(y)} vs {len(w)}")
+    """P_{y,w}(q) via the shared table for the degree of y."""
     return default_table(len(y)).polynomial(y, w)
 
 
 def mu(y: Perm, w: Perm) -> int:
-    y = check_permutation(y)
-    w = check_permutation(w)
-    if len(y) != len(w):
-        raise ValueError(f"degree mismatch: {len(y)} vs {len(w)}")
     return default_table(len(y)).mu(y, w)
 
 
 def mu_sym(y: Perm, w: Perm) -> int:
-    y = check_permutation(y)
-    w = check_permutation(w)
-    if len(y) != len(w):
-        raise ValueError(f"degree mismatch: {len(y)} vs {len(w)}")
     return default_table(len(y)).mu_sym(y, w)

@@ -25,9 +25,6 @@ from collections.abc import Iterator, Sequence
 
 Perm = tuple[int, ...]
 
-# enumeration refuses degrees above this unless the caller raises the limit
-DEFAULT_MAX_DEGREE = 8
-
 
 def is_permutation(word: Sequence[int]) -> bool:
     """True if ``word`` lists each of 1..n exactly once.
@@ -194,7 +191,7 @@ def min_coset_rep(w: Perm, i: int, j: int) -> Perm:
             return w
 
 
-def all_permutations(n: int, limit: int = DEFAULT_MAX_DEGREE) -> Iterator[Perm]:
+def all_permutations(n: int) -> Iterator[Perm]:
     """Yield all n! permutations in lexicographic one-line order.
 
     >>> list(all_permutations(2))
@@ -202,8 +199,6 @@ def all_permutations(n: int, limit: int = DEFAULT_MAX_DEGREE) -> Iterator[Perm]:
     """
     if n < 1:
         raise ValueError(f"degree must be at least 1, got {n}")
-    if n > limit:
-        raise ValueError(f"degree {n} exceeds the configured limit {limit}")
     return iter(itertools.permutations(range(1, n + 1)))
 
 

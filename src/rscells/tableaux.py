@@ -19,7 +19,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 
-from .permutations import Perm, check_permutation, inverse
+from .permutations import Perm, check_permutation
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +323,13 @@ def p_symbol(w: Perm) -> Tableau:
 
 
 def q_symbol(w: Perm) -> Tableau:
-    """Recording tableau of a permutation; cross-checked against the
-    insertion tableau of the inverse, which it must equal.
+    """Recording tableau of a permutation; it equals the insertion tableau
+    of the inverse, which the tests check exhaustively for n <= 7.
 
     >>> q_symbol((3, 1, 5, 2, 4))
     Tableau([[1, 3, 5], [2, 4]])
     """
-    w = check_permutation(w)
-    q = insert_word(w)[1]
-    if q != p_symbol(inverse(w)):
-        raise AssertionError(f"recording tableau of {w} disagrees with P(w^-1)")
-    return q
+    return insert_word(check_permutation(w))[1]
 
 
 def rs_inverse(p: Tableau, q: Tableau) -> Perm:

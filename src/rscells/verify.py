@@ -16,7 +16,6 @@ from .hecke import bar, c_prime, canonical_basis_by_bar
 from .kl import KLTable, default_table
 from .knuth import in_knuth_domain, knuth_class, knuth_move
 from .permutations import (
-    DEFAULT_MAX_DEGREE,
     all_permutations,
     compose,
     format_permutation,
@@ -65,7 +64,7 @@ class Report:
 
 
 def _perms(n: int):
-    return list(all_permutations(n, limit=max(n, DEFAULT_MAX_DEGREE)))
+    return list(all_permutations(n))
 
 
 def _fmt(w) -> str:
@@ -76,11 +75,12 @@ def verify_theorem_a(n: int, table: KLTable | None = None) -> Report:
     """Left cells from the mu graph versus fibers of the recording tableau."""
     report = Report("theorem-a", n, cases=0)
     part = cell_partition(n, "left", table)
-    fibers: dict = {}
     perms = _perms(n)
     report.cases = len(perms)
+    qs = {w: q_symbol(w) for w in perms}
+    fibers: dict = {}
     for w in perms:
-        fibers.setdefault(q_symbol(w), set()).add(w)
+        fibers.setdefault(qs[w], set()).add(w)
     qpart = {frozenset(f) for f in fibers.values()}
     cpart = part.as_sets()
     report.info["cells"] = str(len(cpart))
@@ -90,7 +90,7 @@ def verify_theorem_a(n: int, table: KLTable | None = None) -> Report:
             for w in perms:
                 if y < w:
                     by_cell = part.same_cell(y, w)
-                    by_q = q_symbol(y) == q_symbol(w)
+                    by_q = qs[y] == qs[w]
                     if by_cell != by_q:
                         report.violations.append(
                             f"y={_fmt(y)} w={_fmt(w)} same-cell={by_cell} same-Q={by_q}"

@@ -1,8 +1,11 @@
 import json
 
+import pytest
+
 from rscells.cli import (
     EXIT_BOUNDS,
     EXIT_INPUT,
+    EXIT_IO,
     EXIT_OK,
     EXIT_VIOLATION,
     main,
@@ -183,6 +186,33 @@ def test_cache_env_var_overrides_flag(capsys, tmp_path, monkeypatch):
     assert code == EXIT_OK
     assert (envdir / "kl_s3.tsv").exists()
     assert not flagdir.exists()
+
+
+def test_cache_warm_ignores_squatted_temp_name(capsys, tmp_path):
+    (tmp_path / "kl_s3.tsv.tmp").mkdir()
+    code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "cache", "warm", "3")
+    assert (code, out) == (EXIT_OK, "warmed S_3: 8 entries\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kl_s3.tsv", "kl_s3.tsv.tmp"]
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        "1234\t2134",  # missing field
+        "1234\t2134\t1,x",  # non-integer coefficient
+        "9999\t2134\t1",  # not a permutation
+        "123\t213\t1",  # a permutation of the wrong degree
+    ],
+    ids=["missing-field", "bad-coefficient", "non-permutation", "wrong-degree"],
+)
+def test_bad_cache_record_exits_4(capsys, tmp_path, record):
+    cache = str(tmp_path)
+    run(capsys, "--cache-dir", cache, "cache", "warm", "4")
+    path = tmp_path / "kl_s4.tsv"
+    path.write_text(path.read_text() + record + "\n")
+    code, out, err = run(capsys, "--cache-dir", cache, "klpoly", "1234", "4321")
+    assert (code, out) == (EXIT_IO, "")
+    assert f"{path}:59:" in err
 
 
 def test_cache_needs_directory(capsys, monkeypatch):

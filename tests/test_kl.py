@@ -1,12 +1,15 @@
+import hashlib
 import itertools
 
 import pytest
 
 from oracles import all_perms
-from rscells.kl import KLTable, default_table, kl_polynomial, mu
+from rscells.hecke import c_prime, kl_action_q1
+from rscells.kl import MAX_DEGREE, KLTable, default_table, kl_polynomial, mu, mu_sym
 from rscells.permutations import (
     bruhat_leq,
     inverse,
+    left_descents,
     length,
     min_coset_rep,
     multiply_simple,
@@ -82,11 +85,8 @@ def test_recursion_descent_choice_independence():
     n = 4
     base = default_table(n)
     for w in all_perms(n):
-        wmask = base._desc_mask(w)
         lw = length(w)
-        for i in range(1, n):
-            if not wmask & (1 << (i - 1)):
-                continue
+        for i in sorted(_ldesc(w)):
             v = multiply_simple(w, i, "left")
             muv = [(z, m) for z, m in base.mu_list(v) if i in _ldesc(z)]
             for y in base.support(w):
@@ -200,3 +200,74 @@ def test_cache_file_format(tmp_path):
         assert y.isdigit() and w.isdigit()
         assert all(part.lstrip("-").isdigit() for part in coeffs.split(","))
     assert "123\t123\t1" in lines
+
+
+def test_rank_tables_match_permutation_arithmetic():
+    for n in range(1, 6):
+        for side, descents in (("left", left_descents), ("right", right_descents)):
+            tbl = KLTable(n, side=side)
+            assert tbl.perms == sorted(all_perms(n))
+            for r, w in enumerate(tbl.perms):
+                assert tbl._lengths[r] == length(w)
+                assert tbl._masks[r] == sum(1 << (i - 1) for i in descents(w))
+                for i in range(1, n):
+                    assert tbl.perms[tbl._steps[i - 1][r]] == multiply_simple(w, i, side)
+
+
+def test_every_query_rejects_non_permutations():
+    tbl = KLTable(3)
+    e = (1, 2, 3)
+    for bad in ((1, 2), (1, 2, 3, 4), (1, 1, 2), (0, 1, 2), "123", [[1], 2, 3]):
+        for query in (tbl.polynomial, tbl.mu, tbl.mu_sym):
+            with pytest.raises(ValueError, match="S_3"):
+                query(bad, e)
+            with pytest.raises(ValueError, match="S_3"):
+                query(e, bad)
+        for query in (tbl.mu_list, tbl.support):
+            with pytest.raises(ValueError, match="S_3"):
+                query(bad)
+
+
+def test_degree_above_bound_raises_before_enumeration():
+    # a table enumerates S_n up front, so the degree is checked first
+    big = tuple(range(1, 13))
+    malformed = (1,) * 12
+    for n in (0, MAX_DEGREE + 1, 12, 20):
+        with pytest.raises(ValueError, match="degree"):
+            KLTable(n)
+    for y in (big, malformed):
+        for query in (kl_polynomial, mu, mu_sym):
+            with pytest.raises(ValueError):
+                query(y, big)
+    with pytest.raises(ValueError):
+        c_prime(big)
+    with pytest.raises(ValueError):
+        kl_action_q1(1, malformed)
+
+
+# reference digests of the S_5 cache files: a change to the element
+# representation or the write order must leave the files byte-identical
+CACHE_SHA256 = {
+    "kl_s5.tsv": "311d4f11159f66febbe318c72ea72f4124d7a0d9814ee23ee4b1173651a24e2b",
+    "kl_s5.right.tsv": "ec8c86cb584cd7af10f840961cb1a4847d28dbf7903b8300b90ac012a37c78fb",
+}
+
+
+def test_cache_files_are_byte_identical_to_reference(tmp_path):
+    for side in ("left", "right"):
+        tbl = KLTable(5, side=side, cache_dir=tmp_path)
+        tbl.warm()
+        tbl.save()
+    for name, digest in CACHE_SHA256.items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+    assert (tmp_path / "kl_s5.tsv").stat().st_size == 9724
+
+
+def test_save_leaves_no_temp_file_on_failure(tmp_path):
+    tbl = KLTable(3, cache_dir=tmp_path)
+    tbl.warm()
+    tbl.cache_path().mkdir()  # os.replace cannot overwrite a directory
+    with pytest.raises(OSError):
+        tbl.save()
+    assert [p.name for p in tmp_path.iterdir()] == ["kl_s3.tsv"]

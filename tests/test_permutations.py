@@ -187,8 +187,6 @@ def test_enumeration():
     assert s3 == sorted(s3)
     assert sum(1 for _ in all_permutations(5)) == 120
     with pytest.raises(ValueError):
-        all_permutations(9)
-    with pytest.raises(ValueError):
         all_permutations(0)
 
 

@@ -178,7 +178,7 @@ def test_symbol_examples():
 
 
 def test_symbols_share_shape_and_q_is_p_of_inverse():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for w in all_perms(n):
             p, q = insert_word(w)
             assert p.outer == q.outer

@@ -69,3 +69,24 @@ def test_crystal_suites_n4():
     rep = run_suite("crystal-theorem-a", 4)
     assert rep.ok
     assert rep.info["components"] == "10"
+
+
+class _NoMuTable(KLTable):
+    """Poisoned input: every mu list is empty, so every cell is a singleton."""
+
+    def mu_list(self, w):
+        return ()
+
+
+def test_theorem_a_fails_on_poisoned_mu_lists():
+    rep = run_suite("theorem-a", 4, _NoMuTable(4))
+    assert not rep.ok
+    assert rep.info["cells"] == "24"
+    assert "y=1243 w=1342 same-cell=False same-Q=True" in rep.violations
+    assert rep.lines()[-1] == "result: FAIL"
+
+
+def test_crystal_theorem_a_fails_on_poisoned_mu_lists():
+    rep = run_suite("crystal-theorem-a", 4, _NoMuTable(4))
+    assert rep.violations == ["Q-symbol fibers (10) differ from left cells (24)"]
+    assert rep.lines()[-1] == "result: FAIL"
