@@ -12,9 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import crystal as crystal_mod
 from .cells import cells as cell_partition, left_cell_graph
@@ -249,9 +251,21 @@ def cmd_verify(cfg: Config, args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def cmd_cache(cfg: Config, args) -> int:
-    from pathlib import Path
+# kl_s<n>.tsv and kl_s<n>.right.tsv; digit notation keeps n to one digit
+_CACHE_NAME = re.compile(r"kl_s([1-9])(\.right)?\.tsv")
 
+
+def _cache_records(path: Path) -> int:
+    """Records in one cache file, read through the validating KLTable.load."""
+    m = _CACHE_NAME.fullmatch(path.name)
+    if m is None:
+        raise OSError(f"{path}: not a KL cache file name")
+    table = KLTable(int(m[1]), "right" if m[2] else "left")
+    table.cache_dir = path.parent
+    return table.load()
+
+
+def cmd_cache(cfg: Config, args) -> int:
     if cfg.cache_dir is None:
         raise ValueError("no cache directory configured (flag or RSCELLS_CACHE_DIR)")
     root = Path(cfg.cache_dir)
@@ -259,7 +273,7 @@ def cmd_cache(cfg: Config, args) -> int:
     if args.action == "info":
         total = 0
         for f in files:
-            count = sum(1 for line in f.read_text().splitlines() if line.strip())
+            count = _cache_records(f)
             total += count
             _emit(f"{f.name}: {count} entries")
         _emit(f"total: {total} entries")
@@ -273,7 +287,13 @@ def cmd_cache(cfg: Config, args) -> int:
         raise ValueError("cache warm needs a degree argument")
     _check_degree(cfg, args.n)
     start = time.perf_counter()
-    table = KLTable(args.n, cache_dir=cfg.cache_dir)
+    try:
+        table = KLTable(args.n, cache_dir=root)
+    except OSError as exc:
+        # a fresh table, written over the bad file by save() below
+        print(f"note: rebuilding bad cache file: {exc}", file=sys.stderr)
+        table = KLTable(args.n)
+        table.cache_dir = root
     table.warm()
     table.save()
     _emit(f"warmed S_{args.n}: {table.entry_count()} entries")

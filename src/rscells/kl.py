@@ -22,6 +22,10 @@ lexicographic order, sorting ranks sorts the permutations.  Permutation
 tuples appear only at the public methods, which reject anything that is not
 a permutation of the table's degree.
 
+A table holds one IntPolynomial object per distinct value: computed and
+loaded entries resolve through a per-table intern dict keyed by the
+coefficient tuple, so the 292,070 entries of S_7 share 98 objects.
+
 Columns persist to a tab-separated cache file, one record per line:
 ``y<TAB>w<TAB>c0,c1,...,cd`` with permutations in digit notation.  Files are
 written whole to a uniquely named temporary file and renamed over the old
@@ -51,8 +55,8 @@ class KLTable:
 
     Construction enumerates S_n once: ``perms[r]`` is the permutation of
     rank r in lexicographic order, and columns, supports and mu lists are
-    keyed by rank.  Degrees above MAX_DEGREE raise ValueError before any
-    enumeration.
+    keyed by rank.  Equal polynomials in the columns are the same object.
+    Degrees above MAX_DEGREE raise ValueError before any enumeration.
     """
 
     def __init__(self, n: int, side: str = "left", cache_dir=None):
@@ -76,6 +80,8 @@ class KLTable:
             for r, sr in enumerate(step):
                 masks[r] |= (lengths[sr] < lengths[r]) << i
         self._columns: dict[int, dict[int, IntPolynomial]] = {0: {0: ONE}}
+        # coefficient tuple -> the one polynomial object with that value
+        self._intern: dict[tuple[int, ...], IntPolynomial] = {ONE.coeffs: ONE}
         self._supports: dict[int, frozenset[int]] = {0: frozenset((0,))}
         self._mu_lists: dict[int, tuple[tuple[int, int], ...]] = {}
         if self.cache_dir is not None:
@@ -89,7 +95,8 @@ class KLTable:
             raise ValueError(f"not a permutation in S_{self.n}: {w!r}") from None
 
     def _by_length(self, ranks) -> list[int]:
-        return sorted(ranks, key=lambda r: (self._lengths[r], r))
+        # a stable sort by length of the sorted ranks orders by (length, rank)
+        return sorted(sorted(ranks), key=self._lengths.__getitem__)
 
     def _raise_to(self, y: int, wmask: int) -> int:
         """Push y up through the descents of w; P_{y,w} is unchanged."""
@@ -126,6 +133,7 @@ class KLTable:
         self._column(v)
         lw = lengths[w]
         muv = [(z, m) for z, m in self._mu_list(v) if masks[z] & ibit]
+        intern = self._intern
         col = {}
         for y in self._support(w):
             if wmask & ~masks[y]:
@@ -135,7 +143,7 @@ class KLTable:
                 pyz = self._lookup(y, z)
                 if pyz:
                     p = p - pyz.shift((lw - lengths[z]) // 2) * m
-            col[y] = p
+            col[y] = intern.setdefault(p.coeffs, p)
         self._columns[w] = col
         return col
 
@@ -218,12 +226,17 @@ class KLTable:
         path = self.cache_path()
         path.parent.mkdir(parents=True, exist_ok=True)
         names = [format_permutation(w) for w in self.perms]
+        texts: dict[tuple[int, ...], str] = {}  # "c0,c1,..." per distinct value
         lines = []
         for w in self._by_length(self._columns):
             col = self._columns[w]
+            wname = names[w]
             for y in self._by_length(col):
-                coeffs = ",".join(str(c) for c in col[y].coeffs)
-                lines.append(f"{names[y]}\t{names[w]}\t{coeffs}\n")
+                coeffs = col[y].coeffs
+                text = texts.get(coeffs)
+                if text is None:
+                    text = texts[coeffs] = ",".join(map(str, coeffs))
+                lines.append(f"{names[y]}\t{wname}\t{text}\n")
         # a name no other writer uses; on failure nothing is left behind
         tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
         try:
@@ -243,16 +256,22 @@ class KLTable:
         if not path.exists():
             return 0
         ranks = {format_permutation(w): r for r, w in enumerate(self.perms)}
+        intern = self._intern
+        polys: dict[str, IntPolynomial] = {}  # coefficient text -> interned value
         loaded: dict[int, dict[int, IntPolynomial]] = {}
         count = 0
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
+        # undecodable bytes become U+FFFD, which fails below as a bad record
+        for lineno, line in enumerate(path.read_text(errors="replace").splitlines(), start=1):
             try:
                 ytext, wtext, ctext = line.split("\t")
                 y, w = ranks[ytext], ranks[wtext]
-                poly = IntPolynomial(int(c) for c in ctext.split(","))
+                poly = polys.get(ctext)
+                if poly is None:
+                    poly = IntPolynomial(int(c) for c in ctext.split(","))
+                    poly = polys[ctext] = intern.setdefault(poly.coeffs, poly)
             except (KeyError, ValueError):
+                if not line.strip():
+                    continue
                 raise OSError(f"{path}:{lineno}: bad record for S_{self.n}: {line!r}") from None
             loaded.setdefault(w, {})[y] = poly
             count += 1

@@ -215,6 +215,60 @@ def test_bad_cache_record_exits_4(capsys, tmp_path, record):
     assert f"{path}:59:" in err
 
 
+def test_cache_warm_repairs_a_bad_cache_file(capsys, tmp_path):
+    cache = str(tmp_path)
+    run(capsys, "--cache-dir", cache, "cache", "warm", "4")
+    path = tmp_path / "kl_s4.tsv"
+    clean = path.read_bytes()
+    for bad in (b"123\t213\t1\n", b"1234\t2134\t\xff\n"):
+        path.write_bytes(clean + bad)
+        code, out, err = run(capsys, "--cache-dir", cache, "cache", "warm", "4")
+        assert (code, out) == (EXIT_OK, "warmed S_4: 58 entries\n")
+        assert f"{path}:59:" in err
+        assert path.read_bytes() == clean
+        code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "1234", "4321")
+        assert (code, out) == (EXIT_OK, "1\n")
+        code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "1324", "3412")
+        assert (code, out) == (EXIT_OK, "1 + q\n")
+
+
+def test_cache_info_counts_valid_files(capsys, tmp_path):
+    from rscells.kl import KLTable
+
+    for n, side in ((3, "left"), (4, "right"), (5, "left")):
+        tbl = KLTable(n, side=side, cache_dir=tmp_path)
+        tbl.warm()
+        tbl.save()
+    (tmp_path / "kl_s4.right.tsv").write_text(
+        (tmp_path / "kl_s4.right.tsv").read_text() + "\n  \n"
+    )
+    # the count before validation: non-blank lines per file
+    counts = {
+        f.name: sum(1 for line in f.read_text().splitlines() if line.strip())
+        for f in sorted(tmp_path.glob("kl_s*.tsv"))
+    }
+    expected = "".join(f"{name}: {c} entries\n" for name, c in counts.items())
+    expected += f"total: {sum(counts.values())} entries\n"
+    code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "cache", "info")
+    assert (code, out) == (EXIT_OK, expected)
+    assert out.startswith("kl_s3.tsv: 8 entries\nkl_s4.right.tsv: ")
+
+
+def test_cache_info_rejects_bad_records(capsys, tmp_path):
+    cache = str(tmp_path)
+    run(capsys, "--cache-dir", cache, "cache", "warm", "4")
+    path = tmp_path / "kl_s4.tsv"
+    path.write_text(path.read_text() + "123\t213\t1\n")
+    code, out, err = run(capsys, "--cache-dir", cache, "cache", "info")
+    assert (code, out) == (EXIT_IO, "")
+    assert f"{path}:59:" in err
+    path.unlink()
+    (tmp_path / "kl_sx.tsv").write_text("")
+    code, out, err = run(capsys, "--cache-dir", cache, "cache", "info")
+    assert (code, out) == (EXIT_IO, "")
+    assert "kl_sx.tsv: not a KL cache file name" in err
+
+
 def test_cache_needs_directory(capsys, monkeypatch):
     monkeypatch.delenv("RSCELLS_CACHE_DIR", raising=False)
     code, _, err = run(capsys, "cache", "info")

@@ -1,5 +1,8 @@
 import hashlib
 import itertools
+import sys
+import threading
+import time
 
 import pytest
 
@@ -271,3 +274,82 @@ def test_save_leaves_no_temp_file_on_failure(tmp_path):
     with pytest.raises(OSError):
         tbl.save()
     assert [p.name for p in tmp_path.iterdir()] == ["kl_s3.tsv"]
+
+
+def _distinct_objects(tbl):
+    polys = [p for col in tbl._columns.values() for p in col.values()]
+    return len({id(p) for p in polys}), len({p.coeffs for p in polys})
+
+
+def test_one_object_per_distinct_polynomial(tmp_path):
+    for n in range(1, 6):
+        for side in ("left", "right"):
+            warmed = KLTable(n, side=side, cache_dir=tmp_path)
+            warmed.warm()
+            objects, values = _distinct_objects(warmed)
+            assert objects == values, (n, side)
+            warmed.save()
+
+            loaded = KLTable(n, side=side)
+            loaded.cache_dir = tmp_path
+            assert loaded.load() == warmed.entry_count()
+            objects, values = _distinct_objects(loaded)
+            assert objects == values, (n, side)
+            assert loaded._columns == warmed._columns, (n, side)
+
+
+def test_load_skips_blank_lines_and_normalizes_trailing_zeros(tmp_path):
+    path = tmp_path / "kl_s4.tsv"
+    path.write_text("1234\t1234\t1\n \t \n\n1234\t2134\t1,0\n")
+    tbl = KLTable(4)
+    tbl.cache_dir = tmp_path
+    assert tbl.load() == 2
+    e, s1 = tbl._rank((1, 2, 3, 4)), tbl._rank((2, 1, 3, 4))
+    assert tbl._columns[s1][e] == ONE
+    assert tbl._columns[s1][e] is tbl._columns[e][e]
+
+
+def test_load_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "kl_s3.tsv"
+    path.write_bytes(b"123\t123\t1\n123\t213\t\xff\n")
+    with pytest.raises(OSError, match=r"kl_s3\.tsv:2:"):
+        KLTable(3, cache_dir=tmp_path)
+
+
+def test_readers_see_complete_files_while_a_writer_saves(tmp_path):
+    # save() renames a finished temporary file over the cache file, so a
+    # reader racing a writer loads either the old or the new complete file
+    writer = KLTable(4, cache_dir=tmp_path)
+    writer.warm()
+    writer.save()
+    records = writer.entry_count()
+    stop = threading.Event()
+    errors = []
+
+    def write():
+        try:
+            while not stop.is_set():
+                writer.save()
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    thread = threading.Thread(target=write)
+    try:
+        thread.start()
+        deadline = time.monotonic() + 1.0
+        loads = 0
+        while time.monotonic() < deadline:
+            reader = KLTable(4)
+            reader.cache_dir = tmp_path
+            assert reader.load() == records
+            loads += 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert errors == []
+    assert loads > 10
+    assert [p.name for p in tmp_path.iterdir()] == ["kl_s4.tsv"]
