@@ -23,11 +23,14 @@ from .cells import cells as cell_partition, left_cell_graph
 from .kl import MAX_DEGREE, KLTable
 from .permutations import format_permutation, parse_permutation
 from .tableaux import Tableau, p_symbol, q_symbol, rs_inverse
-from .verify import SUITES, run_suite
+from .verify import _TABLE_SUITES, SUITES, run_suite
 
 ENV_CACHE_DIR = "RSCELLS_CACHE_DIR"
 DEFAULT_MAX_DEGREE = 8
 HARD_MAX_DEGREE = MAX_DEGREE
+# a table with every column computed takes about 1.1 GB at S_8 and grew
+# about 22x from S_7 to S_8, so runs that warm every column stop here
+WARM_MAX_DEGREE = 8
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -117,6 +120,20 @@ def _table(cfg: Config, n: int) -> KLTable:
     return KLTable(n, cache_dir=cfg.cache_dir)
 
 
+def _check_warm_degree(n: int) -> None:
+    """Refuse a run that computes every column of S_n beyond WARM_MAX_DEGREE."""
+    if n > WARM_MAX_DEGREE:
+        raise _BoundsError(
+            f"a full KL table of S_{n} does not fit in memory; "
+            f"runs that warm every column stop at degree {WARM_MAX_DEGREE}"
+        )
+
+
+def _warm_table(cfg: Config, n: int) -> KLTable:
+    _check_warm_degree(n)
+    return _table(cfg, n)
+
+
 def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -171,7 +188,7 @@ def cmd_klpoly(cfg: Config, args) -> int:
 
 def cmd_cells(cfg: Config, args) -> int:
     _check_degree(cfg, args.n)
-    part = cell_partition(args.n, args.side, _table(cfg, args.n))
+    part = cell_partition(args.n, args.side, _warm_table(cfg, args.n))
     if cfg.fmt == "json":
         _emit_json(
             {
@@ -199,7 +216,7 @@ def _dot(name: str, edges, label=None) -> str:
 def cmd_graph(cfg: Config, args) -> int:
     _check_degree(cfg, args.n)
     if args.kind == "mu":
-        adj = left_cell_graph(args.n, _table(cfg, args.n))
+        adj = left_cell_graph(args.n, _warm_table(cfg, args.n))
         edges = sorted(
             (format_permutation(a), format_permutation(b), None)
             for a, nbrs in adj.items()
@@ -241,7 +258,8 @@ def cmd_verify(cfg: Config, args) -> int:
     _check_degree(cfg, args.n)
     if args.n >= 6 and not cfg.long_run:
         raise _BoundsError(f"suite at n={args.n} needs --long")
-    table = _table(cfg, args.n)
+    # only the suites that read KL polynomials get a table
+    table = _warm_table(cfg, args.n) if args.suite in _TABLE_SUITES else None
     report = run_suite(args.suite, args.n, table)
     if cfg.fmt == "json":
         _emit_json(report.to_json())
@@ -286,6 +304,7 @@ def cmd_cache(cfg: Config, args) -> int:
     if args.n is None:
         raise ValueError("cache warm needs a degree argument")
     _check_degree(cfg, args.n)
+    _check_warm_degree(args.n)
     start = time.perf_counter()
     try:
         table = KLTable(args.n, cache_dir=root)

@@ -22,9 +22,18 @@ lexicographic order, sorting ranks sorts the permutations.  Permutation
 tuples appear only at the public methods, which reject anything that is not
 a permutation of the table's degree.
 
+The Bruhat interval {y : y <= w} is built from that of v as the union of
+it and its image under s_i, and is stored as a flat array of ranks (two
+bytes each up to S_8), so the 3.55 M interval elements of S_7 take about
+7 MB.
+
 A table holds one IntPolynomial object per distinct value: computed and
 loaded entries resolve through a per-table intern dict keyed by the
-coefficient tuple, so the 292,070 entries of S_7 share 98 objects.
+coefficient tuple, so the 292,070 entries of S_7 share 98 objects.  Because
+of that, the two polynomial steps of the recursion, P_{s_i y,v} + q P_{y,v}
+and p - mu q^k P_{y,z}, see few distinct operands: both are memoized per
+table on the ids of their interned operands, and S_7 computes 1,533 of
+them instead of about 385,000.
 
 Columns persist to a tab-separated cache file, one record per line:
 ``y<TAB>w<TAB>c0,c1,...,cd`` with permutations in digit notation.  Files are
@@ -35,6 +44,8 @@ one, so concurrent readers see either the old or the new complete file.
 from __future__ import annotations
 
 import os
+import re
+from array import array
 from pathlib import Path
 
 from .permutations import (
@@ -49,13 +60,19 @@ from .polynomials import ONE, ZERO, IntPolynomial
 # a table holds n! * n ranks up front, and digit notation stops at 9
 MAX_DEGREE = 9
 
+# the coefficient field exactly as save() writes it; int() alone would also
+# take "1_0", " +1" and non-ASCII digits
+_COEFFS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
 
 class KLTable:
     """Memoized Kazhdan-Lusztig polynomials and mu-coefficients for S_n.
 
     Construction enumerates S_n once: ``perms[r]`` is the permutation of
     rank r in lexicographic order, and columns, supports and mu lists are
-    keyed by rank.  Equal polynomials in the columns are the same object.
+    keyed by rank.  A support is an ``array`` of ranks.  Equal polynomials
+    in the columns are the same object, and the polynomial steps of the
+    recursion are memoized on the ids of those objects.
     Degrees above MAX_DEGREE raise ValueError before any enumeration.
     """
 
@@ -82,7 +99,14 @@ class KLTable:
         self._columns: dict[int, dict[int, IntPolynomial]] = {0: {0: ONE}}
         # coefficient tuple -> the one polynomial object with that value
         self._intern: dict[tuple[int, ...], IntPolynomial] = {ONE.coeffs: ONE}
-        self._supports: dict[int, frozenset[int]] = {0: frozenset((0,))}
+        # ranks fit in two bytes up to 8! = 40320
+        self._typecode = "H" if len(lengths) <= 1 << 16 else "I"
+        self._supports: dict[int, array] = {0: array(self._typecode, (0,))}
+        # memos of the two polynomial steps of _column, (a, b) -> a + q b and
+        # (p, P, k, m) -> p - m q^k P, keyed on the ids of operands that are
+        # interned or module constants, so no id is reused while a key lives
+        self._sums: dict[tuple[int, int], IntPolynomial] = {}
+        self._corrections: dict[tuple[int, int, int, int], IntPolynomial] = {}
         self._mu_lists: dict[int, tuple[tuple[int, int], ...]] = {}
         if self.cache_dir is not None:
             self.load()
@@ -108,16 +132,17 @@ class KLTable:
 
     # -- the recursion -----------------------------------------------------
 
-    def _support(self, w: int) -> frozenset[int]:
-        """The Bruhat interval {y : y <= w}."""
+    def _support(self, w: int) -> array:
+        """The Bruhat interval {y : y <= w} as a flat array of ranks."""
         s = self._supports.get(w)
         if s is not None:
             return s
         mask = self._masks[w]
         step = self._steps[(mask & -mask).bit_length() - 1]
         sv = self._support(step[w])
-        s = sv.union([step[z] for z in sv])
-        self._supports[w] = s
+        ranks = set(sv)
+        ranks.update([step[z] for z in sv])
+        s = self._supports[w] = array(self._typecode, ranks)
         return s
 
     def _column(self, w: int) -> dict[int, IntPolynomial]:
@@ -130,20 +155,42 @@ class KLTable:
         ibit = wmask & -wmask
         step = self._steps[ibit.bit_length() - 1]
         v = step[w]
-        self._column(v)
+        colv = self._column(v)
+        vmask = masks[v]
         lw = lengths[w]
-        muv = [(z, m) for z, m in self._mu_list(v) if masks[z] & ibit]
-        intern = self._intern
+        # mu(z, v) q^k P_{y,z} is subtracted for each z in the mu list of v
+        # with s_i z < z; P_{y,z} is 0 unless y raises into column z
+        muv = [
+            (self._column(z), masks[z], lengths[z], (lw - lengths[z]) // 2, m)
+            for z, m in self._mu_list(v)
+            if masks[z] & ibit
+        ]
+        raise_to = self._raise_to
+        sums, corrections, intern = self._sums, self._corrections, self._intern
         col = {}
         for y in self._support(w):
             if wmask & ~masks[y]:
                 continue
-            p = self._lookup(step[y], v) + self._lookup(y, v).shift(1)
-            for z, m in muv:
-                pyz = self._lookup(y, z)
-                if pyz:
-                    p = p - pyz.shift((lw - lengths[z]) // 2) * m
-            col[y] = intern.setdefault(p.coeffs, p)
+            a = colv.get(raise_to(step[y], vmask), ZERO)
+            b = colv.get(raise_to(y, vmask), ZERO)
+            key = (id(a), id(b))
+            p = sums.get(key)
+            if p is None:
+                p = a + b.shift(1)
+                p = sums[key] = intern.setdefault(p.coeffs, p)
+            ly = lengths[y]
+            for colz, zmask, lz, k, m in muv:
+                if ly > lz:
+                    continue
+                pyz = colz.get(raise_to(y, zmask))
+                if pyz is not None:
+                    key = (id(p), id(pyz), k, m)
+                    r = corrections.get(key)
+                    if r is None:
+                        r = p - pyz.shift(k) * m
+                        r = corrections[key] = intern.setdefault(r.coeffs, r)
+                    p = r
+            col[y] = p
         self._columns[w] = col
         return col
 
@@ -251,7 +298,8 @@ class KLTable:
         """Merge columns from the cache file, if present; returns rows read.
 
         Raises OSError naming the file and line of the first record that is
-        malformed or not of this table's degree."""
+        malformed (coefficients other than comma-separated ASCII integers
+        included) or not of this table's degree."""
         path = self.cache_path()
         if not path.exists():
             return 0
@@ -267,7 +315,9 @@ class KLTable:
                 y, w = ranks[ytext], ranks[wtext]
                 poly = polys.get(ctext)
                 if poly is None:
-                    poly = IntPolynomial(int(c) for c in ctext.split(","))
+                    if not _COEFFS.fullmatch(ctext):
+                        raise ValueError(ctext)
+                    poly = IntPolynomial(map(int, ctext.split(",")))
                     poly = polys[ctext] = intern.setdefault(poly.coeffs, poly)
             except (KeyError, ValueError):
                 if not line.strip():

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line printed each.
 
-Long runs (n = 6 for the cell/Q partition, n = 5 for the mu/Knuth-move
-checks) are gated behind RSCELLS_LONG=1.
+Long runs (n = 6, 7 and 8 for the cell/Q partition, n = 5 for the
+mu/Knuth-move checks) are gated behind RSCELLS_LONG=1.
 """
 
 import itertools
@@ -67,6 +67,17 @@ def test_criterion_02_theorem_a_n6_long():
     assert rep.ok, rep.violations[:3]
     assert rep.info["cells"] == "76"
     _ok(2, "left-cell partition equals Q-symbol partition for n = 6 (long)")
+
+
+@long_run
+@pytest.mark.parametrize("n, count", [(7, 232), (8, 764)])
+def test_criterion_02_theorem_a_n7_n8_long(n, count):
+    # S_8 warms in about 1.1 GB and 80 s
+    rep = run_suite("theorem-a", n, KLTable(n))
+    assert rep.ok, rep.violations[:3]
+    assert involution_count(n) == count
+    assert rep.info["cells"] == rep.info["q-symbols"] == str(count)
+    _ok(2, f"left-cell partition equals Q-symbol partition for n = {n}, {count} cells (long)")
 
 
 def test_criterion_03_cell_counts_are_involution_counts():

@@ -10,6 +10,7 @@ from rscells.cli import (
     EXIT_VIOLATION,
     main,
 )
+from rscells.verify import _TABLE_SUITES, SUITES
 
 
 def run(capsys, *argv):
@@ -232,6 +233,32 @@ def test_cache_warm_repairs_a_bad_cache_file(capsys, tmp_path):
         assert (code, out) == (EXIT_OK, "1 + q\n")
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    ["1_0, +1", " 1,1", "1,\u0662"],
+    ids=["underscore-and-sign", "leading-space", "non-ascii-digit"],
+)
+def test_coefficients_must_be_ascii_integers(capsys, tmp_path, coeffs):
+    # int() takes each of these texts, but save() never writes them
+    cache = str(tmp_path)
+    run(capsys, "--cache-dir", cache, "cache", "warm", "4")
+    path = tmp_path / "kl_s4.tsv"
+    clean = path.read_text(encoding="utf-8")
+    record = "1324\t3412\t1,1"
+    lineno = clean.splitlines().index(record) + 1
+    path.write_text(clean.replace(record, f"1324\t3412\t{coeffs}"), encoding="utf-8")
+    for argv in (("klpoly", "1324", "3412"), ("cache", "info")):
+        code, out, err = run(capsys, "--cache-dir", cache, *argv)
+        assert (code, out) == (EXIT_IO, ""), argv
+        assert f"{path}:{lineno}:" in err
+    code, out, err = run(capsys, "--cache-dir", cache, "cache", "warm", "4")
+    assert (code, out) == (EXIT_OK, "warmed S_4: 58 entries\n")
+    assert f"{path}:{lineno}:" in err
+    assert path.read_text(encoding="utf-8") == clean
+    code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "1324", "3412")
+    assert (code, out) == (EXIT_OK, "1 + q\n")
+
+
 def test_cache_info_counts_valid_files(capsys, tmp_path):
     from rscells.kl import KLTable
 
@@ -311,3 +338,36 @@ def test_hard_max_n_bound(capsys):
     code, _, err = run(capsys, "--max-n", "12", "cells", "3", "left")
     assert code == EXIT_INPUT
     assert "--max-n" in err
+
+
+def _forbid_tables(monkeypatch):
+    import rscells.cli as cli_mod
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("KLTable built")
+
+    monkeypatch.setattr(cli_mod, "KLTable", no_table)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("cache", "warm", "9"), ("cells", "9"), ("graph", "9", "mu")]
+    + [("--long", "verify", suite, "9") for suite in sorted(_TABLE_SUITES)],
+    ids=lambda argv: " ".join(argv[-3:]),
+)
+def test_runs_that_warm_every_column_stop_at_degree_8(capsys, tmp_path, monkeypatch, argv):
+    # a full S_9 table does not fit in memory, so these exit 3 before any
+    # KLTable is built
+    _forbid_tables(monkeypatch)
+    code, out, err = run(capsys, "--max-n", "9", "--cache-dir", str(tmp_path), *argv)
+    assert (code, out) == (EXIT_BOUNDS, "")
+    assert "a full KL table of S_9 does not fit in memory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_suites_that_read_no_kl_polynomials_build_no_table(capsys, monkeypatch):
+    _forbid_tables(monkeypatch)
+    for suite in sorted(set(SUITES) - _TABLE_SUITES):
+        code, out, _ = run(capsys, "verify", suite, "3")
+        assert code == EXIT_OK, suite
+        assert "result: PASS" in out

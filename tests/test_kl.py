@@ -205,6 +205,22 @@ def test_cache_file_format(tmp_path):
     assert "123\t123\t1" in lines
 
 
+def test_supports_and_column_keys_match_bruhat_order():
+    # guards the rank-array intervals and the inlined lookups of the
+    # recursion against a silently missing or duplicated entry
+    for n in range(1, 6):
+        perms = all_perms(n)
+        for side, descents in (("left", left_descents), ("right", right_descents)):
+            tbl = KLTable(n, side=side)
+            for w in perms:
+                below = {y for y in perms if bruhat_leq(y, w)}
+                assert tbl.support(w) == below, (side, w)
+                assert len(tbl._support(tbl._rank(w))) == len(below), (side, w)
+                raised = {y for y in below if descents(w) <= descents(y)}
+                column = tbl._column(tbl._rank(w))
+                assert {tbl.perms[y] for y in column} == raised, (side, w)
+
+
 def test_rank_tables_match_permutation_arithmetic():
     for n in range(1, 6):
         for side, descents in (("left", left_descents), ("right", right_descents)):
