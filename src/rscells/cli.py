@@ -23,7 +23,7 @@ from .cells import cells as cell_partition, left_cell_graph
 from .kl import MAX_DEGREE, KLTable
 from .permutations import format_permutation, parse_permutation
 from .tableaux import Tableau, p_symbol, q_symbol, rs_inverse
-from .verify import _TABLE_SUITES, SUITES, run_suite
+from .verify import _TABLE_SUITES, SUITE_MAX_DEGREE, SUITES, run_suite
 
 ENV_CACHE_DIR = "RSCELLS_CACHE_DIR"
 DEFAULT_MAX_DEGREE = 8
@@ -259,7 +259,13 @@ def cmd_verify(cfg: Config, args) -> int:
     if args.n >= 6 and not cfg.long_run:
         raise _BoundsError(f"suite at n={args.n} needs --long")
     # only the suites that read KL polynomials get a table
-    table = _warm_table(cfg, args.n) if args.suite in _TABLE_SUITES else None
+    reads_kl = args.suite in _TABLE_SUITES
+    if reads_kl:
+        _check_warm_degree(args.n)
+    cap = SUITE_MAX_DEGREE.get(args.suite)
+    if cap is not None and args.n > cap:
+        raise _BoundsError(f"suite {args.suite} stops at degree {cap}")
+    table = _table(cfg, args.n) if reads_kl else None
     report = run_suite(args.suite, args.n, table)
     if cfg.fmt == "json":
         _emit_json(report.to_json())

@@ -11,7 +11,12 @@ T_w to the inverse of T_{w^-1}.
 Two independent routes to the canonical basis live here: ``c_prime`` reads
 coefficients off the polynomial recursion, while ``canonical_basis_by_bar``
 solves for the unique bar-invariant elements with the off-diagonal degree
-bound directly, never touching the recursion.
+bound directly, never touching the recursion.  No suite runs them
+(``verify bar-invariance`` checks the multiplication rule on the table's
+ranks): they are the independent oracle that the tests and the perfbench
+goldens compare the table against.  Each ``bar`` or
+``canonical_basis_by_bar`` call memoizes bar(T_w) for its own elements
+only, so nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -139,32 +144,30 @@ def t_multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     return out
 
 
-_BAR_T: dict[tuple[int, Perm], HeckeElement] = {}
-
-
-def _bar_t(n: int, w: Perm) -> HeckeElement:
+def _bar_t(n: int, w: Perm, memo: dict[Perm, HeckeElement]) -> HeckeElement:
     """bar(T_w) = (T_{w^-1})^-1 = T_{i_1}^-1 ... T_{i_r}^-1 for any reduced word.
 
     Computed incrementally: bar(T_w) = bar(T_{w s_i}) T_i^-1 for a right
-    descent s_i, sharing work across the whole group.
+    descent s_i, sharing work through ``memo`` across one caller's elements.
     """
-    got = _BAR_T.get((n, w))
+    got = memo.get(w)
     if got is None:
         des = right_descents(w)
         if not des:
             got = HeckeElement.t(n, identity(n))
         else:
             i = min(des)
-            got = _mult_gen_inverse_right(_bar_t(n, multiply_simple(w, i)), i)
-        _BAR_T.setdefault((n, w), got)
+            got = _mult_gen_inverse_right(_bar_t(n, multiply_simple(w, i), memo), i)
+        memo[w] = got
     return got
 
 
 def bar(x: HeckeElement) -> HeckeElement:
     """The bar involution, applied coefficientwise through bar(T_w)."""
+    memo: dict[Perm, HeckeElement] = {}
     out = HeckeElement.zero(x.n)
     for w, c in x.coords.items():
-        out = out + _bar_t(x.n, w).scale(c.bar())
+        out = out + _bar_t(x.n, w, memo).scale(c.bar())
     return out
 
 
@@ -194,12 +197,13 @@ def canonical_basis_by_bar(n: int) -> dict[Perm, HeckeElement]:
     elems = sorted(all_permutations(n), key=lambda p: (length(p), p))
     lengths = {w: length(w) for w in elems}
     out: dict[Perm, HeckeElement] = {}
+    bar_ts: dict[Perm, HeckeElement] = {}
     for w in elems:
         x = HeckeElement(n, {w: LaurentPoly.v_power(-lengths[w])})
         # delta = bar(x) - x; each correction by a bar-invariant solved
         # element shifts delta by (bar(gamma) - gamma) C'_y, so no further
         # full bar computations are needed.
-        delta = _bar_t(n, w).scale(LaurentPoly.v_power(lengths[w])) - x
+        delta = _bar_t(n, w, bar_ts).scale(LaurentPoly.v_power(lengths[w])) - x
         for _ in range(100_000):
             if delta.is_zero():
                 break

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line printed each.
 
-Long runs (n = 6, 7 and 8 for the cell/Q partition, n = 5 for the
-mu/Knuth-move checks) are gated behind RSCELLS_LONG=1.
+Long runs (n = 6, 7 and 8 for the cell/Q partition, n = 6 and 7 for the
+bar-invariance certificate, n = 5 for the mu/Knuth-move checks) are gated
+behind RSCELLS_LONG=1.
 """
 
 import itertools
@@ -11,6 +12,7 @@ import pytest
 
 from oracles import all_perms, involution_count
 from rscells.cells import cells
+from rscells.cli import main
 from rscells.crystal import djm_violations, e_op, f_op, signature_rule
 from rscells.hecke import bar, c_prime, canonical_basis_by_bar
 from rscells.kl import KLTable, default_table
@@ -111,6 +113,17 @@ def test_criterion_05_kl_oracle_s4():
             assert got == want, (y, w)
     assert table.polynomial((1, 3, 2, 4), (3, 4, 1, 2)) == IntPolynomial((1, 1))
     _ok(5, "S4 recursion matches the bar-invariance oracle coefficientwise")
+
+
+@long_run
+@pytest.mark.parametrize("n, cases", [(6, 720), (7, 5040)])
+def test_criterion_05_bar_invariance_certificate_n6_n7_long(capsys, n, cases):
+    # 98,406 and 3,550,918 interval identities; n = 7 takes about 35 s
+    code = main(["--long", "verify", "bar-invariance", str(n)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert f"cases: {cases}\n" in out and out.endswith("result: PASS\n")
+    _ok(5, f"C'_w certified bar-invariant for n = {n} (long)")
 
 
 def test_criterion_06_properties_lemma_n5():

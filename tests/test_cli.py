@@ -139,6 +139,20 @@ def test_verify_bar_invariance_4(capsys):
     assert "cases: 24" in out and "result: PASS" in out
 
 
+def test_verify_bar_invariance_fails_on_a_deleted_cache_record(capsys, tmp_path):
+    cache = str(tmp_path)
+    run(capsys, "--cache-dir", cache, "cache", "warm", "5")
+    path = tmp_path / "kl_s5.tsv"
+    lines = path.read_text().splitlines(keepends=True)
+    record = next(line for line in lines if line.startswith("13254\t34512\t"))
+    lines.remove(record)
+    path.write_text("".join(lines))
+    code, out, _ = run(capsys, "--cache-dir", cache, "verify", "bar-invariance", "5")
+    assert code == EXIT_VIOLATION
+    assert "result: FAIL" in out
+    assert "w=34512: column holds " in out
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "verify", "knuth", "4")
     assert code == EXIT_OK
@@ -362,6 +376,16 @@ def test_runs_that_warm_every_column_stop_at_degree_8(capsys, tmp_path, monkeypa
     code, out, err = run(capsys, "--max-n", "9", "--cache-dir", str(tmp_path), *argv)
     assert (code, out) == (EXIT_BOUNDS, "")
     assert "a full KL table of S_9 does not fit in memory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bar_invariance_stops_at_degree_7(capsys, tmp_path, monkeypatch):
+    # 170,288,585 interval identities at n = 8, refused before any table
+    _forbid_tables(monkeypatch)
+    argv = ("--cache-dir", str(tmp_path), "--long", "verify", "bar-invariance", "8")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_BOUNDS, "")
+    assert "suite bar-invariance stops at degree 7" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -12,7 +12,7 @@ from rscells.hecke import (
     kl_action_q1,
     t_multiply,
 )
-from rscells.kl import default_table
+from rscells.kl import KLTable, default_table
 from rscells.permutations import identity, left_descents, length, multiply_simple
 from rscells.polynomials import IntPolynomial, LaurentPoly
 
@@ -107,6 +107,18 @@ def test_c_prime_matches_bar_invariance_solve():
     oracle = canonical_basis_by_bar(3)
     for w in all_perms(3):
         assert c_prime(w, tbl) == oracle[w]
+
+
+def test_table_matches_bar_invariance_solve_s5():
+    # the bar-invariance suite no longer runs this solve, so the independent
+    # route is compared here, every P_{y,w} coefficient by coefficient
+    n = 5
+    tbl = KLTable(n)
+    oracle = canonical_basis_by_bar(n)
+    for w in all_perms(n):
+        for y in all_perms(n):
+            want = oracle[w].coeff(y).as_q_polynomial(v_shift=-length(w))
+            assert tbl.polynomial(y, w).coeffs == want.coeffs, (y, w)
 
 
 def test_product_expansion_examples():
