@@ -1,28 +1,31 @@
 #!/usr/bin/env python3
 """Run every verification suite over a range of degrees and print a table.
 
-Degrees 2..5 run in seconds; pass --long to include n = 6 (the KL table is
-warmed once and shared, and written to --cache-dir when given).
+Degrees 2..--max-n run: 5 by default and at most 5, or with --long 6 by
+default and at most 7.
+Each degree warms one KL table that its suites share, written to
+--cache-dir when given.  A suite is skipped above its degree cap in
+``rscells.verify.SUITE_MAX_DEGREE``, and crystal-djm where its n**n words
+exceed ``rscells.crystal.MAX_WORDS``.
 """
 
 import argparse
 import sys
 
+from rscells.crystal import MAX_WORDS
 from rscells.kl import KLTable
-from rscells.verify import SUITES, run_suite
-
-# crystal suites enumerate r**n words; keep them to the documented bounds
-SUITE_MAX_N = {"crystal-djm": 5}
+from rscells.verify import SUITE_MAX_DEGREE, SUITES, run_suite
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=5)
-    parser.add_argument("--long", action="store_true", help="include n = 6")
+    parser.add_argument("--max-n", type=int, default=None, help="default 5, or 6 with --long")
+    parser.add_argument("--long", action="store_true", help="allow --max-n up to 7")
     parser.add_argument("--cache-dir", default=None)
     args = parser.parse_args()
 
-    top = 6 if args.long else min(args.max_n, 5)
+    default, cap = (6, 7) if args.long else (5, 5)
+    top = min(default if args.max_n is None else args.max_n, cap)
     failures = 0
     for n in range(2, top + 1):
         table = KLTable(n, cache_dir=args.cache_dir)
@@ -30,7 +33,8 @@ def main() -> int:
         if args.cache_dir:
             table.save()
         for name in sorted(SUITES):
-            if n > SUITE_MAX_N.get(name, 6):
+            too_many_words = name == "crystal-djm" and n**n > MAX_WORDS
+            if n > SUITE_MAX_DEGREE.get(name, n) or too_many_words:
                 continue
             report = run_suite(name, n, table)
             status = "PASS" if report.ok else "FAIL"

@@ -45,7 +45,7 @@ from .hecke import (
     kl_action_q1,
     t_multiply,
 )
-from .cells import CellPartition, cells, left_cell_graph, left_closure
+from .cells import CellPartition, cells, left_cell_graph
 from .crystal import (
     CrystalComponent,
     component,

@@ -14,13 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .kl import KLTable, default_table
-from .permutations import (
-    Perm,
-    all_permutations,
-    check_permutation,
-    inverse,
-    left_descents,
-)
+from .permutations import Perm, all_permutations, inverse, left_descents
 
 
 def left_cell_graph(n: int, table: KLTable | None = None) -> dict[Perm, tuple[Perm, ...]]:
@@ -108,9 +102,6 @@ class CellPartition:
     def cell_index(self, w: Perm) -> int:
         return self._index[tuple(w)]
 
-    def cell_of(self, w: Perm) -> tuple[Perm, ...]:
-        return self.cells[self.cell_index(w)]
-
     def same_cell(self, y: Perm, w: Perm) -> bool:
         return self.cell_index(y) == self.cell_index(w)
 
@@ -162,21 +153,3 @@ def cells(n: int, side: str = "left", table: KLTable | None = None) -> CellParti
     rleq = frozenset((rank[i], rank[j]) for (i, j) in leq)
     return CellPartition("right", rcells, rleq)
 
-
-def left_closure(w: Perm, table: KLTable | None = None) -> frozenset[Perm]:
-    """{y : y <=_L w}: everything that reaches w in the cell graph."""
-    w = check_permutation(w)
-    adj = left_cell_graph(len(w), table)
-    rev: dict[Perm, list[Perm]] = {x: [] for x in adj}
-    for x, nbrs in adj.items():
-        for y in nbrs:
-            rev[y].append(x)
-    seen = {w}
-    queue = deque((w,))
-    while queue:
-        cur = queue.popleft()
-        for nxt in rev[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)

@@ -87,15 +87,29 @@ def verify_theorem_a(n: int, table: KLTable | None = None) -> Report:
     report.info["cells"] = str(len(cpart))
     report.info["q-symbols"] = str(len(qpart))
     if cpart != qpart:
-        for y in perms:
-            for w in perms:
-                if y < w:
-                    by_cell = part.same_cell(y, w)
-                    by_q = qs[y] == qs[w]
-                    if by_cell != by_q:
-                        report.violations.append(
-                            f"y={_fmt(y)} w={_fmt(w)} same-cell={by_cell} same-Q={by_q}"
+        # a violating pair shares a cell but not a Q-symbol, or the reverse:
+        # split each cell by Q-symbol and each fiber by cell, and pair up
+        # the elements of different pieces
+        bad = []
+        for blocks, key, by_cell in (
+            (part.cells, qs.__getitem__, True),
+            (fibers.values(), part.cell_index, False),
+        ):
+            for block in blocks:
+                by_key: dict = {}
+                for w in block:
+                    by_key.setdefault(key(w), []).append(w)
+                pieces = list(by_key.values())
+                for a, first in enumerate(pieces):
+                    for second in pieces[a + 1:]:
+                        bad.extend(
+                            (min(y, w), max(y, w), by_cell) for y in first for w in second
                         )
+        bad.sort()
+        report.violations.extend(
+            f"y={_fmt(y)} w={_fmt(w)} same-cell={by_cell} same-Q={not by_cell}"
+            for y, w, by_cell in bad
+        )
     return report
 
 
@@ -244,75 +258,146 @@ def _identity_violation(table: KLTable, w: int, x: int, i: int, v: int, muv) -> 
     )
 
 
+def _cell_indices(part, table: KLTable) -> list[int]:
+    """Rank -> index of its cell in ``part``."""
+    index = table._index
+    of = [0] * len(table.perms)
+    for k, cell in enumerate(part.cells):
+        for w in cell:
+            of[index[w]] = k
+    return of
+
+
 def verify_prop_descents(n: int, table: KLTable | None = None) -> Report:
-    """Right descent sets grow down the left preorder; constant on cells."""
+    """Right descent sets grow down the left preorder; constant on cells.
+
+    The check runs over related cell pairs rather than element pairs: for
+    each (i, j) in the preorder every y in cell i and w in cell j satisfy
+    y <=_L w, so the pair adds |cell i| * |cell j| cases.  When R is
+    constant on both cells and R(cell i) contains R(cell j), none of them
+    can fail; otherwise the elements of that pair are checked one by one.
+    Violations are sorted by (y, w), containment before same-cell, the
+    order of a scan over all pairs.
+    """
     report = Report("descents", n, cases=0)
+    if table is None:
+        table = default_table(n)
     part = cell_partition(n, "left", table)
-    perms = _perms(n)
+    perms, index = table.perms, table._index
+    members = [[index[w] for w in cell] for cell in part.cells]
+    # right descent set as a bit mask, bit i for s_i
+    rmask = [sum(1 << i for i in right_descents(w)) for w in perms]
+    # R of each cell, or None where it is not constant
+    const = []
+    for ranks in members:
+        masks = {rmask[r] for r in ranks}
+        const.append(masks.pop() if len(masks) == 1 else None)
     cases = 0
-    for y in perms:
-        ry = right_descents(y)
-        for w in perms:
-            if not part.leq_elements(y, w):
-                continue
-            cases += 1
-            rw = right_descents(w)
-            if not ry >= rw:
-                report.violations.append(
-                    f"y={_fmt(y)} w={_fmt(w)} with y <=_L w but R(y)={sorted(ry)} "
-                    f"does not contain R(w)={sorted(rw)}"
-                )
-            if part.same_cell(y, w) and ry != rw:
-                report.violations.append(
-                    f"y={_fmt(y)} w={_fmt(w)} in one left cell but "
-                    f"R(y)={sorted(ry)} != R(w)={sorted(rw)}"
-                )
+    bad = []
+    for i, j in part.leq:
+        ci, cj = members[i], members[j]
+        cases += len(ci) * len(cj)
+        ri, rj = const[i], const[j]
+        if ri is not None and rj is not None and not rj & ~ri:
+            continue
+        for y in ci:
+            ry = rmask[y]
+            for w in cj:
+                rw = rmask[w]
+                if rw & ~ry:
+                    bad.append((y, w, 0))
+                if i == j and ry != rw:
+                    bad.append((y, w, 1))
     report.cases = cases
+    bad.sort()
+    for y, w, same_cell in bad:
+        yp, wp = perms[y], perms[w]
+        ry, rw = sorted(right_descents(yp)), sorted(right_descents(wp))
+        if same_cell:
+            report.violations.append(
+                f"y={_fmt(yp)} w={_fmt(wp)} in one left cell but R(y)={ry} != R(w)={rw}"
+            )
+        else:
+            report.violations.append(
+                f"y={_fmt(yp)} w={_fmt(wp)} with y <=_L w but R(y)={ry} "
+                f"does not contain R(w)={rw}"
+            )
     return report
 
 
 def verify_knuth_mu(n: int, table: KLTable | None = None) -> Report:
     """mu survives the Knuth move, the move preserves left cells, and every
-    element is right-equivalent to its image."""
+    element is right-equivalent to its image.
+
+    For each move K_ij the cases are: every w of the domain D_ij, every pair
+    y < w in D_ij with mu(y, w) != 0, and every pair y < w in D_ij that
+    shares a left cell.  The nonzero-mu pairs come from the table's mu
+    lists, which hold every such pair: if z < w is not raised (some descent
+    s of w has sz > z) then P_{z,w} = P_{sz,w}, so either sz = w and
+    mu(z, w) = 1, a lower cover the list adds, or the degree bound
+    deg P_{sz,w} <= (l(w) - l(z) - 2)/2 leaves no coefficient of q^((l(w) -
+    l(z) - 1)/2).  The bound is what ``bar-invariance`` certifies.  The
+    same-cell pairs are counted per cell of D_ij: they can fail only where
+    the images of that cell's domain elements meet more than one left cell.
+    Violations come per move: the right-cell lines in domain order, then
+    the pair lines by (y, w), mu before cell, the order of a scan.
+    """
     report = Report("knuth-mu", n, cases=0)
     if table is None:
         table = default_table(n)
-    left = cell_partition(n, "left", table)
-    right = cell_partition(n, "right", table)
-    perms = _perms(n)
+    left = _cell_indices(cell_partition(n, "left", table), table)
+    right = _cell_indices(cell_partition(n, "right", table), table)
+    perms, index, lengths = table.perms, table._index, table._lengths
+    # every nonzero-mu pair (y, w, mu) with y < w
+    edges = [
+        (min(z, w), max(z, w), m) for w in range(len(perms)) for z, m in table._mu_list(w)
+    ]
+
+    def mu_sym(y: int, w: int) -> int:
+        return table._mu(y, w) if lengths[y] < lengths[w] else table._mu(w, y)
+
     cases = 0
-    for i in range(1, n - 1):
-        for i2, j2 in ((i, i + 1), (i + 1, i)):
-            domain = [w for w in perms if in_knuth_domain(w, i2, j2)]
-            images = {w: knuth_move(w, i2, j2) for w in domain}
-            for w in domain:
-                cases += 1
-                if not right.same_cell(w, images[w]):
-                    report.violations.append(
-                        f"w={_fmt(w)} K_{i2}{j2}(w)={_fmt(images[w])} "
-                        f"not in one right cell"
-                    )
-            for y in domain:
-                for w in domain:
-                    if y >= w:
-                        continue
-                    m = table.mu_sym(y, w)
-                    if m:
-                        cases += 1
-                        m2 = table.mu_sym(images[y], images[w])
-                        if not m2:
-                            report.violations.append(
-                                f"y={_fmt(y)} w={_fmt(w)} mu={m} but "
-                                f"mu(K(y)|K(w))=0 for (i,j)=({i2},{j2}), "
-                                f"K(y)={_fmt(images[y])} K(w)={_fmt(images[w])}"
-                            )
-                    if left.same_cell(y, w):
-                        cases += 1
-                        if not left.same_cell(images[y], images[w]):
-                            report.violations.append(
-                                f"y={_fmt(y)} w={_fmt(w)} share a left cell but "
-                                f"K_{i2}{j2} images do not"
-                            )
+    moves = [(i2, j2) for i in range(1, n - 1) for i2, j2 in ((i, i + 1), (i + 1, i))]
+    for i2, j2 in moves:
+        # rank -> rank of its image, over the domain in rank order
+        image = {
+            r: index[knuth_move(w, i2, j2)]
+            for r, w in enumerate(perms)
+            if in_knuth_domain(w, i2, j2)
+        }
+        pairs = [(y, w, m) for y, w, m in edges if y in image and w in image]
+        cases += len(image) + len(pairs)
+        for w, kw in image.items():
+            if right[w] != right[kw]:
+                report.violations.append(
+                    f"w={_fmt(perms[w])} K_{i2}{j2}(w)={_fmt(perms[kw])} "
+                    f"not in one right cell"
+                )
+        bad = [(y, w, 0, m) for y, w, m in pairs if not mu_sym(image[y], image[w])]
+        by_cell: dict[int, list[int]] = {}
+        for w in image:
+            by_cell.setdefault(left[w], []).append(w)
+        for ranks in by_cell.values():
+            cases += len(ranks) * (len(ranks) - 1) // 2
+            if len({left[image[w]] for w in ranks}) == 1:
+                continue
+            for a, y in enumerate(ranks):
+                for w in ranks[a + 1:]:
+                    if left[image[y]] != left[image[w]]:
+                        bad.append((y, w, 1, 0))
+        bad.sort()
+        for y, w, same_cell, m in bad:
+            if same_cell:
+                report.violations.append(
+                    f"y={_fmt(perms[y])} w={_fmt(perms[w])} share a left cell but "
+                    f"K_{i2}{j2} images do not"
+                )
+            else:
+                report.violations.append(
+                    f"y={_fmt(perms[y])} w={_fmt(perms[w])} mu={m} but "
+                    f"mu(K(y)|K(w))=0 for (i,j)=({i2},{j2}), "
+                    f"K(y)={_fmt(perms[image[y]])} K(w)={_fmt(perms[image[w]])}"
+                )
     report.cases = cases
     return report
 
@@ -376,7 +461,9 @@ _TABLE_SUITES = {
 
 # the largest degree at which a suite is known to finish within minutes; the
 # command line refuses a larger one.  bar-invariance 7 checks 3,550,918
-# interval identities in about 35 s, and 8 would need 170,288,585
+# interval identities in about 35 s, and 8 would need 170,288,585.  The other
+# table suites need no entry below the warm cap of the command line (8): at
+# n = 8 descents takes about 3 s and knuth-mu about 12 s past the ~70 s warm
 SUITE_MAX_DEGREE = {"bar-invariance": 7}
 
 

@@ -3,14 +3,28 @@
 Everything here deliberately avoids the code paths it checks: Bruhat order
 via subwords of one fixed reduced word, composition via explicit function
 application, involution counting by direct scan, crystal operators by the
-recursive tensor-product rule, evacuation by rectifying punctured tableaux.
+recursive tensor-product rule, evacuation by rectifying punctured tableaux,
+left closures by reverse reachability in the cell graph, and the cell suites
+by scanning every pair of elements.
 """
 
 import itertools
+from collections import deque
 from functools import lru_cache
 
-from rscells.permutations import identity, multiply_simple, reduced_word
-from rscells.tableaux import Tableau, rectify
+from rscells.cells import cells, left_cell_graph
+from rscells.kl import default_table
+from rscells.knuth import in_knuth_domain, knuth_move
+from rscells.permutations import (
+    check_permutation,
+    format_permutation as _fmt,
+    identity,
+    multiply_simple,
+    reduced_word,
+    right_descents,
+)
+from rscells.tableaux import Tableau, q_symbol, rectify
+from rscells.verify import Report
 
 
 def all_perms(n):
@@ -115,3 +129,116 @@ def evacuation_by_rectify(tab):
         [[out[(x, y)] for y in range(1, length + 1)]
          for x, length in enumerate(tab.outer, start=1)]
     )
+
+
+# -- cells by reachability ----------------------------------------------------
+
+def left_closure(w, table=None):
+    """{y : y <=_L w}: everything that reaches w in the cell graph."""
+    w = check_permutation(w)
+    adj = left_cell_graph(len(w), table)
+    rev = {x: [] for x in adj}
+    for x, nbrs in adj.items():
+        for y in nbrs:
+            rev[y].append(x)
+    seen = {w}
+    queue = deque((w,))
+    while queue:
+        cur = queue.popleft()
+        for nxt in rev[cur]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return frozenset(seen)
+
+
+# -- the cell suites by scanning every pair -----------------------------------
+
+def theorem_a_by_scan(n, table=None):
+    """The theorem-a suite listing every pair y < w on which the cell
+    partition and the Q-symbol fibers disagree."""
+    report = Report("theorem-a", n, cases=0)
+    part = cells(n, "left", table)
+    perms = all_perms(n)
+    report.cases = len(perms)
+    qs = {w: q_symbol(w) for w in perms}
+    report.info["cells"] = str(len(part.cells))
+    report.info["q-symbols"] = str(len(set(qs.values())))
+    for y in perms:
+        for w in perms:
+            if y < w:
+                by_cell = part.same_cell(y, w)
+                by_q = qs[y] == qs[w]
+                if by_cell != by_q:
+                    report.violations.append(
+                        f"y={_fmt(y)} w={_fmt(w)} same-cell={by_cell} same-Q={by_q}"
+                    )
+    return report
+
+
+def descents_by_scan(n, table=None):
+    """The descents suite over all n!^2 pairs of elements."""
+    report = Report("descents", n, cases=0)
+    part = cells(n, "left", table)
+    perms = all_perms(n)
+    for y in perms:
+        ry = right_descents(y)
+        for w in perms:
+            if not part.leq_elements(y, w):
+                continue
+            report.cases += 1
+            rw = right_descents(w)
+            if not ry >= rw:
+                report.violations.append(
+                    f"y={_fmt(y)} w={_fmt(w)} with y <=_L w but R(y)={sorted(ry)} "
+                    f"does not contain R(w)={sorted(rw)}"
+                )
+            if part.same_cell(y, w) and ry != rw:
+                report.violations.append(
+                    f"y={_fmt(y)} w={_fmt(w)} in one left cell but "
+                    f"R(y)={sorted(ry)} != R(w)={sorted(rw)}"
+                )
+    return report
+
+
+def knuth_mu_by_scan(n, table=None):
+    """The knuth-mu suite over every pair of each domain D_ij, with mu read
+    pair by pair through ``mu_sym``."""
+    report = Report("knuth-mu", n, cases=0)
+    if table is None:
+        table = default_table(n)
+    left = cells(n, "left", table)
+    right = cells(n, "right", table)
+    perms = all_perms(n)
+    for i in range(1, n - 1):
+        for i2, j2 in ((i, i + 1), (i + 1, i)):
+            domain = [w for w in perms if in_knuth_domain(w, i2, j2)]
+            images = {w: knuth_move(w, i2, j2) for w in domain}
+            for w in domain:
+                report.cases += 1
+                if not right.same_cell(w, images[w]):
+                    report.violations.append(
+                        f"w={_fmt(w)} K_{i2}{j2}(w)={_fmt(images[w])} "
+                        f"not in one right cell"
+                    )
+            for y in domain:
+                for w in domain:
+                    if y >= w:
+                        continue
+                    m = table.mu_sym(y, w)
+                    if m:
+                        report.cases += 1
+                        if not table.mu_sym(images[y], images[w]):
+                            report.violations.append(
+                                f"y={_fmt(y)} w={_fmt(w)} mu={m} but "
+                                f"mu(K(y)|K(w))=0 for (i,j)=({i2},{j2}), "
+                                f"K(y)={_fmt(images[y])} K(w)={_fmt(images[w])}"
+                            )
+                    if left.same_cell(y, w):
+                        report.cases += 1
+                        if not left.same_cell(images[y], images[w]):
+                            report.violations.append(
+                                f"y={_fmt(y)} w={_fmt(w)} share a left cell but "
+                                f"K_{i2}{j2} images do not"
+                            )
+    return report

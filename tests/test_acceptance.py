@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line printed each.
 
 Long runs (n = 6, 7 and 8 for the cell/Q partition, n = 6 and 7 for the
-bar-invariance certificate, n = 5 for the mu/Knuth-move checks) are gated
-behind RSCELLS_LONG=1.
+bar-invariance certificate, n = 5 to 8 for the descent and mu/Knuth-move
+checks) are gated behind RSCELLS_LONG=1.
 """
 
 import itertools
@@ -37,6 +37,21 @@ LONG = bool(os.environ.get("RSCELLS_LONG"))
 long_run = pytest.mark.skipif(not LONG, reason="long run; set RSCELLS_LONG=1")
 
 
+@pytest.fixture(scope="module")
+def warm_table():
+    """One warm table per degree, shared by the long runs of this module:
+    S_8 warms in about 1.1 GB and 70 s."""
+    tables = {}
+
+    def get(n):
+        if n not in tables:
+            tables[n] = KLTable(n)
+            tables[n].warm()
+        return tables[n]
+
+    return get
+
+
 def _ok(num, text):
     print(f"ACCEPTANCE {num:02d}: PASS - {text}")
 
@@ -64,8 +79,8 @@ def test_criterion_02_theorem_a_n4_n5():
 
 
 @long_run
-def test_criterion_02_theorem_a_n6_long():
-    rep = run_suite("theorem-a", 6, KLTable(6))
+def test_criterion_02_theorem_a_n6_long(warm_table):
+    rep = run_suite("theorem-a", 6, warm_table(6))
     assert rep.ok, rep.violations[:3]
     assert rep.info["cells"] == "76"
     _ok(2, "left-cell partition equals Q-symbol partition for n = 6 (long)")
@@ -73,9 +88,8 @@ def test_criterion_02_theorem_a_n6_long():
 
 @long_run
 @pytest.mark.parametrize("n, count", [(7, 232), (8, 764)])
-def test_criterion_02_theorem_a_n7_n8_long(n, count):
-    # S_8 warms in about 1.1 GB and 80 s
-    rep = run_suite("theorem-a", n, KLTable(n))
+def test_criterion_02_theorem_a_n7_n8_long(warm_table, n, count):
+    rep = run_suite("theorem-a", n, warm_table(n))
     assert rep.ok, rep.violations[:3]
     assert involution_count(n) == count
     assert rep.info["cells"] == rep.info["q-symbols"] == str(count)
@@ -149,10 +163,18 @@ def test_criterion_07_descents_and_knuth_move_n4():
 
 
 @long_run
-def test_criterion_07_descents_and_knuth_move_n5_long():
-    assert run_suite("descents", 5).ok
-    assert run_suite("knuth-mu", 5).ok
-    _ok(7, "descent inclusion and Knuth-move/mu preservation hold for n = 5 (long)")
+@pytest.mark.parametrize(
+    "n, descents, knuth_mu",
+    [(5, 3121, 1420), (6, 68101, 20904), (7, 1970137, 343968), (8, 72876539, 6750376)],
+)
+def test_criterion_07_descents_and_knuth_move_long(warm_table, n, descents, knuth_mu):
+    # n = 8 takes about 3 s and 12 s on the table that theorem-a 8 warmed
+    table = warm_table(n)
+    for name, cases in (("descents", descents), ("knuth-mu", knuth_mu)):
+        rep = run_suite(name, n, table)
+        assert rep.ok, rep.violations[:3]
+        assert rep.cases == cases
+    _ok(7, f"descent inclusion and Knuth-move/mu preservation hold for n = {n} (long)")
 
 
 def test_criterion_08_knuth_classes_n5():

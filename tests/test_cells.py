@@ -1,10 +1,5 @@
-from oracles import all_perms, involution_count
-from rscells.cells import (
-    cells,
-    left_cell_graph,
-    left_closure,
-    strongly_connected_components,
-)
+from oracles import all_perms, involution_count, left_closure
+from rscells.cells import cells, left_cell_graph, strongly_connected_components
 from rscells.hecke import kl_action_q1
 from rscells.kl import default_table
 from rscells.permutations import identity, inverse, left_descents, longest_element
@@ -68,6 +63,10 @@ def test_left_closure():
         for w, clo in closures.items():
             for y in clo:
                 assert closures[y] <= clo
+        # the preorder of the cell partition answers the same question
+        part = cells(n, "left")
+        for w, clo in closures.items():
+            assert clo == {y for y in all_perms(n) if part.leq_elements(y, w)}
 
 
 def test_left_closure_of_identity_by_reachability():

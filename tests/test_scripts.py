@@ -20,13 +20,22 @@ def _run_script(*argv):
     )
 
 
+def _suite_lines(proc):
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("n=")]
+    assert all(" PASS (" in line for line in lines), proc.stdout
+    return lines
+
+
 def test_run_verifications_passes_every_suite():
     proc = _run_script("run_verifications.py", "--max-n", "4")
-    assert proc.returncode == 0, proc.stderr
-    suite_lines = [line for line in proc.stdout.splitlines() if line.startswith("n=")]
     # degrees 2..4, eight suites each
-    assert len(suite_lines) == 24
-    assert all(" PASS (" in line for line in suite_lines), proc.stdout
+    assert len(_suite_lines(proc)) == 24
+
+
+def test_run_verifications_long_honours_max_n():
+    proc = _run_script("run_verifications.py", "--long", "--max-n", "4")
+    assert len(_suite_lines(proc)) == 24
 
 
 def test_cell_census_has_no_mixed_cells():

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import descents_by_scan, knuth_mu_by_scan, theorem_a_by_scan
 from rscells.kl import KLTable
 from rscells.polynomials import ONE, IntPolynomial
 from rscells.verify import SUITES, Report, run_suite
@@ -53,16 +54,18 @@ def test_theorem_a_reports_cell_count():
 
 
 def test_descents_suite_counts_reachable_pairs():
-    rep = run_suite("descents", 3)
-    assert rep.ok
-    # reflexive pairs alone give n! cases
-    assert rep.cases >= 6
+    # the number of pairs y <=_L w
+    for n, cases in {3: 19, 4: 199, 5: 3121, 6: 68101}.items():
+        rep = run_suite("descents", n)
+        assert rep.ok, rep.violations[:3]
+        assert rep.cases == cases
 
 
 def test_knuth_mu_suite_n4():
-    rep = run_suite("knuth-mu", 4)
-    assert rep.ok
-    assert rep.cases > 0
+    for n, cases in {3: 8, 4: 108, 5: 1420, 6: 20904}.items():
+        rep = run_suite("knuth-mu", n)
+        assert rep.ok, rep.violations[:3]
+        assert rep.cases == cases
 
 
 def test_crystal_suites_n4():
@@ -77,6 +80,108 @@ class _NoMuTable(KLTable):
 
     def mu_list(self, w):
         return ()
+
+
+class _SpuriousEdgeTable(KLTable):
+    """Poisoned input: a mu edge between s_{n-1} and s_1, which have the
+    same length, so the cells of S_n change (1243 and 2134 at n = 4)."""
+
+    def edge(self):
+        n = self.n
+        return tuple(range(1, n - 1)) + (n, n - 1), (2, 1) + tuple(range(3, n + 1))
+
+    def mu_list(self, w):
+        got = super().mu_list(w)
+        y, top = self.edge()
+        if tuple(w) == top:
+            got = tuple(sorted(got + ((y, 1),)))
+        return got
+
+
+class _SpuriousDomainEdgeTable(_SpuriousEdgeTable):
+    """A mu edge between 2134... and 3142..., two elements of the Knuth
+    domain D_12 two lengths apart: it merges their left cells but not the
+    cells of their images under K_12."""
+
+    def edge(self):
+        rest = tuple(range(5, self.n + 1))
+        return (2, 1, 3, 4) + rest, (3, 1, 4, 2) + rest
+
+
+def _short_mu_table(n):
+    """Poisoned input: every mu(y, w) with l(w) - l(y) >= 3 cut to 0 by
+    dropping the top coefficient of P_{y,w}, so mu fails to survive some
+    Knuth moves while the cells stay as they are."""
+    table = KLTable(n)
+    table.warm()
+    lengths = table._lengths
+    for w, col in table._columns.items():
+        for y, p in col.items():
+            d = lengths[w] - lengths[y]
+            if d >= 3 and d % 2 and p.coeff((d - 1) // 2):
+                col[y] = IntPolynomial(p.coeffs[: (d - 1) // 2])
+    table._mu_lists.clear()
+    return table
+
+
+# the pair scans the cell suites replaced, and the suite names they report
+_SCANS = {
+    "theorem-a": theorem_a_by_scan,
+    "descents": descents_by_scan,
+    "knuth-mu": knuth_mu_by_scan,
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_cell_suites_match_the_pair_scans(n):
+    table = KLTable(n)
+    table.warm()
+    for name, scan in _SCANS.items():
+        rep, want = run_suite(name, n, table), scan(n, table)
+        assert rep.ok
+        assert rep.lines() == want.lines()
+        assert rep.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize(
+    "poison", [_NoMuTable, _SpuriousEdgeTable, _SpuriousDomainEdgeTable, _short_mu_table]
+)
+@pytest.mark.parametrize("n", [4, 5])
+def test_cell_suites_match_the_pair_scans_on_poisoned_tables(poison, n):
+    for name, scan in _SCANS.items():
+        rep, want = run_suite(name, n, poison(n)), scan(n, poison(n))
+        assert rep.lines() == want.lines()
+        assert rep.to_json() == want.to_json()
+
+
+def test_knuth_mu_fails_on_poisoned_mu_lists():
+    # singleton cells: every move leaves a right cell and no pair shares a
+    # left cell; the mu pairs come from the unpoisoned recursion
+    rep = run_suite("knuth-mu", 4, _NoMuTable(4))
+    assert (rep.cases, len(rep.violations)) == (80, 32)
+    assert rep.violations[0] == "w=2134 K_12(w)=2314 not in one right cell"
+    assert rep.lines()[-1] == "result: FAIL"
+
+
+def test_knuth_mu_fails_when_mu_is_lost():
+    rep = run_suite("knuth-mu", 4, _short_mu_table(4))
+    assert (rep.cases, len(rep.violations)) == (104, 4)
+    assert rep.violations[0] == (
+        "y=3124 w=3142 mu=1 but mu(K(y)|K(w))=0 for (i,j)=(1,2), K(y)=1324 K(w)=3412"
+    )
+
+
+def test_knuth_mu_fails_when_a_left_cell_is_not_kept():
+    rep = run_suite("knuth-mu", 4, _SpuriousDomainEdgeTable(4))
+    assert (rep.cases, len(rep.violations)) == (114, 6)
+    assert "y=2134 w=3142 share a left cell but K_12 images do not" in rep.violations
+
+
+def test_descents_fails_on_a_spurious_mu_edge():
+    rep = run_suite("descents", 4, _SpuriousEdgeTable(4))
+    assert (rep.cases, len(rep.violations)) == (235, 54)
+    assert "y=1243 w=2134 in one left cell but R(y)=[3] != R(w)=[1]" in rep.violations
+    assert rep.lines()[-1] == "result: FAIL"
 
 
 def test_theorem_a_fails_on_poisoned_mu_lists():
