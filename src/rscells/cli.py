@@ -280,13 +280,15 @@ _CACHE_NAME = re.compile(r"kl_s([1-9])(\.right)?\.tsv")
 
 
 def _cache_records(path: Path) -> int:
-    """Records in one cache file, read through the validating KLTable.load."""
+    """Records in one cache file: KLTable.load checks the file as a whole,
+    and parse_stored every record and the trailer's count."""
     m = _CACHE_NAME.fullmatch(path.name)
     if m is None:
         raise OSError(f"{path}: not a KL cache file name")
     table = KLTable(int(m[1]), "right" if m[2] else "left")
     table.cache_dir = path.parent
-    return table.load()
+    table.load()
+    return table.parse_stored()
 
 
 def cmd_cache(cfg: Config, args) -> int:
@@ -313,13 +315,15 @@ def cmd_cache(cfg: Config, args) -> int:
     _check_warm_degree(args.n)
     start = time.perf_counter()
     try:
+        # warm() parses every stored column, so a bad record fails here too
         table = KLTable(args.n, cache_dir=root)
+        table.warm()
     except OSError as exc:
         # a fresh table, written over the bad file by save() below
         print(f"note: rebuilding bad cache file: {exc}", file=sys.stderr)
         table = KLTable(args.n)
         table.cache_dir = root
-    table.warm()
+        table.warm()
     table.save()
     _emit(f"warmed S_{args.n}: {table.entry_count()} entries")
     print(f"completed in {time.perf_counter() - start:.2f}s", file=sys.stderr)

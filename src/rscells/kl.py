@@ -35,10 +35,19 @@ and p - mu q^k P_{y,z}, see few distinct operands: both are memoized per
 table on the ids of their interned operands, and S_7 computes 1,533 of
 them instead of about 385,000.
 
-Columns persist to a tab-separated cache file, one record per line:
-``y<TAB>w<TAB>c0,c1,...,cd`` with permutations in digit notation.  Files are
-written whole to a uniquely named temporary file and renamed over the old
-one, so concurrent readers see either the old or the new complete file.
+Columns persist to a cache file in format 2: a version line
+``#rscells-kl 2 S_<n> <side>``, then one record per line,
+``y<TAB>w<TAB>c0,c1,...,cd`` with permutations in digit notation, in
+(length, rank) order of w and then of y, and last a trailer line
+``#end <records> <w>:<offset>,... <sha256>`` giving the record count, the
+byte offset at which each column's records start, and the sha256 of every
+byte of the file before it.  Files are written column by column to a uniquely
+named temporary file and renamed over the old one, so concurrent readers
+see either the old or the new complete file.  Loading reads the file once,
+checks the version line, the checksum and that the offsets tile the body,
+and keeps the bytes; a column's records are parsed and checked the first
+time the column is asked for, so a query that reaches a few columns parses
+only those.
 """
 
 from __future__ import annotations
@@ -48,17 +57,14 @@ import re
 from array import array
 from pathlib import Path
 
-from .permutations import (
-    Perm,
-    all_permutations,
-    format_permutation,
-    length,
-    multiply_simple,
-)
+from .permutations import Perm, all_permutations, format_permutation, inverse
 from .polynomials import ONE, ZERO, IntPolynomial
 
 # a table holds n! * n ranks up front, and digit notation stops at 9
 MAX_DEGREE = 9
+
+# the version in the first line of a cache file
+FORMAT_VERSION = 2
 
 # the coefficient field exactly as save() writes it; int() alone would also
 # take "1_0", " +1" and non-ASCII digits
@@ -72,7 +78,9 @@ class KLTable:
     rank r in lexicographic order, and columns, supports and mu lists are
     keyed by rank.  A support is an ``array`` of ranks.  Equal polynomials
     in the columns are the same object, and the polynomial steps of the
-    recursion are memoized on the ids of those objects.
+    recursion are memoized on the ids of those objects.  With a cache
+    directory, construction loads the cache file, and a column it holds is
+    parsed instead of computed when first needed.
     Degrees above MAX_DEGREE raise ValueError before any enumeration.
     """
 
@@ -86,16 +94,29 @@ class KLTable:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.perms: list[Perm] = list(all_permutations(n))
         self._index = index = {w: r for r, w in enumerate(self.perms)}
-        self._lengths = lengths = [length(w) for w in self.perms]
-        # _steps[i - 1][r]: rank of s_i * perms[r] on the recursion side
-        self._steps = steps = [
-            [index[multiply_simple(w, i, side)] for w in self.perms] for i in range(1, n)
+        # the lexicographic rank of w, written in the factorial base, has the
+        # Lehmer code of w as its digits, and their sum is the length
+        lengths = [0]
+        for k in range(2, n + 1):
+            lengths = [d + l for d in range(k) for l in lengths]
+        self._lengths = lengths
+        # _inverse[r]: rank of perms[r]^-1
+        self._inverse = inv = [index[inverse(w)] for w in self.perms]
+        # _steps[i - 1][r]: rank of s_i * perms[r] on the recursion side; w s_i
+        # swaps two entries, and s_i w = (w^-1 s_i)^-1
+        steps = [
+            [index[w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]] for w in self.perms]
+            for i in range(1, n)
         ]
+        if side == "left":
+            steps = [[inv[step[r]] for r in inv] for step in steps]
+        self._steps = steps
         # descent set on the recursion side, bit i - 1 for s_i
-        self._masks = masks = [0] * len(lengths)
+        masks = [0] * len(lengths)
         for i, step in enumerate(steps):
-            for r, sr in enumerate(step):
-                masks[r] |= (lengths[sr] < lengths[r]) << i
+            bit = 1 << i
+            masks = [m | bit if lengths[sr] < lr else m for m, sr, lr in zip(masks, step, lengths)]
+        self._masks = masks
         self._columns: dict[int, dict[int, IntPolynomial]] = {0: {0: ONE}}
         # coefficient tuple -> the one polynomial object with that value
         self._intern: dict[tuple[int, ...], IntPolynomial] = {ONE.coeffs: ONE}
@@ -108,6 +129,14 @@ class KLTable:
         self._sums: dict[tuple[int, int], IntPolynomial] = {}
         self._corrections: dict[tuple[int, int, int, int], IntPolynomial] = {}
         self._mu_lists: dict[int, tuple[tuple[int, int], ...]] = {}
+        # the loaded cache file: its bytes, rank -> (start, end) of each
+        # column's records in them, and the trailer's record count; columns
+        # are parsed on first use, each coefficient text once per table
+        self._snapshot = b""
+        self._stored: dict[int, tuple[int, int]] = {}
+        self._stored_records = 0
+        self._coeff_texts: dict[str, IntPolynomial] = {}
+        self._name_ranks: tuple[list[str], dict[str, int]] | None = None
         if self.cache_dir is not None:
             self.load()
 
@@ -149,6 +178,9 @@ class KLTable:
         """P_{y,w} for every raised y <= w (descents of w all descend y)."""
         col = self._columns.get(w)
         if col is not None:
+            return col
+        if w in self._stored:
+            col = self._columns[w] = self._parse_column(w)
             return col
         masks, lengths = self._masks, self._lengths
         wmask = masks[w]
@@ -258,6 +290,8 @@ class KLTable:
             self._column(w)
 
     def entry_count(self) -> int:
+        """Entries of the columns held so far, computed or parsed from the
+        cache; columns of a loaded file count once they are first used."""
         return sum(len(col) for col in self._columns.values())
 
     # -- disk cache --------------------------------------------------------
@@ -268,51 +302,135 @@ class KLTable:
         suffix = "" if self.side == "left" else ".right"
         return self.cache_dir / f"kl_s{self.n}{suffix}.tsv"
 
+    def _header(self) -> bytes:
+        return f"#rscells-kl {FORMAT_VERSION} S_{self.n} {self.side}\n".encode()
+
+    def _names(self) -> tuple[list[str], dict[str, int]]:
+        """The digit name of each rank, and name -> rank; built on first use."""
+        if self._name_ranks is None:
+            names = list(map(format_permutation, self.perms))
+            self._name_ranks = names, dict(zip(names, range(len(names))))
+        return self._name_ranks
+
     def save(self) -> None:
-        """Write every computed column; atomic replace of the cache file."""
+        """Write every computed or loaded column; atomic replace of the cache
+        file.  The records stream through one sha256 into the file column by
+        column, so the body is never held twice."""
+        import hashlib  # OpenSSL takes 4-9 ms to load; runs without a cache skip it
+
         path = self.cache_path()
         path.parent.mkdir(parents=True, exist_ok=True)
-        names = [format_permutation(w) for w in self.perms]
+        names = self._names()[0]
         texts: dict[tuple[int, ...], str] = {}  # "c0,c1,..." per distinct value
-        lines = []
-        for w in self._by_length(self._columns):
-            col = self._columns[w]
-            wname = names[w]
-            for y in self._by_length(col):
-                coeffs = col[y].coeffs
-                text = texts.get(coeffs)
-                if text is None:
-                    text = texts[coeffs] = ",".join(map(str, coeffs))
-                lines.append(f"{names[y]}\t{wname}\t{text}\n")
+        digest = hashlib.sha256()
+        offsets = []
+        records = 0
         # a name no other writer uses; on failure nothing is left behind
         tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
         try:
-            with open(tmp, "x") as fh:
-                fh.write("".join(lines))
+            with open(tmp, "xb") as fh:
+
+                def put(chunk: bytes) -> None:
+                    digest.update(chunk)
+                    fh.write(chunk)
+
+                put(self._header())
+                for w in self._by_length(self._columns.keys() | self._stored.keys()):
+                    col = self._column(w)
+                    records += len(col)
+                    wname = names[w]
+                    offsets.append(f"{wname}:{fh.tell()}")
+                    lines = []
+                    for y in self._by_length(col):
+                        coeffs = col[y].coeffs
+                        text = texts.get(coeffs)
+                        if text is None:
+                            text = texts[coeffs] = ",".join(map(str, coeffs))
+                        lines.append(f"{names[y]}\t{wname}\t{text}\n")
+                    put("".join(lines).encode())
+                put(f"#end {records} {','.join(offsets)} ".encode())
+                fh.write(f"{digest.hexdigest()}\n".encode())
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
 
     def load(self) -> int:
-        """Merge columns from the cache file, if present; returns rows read.
+        """Read the cache file, if present; returns the records it holds.
+
+        Checks the version line, the sha256 of every byte before it and that
+        the trailer's column offsets tile the records, then keeps the bytes.
+        Columns the table already holds win; the others are parsed when
+        first asked for.  Raises OSError naming the file, and the line where
+        there is one, of the first problem.
+        """
+        import hashlib
+
+        path = self.cache_path()
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return 0
+        header = self._header()
+        if not data.startswith(header):
+            raise OSError(
+                f"{path}:1: not a format-{FORMAT_VERSION} KL cache file of S_{self.n} "
+                f"({self.side}): the first line is not {header.decode().strip()!r}"
+            )
+        # the trailer is the last line, and the sha256 its last field
+        end = data.rfind(b"\n", 0, len(data) - 1) + 1
+        cut = data.rfind(b" ", end) + 1
+        if end < len(header) or cut <= end or not data.endswith(b"\n"):
+            lineno = data.count(b"\n", 0, end) + 1
+            raise OSError(f"{path}:{lineno}: no trailer with a sha256 on the last line")
+        if hashlib.sha256(memoryview(data)[:cut]).hexdigest().encode() != data[cut:-1]:
+            raise OSError(f"{path}: checksum mismatch: the file is not the one written")
+        try:
+            tag, count, columns = data[end : cut - 1].decode("ascii").split(" ")
+            if tag != "#end" or not count.isdigit():
+                raise ValueError
+            ranks = self._names()[1]
+            starts = []
+            for item in columns.split(","):
+                name, offset = item.split(":")
+                if not offset.isdigit():
+                    raise ValueError
+                starts.append((int(offset), ranks[name]))
+        except (KeyError, ValueError):
+            lineno = data.count(b"\n", 0, end) + 1
+            raise OSError(f"{path}:{lineno}: bad trailer for S_{self.n}") from None
+        # each column once, starting at a line start, in file order, from the
+        # end of the version line up to the trailer
+        bounds = [offset for offset, _ in starts] + [end]
+        stored = {w: (offset, bounds[k + 1]) for k, (offset, w) in enumerate(starts)}
+        if (
+            bounds[0] != len(header)
+            or len(stored) != len(starts)
+            or any(a >= b or data[a - 1] != 10 for a, b in zip(bounds, bounds[1:]))
+        ):
+            raise OSError(f"{path}: the column offsets of the trailer do not tile the records")
+        self._snapshot, self._stored, self._stored_records = data, stored, int(count)
+        return self._stored_records
+
+    def _parse_column(self, w: int) -> dict[int, IntPolynomial]:
+        """The records of column w in the loaded file.
 
         Raises OSError naming the file and line of the first record that is
         malformed (coefficients other than comma-separated ASCII integers
-        included) or not of this table's degree."""
-        path = self.cache_path()
-        if not path.exists():
-            return 0
-        ranks = {format_permutation(w): r for r, w in enumerate(self.perms)}
-        intern = self._intern
-        polys: dict[str, IntPolynomial] = {}  # coefficient text -> interned value
-        loaded: dict[int, dict[int, IntPolynomial]] = {}
-        count = 0
+        included), not of this table's degree, or not of column w."""
+        start, stop = self._stored[w]
+        names, ranks = self._names()
+        wname = names[w]
+        polys, intern = self._coeff_texts, self._intern
+        col = {}
         # undecodable bytes become U+FFFD, which fails below as a bad record
-        for lineno, line in enumerate(path.read_text(errors="replace").splitlines(), start=1):
+        lines = self._snapshot[start : stop - 1].decode(errors="replace").split("\n")
+        for line in lines:
             try:
                 ytext, wtext, ctext = line.split("\t")
-                y, w = ranks[ytext], ranks[wtext]
+                if wtext != wname:
+                    raise ValueError(wtext)
+                y = ranks[ytext]
                 poly = polys.get(ctext)
                 if poly is None:
                     if not _COEFFS.fullmatch(ctext):
@@ -322,11 +440,31 @@ class KLTable:
             except (KeyError, ValueError):
                 if not line.strip():
                     continue
-                raise OSError(f"{path}:{lineno}: bad record for S_{self.n}: {line!r}") from None
-            loaded.setdefault(w, {})[y] = poly
-            count += 1
-        self._columns.update(loaded)
-        return count
+                # an equal line earlier in the column would have failed first
+                lineno = self._snapshot.count(b"\n", 0, start) + lines.index(line) + 1
+                raise OSError(
+                    f"{self.cache_path()}:{lineno}: bad record for column {wname} "
+                    f"of S_{self.n}: {line!r}"
+                ) from None
+            col[y] = poly
+        return col
+
+    def parse_stored(self) -> int:
+        """Parse every column of the loaded file; returns the records read.
+
+        Raises OSError on the first bad record, and when the records differ
+        in number from the trailer's count (a repeated record included)."""
+        records = 0
+        for w in self._stored:
+            col = self._parse_column(w)
+            self._columns.setdefault(w, col)
+            records += len(col)
+        if records != self._stored_records:
+            raise OSError(
+                f"{self.cache_path()}: the trailer counts {self._stored_records} records "
+                f"but the columns hold {records}"
+            )
+        return records
 
 
 _DEFAULT_TABLES: dict[tuple[int, str], KLTable] = {}

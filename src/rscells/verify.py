@@ -15,7 +15,7 @@ from .cells import cells as cell_partition
 # unused here; perfbench/spans.py patches these names on this module
 from .hecke import bar, c_prime, canonical_basis_by_bar  # noqa: F401
 from .kl import KLTable, default_table
-from .knuth import in_knuth_domain, knuth_class, knuth_move
+from .knuth import knuth_class
 from .permutations import (
     all_permutations,
     compose,
@@ -346,8 +346,16 @@ def verify_knuth_mu(n: int, table: KLTable | None = None) -> Report:
     if table is None:
         table = default_table(n)
     left = _cell_indices(cell_partition(n, "left", table), table)
-    right = _cell_indices(cell_partition(n, "right", table), table)
-    perms, index, lengths = table.perms, table._index, table._lengths
+    perms, lengths, inv = table.perms, table._lengths, table._inverse
+    # the right cell of w is the inverse of the left cell of w^-1
+    right = [left[r] for r in inv]
+    # rank -> rank of w s_i, and right descent masks, bit i - 1 for s_i
+    if table.side == "right":
+        rsteps, rmasks = table._steps, table._masks
+    else:
+        # w s_i = (s_i w^-1)^-1, and R(w) = L(w^-1)
+        rsteps = [[inv[step[r]] for r in inv] for step in table._steps]
+        rmasks = [table._masks[r] for r in inv]
     # every nonzero-mu pair (y, w, mu) with y < w
     edges = [
         (min(z, w), max(z, w), m) for w in range(len(perms)) for z, m in table._mu_list(w)
@@ -359,12 +367,18 @@ def verify_knuth_mu(n: int, table: KLTable | None = None) -> Report:
     cases = 0
     moves = [(i2, j2) for i in range(1, n - 1) for i2, j2 in ((i, i + 1), (i + 1, i))]
     for i2, j2 in moves:
-        # rank -> rank of its image, over the domain in rank order
-        image = {
-            r: index[knuth_move(w, i2, j2)]
-            for r, w in enumerate(perms)
-            if in_knuth_domain(w, i2, j2)
-        }
+        # rank -> rank of its image, over the domain D_ij = {w : i in R(w),
+        # j not in R(w)} in rank order.  With y0 the minimal element of the
+        # coset w<s_i, s_j>, K_ij maps y0 s_i to y0 s_i s_j = w s_j, and
+        # y0 s_j s_i to y0 s_j = w s_i, which is the case where j is a
+        # descent of w s_i
+        bi, bj = 1 << (i2 - 1), 1 << (j2 - 1)
+        si, sj = rsteps[i2 - 1], rsteps[j2 - 1]
+        image = {}
+        for r, m in enumerate(rmasks):
+            if m & bi and not m & bj:
+                u = si[r]
+                image[r] = u if rmasks[u] & bj else sj[r]
         pairs = [(y, w, m) for y, w, m in edges if y in image and w in image]
         cases += len(image) + len(pairs)
         for w, kw in image.items():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cache_files import resign
 from rscells.cli import (
     EXIT_BOUNDS,
     EXIT_INPUT,
@@ -147,6 +148,7 @@ def test_verify_bar_invariance_fails_on_a_deleted_cache_record(capsys, tmp_path)
     record = next(line for line in lines if line.startswith("13254\t34512\t"))
     lines.remove(record)
     path.write_text("".join(lines))
+    resign(path)
     code, out, _ = run(capsys, "--cache-dir", cache, "verify", "bar-invariance", "5")
     assert code == EXIT_VIOLATION
     assert "result: FAIL" in out
@@ -225,9 +227,11 @@ def test_bad_cache_record_exits_4(capsys, tmp_path, record):
     run(capsys, "--cache-dir", cache, "cache", "warm", "4")
     path = tmp_path / "kl_s4.tsv"
     path.write_text(path.read_text() + record + "\n")
+    resign(path)
     code, out, err = run(capsys, "--cache-dir", cache, "klpoly", "1234", "4321")
     assert (code, out) == (EXIT_IO, "")
-    assert f"{path}:59:" in err
+    # line 1 is the version line, lines 2-59 the 58 records
+    assert f"{path}:60:" in err
 
 
 def test_cache_warm_repairs_a_bad_cache_file(capsys, tmp_path):
@@ -237,9 +241,10 @@ def test_cache_warm_repairs_a_bad_cache_file(capsys, tmp_path):
     clean = path.read_bytes()
     for bad in (b"123\t213\t1\n", b"1234\t2134\t\xff\n"):
         path.write_bytes(clean + bad)
+        resign(path)
         code, out, err = run(capsys, "--cache-dir", cache, "cache", "warm", "4")
         assert (code, out) == (EXIT_OK, "warmed S_4: 58 entries\n")
-        assert f"{path}:59:" in err
+        assert f"{path}:60:" in err
         assert path.read_bytes() == clean
         code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "1234", "4321")
         assert (code, out) == (EXIT_OK, "1\n")
@@ -261,6 +266,7 @@ def test_coefficients_must_be_ascii_integers(capsys, tmp_path, coeffs):
     record = "1324\t3412\t1,1"
     lineno = clean.splitlines().index(record) + 1
     path.write_text(clean.replace(record, f"1324\t3412\t{coeffs}"), encoding="utf-8")
+    resign(path)
     for argv in (("klpoly", "1324", "3412"), ("cache", "info")):
         code, out, err = run(capsys, "--cache-dir", cache, *argv)
         assert (code, out) == (EXIT_IO, ""), argv
@@ -273,6 +279,75 @@ def test_coefficients_must_be_ascii_integers(capsys, tmp_path, coeffs):
     assert (code, out) == (EXIT_OK, "1 + q\n")
 
 
+def _delete_record(data: bytes) -> bytes:
+    return data.replace(b"13254\t34512\t1,1\n", b"", 1)
+
+
+def _raise_a_one(data: bytes) -> bytes:
+    # the first raised y under 34512 whose polynomial is 1
+    lines = data.splitlines(keepends=True)
+    k = next(k for k, line in enumerate(lines) if line.endswith(b"\t34512\t1\n"))
+    lines[k] = lines[k][: -len(b"1\n")] + b"7,7\n"
+    return b"".join(lines)
+
+
+def _append_record(data: bytes) -> bytes:
+    lines = data.splitlines(keepends=True)
+    return b"".join(lines[:-1] + [b"12345\t34512\t1\n", lines[-1]])
+
+
+def _strip_version_line(data: bytes) -> bytes:
+    # a file of format 1: the records alone
+    return b"".join(data.splitlines(keepends=True)[1:-1])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_delete_record, _raise_a_one, _append_record, _strip_version_line],
+    ids=["deleted-record", "raised-one-to-7-7", "appended-record", "legacy-v1"],
+)
+def test_an_edited_cache_file_is_refused_and_rebuilt(capsys, tmp_path, edit):
+    cache = str(tmp_path)
+    run(capsys, "--cache-dir", cache, "cache", "warm", "5")
+    path = tmp_path / "kl_s5.tsv"
+    clean = path.read_bytes()
+    edited = edit(clean)
+    assert edited != clean
+    path.write_bytes(edited)
+    for argv in (("klpoly", "13254", "34512"), ("verify", "theorem-a", "5"), ("cache", "info")):
+        code, out, err = run(capsys, "--cache-dir", cache, *argv)
+        assert (code, out) == (EXIT_IO, ""), argv
+        assert str(path) in err, argv
+    code, out, err = run(capsys, "--cache-dir", cache, "cache", "warm", "5")
+    assert (code, out) == (EXIT_OK, "warmed S_5: 682 entries\n")
+    assert "rebuilding bad cache file" in err
+    assert path.read_bytes() == clean
+    code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "13254", "34512")
+    assert (code, out) == (EXIT_OK, "1 + q\n")
+
+
+def test_warm_cache_klpoly_parses_only_the_column_it_reads(capsys, tmp_path, monkeypatch):
+    import rscells.cli as cli
+
+    tables = []
+
+    class Recorded(cli.KLTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tables.append(self)
+
+    cache = str(tmp_path)
+    run(capsys, "--cache-dir", cache, "cache", "warm", "6")
+    monkeypatch.setattr(cli, "KLTable", Recorded)
+    code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "132465", "645321")
+    assert code == EXIT_OK
+    [table] = tables
+    assert out == f"{table.polynomial((1, 3, 2, 4, 6, 5), (6, 4, 5, 3, 2, 1))}\n"
+    assert len(table._stored) == 720
+    # the identity's column, which every table starts with, and w's
+    assert set(table._columns) == {0, table._rank((6, 4, 5, 3, 2, 1))}
+
+
 def test_cache_info_counts_valid_files(capsys, tmp_path):
     from rscells.kl import KLTable
 
@@ -283,9 +358,11 @@ def test_cache_info_counts_valid_files(capsys, tmp_path):
     (tmp_path / "kl_s4.right.tsv").write_text(
         (tmp_path / "kl_s4.right.tsv").read_text() + "\n  \n"
     )
-    # the count before validation: non-blank lines per file
+    resign(tmp_path / "kl_s4.right.tsv")
+    # the count before validation: non-blank lines per file, less the
+    # version line and the trailer
     counts = {
-        f.name: sum(1 for line in f.read_text().splitlines() if line.strip())
+        f.name: sum(1 for line in f.read_text().splitlines() if line.strip()) - 2
         for f in sorted(tmp_path.glob("kl_s*.tsv"))
     }
     expected = "".join(f"{name}: {c} entries\n" for name, c in counts.items())
@@ -300,9 +377,10 @@ def test_cache_info_rejects_bad_records(capsys, tmp_path):
     run(capsys, "--cache-dir", cache, "cache", "warm", "4")
     path = tmp_path / "kl_s4.tsv"
     path.write_text(path.read_text() + "123\t213\t1\n")
+    resign(path)
     code, out, err = run(capsys, "--cache-dir", cache, "cache", "info")
     assert (code, out) == (EXIT_IO, "")
-    assert f"{path}:59:" in err
+    assert f"{path}:60:" in err
     path.unlink()
     (tmp_path / "kl_sx.tsv").write_text("")
     code, out, err = run(capsys, "--cache-dir", cache, "cache", "info")

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from cache_files import resign, sign
 from oracles import all_perms
 from rscells.hecke import c_prime, kl_action_q1
 from rscells.kl import MAX_DEGREE, KLTable, default_table, kl_polynomial, mu, mu_sym
@@ -179,7 +180,8 @@ def test_cache_round_trip(tmp_path):
     first = path.read_bytes()
 
     fresh = KLTable(4, cache_dir=tmp_path)
-    assert fresh.entry_count() == tbl.entry_count()
+    # columns are parsed on first use, so parse them all to count them
+    assert fresh.parse_stored() == tbl.entry_count() == fresh.entry_count()
     reference = KLTable(4)
     for y in all_perms(4):
         for w in all_perms(4):
@@ -196,7 +198,13 @@ def test_cache_file_format(tmp_path):
     tbl = KLTable(3, cache_dir=tmp_path)
     tbl.warm()
     tbl.save()
-    lines = tbl.cache_path().read_text().splitlines()
+    version, *lines, trailer = tbl.cache_path().read_text().splitlines()
+    assert version == "#rscells-kl 2 S_3 left"
+    listing = "#end 8 123:23,132:33,213:43,231:53,312:73,321:93 "
+    assert trailer.startswith(listing)
+    signed = "".join(f"{line}\n" for line in [version, *lines]) + listing
+    digest = hashlib.sha256(signed.encode())
+    assert trailer == listing + digest.hexdigest()
     assert lines, "cache file should not be empty"
     for line in lines:
         y, w, coeffs = line.split("\t")
@@ -222,12 +230,14 @@ def test_supports_and_column_keys_match_bruhat_order():
 
 
 def test_rank_tables_match_permutation_arithmetic():
-    for n in range(1, 6):
+    # multiply_simple is the oracle of the step tables
+    for n in range(1, 7):
         for side, descents in (("left", left_descents), ("right", right_descents)):
             tbl = KLTable(n, side=side)
             assert tbl.perms == sorted(all_perms(n))
             for r, w in enumerate(tbl.perms):
                 assert tbl._lengths[r] == length(w)
+                assert tbl.perms[tbl._inverse[r]] == inverse(w)
                 assert tbl._masks[r] == sum(1 << (i - 1) for i in descents(w))
                 for i in range(1, n):
                     assert tbl.perms[tbl._steps[i - 1][r]] == multiply_simple(w, i, side)
@@ -267,6 +277,12 @@ def test_degree_above_bound_raises_before_enumeration():
 # reference digests of the S_5 cache files: a change to the element
 # representation or the write order must leave the files byte-identical
 CACHE_SHA256 = {
+    "kl_s5.tsv": "ae4838b0afcaf146fb1aa85076d70900013bea8dfd12c3e22d603b1f28f530f3",
+    "kl_s5.right.tsv": "3804a1f0afbee1a70f8ac072ae3bdc2f8f4e4d90125b4229690f2a3b84b2b61b",
+}
+# ... and of their records, the lines between the version line and the
+# trailer, which are the whole files of format 1
+RECORDS_SHA256 = {
     "kl_s5.tsv": "311d4f11159f66febbe318c72ea72f4124d7a0d9814ee23ee4b1173651a24e2b",
     "kl_s5.right.tsv": "ec8c86cb584cd7af10f840961cb1a4847d28dbf7903b8300b90ac012a37c78fb",
 }
@@ -280,7 +296,27 @@ def test_cache_files_are_byte_identical_to_reference(tmp_path):
     for name, digest in CACHE_SHA256.items():
         data = (tmp_path / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
-    assert (tmp_path / "kl_s5.tsv").stat().st_size == 9724
+        records = b"".join(data.splitlines(keepends=True)[1:-1])
+        assert hashlib.sha256(records).hexdigest() == RECORDS_SHA256[name], name
+        assert len(records) == 9724
+    assert (tmp_path / "kl_s5.tsv").stat().st_size == 11103
+
+
+def test_save_after_a_lazy_load_matches_a_cold_save(tmp_path):
+    for n in range(1, 7):
+        for side in ("left", "right"):
+            cold = KLTable(n, side=side, cache_dir=tmp_path)
+            cold.warm()
+            cold.save()
+            clean = cold.cache_path().read_bytes()
+            loaded = KLTable(n, side=side, cache_dir=tmp_path)
+            loaded.warm()
+            loaded.save()
+            assert loaded.cache_path().read_bytes() == clean, (n, side)
+            # save() writes the stored columns that were never parsed, too
+            unparsed = KLTable(n, side=side, cache_dir=tmp_path)
+            unparsed.save()
+            assert unparsed.cache_path().read_bytes() == clean, (n, side)
 
 
 def test_save_leaves_no_temp_file_on_failure(tmp_path):
@@ -309,6 +345,7 @@ def test_one_object_per_distinct_polynomial(tmp_path):
             loaded = KLTable(n, side=side)
             loaded.cache_dir = tmp_path
             assert loaded.load() == warmed.entry_count()
+            loaded.warm()
             objects, values = _distinct_objects(loaded)
             assert objects == values, (n, side)
             assert loaded._columns == warmed._columns, (n, side)
@@ -316,10 +353,12 @@ def test_one_object_per_distinct_polynomial(tmp_path):
 
 def test_load_skips_blank_lines_and_normalizes_trailing_zeros(tmp_path):
     path = tmp_path / "kl_s4.tsv"
-    path.write_text("1234\t1234\t1\n \t \n\n1234\t2134\t1,0\n")
+    path.write_text("#rscells-kl 2 S_4 left\n1234\t1234\t1\n \t \n\n1234\t2134\t1,0\n")
+    resign(path)
     tbl = KLTable(4)
     tbl.cache_dir = tmp_path
     assert tbl.load() == 2
+    assert tbl.parse_stored() == 2
     e, s1 = tbl._rank((1, 2, 3, 4)), tbl._rank((2, 1, 3, 4))
     assert tbl._columns[s1][e] == ONE
     assert tbl._columns[s1][e] is tbl._columns[e][e]
@@ -327,9 +366,12 @@ def test_load_skips_blank_lines_and_normalizes_trailing_zeros(tmp_path):
 
 def test_load_rejects_undecodable_bytes(tmp_path):
     path = tmp_path / "kl_s3.tsv"
-    path.write_bytes(b"123\t123\t1\n123\t213\t\xff\n")
-    with pytest.raises(OSError, match=r"kl_s3\.tsv:2:"):
-        KLTable(3, cache_dir=tmp_path)
+    path.write_bytes(b"#rscells-kl 2 S_3 left\n123\t123\t1\n123\t213\t\xff\n")
+    resign(path)
+    tbl = KLTable(3, cache_dir=tmp_path)
+    # the record is checked when its column is first asked for
+    with pytest.raises(OSError, match=r"kl_s3\.tsv:3:"):
+        tbl.polynomial((1, 2, 3), (2, 1, 3))
 
 
 def test_readers_see_complete_files_while_a_writer_saves(tmp_path):
@@ -360,6 +402,7 @@ def test_readers_see_complete_files_while_a_writer_saves(tmp_path):
             reader = KLTable(4)
             reader.cache_dir = tmp_path
             assert reader.load() == records
+            assert reader.parse_stored() == records
             loads += 1
     finally:
         stop.set()
@@ -369,3 +412,89 @@ def test_readers_see_complete_files_while_a_writer_saves(tmp_path):
     assert errors == []
     assert loads > 10
     assert [p.name for p in tmp_path.iterdir()] == ["kl_s4.tsv"]
+
+
+def test_a_loaded_table_serves_its_snapshot_after_the_file_is_replaced(tmp_path):
+    writer = KLTable(4, cache_dir=tmp_path)
+    writer.warm()
+    writer.save()
+    path = writer.cache_path()
+    clean = path.read_text()
+    loaded = KLTable(4, cache_dir=tmp_path)
+    # another writer replaces the file with different, validly signed content
+    path.write_text(clean.replace("1324\t3412\t1,1\n", "1324\t3412\t1\n"))
+    resign(path)
+    assert KLTable(4, cache_dir=tmp_path).polynomial((1, 3, 2, 4), (3, 4, 1, 2)) == ONE
+    assert loaded.polynomial((1, 3, 2, 4), (3, 4, 1, 2)) == IntPolynomial((1, 1))
+    assert loaded.parse_stored() == writer.entry_count()
+
+
+def _unsigned(data: bytes) -> bytes:
+    return data[: data.rindex(b" ") + 1]
+
+
+_BAD_TRAILER = r"tsv:60: bad trailer for S_4"
+_UNTILED = r"tsv: the column offsets of the trailer do not tile the records"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # edits of a signed file
+        (lambda data: _unsigned(data) + b"0" * 64 + b"\n", r"tsv: checksum mismatch"),
+        (lambda data: data.replace(b"\t4321\t1\n", b"\t4321\t1,1\n"), r"tsv: checksum mismatch"),
+        (lambda data: data + b"1234\t1234\t1\n", r"tsv:61: no trailer"),
+        (lambda data: data.replace(b"S_4 left", b"S_4 right"), r"tsv:1: not a format-2"),
+        # edits of the trailer, signed again
+        (lambda data: sign(_unsigned(data).replace(b"#end 58 ", b"#end x ")), _BAD_TRAILER),
+        (lambda data: sign(_unsigned(data).replace(b",1243:", b",1244:")), _BAD_TRAILER),
+        (lambda data: sign(_unsigned(data).replace(b" 1234:23,", b" ")), _UNTILED),
+        (lambda data: sign(_unsigned(data).replace(b",1342:71,", b",1342:72,")), _UNTILED),
+        (lambda data: sign(_unsigned(data).replace(b",2134:", b",1243:")), _UNTILED),
+    ],
+    ids=["checksum", "record", "after-trailer", "side", "count", "column-name",
+         "first-column-missing", "mid-line-offset", "duplicate-column"],
+)
+def test_load_refuses_a_damaged_file(tmp_path, edit, message):
+    tbl = KLTable(4, cache_dir=tmp_path)
+    tbl.warm()
+    tbl.save()
+    path = tbl.cache_path()
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(OSError, match=r"kl_s4\." + message):
+        KLTable(4, cache_dir=tmp_path)
+
+
+def test_a_column_holds_only_its_own_records(tmp_path):
+    tbl = KLTable(4, cache_dir=tmp_path)
+    tbl.warm()
+    tbl.save()
+    path = tbl.cache_path()
+    # column 1342 holds lines 6 and 7; start column 1423 at line 7 instead
+    # of line 8, so the trailer tiles the records but misplaces one
+    data = _unsigned(path.read_bytes())
+    assert b",1342:71,1423:95," in data
+    path.write_bytes(sign(data.replace(b",1423:95,", b",1423:83,")))
+    loaded = KLTable(4, cache_dir=tmp_path)
+    assert loaded.polynomial((1, 2, 3, 4), (1, 3, 4, 2)) == ONE
+    with pytest.raises(OSError, match=r"kl_s4\.tsv:7: bad record for column 1423"):
+        loaded.polynomial((1, 2, 3, 4), (1, 4, 2, 3))
+    # without an offset for column 1423, its records fall into column 1342
+    path.write_bytes(sign(data.replace(b",1423:95,", b",")))
+    loaded = KLTable(4, cache_dir=tmp_path)
+    with pytest.raises(OSError, match=r"kl_s4\.tsv:8: bad record for column 1342"):
+        loaded.polynomial((1, 2, 3, 4), (1, 3, 4, 2))
+
+
+def test_parse_stored_checks_the_record_count(tmp_path):
+    tbl = KLTable(4, cache_dir=tmp_path)
+    tbl.warm()
+    tbl.save()
+    path = tbl.cache_path()
+    # a repeated record, signed again: 59 lines for 58 entries
+    path.write_text(path.read_text() + "4321\t4321\t1\n")
+    resign(path)
+    loaded = KLTable(4, cache_dir=tmp_path)
+    assert loaded.load() == 59
+    with pytest.raises(OSError, match=r"the trailer counts 59 records but the columns hold 58"):
+        loaded.parse_stored()
