@@ -28,8 +28,10 @@ from .verify import _TABLE_SUITES, SUITE_MAX_DEGREE, SUITES, run_suite
 ENV_CACHE_DIR = "RSCELLS_CACHE_DIR"
 DEFAULT_MAX_DEGREE = 8
 HARD_MAX_DEGREE = MAX_DEGREE
-# a table with every column computed takes about 1.1 GB at S_8 and grew
-# about 22x from S_7 to S_8, so runs that warm every column stop here
+# a table with every column computed takes about 250 MB at S_8, but the
+# Bruhat intervals grow 26x, 36x and 48x per degree up to S_8, so S_9
+# would take hours and more memory than a few GB; runs that warm every
+# column stop here
 WARM_MAX_DEGREE = 8
 
 EXIT_OK = 0

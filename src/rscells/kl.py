@@ -24,15 +24,19 @@ a permutation of the table's degree.
 
 The Bruhat interval {y : y <= w} is built from that of v as the union of
 it and its image under s_i, and is stored as a flat array of ranks (two
-bytes each up to S_8), so the 3.55 M interval elements of S_7 take about
-7 MB.
+bytes each up to S_8).  A support is read only by the supports one length
+up, so warm() and the bar-invariance walk drop each length layer once the
+next is built; the largest two adjacent layers of S_8 hold 40 M ranks.
 
-A table holds one IntPolynomial object per distinct value: computed and
-loaded entries resolve through a per-table intern dict keyed by the
-coefficient tuple, so the 292,070 entries of S_7 share 98 objects.  Because
-of that, the two polynomial steps of the recursion, P_{s_i y,v} + q P_{y,v}
-and p - mu q^k P_{y,z}, see few distinct operands: both are memoized per
-table on the ids of their interned operands, and S_7 computes 1,533 of
+A column is two aligned sequences: its raised ranks in ascending order,
+as a list of the table's shared int objects that ends with the sentinel
+n!, and for each rank an index into the table's pool, the list of
+distinct polynomials (one byte each while the pool holds at most 256, two
+bytes after that).  Entries are found by bisection; the sentinel keeps
+every probe inside the list.  S_7 holds 292,070 entries in about 4 MB,
+S_8 9,551,060 in about 105 MB.  The two polynomial steps of the recursion,
+P_{s_i y,v} + q P_{y,v} and p - mu q^k P_{y,z}, see few distinct operands:
+both are memoized per table on pool indices, and S_7 computes 1,533 of
 them instead of about 385,000.
 
 Columns persist to a cache file in format 2: a version line
@@ -55,6 +59,8 @@ from __future__ import annotations
 import os
 import re
 from array import array
+from bisect import bisect_left
+from collections.abc import Iterator
 from pathlib import Path
 
 from .permutations import Perm, all_permutations, format_permutation, inverse
@@ -70,15 +76,25 @@ FORMAT_VERSION = 2
 # take "1_0", " +1" and non-ASCII digits
 _COEFFS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
+# a column: its raised ranks ascending plus the sentinel n!, and their
+# polynomials as indices into the table's pool, in bytes while the pool
+# holds at most 256 polynomials and in an array of two bytes each after that
+Column = tuple[list[int], bytes | array]
+
+
+def _narrowest(size: int) -> str:
+    """The narrowest unsigned array typecode that holds 0..size - 1."""
+    return "B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "I"
+
 
 class KLTable:
     """Memoized Kazhdan-Lusztig polynomials and mu-coefficients for S_n.
 
     Construction enumerates S_n once: ``perms[r]`` is the permutation of
     rank r in lexicographic order, and columns, supports and mu lists are
-    keyed by rank.  A support is an ``array`` of ranks.  Equal polynomials
-    in the columns are the same object, and the polynomial steps of the
-    recursion are memoized on the ids of those objects.  With a cache
+    keyed by rank.  A support is an ``array`` of ranks.  A column holds its
+    polynomials as indices into one pool of distinct values, and the
+    polynomial steps of the recursion are memoized on those indices.  With a cache
     directory, construction loads the cache file, and a column it holds is
     parsed instead of computed when first needed.
     Degrees above MAX_DEGREE raise ValueError before any enumeration.
@@ -117,17 +133,20 @@ class KLTable:
             bit = 1 << i
             masks = [m | bit if lengths[sr] < lr else m for m, sr, lr in zip(masks, step, lengths)]
         self._masks = masks
-        self._columns: dict[int, dict[int, IntPolynomial]] = {0: {0: ONE}}
-        # coefficient tuple -> the one polynomial object with that value
-        self._intern: dict[tuple[int, ...], IntPolynomial] = {ONE.coeffs: ONE}
-        # ranks fit in two bytes up to 8! = 40320
-        self._typecode = "H" if len(lengths) <= 1 << 16 else "I"
+        # the key objects of every column; the last, n!, ends each key list
+        self._ints = list(range(len(lengths) + 1))
+        # the pool: each distinct polynomial once, ZERO and ONE at 0 and 1,
+        # their degrees, and coefficients -> index
+        self._polys: list[IntPolynomial] = [ZERO, ONE]
+        self._degrees = [ZERO.degree, ONE.degree]
+        self._pool: dict[tuple[int, ...], int] = {ZERO.coeffs: 0, ONE.coeffs: 1}
+        self._columns: dict[int, Column] = {0: self._compact({0: 1})}
+        self._typecode = _narrowest(len(lengths))
         self._supports: dict[int, array] = {0: array(self._typecode, (0,))}
-        # memos of the two polynomial steps of _column, (a, b) -> a + q b and
-        # (p, P, k, m) -> p - m q^k P, keyed on the ids of operands that are
-        # interned or module constants, so no id is reused while a key lives
-        self._sums: dict[tuple[int, int], IntPolynomial] = {}
-        self._corrections: dict[tuple[int, int, int, int], IntPolynomial] = {}
+        # memos of the two polynomial steps of _column on pool indices,
+        # (a, b) -> a + q b and (p, P, k, m) -> p - m q^k P
+        self._sums: dict[tuple[int, int], int] = {}
+        self._corrections: dict[tuple[int, int, int, int], int] = {}
         self._mu_lists: dict[int, tuple[tuple[int, int], ...]] = {}
         # the loaded cache file: its bytes, rank -> (start, end) of each
         # column's records in them, and the trailer's record count; columns
@@ -135,7 +154,7 @@ class KLTable:
         self._snapshot = b""
         self._stored: dict[int, tuple[int, int]] = {}
         self._stored_records = 0
-        self._coeff_texts: dict[str, IntPolynomial] = {}
+        self._coeff_texts: dict[str, int] = {}
         self._name_ranks: tuple[list[str], dict[str, int]] | None = None
         if self.cache_dir is not None:
             self.load()
@@ -159,6 +178,31 @@ class KLTable:
                 return y
             y = self._steps[(rest & -rest).bit_length() - 1][y]
 
+    def _pool_index(self, p: IntPolynomial) -> int:
+        """The index of p's value in the pool, adding p if it is new."""
+        i = self._pool.get(p.coeffs)
+        if i is None:
+            i = self._pool[p.coeffs] = len(self._polys)
+            self._polys.append(p)
+            self._degrees.append(p.degree)
+        return i
+
+    def _compact(self, col: dict[int, int]) -> Column:
+        """Column form of rank -> pool index; the keys of ``col`` become the
+        column's keys, so they should be the table's shared int objects."""
+        keys = sorted(col)
+        code = _narrowest(len(self._polys))
+        values = map(col.__getitem__, keys)
+        values = bytes(values) if code == "B" else array(code, values)
+        keys.append(self._ints[-1])
+        return keys, values
+
+    def _entry(self, col: Column, y: int) -> IntPolynomial:
+        """The polynomial ``col`` holds for rank y; ZERO when it holds none."""
+        keys, values = col
+        i = bisect_left(keys, y)
+        return self._polys[values[i]] if keys[i] == y else ZERO
+
     # -- the recursion -----------------------------------------------------
 
     def _support(self, w: int) -> array:
@@ -174,7 +218,24 @@ class KLTable:
         s = self._supports[w] = array(self._typecode, ranks)
         return s
 
-    def _column(self, w: int) -> dict[int, IntPolynomial]:
+    def _in_length_order(self) -> Iterator[int]:
+        """Every rank in (length, rank) order.
+
+        _support(w) reads only supports of length l(w) - 1, so the supports
+        of each length are dropped once all of the next length are yielded;
+        the identity's, which ends that recursion, stays."""
+        layers = [[] for _ in range(max(self._lengths) + 1)]
+        for w, lw in enumerate(self._lengths):
+            layers[lw].append(w)
+        yield 0
+        below: list[int] = []
+        for layer in layers[1:] + [[]]:
+            yield from layer
+            for v in below:
+                self._supports.pop(v, None)
+            below = layer
+
+    def _column(self, w: int) -> Column:
         """P_{y,w} for every raised y <= w (descents of w all descend y)."""
         col = self._columns.get(w)
         if col is not None:
@@ -187,43 +248,44 @@ class KLTable:
         ibit = wmask & -wmask
         step = self._steps[ibit.bit_length() - 1]
         v = step[w]
-        colv = self._column(v)
+        # column v is read twice per entry, so it is worth a transient dict
+        colv = dict(zip(*self._column(v)))
         vmask = masks[v]
         lw = lengths[w]
         # mu(z, v) q^k P_{y,z} is subtracted for each z in the mu list of v
         # with s_i z < z; P_{y,z} is 0 unless y raises into column z
         muv = [
-            (self._column(z), masks[z], lengths[z], (lw - lengths[z]) // 2, m)
+            (*self._column(z), masks[z], lengths[z], (lw - lengths[z]) // 2, m)
             for z, m in self._mu_list(v)
             if masks[z] & ibit
         ]
-        raise_to = self._raise_to
-        sums, corrections, intern = self._sums, self._corrections, self._intern
+        raise_to, pool_index, polys = self._raise_to, self._pool_index, self._polys
+        sums, corrections, ints = self._sums, self._corrections, self._ints
         col = {}
         for y in self._support(w):
             if wmask & ~masks[y]:
                 continue
-            a = colv.get(raise_to(step[y], vmask), ZERO)
-            b = colv.get(raise_to(y, vmask), ZERO)
-            key = (id(a), id(b))
-            p = sums.get(key)
+            a = colv.get(raise_to(step[y], vmask), 0)
+            b = colv.get(raise_to(y, vmask), 0)
+            p = sums.get((a, b))
             if p is None:
-                p = a + b.shift(1)
-                p = sums[key] = intern.setdefault(p.coeffs, p)
+                p = sums[a, b] = pool_index(polys[a] + polys[b].shift(1))
             ly = lengths[y]
-            for colz, zmask, lz, k, m in muv:
+            for keysz, valuesz, zmask, lz, k, m in muv:
                 if ly > lz:
                     continue
-                pyz = colz.get(raise_to(y, zmask))
-                if pyz is not None:
-                    key = (id(p), id(pyz), k, m)
+                x = raise_to(y, zmask)
+                i = bisect_left(keysz, x)
+                if keysz[i] == x:
+                    key = (p, valuesz[i], k, m)
                     r = corrections.get(key)
                     if r is None:
-                        r = p - pyz.shift(k) * m
-                        r = corrections[key] = intern.setdefault(r.coeffs, r)
+                        r = corrections[key] = pool_index(
+                            polys[p] - polys[valuesz[i]].shift(k) * m
+                        )
                     p = r
-            col[y] = p
-        self._columns[w] = col
+            col[ints[y]] = p
+        col = self._columns[w] = self._compact(col)
         return col
 
     def _lookup(self, y: int, w: int) -> IntPolynomial:
@@ -231,20 +293,22 @@ class KLTable:
             return ONE
         if self._lengths[y] >= self._lengths[w]:
             return ZERO
-        return self._column(w).get(self._raise_to(y, self._masks[w]), ZERO)
+        return self._entry(self._column(w), self._raise_to(y, self._masks[w]))
 
     def _mu_list(self, w: int) -> tuple[tuple[int, int], ...]:
         got = self._mu_lists.get(w)
         if got is not None:
             return got
         lw = self._lengths[w]
+        polys = self._polys
         pairs = []
-        for y, p in self._column(w).items():
+        # zip stops at the last value, before the sentinel
+        for y, p in zip(*self._column(w)):
             if y == w:
                 continue
             d = lw - self._lengths[y]
             if d % 2:
-                m = p.coeff((d - 1) // 2)
+                m = polys[p].coeff((d - 1) // 2)
                 if m:
                     pairs.append((y, m))
         for i, step in enumerate(self._steps):
@@ -285,14 +349,15 @@ class KLTable:
         return frozenset(self.perms[y] for y in self._support(self._rank(w)))
 
     def warm(self) -> None:
-        """Compute every column, shortest elements first."""
-        for w in self._by_length(range(len(self.perms))):
+        """Compute every column, shortest elements first; only the
+        identity's support is left afterwards."""
+        for w in self._in_length_order():
             self._column(w)
 
     def entry_count(self) -> int:
         """Entries of the columns held so far, computed or parsed from the
         cache; columns of a loaded file count once they are first used."""
-        return sum(len(col) for col in self._columns.values())
+        return sum(len(values) for _, values in self._columns.values())
 
     # -- disk cache --------------------------------------------------------
 
@@ -309,7 +374,8 @@ class KLTable:
         """The digit name of each rank, and name -> rank; built on first use."""
         if self._name_ranks is None:
             names = list(map(format_permutation, self.perms))
-            self._name_ranks = names, dict(zip(names, range(len(names))))
+            # the shared int objects, so parsed columns hold no other ints
+            self._name_ranks = names, dict(zip(names, self._ints))
         return self._name_ranks
 
     def save(self) -> None:
@@ -321,7 +387,8 @@ class KLTable:
         path = self.cache_path()
         path.parent.mkdir(parents=True, exist_ok=True)
         names = self._names()[0]
-        texts: dict[tuple[int, ...], str] = {}  # "c0,c1,..." per distinct value
+        lengths, polys = self._lengths, self._polys
+        texts: dict[int, str] = {}  # "c0,c1,..." per pool index
         digest = hashlib.sha256()
         offsets = []
         records = 0
@@ -336,16 +403,16 @@ class KLTable:
 
                 put(self._header())
                 for w in self._by_length(self._columns.keys() | self._stored.keys()):
-                    col = self._column(w)
-                    records += len(col)
+                    keys, values = self._column(w)
+                    records += len(values)
                     wname = names[w]
                     offsets.append(f"{wname}:{fh.tell()}")
                     lines = []
-                    for y in self._by_length(col):
-                        coeffs = col[y].coeffs
-                        text = texts.get(coeffs)
+                    # the keys ascend, so a stable sort by length gives (length, rank)
+                    for y, p in sorted(zip(keys, values), key=lambda e: lengths[e[0]]):
+                        text = texts.get(p)
                         if text is None:
-                            text = texts[coeffs] = ",".join(map(str, coeffs))
+                            text = texts[p] = ",".join(map(str, polys[p].coeffs))
                         lines.append(f"{names[y]}\t{wname}\t{text}\n")
                     put("".join(lines).encode())
                 put(f"#end {records} {','.join(offsets)} ".encode())
@@ -412,16 +479,18 @@ class KLTable:
         self._snapshot, self._stored, self._stored_records = data, stored, int(count)
         return self._stored_records
 
-    def _parse_column(self, w: int) -> dict[int, IntPolynomial]:
-        """The records of column w in the loaded file.
+    def _parse_column(self, w: int) -> Column:
+        """The records of column w in the loaded file, in column form.
 
         Raises OSError naming the file and line of the first record that is
         malformed (coefficients other than comma-separated ASCII integers
-        included), not of this table's degree, or not of column w."""
+        included), not of this table's degree, not of column w, or not a KL
+        polynomial: P(0) != 1, P_{w,w} != 1, or deg P_{y,w} > (l(w) - l(y) - 1)/2."""
         start, stop = self._stored[w]
         names, ranks = self._names()
         wname = names[w]
-        polys, intern = self._coeff_texts, self._intern
+        lengths, degrees, texts = self._lengths, self._degrees, self._coeff_texts
+        lw = lengths[w]
         col = {}
         # undecodable bytes become U+FFFD, which fails below as a bad record
         lines = self._snapshot[start : stop - 1].decode(errors="replace").split("\n")
@@ -431,12 +500,17 @@ class KLTable:
                 if wtext != wname:
                     raise ValueError(wtext)
                 y = ranks[ytext]
-                poly = polys.get(ctext)
-                if poly is None:
+                p = texts.get(ctext)
+                if p is None:
                     if not _COEFFS.fullmatch(ctext):
                         raise ValueError(ctext)
                     poly = IntPolynomial(map(int, ctext.split(",")))
-                    poly = polys[ctext] = intern.setdefault(poly.coeffs, poly)
+                    if poly.coeff(0) != 1:
+                        raise ValueError(ctext)
+                    p = texts[ctext] = self._pool_index(poly)
+                # 2 deg P_{y,w} < l(w) - l(y) unless y = w, and P_{w,w} = 1 (pool index 1)
+                if lengths[y] + 2 * degrees[p] >= lw and (y != w or p != 1):
+                    raise ValueError(ctext)
             except (KeyError, ValueError):
                 if not line.strip():
                     continue
@@ -446,8 +520,8 @@ class KLTable:
                     f"{self.cache_path()}:{lineno}: bad record for column {wname} "
                     f"of S_{self.n}: {line!r}"
                 ) from None
-            col[y] = poly
-        return col
+            col[y] = p
+        return self._compact(col)
 
     def parse_stored(self) -> int:
         """Parse every column of the loaded file; returns the records read.
@@ -458,7 +532,7 @@ class KLTable:
         for w in self._stored:
             col = self._parse_column(w)
             self._columns.setdefault(w, col)
-            records += len(col)
+            records += len(col[1])
         if records != self._stored_records:
             raise OSError(
                 f"{self.cache_path()}: the trailer counts {self._stored_records} records "

@@ -23,7 +23,7 @@ from .permutations import (
     longest_element,
     right_descents,
 )
-from .polynomials import ONE, ZERO, IntPolynomial
+from .polynomials import ONE, IntPolynomial
 from .tableaux import evacuation, p_symbol, q_symbol
 
 
@@ -186,19 +186,22 @@ def verify_bar_invariance(n: int, table: KLTable | None = None) -> Report:
     perms = table.perms
     report.cases = len(perms)
     # memos of the two polynomial steps, keyed on operand ids: every operand
-    # is held by the table or by these dicts, so no id is reused meanwhile
+    # is in the table's pool or held by these dicts, so no id is reused meanwhile
     sums: dict[tuple[int, int, bool], IntPolynomial] = {}
     corrections: dict[tuple[int, int, int, int], IntPolynomial] = {}
-    for w in table._by_length(range(len(perms))):
+    # the walk drops the supports one length layer at a time, as warm() does
+    for w in table._in_length_order():
         col = table._column(w)
         support = table._support(w)
-        if col.get(w) != ONE:
-            report.violations.append(f"w={_fmt(perms[w])}: P_{{w,w}} = {col.get(w, ZERO)} != 1")
+        pww = table._entry(col, w)
+        if pww != ONE:
+            report.violations.append(f"w={_fmt(perms[w])}: P_{{w,w}} = {pww} != 1")
         wmask = masks[w]
         raised = sum(1 for x in support if not wmask & ~masks[x])
-        if len(col) != raised:
+        entries = len(col[1])
+        if entries != raised:
             report.violations.append(
-                f"w={_fmt(perms[w])}: column holds {len(col)} entries but the interval "
+                f"w={_fmt(perms[w])}: column holds {entries} entries but the interval "
                 f"has {raised} raised elements"
             )
         if not wmask:

@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths it checks: Bruhat order
 via subwords of one fixed reduced word, composition via explicit function
 application, involution counting by direct scan, crystal operators by the
 recursive tensor-product rule, evacuation by rectifying punctured tableaux,
-left closures by reverse reachability in the cell graph, and the cell suites
-by scanning every pair of elements.
+left closures by reverse reachability in the cell graph, the cell suites
+by scanning every pair of elements, and the KL columns by the descent
+recursion on dict columns and set supports.
 """
 
 import itertools
@@ -23,6 +24,7 @@ from rscells.permutations import (
     reduced_word,
     right_descents,
 )
+from rscells.polynomials import ONE, ZERO
 from rscells.tableaux import Tableau, q_symbol, rectify
 from rscells.verify import Report
 
@@ -242,3 +244,61 @@ def knuth_mu_by_scan(n, table=None):
                                 f"K_{i2}{j2} images do not"
                             )
     return report
+
+
+# -- KL columns by the dict recursion -----------------------------------------
+
+def kl_by_dict_recursion(table):
+    """Every column and mu list of ``table``'s degree and side, by the
+    descent recursion with each column a dict rank -> polynomial and each
+    Bruhat interval a set of ranks.  Only the table's rank arithmetic (steps,
+    descent masks and lengths) is shared.
+
+    Returns ``(columns, mu_lists, lookup)``: column w holds P_{y,w} for
+    every y <= w whose descent set contains that of w, mu list w is sorted
+    by rank, and ``lookup(y, w)`` is P_{y,w} for any pair of ranks.
+    """
+    steps, masks, lengths = table._steps, table._masks, table._lengths
+    columns = {0: {0: ONE}}
+    supports = {0: {0}}
+    mu_lists = {}
+
+    def raise_to(y, wmask):
+        while rest := wmask & ~masks[y]:
+            y = steps[(rest & -rest).bit_length() - 1][y]
+        return y
+
+    def lookup(y, w):
+        if y == w:
+            return ONE
+        if lengths[y] >= lengths[w]:
+            return ZERO
+        return columns[w].get(raise_to(y, masks[w]), ZERO)
+
+    def mu_list(w):
+        pairs = []
+        for y, p in columns[w].items():
+            d = lengths[w] - lengths[y]
+            if d % 2 and p.coeff((d - 1) // 2):
+                pairs.append((y, p.coeff((d - 1) // 2)))
+        pairs += [(step[w], 1) for i, step in enumerate(steps) if masks[w] >> i & 1]
+        return tuple(sorted(pairs))
+
+    mu_lists[0] = mu_list(0)
+    for w in sorted(range(1, len(lengths)), key=lengths.__getitem__):
+        ibit = masks[w] & -masks[w]
+        step = steps[ibit.bit_length() - 1]
+        v = step[w]
+        supports[w] = supports[v] | {step[z] for z in supports[v]}
+        lw = lengths[w]
+        muv = [(z, m) for z, m in mu_lists[v] if masks[z] & ibit]
+        col = columns[w] = {}
+        for y in supports[w]:
+            if masks[w] & ~masks[y]:
+                continue
+            p = lookup(step[y], v) + lookup(y, v).shift(1)
+            for z, m in muv:
+                p = p - lookup(y, z).shift((lw - lengths[z]) // 2) * m
+            col[y] = p
+        mu_lists[w] = mu_list(w)
+    return columns, mu_lists, lookup

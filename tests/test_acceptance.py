@@ -40,7 +40,7 @@ long_run = pytest.mark.skipif(not LONG, reason="long run; set RSCELLS_LONG=1")
 @pytest.fixture(scope="module")
 def warm_table():
     """One warm table per degree, shared by the long runs of this module:
-    S_8 warms in about 1.1 GB and 70 s."""
+    S_8 warms in about 250 MB and 30-80 s."""
     tables = {}
 
     def get(n):

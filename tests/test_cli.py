@@ -301,12 +301,35 @@ def _strip_version_line(data: bytes) -> bytes:
     return b"".join(data.splitlines(keepends=True)[1:-1])
 
 
+def _over_the_degree_bound(data: bytes) -> bytes:
+    # the record before P_{w,w} in column 34512 is one length below w, so
+    # its degree bound is 0
+    lines = data.splitlines(keepends=True)
+    k = lines.index(b"34512\t34512\t1\n") - 1
+    assert lines[k].endswith(b"\t34512\t1\n")
+    lines[k] = lines[k][: -len(b"1\n")] + b"1,1\n"
+    return b"".join(lines)
+
+
+def _diagonal_not_one(data: bytes) -> bytes:
+    return data.replace(b"34512\t34512\t1\n", b"34512\t34512\t1,1\n")
+
+
 @pytest.mark.parametrize(
-    "edit",
-    [_delete_record, _raise_a_one, _append_record, _strip_version_line],
-    ids=["deleted-record", "raised-one-to-7-7", "appended-record", "legacy-v1"],
+    "edit, signed_again",
+    [
+        (_delete_record, False),
+        (_raise_a_one, False),
+        (_append_record, False),
+        (_strip_version_line, False),
+        (_raise_a_one, True),
+        (_over_the_degree_bound, True),
+        (_diagonal_not_one, True),
+    ],
+    ids=["deleted-record", "raised-one-to-7-7", "appended-record", "legacy-v1",
+         "raised-one-to-7-7-signed", "over-the-degree-bound-signed", "diagonal-not-one-signed"],
 )
-def test_an_edited_cache_file_is_refused_and_rebuilt(capsys, tmp_path, edit):
+def test_an_edited_cache_file_is_refused_and_rebuilt(capsys, tmp_path, edit, signed_again):
     cache = str(tmp_path)
     run(capsys, "--cache-dir", cache, "cache", "warm", "5")
     path = tmp_path / "kl_s5.tsv"
@@ -314,10 +337,17 @@ def test_an_edited_cache_file_is_refused_and_rebuilt(capsys, tmp_path, edit):
     edited = edit(clean)
     assert edited != clean
     path.write_bytes(edited)
+    if signed_again:
+        # only the record checks stand between the edit and a wrong answer
+        resign(path)
+        pairs = zip(edited.splitlines(), clean.splitlines())
+        lineno = next(k for k, (a, b) in enumerate(pairs, 1) if a != b)
     for argv in (("klpoly", "13254", "34512"), ("verify", "theorem-a", "5"), ("cache", "info")):
         code, out, err = run(capsys, "--cache-dir", cache, *argv)
         assert (code, out) == (EXIT_IO, ""), argv
         assert str(path) in err, argv
+        if signed_again:
+            assert f"{path}:{lineno}: bad record for column 34512" in err, argv
     code, out, err = run(capsys, "--cache-dir", cache, "cache", "warm", "5")
     assert (code, out) == (EXIT_OK, "warmed S_5: 682 entries\n")
     assert "rebuilding bad cache file" in err

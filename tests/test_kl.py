@@ -1,13 +1,17 @@
 import hashlib
 import itertools
+import os
+import subprocess
 import sys
 import threading
 import time
 
 import pytest
 
+import rscells
 from cache_files import resign, sign
-from oracles import all_perms
+from kl_entries import read_column
+from oracles import all_perms, kl_by_dict_recursion
 from rscells.hecke import c_prime, kl_action_q1
 from rscells.kl import MAX_DEGREE, KLTable, default_table, kl_polynomial, mu, mu_sym
 from rscells.permutations import (
@@ -225,7 +229,7 @@ def test_supports_and_column_keys_match_bruhat_order():
                 assert tbl.support(w) == below, (side, w)
                 assert len(tbl._support(tbl._rank(w))) == len(below), (side, w)
                 raised = {y for y in below if descents(w) <= descents(y)}
-                column = tbl._column(tbl._rank(w))
+                column = read_column(tbl, tbl._rank(w))
                 assert {tbl.perms[y] for y in column} == raised, (side, w)
 
 
@@ -241,6 +245,19 @@ def test_rank_tables_match_permutation_arithmetic():
                 assert tbl._masks[r] == sum(1 << (i - 1) for i in descents(w))
                 for i in range(1, n):
                     assert tbl.perms[tbl._steps[i - 1][r]] == multiply_simple(w, i, side)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_compact_columns_match_the_dict_recursion(n, side):
+    tbl = KLTable(n, side=side)
+    tbl.warm()
+    columns, mu_lists, lookup = kl_by_dict_recursion(tbl)
+    assert _columns(tbl) == columns
+    ranks = range(len(tbl.perms))
+    assert [tbl._mu_list(w) for w in ranks] == [mu_lists[w] for w in ranks]
+    for w in ranks:
+        assert [tbl._lookup(y, w) for y in ranks] == [lookup(y, w) for y in ranks], w
 
 
 def test_every_query_rejects_non_permutations():
@@ -274,31 +291,36 @@ def test_degree_above_bound_raises_before_enumeration():
         kl_action_q1(1, malformed)
 
 
-# reference digests of the S_5 cache files: a change to the element
-# representation or the write order must leave the files byte-identical
+# reference digests of the S_5 cache files: a change to the element or
+# column representation or the write order must leave the files
+# byte-identical
 CACHE_SHA256 = {
     "kl_s5.tsv": "ae4838b0afcaf146fb1aa85076d70900013bea8dfd12c3e22d603b1f28f530f3",
     "kl_s5.right.tsv": "3804a1f0afbee1a70f8ac072ae3bdc2f8f4e4d90125b4229690f2a3b84b2b61b",
 }
-# ... and of their records, the lines between the version line and the
-# trailer, which are the whole files of format 1
+# ... and of the records of the S_5 and S_6 files, the lines between the
+# version line and the trailer, which are the whole files of format 1
 RECORDS_SHA256 = {
     "kl_s5.tsv": "311d4f11159f66febbe318c72ea72f4124d7a0d9814ee23ee4b1173651a24e2b",
     "kl_s5.right.tsv": "ec8c86cb584cd7af10f840961cb1a4847d28dbf7903b8300b90ac012a37c78fb",
+    "kl_s6.tsv": "82dba142cb15a2a80746e473e54180752e20bac8cd0935badbfcee8a9da930ef",
+    "kl_s6.right.tsv": "c7906d7116bf8c45e854419b46c78a333f955898a83f92e2a4c8fc450b7827b5",
 }
 
 
 def test_cache_files_are_byte_identical_to_reference(tmp_path):
-    for side in ("left", "right"):
-        tbl = KLTable(5, side=side, cache_dir=tmp_path)
-        tbl.warm()
-        tbl.save()
+    for n in (5, 6):
+        for side in ("left", "right"):
+            tbl = KLTable(n, side=side, cache_dir=tmp_path)
+            tbl.warm()
+            tbl.save()
     for name, digest in CACHE_SHA256.items():
         data = (tmp_path / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
-        records = b"".join(data.splitlines(keepends=True)[1:-1])
-        assert hashlib.sha256(records).hexdigest() == RECORDS_SHA256[name], name
-        assert len(records) == 9724
+    for name, digest in RECORDS_SHA256.items():
+        records = b"".join((tmp_path / name).read_bytes().splitlines(keepends=True)[1:-1])
+        assert hashlib.sha256(records).hexdigest() == digest, name
+        assert len(records) == {"5": 9724, "6": 198060}[name[4]], name
     assert (tmp_path / "kl_s5.tsv").stat().st_size == 11103
 
 
@@ -328,8 +350,12 @@ def test_save_leaves_no_temp_file_on_failure(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["kl_s3.tsv"]
 
 
+def _columns(tbl):
+    return {w: read_column(tbl, w) for w in tbl._columns}
+
+
 def _distinct_objects(tbl):
-    polys = [p for col in tbl._columns.values() for p in col.values()]
+    polys = [p for col in _columns(tbl).values() for p in col.values()]
     return len({id(p) for p in polys}), len({p.coeffs for p in polys})
 
 
@@ -348,7 +374,7 @@ def test_one_object_per_distinct_polynomial(tmp_path):
             loaded.warm()
             objects, values = _distinct_objects(loaded)
             assert objects == values, (n, side)
-            assert loaded._columns == warmed._columns, (n, side)
+            assert _columns(loaded) == _columns(warmed), (n, side)
 
 
 def test_load_skips_blank_lines_and_normalizes_trailing_zeros(tmp_path):
@@ -360,8 +386,8 @@ def test_load_skips_blank_lines_and_normalizes_trailing_zeros(tmp_path):
     assert tbl.load() == 2
     assert tbl.parse_stored() == 2
     e, s1 = tbl._rank((1, 2, 3, 4)), tbl._rank((2, 1, 3, 4))
-    assert tbl._columns[s1][e] == ONE
-    assert tbl._columns[s1][e] is tbl._columns[e][e]
+    assert read_column(tbl, s1)[e] == ONE
+    assert read_column(tbl, s1)[e] is read_column(tbl, e)[e]
 
 
 def test_load_rejects_undecodable_bytes(tmp_path):
@@ -498,3 +524,31 @@ def test_parse_stored_checks_the_record_count(tmp_path):
     assert loaded.load() == 59
     with pytest.raises(OSError, match=r"the trailer counts 59 records but the columns hold 58"):
         loaded.parse_stored()
+
+
+# the child reads its peak from VmHWM, the high-water mark of its own
+# address space: getrusage's ru_maxrss, in the child or from wait4, also
+# counts the RSS of the parent it was started from
+_S8_WARM = """
+from rscells.kl import KLTable
+table = KLTable(8)
+table.warm()
+peak = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(table.entry_count(), int(peak.split()[1]) // 1024)
+"""
+
+
+@pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_s8_warm_peak_memory_long():
+    # about 80 s; the columns and supports of S_8 took 1.06 GB before they
+    # were stored compactly and one support length at a time
+    src = os.path.dirname(os.path.dirname(rscells.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", _S8_WARM], env=env, capture_output=True, text=True, check=True,
+        timeout=900,
+    ).stdout
+    entries, peak_mb = map(int, out.split())
+    assert entries == 9_551_060
+    assert peak_mb < 400, peak_mb

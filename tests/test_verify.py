@@ -1,5 +1,6 @@
 import pytest
 
+from kl_entries import read_column, write_column
 from oracles import descents_by_scan, knuth_mu_by_scan, theorem_a_by_scan
 from rscells.kl import KLTable
 from rscells.polynomials import ONE, IntPolynomial
@@ -115,12 +116,13 @@ def _short_mu_table(n):
     table = KLTable(n)
     table.warm()
     lengths = table._lengths
-    for w, col in table._columns.items():
+    for w in list(table._columns):
+        col = read_column(table, w)
         for y, p in col.items():
             d = lengths[w] - lengths[y]
             if d >= 3 and d % 2 and p.coeff((d - 1) // 2):
                 col[y] = IntPolynomial(p.coeffs[: (d - 1) // 2])
-    table._mu_lists.clear()
+        write_column(table, w, col)
     return table
 
 
@@ -231,8 +233,18 @@ def _poisoned(n, y, w):
     table = KLTable(n)
     table.warm()
     y, w = table._rank(y), table._rank(w)
-    assert table._columns[w][y] == ONE
+    assert read_column(table, w)[y] == ONE
     return table, y, w
+
+
+def _replace(table, y, w, p):
+    """Set the entry P_{y,w} of ``table`` to p, or delete it when p is None."""
+    col = read_column(table, w)
+    if p is None:
+        del col[y]
+    else:
+        col[y] = p
+    write_column(table, w, col)
 
 
 # (n, y, w) of a raised entry P_{y,w} = 1: at n = 4 every such entry has
@@ -243,7 +255,7 @@ _ENTRIES = [(4, (1, 3, 2, 4), (1, 3, 4, 2)), (5, (1, 2, 3, 5, 4), (5, 1, 2, 3, 4
 @pytest.mark.parametrize("n, y, w", _ENTRIES)
 def test_bar_invariance_fails_on_a_changed_entry(n, y, w):
     table, yr, wr = _poisoned(n, y, w)
-    table._columns[wr][yr] = IntPolynomial((1, 1))
+    _replace(table, yr, wr, IntPolynomial((1, 1)))
     rep = run_suite("bar-invariance", n, table)
     assert not rep.ok
     assert rep.lines()[-1] == "result: FAIL"
@@ -259,7 +271,7 @@ def test_bar_invariance_fails_on_a_changed_entry(n, y, w):
 @pytest.mark.parametrize("n, y, w", _ENTRIES)
 def test_bar_invariance_fails_on_a_deleted_entry(n, y, w):
     table, yr, wr = _poisoned(n, y, w)
-    del table._columns[wr][yr]
+    _replace(table, yr, wr, None)
     rep = run_suite("bar-invariance", n, table)
     assert not rep.ok
     yname, wname = "".join(map(str, y)), "".join(map(str, w))
@@ -274,7 +286,7 @@ def test_bar_invariance_fails_on_a_deleted_entry(n, y, w):
 @pytest.mark.parametrize("n, y, w", _ENTRIES)
 def test_bar_invariance_fails_on_a_degree_breach(n, y, w):
     table, yr, wr = _poisoned(n, y, w)
-    table._columns[wr][yr] = IntPolynomial((7, 7, 7))
+    _replace(table, yr, wr, IntPolynomial((7, 7, 7)))
     rep = run_suite("bar-invariance", n, table)
     assert not rep.ok
     yname, wname = "".join(map(str, y)), "".join(map(str, w))
@@ -282,3 +294,11 @@ def test_bar_invariance_fails_on_a_degree_breach(n, y, w):
         v.startswith(f"w={wname} y={yname}: P_{{y,w}} = 7 + 7q + 7q^2 has degree 2 > bound")
         for v in rep.violations
     ), rep.violations[:5]
+
+
+def test_bar_invariance_fails_on_a_diagonal_entry():
+    # the identity rule never reads P_{w,w}: lookups answer 1 for y = w
+    table, _, wr = _poisoned(*_ENTRIES[1])
+    _replace(table, wr, wr, IntPolynomial((1, 1)))
+    rep = run_suite("bar-invariance", 5, table)
+    assert rep.violations[0] == "w=51234: P_{w,w} = 1 + q != 1"
