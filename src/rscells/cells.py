@@ -6,79 +6,86 @@ The graph has an edge x -> x' exactly when mu is nonzero between x and x'
 in that of x'.  A path from y to w realizes y <=_L w, so the strongly
 connected components are the left cells and the condensation order is the
 cell preorder.  Right cells are the inverse images of left cells.
+
+The graph is built on the ranks of a :class:`KLTable` in one walk over its
+mu lists in (length, rank) order, the order of ``warm()``, so the table
+drops each length layer of Bruhat supports as it goes.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
-from .kl import KLTable, default_table
-from .permutations import Perm, all_permutations, inverse, left_descents
+from .kl import KLTable
+from .permutations import Perm
+
+
+def _rank_graph(n: int, table: KLTable | None) -> tuple[KLTable, list[list[int]]]:
+    """``table``, or a fresh KLTable(n) when it is None, and the graph as
+    rank -> the ranks it has an edge to."""
+    if table is None:
+        table = KLTable(n)
+    elif table.n != n:
+        raise ValueError(f"cells of S_{n} need a table of degree {n}, got {table.n}")
+    masks = table._on_side("left")[1]
+    adj: list[list[int]] = [[] for _ in masks]
+    for w in table._in_length_order():
+        mw = masks[w]
+        for z, _m in table._mu_list(w):
+            mz = masks[z]
+            if mz & ~mw:
+                adj[z].append(w)
+            if mw & ~mz:
+                adj[w].append(z)
+    return table, adj
 
 
 def left_cell_graph(n: int, table: KLTable | None = None) -> dict[Perm, tuple[Perm, ...]]:
     """Adjacency of the chain-step graph: edge x -> x' iff L(x) is not a
     subset of L(x') and mu does not vanish between x and x'."""
-    if table is None:
-        table = default_table(n)
-    perms = list(all_permutations(n))
-    desc = {w: left_descents(w) for w in perms}
-    adj: dict[Perm, set[Perm]] = {w: set() for w in perms}
-    for w in perms:
-        for z, _m in table.mu_list(w):
-            if desc[z] - desc[w]:
-                adj[z].add(w)
-            if desc[w] - desc[z]:
-                adj[w].add(z)
-    return {w: tuple(sorted(adj[w])) for w in perms}
+    table, adj = _rank_graph(n, table)
+    perms = table.perms
+    return {perms[w]: tuple(perms[x] for x in sorted(nbrs)) for w, nbrs in enumerate(adj)}
 
 
-def strongly_connected_components(adj: dict) -> list[frozenset]:
-    """Iterative Tarjan; components in a deterministic order."""
-    index_of: dict = {}
-    low: dict = {}
-    stack: list = []
-    on_stack: set = set()
-    comps: list[frozenset] = []
-    counter = 0
-    for root in sorted(adj):
-        if root in index_of:
+def strongly_connected_components(adj: list) -> list[list[int]]:
+    """Iterative Tarjan on nodes 0..len(adj) - 1, ``adj[x]`` the nodes x
+    has an edge to.  Each component is an ascending list, and it comes
+    after every component it reaches."""
+    order = [0] * len(adj)  # visit number from 1; 0 while unvisited
+    low = [0] * len(adj)  # done once the node's component is out
+    done = len(adj) + 1
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    visited = 0
+    for root in range(len(adj)):
+        if order[root]:
             continue
-        index_of[root] = low[root] = counter
-        counter += 1
+        visited += 1
+        order[root] = low[root] = visited
         stack.append(root)
-        on_stack.add(root)
         work = [(root, iter(adj[root]))]
         while work:
             node, it = work[-1]
-            advanced = False
             for child in it:
-                if child not in index_of:
-                    index_of[child] = low[child] = counter
-                    counter += 1
+                if not order[child]:
+                    visited += 1
+                    order[child] = low[child] = visited
                     stack.append(child)
-                    on_stack.add(child)
                     work.append((child, iter(adj[child])))
-                    advanced = True
                     break
-                if child in on_stack:
-                    low[node] = min(low[node], index_of[child])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index_of[node]:
-                comp = set()
-                while True:
-                    z = stack.pop()
-                    on_stack.discard(z)
-                    comp.add(z)
-                    if z == node:
-                        break
-                comps.append(frozenset(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+                low[node] = min(low[node], low[child])
+            else:
+                work.pop()
+                if low[node] == order[node]:
+                    comp = []
+                    while not comp or comp[-1] != node:
+                        comp.append(stack.pop())
+                        low[comp[-1]] = done
+                    comps.append(sorted(comp))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
     return comps
 
 
@@ -88,19 +95,19 @@ class CellPartition:
 
     ``leq`` holds index pairs (i, j) meaning every element of cells[i] is
     below every element of cells[j] in the one-sided preorder; it is
-    reflexive and transitive.
+    reflexive and transitive.  ``of_rank[r]`` is the index of the cell of
+    the element of rank r in the lexicographic list of S_n.
     """
 
     side: str
     cells: tuple[tuple[Perm, ...], ...]
     leq: frozenset[tuple[int, int]]
-    _index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._index = {w: k for k, cell in enumerate(self.cells) for w in cell}
+    of_rank: list[int] = field(repr=False, compare=False)
+    # permutation -> rank, the table's dict
+    _ranks: dict[Perm, int] = field(repr=False, compare=False)
 
     def cell_index(self, w: Perm) -> int:
-        return self._index[tuple(w)]
+        return self.of_rank[self._ranks[tuple(w)]]
 
     def same_cell(self, y: Perm, w: Perm) -> bool:
         return self.cell_index(y) == self.cell_index(w)
@@ -113,43 +120,37 @@ class CellPartition:
         return {frozenset(cell) for cell in self.cells}
 
 
-def _canonical(comps: list[frozenset]) -> tuple[tuple[Perm, ...], ...]:
-    return tuple(sorted((tuple(sorted(c)) for c in comps), key=lambda c: c[0]))
-
-
 def cells(n: int, side: str = "left", table: KLTable | None = None) -> CellPartition:
-    """The cell partition with its condensation order.
+    """The cell partition with its condensation order, cells numbered by
+    their least element.
 
     Right cells are computed from the left ones through inversion, which
     matches the definition via right descent chains.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    adj = left_cell_graph(n, table)
-    comps = _canonical(strongly_connected_components(adj))
-    index = {w: k for k, cell in enumerate(comps) for w in cell}
-    cond: dict[int, set[int]] = {k: set() for k in range(len(comps))}
-    for w, nbrs in adj.items():
-        for x in nbrs:
-            if index[w] != index[x]:
-                cond[index[w]].add(index[x])
-    leq = set()
-    for start in range(len(comps)):
-        seen = {start}
-        queue = deque((start,))
-        while queue:
-            cur = queue.popleft()
-            for nxt in cond[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        leq.update((start, other) for other in seen)
-    if side == "left":
-        return CellPartition("left", comps, frozenset(leq))
-    mapped = [tuple(sorted(inverse(w) for w in cell)) for cell in comps]
-    order = sorted(range(len(mapped)), key=lambda k: mapped[k][0])
-    rank = {old: new for new, old in enumerate(order)}
-    rcells = tuple(mapped[old] for old in order)
-    rleq = frozenset((rank[i], rank[j]) for (i, j) in leq)
-    return CellPartition("right", rcells, rleq)
-
+    table, adj = _rank_graph(n, table)
+    comps = strongly_connected_components(adj)
+    comp_of = [0] * len(adj)
+    for k, comp in enumerate(comps):
+        for r in comp:
+            comp_of[r] = k
+    # bit j of reach[k]: component k reaches component j, which comes earlier
+    reach: list[int] = []
+    for k, comp in enumerate(comps):
+        bits = 1 << k
+        for x in {comp_of[x] for r in comp for x in adj[r]} - {k}:
+            bits |= reach[x]
+        reach.append(bits)
+    if side == "right":
+        comp_of = [comp_of[r] for r in table._inverse]
+    # component -> cell index, in order of least rank
+    number: dict[int, int] = {}
+    of_rank = [number.setdefault(k, len(number)) for k in comp_of]
+    members: list[list[Perm]] = [[] for _ in comps]
+    for w, k in zip(table.perms, of_rank):
+        members[k].append(w)
+    leq = frozenset(
+        (number[k], number[j]) for k, bits in enumerate(reach) for j in range(k + 1) if bits >> j & 1
+    )
+    return CellPartition(side, tuple(map(tuple, members)), leq, of_rank, table._index)

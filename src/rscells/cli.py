@@ -131,11 +131,6 @@ def _check_warm_degree(n: int) -> None:
         )
 
 
-def _warm_table(cfg: Config, n: int) -> KLTable:
-    _check_warm_degree(n)
-    return _table(cfg, n)
-
-
 def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -190,7 +185,8 @@ def cmd_klpoly(cfg: Config, args) -> int:
 
 def cmd_cells(cfg: Config, args) -> int:
     _check_degree(cfg, args.n)
-    part = cell_partition(args.n, args.side, _warm_table(cfg, args.n))
+    _check_warm_degree(args.n)
+    part = cell_partition(args.n, args.side, _table(cfg, args.n))
     if cfg.fmt == "json":
         _emit_json(
             {
@@ -218,7 +214,8 @@ def _dot(name: str, edges, label=None) -> str:
 def cmd_graph(cfg: Config, args) -> int:
     _check_degree(cfg, args.n)
     if args.kind == "mu":
-        adj = left_cell_graph(args.n, _warm_table(cfg, args.n))
+        _check_warm_degree(args.n)
+        adj = left_cell_graph(args.n, _table(cfg, args.n))
         edges = sorted(
             (format_permutation(a), format_permutation(b), None)
             for a, nbrs in adj.items()

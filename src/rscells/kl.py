@@ -25,8 +25,9 @@ a permutation of the table's degree.
 The Bruhat interval {y : y <= w} is built from that of v as the union of
 it and its image under s_i, and is stored as a flat array of ranks (two
 bytes each up to S_8).  A support is read only by the supports one length
-up, so warm() and the bar-invariance walk drop each length layer once the
-next is built; the largest two adjacent layers of S_8 hold 40 M ranks.
+up, so warm(), the cell graph and the bar-invariance walk drop each
+length layer once the next is built; the largest two adjacent layers of
+S_8 hold 40 M ranks.
 
 A column is two aligned sequences: its raised ranks in ascending order,
 as a list of the table's shared int objects that ends with the sentinel
@@ -165,6 +166,16 @@ class KLTable:
             return self._index[tuple(w)]
         except (KeyError, TypeError):
             raise ValueError(f"not a permutation in S_{self.n}: {w!r}") from None
+
+    def _on_side(self, side: str) -> tuple[list[list[int]], list[int]]:
+        """The products by each s_i and the descent masks on ``side``, as
+        ``_steps`` and ``_masks`` hold them on the table's own side; the
+        other side's are conjugate by inversion: w s_i = (s_i w^-1)^-1."""
+        if side == self.side:
+            return self._steps, self._masks
+        inv = self._inverse
+        steps = [[inv[step[r]] for r in inv] for step in self._steps]
+        return steps, [self._masks[r] for r in inv]
 
     def _by_length(self, ranks) -> list[int]:
         # a stable sort by length of the sorted ranks orders by (length, rank)

@@ -14,15 +14,9 @@ from . import crystal as crystal_mod
 from .cells import cells as cell_partition
 # unused here; perfbench/spans.py patches these names on this module
 from .hecke import bar, c_prime, canonical_basis_by_bar  # noqa: F401
-from .kl import KLTable, default_table
+from .kl import KLTable
 from .knuth import knuth_class
-from .permutations import (
-    all_permutations,
-    compose,
-    format_permutation,
-    longest_element,
-    right_descents,
-)
+from .permutations import all_permutations, compose, format_permutation, longest_element
 from .polynomials import ONE, IntPolynomial
 from .tableaux import evacuation, p_symbol, q_symbol
 
@@ -72,33 +66,38 @@ def _fmt(w) -> str:
     return format_permutation(w)
 
 
+def _table(n: int, table: KLTable | None) -> KLTable:
+    return KLTable(n) if table is None else table
+
+
+def _labels(keys) -> list[int]:
+    """Each key replaced by the number of its class, classes numbered in
+    order of first occurrence as cell indices are: two partitions of the
+    ranks are equal exactly when their labels are."""
+    first: dict = {}
+    return [first.setdefault(key, len(first)) for key in keys]
+
+
 def verify_theorem_a(n: int, table: KLTable | None = None) -> Report:
     """Left cells from the mu graph versus fibers of the recording tableau."""
     report = Report("theorem-a", n, cases=0)
-    part = cell_partition(n, "left", table)
-    perms = _perms(n)
+    table = _table(n, table)
+    cell = cell_partition(n, "left", table).of_rank
+    perms = table.perms
     report.cases = len(perms)
-    qs = {w: q_symbol(w) for w in perms}
-    fibers: dict = {}
-    for w in perms:
-        fibers.setdefault(qs[w], set()).add(w)
-    qpart = {frozenset(f) for f in fibers.values()}
-    cpart = part.as_sets()
-    report.info["cells"] = str(len(cpart))
-    report.info["q-symbols"] = str(len(qpart))
-    if cpart != qpart:
+    fiber = _labels(map(q_symbol, perms))
+    report.info["cells"] = str(len(set(cell)))
+    report.info["q-symbols"] = str(len(set(fiber)))
+    if cell != fiber:
         # a violating pair shares a cell but not a Q-symbol, or the reverse:
         # split each cell by Q-symbol and each fiber by cell, and pair up
         # the elements of different pieces
         bad = []
-        for blocks, key, by_cell in (
-            (part.cells, qs.__getitem__, True),
-            (fibers.values(), part.cell_index, False),
-        ):
-            for block in blocks:
-                by_key: dict = {}
-                for w in block:
-                    by_key.setdefault(key(w), []).append(w)
+        for outer, inner, by_cell in ((cell, fiber, True), (fiber, cell, False)):
+            blocks: dict = {}
+            for r, (k, key) in enumerate(zip(outer, inner)):
+                blocks.setdefault(k, {}).setdefault(key, []).append(r)
+            for by_key in blocks.values():
                 pieces = list(by_key.values())
                 for a, first in enumerate(pieces):
                     for second in pieces[a + 1:]:
@@ -107,7 +106,7 @@ def verify_theorem_a(n: int, table: KLTable | None = None) -> Report:
                         )
         bad.sort()
         report.violations.extend(
-            f"y={_fmt(y)} w={_fmt(w)} same-cell={by_cell} same-Q={not by_cell}"
+            f"y={_fmt(perms[y])} w={_fmt(perms[w])} same-cell={by_cell} same-Q={not by_cell}"
             for y, w, by_cell in bad
         )
     return report
@@ -180,8 +179,7 @@ def verify_bar_invariance(n: int, table: KLTable | None = None) -> Report:
     own s_i, so a right-sided table is checked on its side.
     """
     report = Report("bar-invariance", n, cases=0)
-    if table is None:
-        table = default_table(n)
+    table = _table(n, table)
     lookup, lengths, masks, steps = table._lookup, table._lengths, table._masks, table._steps
     perms = table.perms
     report.cases = len(perms)
@@ -261,14 +259,9 @@ def _identity_violation(table: KLTable, w: int, x: int, i: int, v: int, muv) -> 
     )
 
 
-def _cell_indices(part, table: KLTable) -> list[int]:
-    """Rank -> index of its cell in ``part``."""
-    index = table._index
-    of = [0] * len(table.perms)
-    for k, cell in enumerate(part.cells):
-        for w in cell:
-            of[index[w]] = k
-    return of
+def _descent_list(mask: int) -> list[int]:
+    """The i with bit i - 1 set in ``mask``, ascending."""
+    return [i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1]
 
 
 def verify_prop_descents(n: int, table: KLTable | None = None) -> Report:
@@ -283,13 +276,14 @@ def verify_prop_descents(n: int, table: KLTable | None = None) -> Report:
     order of a scan over all pairs.
     """
     report = Report("descents", n, cases=0)
-    if table is None:
-        table = default_table(n)
+    table = _table(n, table)
     part = cell_partition(n, "left", table)
-    perms, index = table.perms, table._index
-    members = [[index[w] for w in cell] for cell in part.cells]
-    # right descent set as a bit mask, bit i for s_i
-    rmask = [sum(1 << i for i in right_descents(w)) for w in perms]
+    perms = table.perms
+    members: list[list[int]] = [[] for _ in part.cells]
+    for r, k in enumerate(part.of_rank):
+        members[k].append(r)
+    # right descent set as a bit mask, bit i - 1 for s_i
+    rmask = table._on_side("right")[1]
     # R of each cell, or None where it is not constant
     const = []
     for ranks in members:
@@ -315,7 +309,7 @@ def verify_prop_descents(n: int, table: KLTable | None = None) -> Report:
     bad.sort()
     for y, w, same_cell in bad:
         yp, wp = perms[y], perms[w]
-        ry, rw = sorted(right_descents(yp)), sorted(right_descents(wp))
+        ry, rw = _descent_list(rmask[y]), _descent_list(rmask[w])
         if same_cell:
             report.violations.append(
                 f"y={_fmt(yp)} w={_fmt(wp)} in one left cell but R(y)={ry} != R(w)={rw}"
@@ -346,19 +340,13 @@ def verify_knuth_mu(n: int, table: KLTable | None = None) -> Report:
     the pair lines by (y, w), mu before cell, the order of a scan.
     """
     report = Report("knuth-mu", n, cases=0)
-    if table is None:
-        table = default_table(n)
-    left = _cell_indices(cell_partition(n, "left", table), table)
-    perms, lengths, inv = table.perms, table._lengths, table._inverse
+    table = _table(n, table)
+    left = cell_partition(n, "left", table).of_rank
+    perms, lengths = table.perms, table._lengths
     # the right cell of w is the inverse of the left cell of w^-1
-    right = [left[r] for r in inv]
+    right = [left[r] for r in table._inverse]
     # rank -> rank of w s_i, and right descent masks, bit i - 1 for s_i
-    if table.side == "right":
-        rsteps, rmasks = table._steps, table._masks
-    else:
-        # w s_i = (s_i w^-1)^-1, and R(w) = L(w^-1)
-        rsteps = [[inv[step[r]] for r in inv] for step in table._steps]
-        rmasks = [table._masks[r] for r in inv]
+    rsteps, rmasks = table._on_side("right")
     # every nonzero-mu pair (y, w, mu) with y < w
     edges = [
         (min(z, w), max(z, w), m) for w in range(len(perms)) for z, m in table._mu_list(w)
@@ -431,26 +419,23 @@ def verify_crystal_theorem_a(n: int, table: KLTable | None = None) -> Report:
     """On permutation words with r = n: crystal components, recording-tableau
     fibers, and KL left cells induce one partition."""
     report = Report("crystal-theorem-a", n, cases=0)
-    perms = _perms(n)
+    table = _table(n, table)
+    perms = table.perms
     report.cases = len(perms)
-    by_component: dict = {}
-    by_q: dict = {}
-    for w in perms:
-        by_component.setdefault(crystal_mod.highest_weight_rep(w, n), set()).add(w)
-        by_q.setdefault(q_symbol(w), set()).add(w)
-    crystal_part = {frozenset(s) for s in by_component.values()}
-    q_part = {frozenset(s) for s in by_q.values()}
-    cell_part = cell_partition(n, "left", table).as_sets()
-    report.info["components"] = str(len(crystal_part))
-    if crystal_part != q_part:
+    component = _labels(crystal_mod.highest_weight_rep(w, n) for w in perms)
+    fiber = _labels(map(q_symbol, perms))
+    cell = cell_partition(n, "left", table).of_rank
+    components, fibers, cells = len(set(component)), len(set(fiber)), len(set(cell))
+    report.info["components"] = str(components)
+    if component != fiber:
         report.violations.append(
-            f"crystal components ({len(crystal_part)}) differ from "
-            f"Q-symbol fibers ({len(q_part)})"
+            f"crystal components ({components}) differ from "
+            f"Q-symbol fibers ({fibers})"
         )
-    if q_part != cell_part:
+    if fiber != cell:
         report.violations.append(
-            f"Q-symbol fibers ({len(q_part)}) differ from "
-            f"left cells ({len(cell_part)})"
+            f"Q-symbol fibers ({fibers}) differ from "
+            f"left cells ({cells})"
         )
     return report
 

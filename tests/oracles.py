@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths it checks: Bruhat order
 via subwords of one fixed reduced word, composition via explicit function
 application, involution counting by direct scan, crystal operators by the
 recursive tensor-product rule, evacuation by rectifying punctured tableaux,
-left closures by reverse reachability in the cell graph, the cell suites
-by scanning every pair of elements, and the KL columns by the descent
+the cell graph on permutation tuples with Tarjan's state in dicts, left
+closures by reverse reachability in the cell graph, the cell suites by
+scanning every pair of elements, and the KL columns by the descent
 recursion on dict columns and set supports.
 """
 
@@ -14,12 +15,14 @@ from collections import deque
 from functools import lru_cache
 
 from rscells.cells import cells, left_cell_graph
-from rscells.kl import default_table
+from rscells.kl import KLTable
 from rscells.knuth import in_knuth_domain, knuth_move
 from rscells.permutations import (
     check_permutation,
     format_permutation as _fmt,
     identity,
+    inverse,
+    left_descents,
     multiply_simple,
     reduced_word,
     right_descents,
@@ -133,6 +136,98 @@ def evacuation_by_rectify(tab):
     )
 
 
+# -- cells on permutation tuples ----------------------------------------------
+
+def left_cell_graph_by_tuples(n, table):
+    """The cell graph keyed by tuples, with left descents computed per tuple
+    and mu read through the table's public ``mu_list``."""
+    perms = all_perms(n)
+    desc = {w: left_descents(w) for w in perms}
+    adj = {w: set() for w in perms}
+    for w in perms:
+        for z, _m in table.mu_list(w):
+            if desc[z] - desc[w]:
+                adj[z].add(w)
+            if desc[w] - desc[z]:
+                adj[w].add(z)
+    return {w: tuple(sorted(adj[w])) for w in perms}
+
+
+def scc_by_dicts(adj):
+    """Iterative Tarjan on a dict graph, its state in dicts and sets."""
+    index_of, low, on_stack = {}, {}, set()
+    stack, comps = [], []
+    counter = 0
+    for root in sorted(adj):
+        if root in index_of:
+            continue
+        index_of[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for child in it:
+                if child not in index_of:
+                    index_of[child] = low[child] = counter
+                    counter += 1
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(adj[child])))
+                    advanced = True
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index_of[child])
+            if advanced:
+                continue
+            work.pop()
+            if low[node] == index_of[node]:
+                comp = set()
+                while True:
+                    z = stack.pop()
+                    on_stack.discard(z)
+                    comp.add(z)
+                    if z == node:
+                        break
+                comps.append(frozenset(comp))
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+    return comps
+
+
+def cells_by_tuples(n, side, table):
+    """``(cells, leq)`` of the cell partition from the tuple graph, with the
+    preorder by a breadth-first search from every cell and right cells as
+    the inverses of the left ones."""
+    adj = left_cell_graph_by_tuples(n, table)
+    comps = tuple(sorted((tuple(sorted(c)) for c in scc_by_dicts(adj)), key=lambda c: c[0]))
+    index = {w: k for k, cell in enumerate(comps) for w in cell}
+    cond = {k: set() for k in range(len(comps))}
+    for w, nbrs in adj.items():
+        for x in nbrs:
+            if index[w] != index[x]:
+                cond[index[w]].add(index[x])
+    leq = set()
+    for start in range(len(comps)):
+        seen = {start}
+        queue = deque((start,))
+        while queue:
+            for nxt in cond[queue.popleft()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        leq.update((start, other) for other in seen)
+    if side == "left":
+        return comps, frozenset(leq)
+    mapped = [tuple(sorted(inverse(w) for w in cell)) for cell in comps]
+    order = sorted(range(len(mapped)), key=lambda k: mapped[k][0])
+    rank = {old: new for new, old in enumerate(order)}
+    return tuple(mapped[old] for old in order), frozenset((rank[i], rank[j]) for i, j in leq)
+
+
 # -- cells by reachability ----------------------------------------------------
 
 def left_closure(w, table=None):
@@ -208,7 +303,7 @@ def knuth_mu_by_scan(n, table=None):
     pair by pair through ``mu_sym``."""
     report = Report("knuth-mu", n, cases=0)
     if table is None:
-        table = default_table(n)
+        table = KLTable(n)
     left = cells(n, "left", table)
     right = cells(n, "right", table)
     perms = all_perms(n)

@@ -1,7 +1,17 @@
-from oracles import all_perms, involution_count, left_closure
+import pytest
+
+from oracles import (
+    all_perms,
+    cells_by_tuples,
+    involution_count,
+    left_cell_graph_by_tuples,
+    left_closure,
+)
+from rscells import kl
 from rscells.cells import cells, left_cell_graph, strongly_connected_components
 from rscells.hecke import kl_action_q1
-from rscells.kl import default_table
+from rscells.kl import KLTable, default_table
+from rscells.verify import _TABLE_SUITES, run_suite
 from rscells.permutations import identity, inverse, left_descents, longest_element
 
 
@@ -106,9 +116,38 @@ def test_edges_satisfy_basal_module_characterization():
 
 
 def test_scc_on_a_known_graph():
-    adj = {1: (2,), 2: (3,), 3: (1,), 4: (3, 5), 5: (4,), 6: ()}
-    comps = {frozenset(c) for c in strongly_connected_components(adj)}
-    assert comps == {frozenset({1, 2, 3}), frozenset({4, 5}), frozenset({6})}
+    adj = [(1,), (2,), (0,), (2, 4), (3,), ()]
+    comps = strongly_connected_components(adj)
+    assert sorted(comps) == [[0, 1, 2], [3, 4], [5]]
+    # a component comes after every component it reaches
+    assert comps.index([0, 1, 2]) < comps.index([3, 4])
+
+
+@pytest.mark.parametrize("table_side", ["left", "right"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_rank_cells_match_the_tuple_oracle(n, table_side):
+    table = KLTable(n, table_side)
+    assert left_cell_graph(n, table) == left_cell_graph_by_tuples(n, table)
+    for side in ("left", "right"):
+        part = cells(n, side, table)
+        assert (part.cells, part.leq) == cells_by_tuples(n, side, table)
+        assert [part.cell_index(w) for w in table.perms] == part.of_rank
+
+
+def test_a_table_of_another_degree_is_refused():
+    with pytest.raises(ValueError, match="degree 5.*got 4"):
+        cells(5, "left", KLTable(4))
+    with pytest.raises(ValueError, match="degree 5.*got 4"):
+        left_cell_graph(5, KLTable(4))
+
+
+def test_the_cell_layer_keeps_no_process_wide_table(monkeypatch):
+    monkeypatch.setattr(kl, "_DEFAULT_TABLES", {})
+    cells(4)
+    left_cell_graph(4, None)
+    for name in sorted(_TABLE_SUITES):
+        run_suite(name, 4)
+    assert kl._DEFAULT_TABLES == {}
 
 
 def test_graph_is_deterministic():

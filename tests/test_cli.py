@@ -1,9 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rscells
 from cache_files import resign
 from rscells.cli import (
+    ENV_CACHE_DIR,
     EXIT_BOUNDS,
     EXIT_INPUT,
     EXIT_IO,
@@ -117,6 +123,60 @@ def test_graph_dot(capsys):
     code, out, _ = run(capsys, "--format", "json", "graph", "3", "mu")
     data = json.loads(out)
     assert ["213", "312"] in data["edges"]
+
+
+# sha256 of stdout of the cell commands for n = 1..6, recorded before the
+# cell graph moved onto the KL table's ranks; "text cells 4 left" runs
+# `rscells --format text cells 4 left`
+CELL_OUTPUT_SHA256 = {
+    "text cells 1 left": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "json cells 1 left": "3a603d40cdd6b5e38f676c41e7e4357bc09f61c32662b609c6997816a6702ef6",
+    "text cells 1 right": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "json cells 1 right": "6e5037d2c4aa6f793dbf8dd736f30a036101e11544f756028366ba0ef5c48451",
+    "dot graph 1 mu": "3732453c0b9d87866ecd49178036d7b591cbb1eedbe36bbdfb9f900f2e344012",
+    "json graph 1 mu": "470a7f3dc39ec2bfd1bbe0c78ab8bee0a02791d690861d8f2e69604535803b69",
+    "text cells 2 left": "cfd298c6283ddd22fd12eb45fb822aabec5cbde43b12549ebc19950e00e5d329",
+    "json cells 2 left": "1bef3e1217aa61ccbae8c791197b7e70e24f26286048b0edca03db295d46e99e",
+    "text cells 2 right": "cfd298c6283ddd22fd12eb45fb822aabec5cbde43b12549ebc19950e00e5d329",
+    "json cells 2 right": "375e043b849060971dc8c46a5fee9e784d0702c6d48c52be9886ed110eaecefe",
+    "dot graph 2 mu": "42330828db9d7e5b13cb34ea3596390b05959ec4632c64ef2c142612c595e12f",
+    "json graph 2 mu": "05d0ee5ba1ca61b7e0820e00699f4c5ef68fb04c9fe07eae9337ef6f6045137a",
+    "text cells 3 left": "5f30ee795b9cec54704f81edc05d85a29f8874aa7b327b39ac3c69acb16f98d3",
+    "json cells 3 left": "56af27c31566d4ee2c285486267713d5ec6d069d8ac6582006de1ddcc3f7dd16",
+    "text cells 3 right": "769e41107fd3fb1a00df10d8f88bf6bc90a68fc26dfb4d1ea3620f82b73f8485",
+    "json cells 3 right": "bb22eef89208c700e76ba5ec50c0eb30ca6890bb1700b3c09b13732ddc666cd5",
+    "dot graph 3 mu": "788618cb1314e7d02b2ba3cfb8359921b28b02a040b873838c9ed7657d3dbd5e",
+    "json graph 3 mu": "1686f414fe3d314703274182bea42ec30467da7d19c0acc2ec2ef2b8ed5b996e",
+    "text cells 4 left": "893ec10dee6ef58db56db2c8df26254d20a5687c2acd8fa1c8c9fc69075904fe",
+    "json cells 4 left": "de380dabde4097f9b4469d49c6aefcae82fe9809bfe30c1881c437175892f33e",
+    "text cells 4 right": "1210b282c948963ba8e9c6dc49e3844c36de850805c1dd1a05af9b717e98a76f",
+    "json cells 4 right": "0b933de0fa46ead96231bdcbcf8c77a33f29e853f6dd1ea4945ea050e3575085",
+    "dot graph 4 mu": "f40e5c41db307bec53cfeaa68d6dc0c413266049f4a2c721d912d4b63054d93b",
+    "json graph 4 mu": "ff0ad28950851687ec7ea7077162afc5d0dda62094fc0f7ca400881a12dc4648",
+    "text cells 5 left": "68302064e0fd31138211792345a070a12927de2d3bda0fb79341ad68dc5514d0",
+    "json cells 5 left": "3cc800babbb4b4cb3918a5f38eeb73ae2796c01df31614b0c7b782a514facda8",
+    "text cells 5 right": "87c4005e2094e834c44fa7b1d62c250c6fdc1c5a075561020571536f5be29333",
+    "json cells 5 right": "471407e192def06108fb7d053391f0b033e1293dbf6aeeb6d338472da691e100",
+    "dot graph 5 mu": "1d4137cf0424f7fc02a97b8b11ef954765366b7a146cfa5b530f40e44cfae9f9",
+    "json graph 5 mu": "b246193ad6b82c48261465f3245bf159fd042d7562adbafc7c5c245da8d43b1f",
+    "text cells 6 left": "8eb73769d21b3eaad667e2159ade06656c41f1260f5f32c3ac069bbc1a0dcc94",
+    "json cells 6 left": "26d899a4c546d26e1561f428d3b57a5b30c1e94317b296de5899e5eaede7cac1",
+    "text cells 6 right": "928bcdfde430325e030567aeab7eaac166d752ac924d66bdcff10610ca761dbf",
+    "json cells 6 right": "ef51c9218dff3cee24bdc82119d2aa7b7fb7b886b71518623aa8b7fb3b138685",
+    "dot graph 6 mu": "5103220388e2ce7fabe84ee524a67e15eeb0b0981475701d2444293c582fccc7",
+    "json graph 6 mu": "746a2094e62b90bb7a6ad1f5482e014fa934e4885d5d28f5dd7f670af92a02f4",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_cell_outputs_are_pinned(capsys, n):
+    for command, digest in CELL_OUTPUT_SHA256.items():
+        fmt, *argv = command.split()
+        if argv[1] != str(n):
+            continue
+        code, out, _ = run(capsys, "--format", fmt, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 def test_graph_crystal(capsys):
@@ -503,3 +563,34 @@ def test_suites_that_read_no_kl_polynomials_build_no_table(capsys, monkeypatch):
         code, out, _ = run(capsys, "verify", suite, "3")
         assert code == EXIT_OK, suite
         assert "result: PASS" in out
+
+
+# the child reads its peak from VmHWM, as test_s8_warm_peak_memory_long does
+_THEOREM_A_8 = """
+import contextlib, io
+from rscells.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["--long", "verify", "theorem-a", "8"])
+peak = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(code, int(peak.split()[1]) // 1024)
+print(out.getvalue(), end="")
+"""
+
+
+@pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_theorem_a_8_peak_memory_long():
+    # about 80 s with no cache; the cell graph walks the columns in length
+    # order, so each length layer of Bruhat supports is dropped as in warm()
+    src = os.path.dirname(os.path.dirname(rscells.__file__))
+    env = {k: v for k, v in os.environ.items() if k != ENV_CACHE_DIR}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", _THEOREM_A_8], env=env, capture_output=True, text=True,
+        check=True, timeout=900,
+    ).stdout.splitlines()
+    code, peak_mb = map(int, out[0].split())
+    assert code == EXIT_OK
+    assert "cells: 764" in out and "result: PASS" in out
+    assert peak_mb < 350, peak_mb

@@ -76,27 +76,53 @@ def test_crystal_suites_n4():
     assert rep.info["components"] == "10"
 
 
-class _NoMuTable(KLTable):
-    """Poisoned input: every mu list is empty, so every cell is a singleton."""
+class _PoisonedMuTable(KLTable):
+    """Poisoned input at the rank level: a table warmed by the true
+    recursion, whose mu lists and mu values are then read through
+    ``poison_list`` and ``poison_mu``.  The suites read both, and so do the
+    pair scans, through the cells and ``mu_sym``."""
 
-    def mu_list(self, w):
+    def __init__(self, n):
+        self._poisoned = False
+        super().__init__(n)
+        self.warm()
+        self._poisoned = True
+
+    def _mu_list(self, w):
+        got = super()._mu_list(w)
+        return self.poison_list(w, got) if self._poisoned else got
+
+    def _mu(self, y, w):
+        m = super()._mu(y, w)
+        return self.poison_mu(y, w, m) if self._poisoned else m
+
+
+class _NoMuTable(_PoisonedMuTable):
+    """Every mu list is empty and every mu is 0, so every cell is a singleton."""
+
+    def poison_list(self, w, got):
         return ()
 
+    def poison_mu(self, y, w, m):
+        return 0
 
-class _SpuriousEdgeTable(KLTable):
-    """Poisoned input: a mu edge between s_{n-1} and s_1, which have the
-    same length, so the cells of S_n change (1243 and 2134 at n = 4)."""
+
+class _SpuriousEdgeTable(_PoisonedMuTable):
+    """A mu edge between s_{n-1} and s_1, which have the same length, so
+    the cells of S_n change (1243 and 2134 at n = 4)."""
 
     def edge(self):
         n = self.n
-        return tuple(range(1, n - 1)) + (n, n - 1), (2, 1) + tuple(range(3, n + 1))
+        y = tuple(range(1, n - 1)) + (n, n - 1)
+        w = (2, 1) + tuple(range(3, n + 1))
+        return self._rank(y), self._rank(w)
 
-    def mu_list(self, w):
-        got = super().mu_list(w)
+    def poison_list(self, w, got):
         y, top = self.edge()
-        if tuple(w) == top:
-            got = tuple(sorted(got + ((y, 1),)))
-        return got
+        return tuple(sorted(got + ((y, 1),))) if w == top else got
+
+    def poison_mu(self, y, w, m):
+        return 1 if {y, w} == set(self.edge()) else m
 
 
 class _SpuriousDomainEdgeTable(_SpuriousEdgeTable):
@@ -106,7 +132,7 @@ class _SpuriousDomainEdgeTable(_SpuriousEdgeTable):
 
     def edge(self):
         rest = tuple(range(5, self.n + 1))
-        return (2, 1, 3, 4) + rest, (3, 1, 4, 2) + rest
+        return self._rank((2, 1, 3, 4) + rest), self._rank((3, 1, 4, 2) + rest)
 
 
 def _short_mu_table(n):
@@ -167,9 +193,9 @@ def test_knuth_mu_reads_moves_from_either_side_of_table(n):
 
 def test_knuth_mu_fails_on_poisoned_mu_lists():
     # singleton cells: every move leaves a right cell and no pair shares a
-    # left cell; the mu pairs come from the unpoisoned recursion
+    # left cell; the cases are the 32 domain elements, with no mu pair left
     rep = run_suite("knuth-mu", 4, _NoMuTable(4))
-    assert (rep.cases, len(rep.violations)) == (80, 32)
+    assert (rep.cases, len(rep.violations)) == (32, 32)
     assert rep.violations[0] == "w=2134 K_12(w)=2314 not in one right cell"
     assert rep.lines()[-1] == "result: FAIL"
 
@@ -184,8 +210,13 @@ def test_knuth_mu_fails_when_mu_is_lost():
 
 def test_knuth_mu_fails_when_a_left_cell_is_not_kept():
     rep = run_suite("knuth-mu", 4, _SpuriousDomainEdgeTable(4))
-    assert (rep.cases, len(rep.violations)) == (114, 6)
+    # the spurious edge is also a mu pair of D_12 that the move loses
+    assert (rep.cases, len(rep.violations)) == (115, 7)
     assert "y=2134 w=3142 share a left cell but K_12 images do not" in rep.violations
+    assert (
+        "y=2134 w=3142 mu=1 but mu(K(y)|K(w))=0 for (i,j)=(1,2), K(y)=2314 K(w)=3412"
+        in rep.violations
+    )
 
 
 def test_descents_fails_on_a_spurious_mu_edge():
