@@ -2,7 +2,7 @@
 """Run every verification suite over a range of degrees and print a table.
 
 Degrees 2..--max-n run: 5 by default and at most 5, or with --long 6 by
-default and at most 7.
+default and at most 8.
 Each degree warms one KL table that its suites share, written to
 --cache-dir when given.  A suite is skipped above its degree cap in
 ``rscells.verify.SUITE_MAX_DEGREE``, and crystal-djm where its n**n words
@@ -17,36 +17,47 @@ from rscells.kl import KLTable
 from rscells.verify import SUITE_MAX_DEGREE, SUITES, run_suite
 
 
+def top_degree(max_n, long: bool) -> int:
+    """The last degree to run for --max-n ``max_n`` (None when not given)."""
+    default, cap = (6, 8) if long else (5, 5)
+    return min(default if max_n is None else max_n, cap)
+
+
+def run_degree(n: int, cache_dir=None, names=tuple(sorted(SUITES))) -> int:
+    """Run the suites ``names`` at degree n on one warm table, print a line
+    for each that is not skipped, and return how many failed."""
+    table = KLTable(n, cache_dir=cache_dir)
+    table.warm()
+    if cache_dir:
+        table.save()
+    failures = 0
+    for name in names:
+        too_many_words = name == "crystal-djm" and n**n > MAX_WORDS
+        if n > SUITE_MAX_DEGREE.get(name, n) or too_many_words:
+            continue
+        report = run_suite(name, n, table)
+        status = "PASS" if report.ok else "FAIL"
+        extra = " ".join(f"{k}={v}" for k, v in sorted(report.info.items()))
+        print(
+            f"n={n} {name:<18} cases={report.cases:<7} {status}"
+            f" ({report.wall_time:.2f}s) {extra}"
+        )
+        if not report.ok:
+            failures += 1
+            for line in report.violations[:5]:
+                print(f"    {line}")
+    return failures
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=None, help="default 5, or 6 with --long")
-    parser.add_argument("--long", action="store_true", help="allow --max-n up to 7")
+    parser.add_argument("--long", action="store_true", help="allow --max-n up to 8")
     parser.add_argument("--cache-dir", default=None)
     args = parser.parse_args()
 
-    default, cap = (6, 7) if args.long else (5, 5)
-    top = min(default if args.max_n is None else args.max_n, cap)
-    failures = 0
-    for n in range(2, top + 1):
-        table = KLTable(n, cache_dir=args.cache_dir)
-        table.warm()
-        if args.cache_dir:
-            table.save()
-        for name in sorted(SUITES):
-            too_many_words = name == "crystal-djm" and n**n > MAX_WORDS
-            if n > SUITE_MAX_DEGREE.get(name, n) or too_many_words:
-                continue
-            report = run_suite(name, n, table)
-            status = "PASS" if report.ok else "FAIL"
-            extra = " ".join(f"{k}={v}" for k, v in sorted(report.info.items()))
-            print(
-                f"n={n} {name:<18} cases={report.cases:<7} {status}"
-                f" ({report.wall_time:.2f}s) {extra}"
-            )
-            if not report.ok:
-                failures += 1
-                for line in report.violations[:5]:
-                    print(f"    {line}")
+    top = top_degree(args.max_n, args.long)
+    failures = sum(run_degree(n, args.cache_dir) for n in range(2, top + 1))
     return 1 if failures else 0
 
 

@@ -22,12 +22,19 @@ lexicographic order, sorting ranks sorts the permutations.  Permutation
 tuples appear only at the public methods, which reject anything that is not
 a permutation of the table's degree.
 
-The Bruhat interval {y : y <= w} is built from that of v as the union of
-it and its image under s_i, and is stored as a flat array of ranks (two
-bytes each up to S_8).  A support is read only by the supports one length
-up, so warm(), the cell graph and the bar-invariance walk drop each
-length layer once the next is built; the largest two adjacent layers of
-S_8 hold 40 M ranks.
+The Bruhat interval {y : y <= w} is an int bitset over ranks.  Bruhat
+order does not depend on the side, so it is built as [e, v] u [e, v] s_i
+for v = w s_i and a right descent s_i of w, whatever the table's side.
+Right multiplication by s_i swaps the entries at positions i and i + 1,
+and on a rank, whose factorial-base digits are the Lehmer code, it changes
+only the digits c_i and c_{i+1}: every rank with the same difference
+d = c_{i+1} - c_i moves by the same offset.  So the image of a bitset is
+the union of at most 2(n - i) masked shifts, one per d.  The raised part
+of an interval is one AND with the bitset of the ranks whose descents
+contain those of w, and a column walks its set bits in ascending rank.
+An interval is read only by the intervals one length up, so warm(), the
+cell graph and the bar-invariance walk drop each length layer once the
+next is built.
 
 A column is two aligned sequences: its raised ranks in ascending order,
 as a list of the table's shared int objects that ends with the sentinel
@@ -62,6 +69,7 @@ import re
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterator
+from math import factorial
 from pathlib import Path
 
 from .permutations import Perm, all_permutations, format_permutation, inverse
@@ -83,6 +91,16 @@ _COEFFS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 Column = tuple[list[int], bytes | array]
 
 
+def _ranks(bits: int) -> Iterator[int]:
+    """The set bits of ``bits``, ascending: bit r is character r of the
+    reversed binary text, and str.find skips the zeros in C."""
+    text = bin(bits)[:1:-1]
+    r = text.find("1")
+    while r >= 0:
+        yield r
+        r = text.find("1", r + 1)
+
+
 def _narrowest(size: int) -> str:
     """The narrowest unsigned array typecode that holds 0..size - 1."""
     return "B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "I"
@@ -93,7 +111,7 @@ class KLTable:
 
     Construction enumerates S_n once: ``perms[r]`` is the permutation of
     rank r in lexicographic order, and columns, supports and mu lists are
-    keyed by rank.  A support is an ``array`` of ranks.  A column holds its
+    keyed by rank.  A support is an int bitset over ranks.  A column holds its
     polynomials as indices into one pool of distinct values, and the
     polynomial steps of the recursion are memoized on those indices.  With a cache
     directory, construction loads the cache file, and a column it holds is
@@ -142,8 +160,12 @@ class KLTable:
         self._degrees = [ZERO.degree, ONE.degree]
         self._pool: dict[tuple[int, ...], int] = {ZERO.coeffs: 0, ONE.coeffs: 1}
         self._columns: dict[int, Column] = {0: self._compact({0: 1})}
-        self._typecode = _narrowest(len(lengths))
-        self._supports: dict[int, array] = {0: array(self._typecode, (0,))}
+        # Bruhat intervals as bitsets over ranks, the identity's {e} first;
+        # the tables they are built from, and descent mask -> the bitset of
+        # the ranks raised to it, are made on first use
+        self._supports: dict[int, int] = {0: 1}
+        self._swaps: list[list[tuple[int, int]]] | None = None
+        self._raised: dict[int, int] = {}
         # memos of the two polynomial steps of _column on pool indices,
         # (a, b) -> a + q b and (p, P, k, m) -> p - m q^k P
         self._sums: dict[tuple[int, int], int] = {}
@@ -216,18 +238,63 @@ class KLTable:
 
     # -- the recursion -----------------------------------------------------
 
-    def _support(self, w: int) -> array:
-        """The Bruhat interval {y : y <= w} as a flat array of ranks."""
+    def _interval_tables(self) -> list[list[tuple[int, int]]]:
+        """The right-multiplication tables of _support, built on first use so
+        that queries the cache serves never pay for them.
+
+        ``swaps[i - 1]`` lists (M_d, delta_d) for each value d of
+        c_{i+1} - c_i, where c_1..c_n is the Lehmer code, the factorial-base
+        digits of a rank, c_j of weight (n - j)!.  Right multiplication by
+        s_i swaps the entries at positions i and i + 1, which sends
+        (c_i, c_{i+1}) to (c_{i+1} + 1, c_i) when d >= 0 and to
+        (c_{i+1}, c_i - 1) when d < 0, so it moves every rank in M_d by the
+        same delta_d.  Within each block of (n - i + 1)! ranks, M_d is a run
+        of (n - i - 1)! ranks per digit pair of difference d."""
+        if self._swaps is None:
+            n, size = self.n, len(self._lengths)
+            swaps = []
+            for i in range(1, n):
+                f1, f2 = factorial(n - i), factorial(n - i - 1)
+                block = (n - i + 1) * f1
+                # the bitset of the first rank of every block
+                blocks = ((1 << size) - 1) // ((1 << block) - 1)
+                runs: dict[int, int] = {}
+                for ci in range(n - i + 1):
+                    for cj in range(n - i):
+                        run = ((1 << f2) - 1) << (ci * f1 + cj * f2)
+                        runs[cj - ci] = runs.get(cj - ci, 0) | run
+                swaps.append([
+                    (run * blocks, d * (f1 - f2) + (f1 if d >= 0 else -f2))
+                    for d, run in sorted(runs.items())
+                ])
+            self._swaps = swaps
+        return self._swaps
+
+    def _support(self, w: int) -> int:
+        """The Bruhat interval {y : y <= w} as a bitset over ranks, built as
+        [e, v] u [e, v] s_i for v = w s_i and the last right descent s_i
+        of w, the one with fewest values of d."""
         s = self._supports.get(w)
         if s is not None:
             return s
-        mask = self._masks[w]
-        step = self._steps[(mask & -mask).bit_length() - 1]
-        sv = self._support(step[w])
-        ranks = set(sv)
-        ranks.update([step[z] for z in sv])
-        s = self._supports[w] = array(self._typecode, ranks)
+        p = self.perms[w]
+        i = max(j for j in range(1, self.n) if p[j - 1] > p[j])
+        sv = self._support(self._index[p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :]])
+        s = sv
+        for mask, delta in self._interval_tables()[i - 1]:
+            s |= (sv & mask) << delta if delta > 0 else (sv & mask) >> -delta
+        self._supports[w] = s
         return s
+
+    def _raised_set(self, wmask: int) -> int:
+        """The bitset of the ranks whose descent set contains ``wmask``,
+        memoized per mask: the descent masks as bytes, highest rank first,
+        translate to its binary text."""
+        got = self._raised.get(wmask)
+        if got is None:
+            keep = bytes(48 if wmask & ~m else 49 for m in range(256))
+            got = self._raised[wmask] = int(bytes(self._masks)[::-1].translate(keep), 2)
+        return got
 
     def _in_length_order(self) -> Iterator[int]:
         """Every rank in (length, rank) order.
@@ -273,9 +340,7 @@ class KLTable:
         raise_to, pool_index, polys = self._raise_to, self._pool_index, self._polys
         sums, corrections, ints = self._sums, self._corrections, self._ints
         col = {}
-        for y in self._support(w):
-            if wmask & ~masks[y]:
-                continue
+        for y in _ranks(self._support(w) & self._raised_set(wmask)):
             a = colv.get(raise_to(step[y], vmask), 0)
             b = colv.get(raise_to(y, vmask), 0)
             p = sums.get((a, b))
@@ -357,7 +422,7 @@ class KLTable:
 
     def support(self, w: Perm) -> frozenset[Perm]:
         """The Bruhat interval {y : y <= w}."""
-        return frozenset(self.perms[y] for y in self._support(self._rank(w)))
+        return frozenset(self.perms[y] for y in _ranks(self._support(self._rank(w))))
 
     def warm(self) -> None:
         """Compute every column, shortest elements first; only the

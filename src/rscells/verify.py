@@ -14,7 +14,7 @@ from . import crystal as crystal_mod
 from .cells import cells as cell_partition
 # unused here; perfbench/spans.py patches these names on this module
 from .hecke import bar, c_prime, canonical_basis_by_bar  # noqa: F401
-from .kl import KLTable
+from .kl import KLTable, _ranks
 from .knuth import knuth_class
 from .permutations import all_permutations, compose, format_permutation, longest_element
 from .polynomials import ONE, IntPolynomial
@@ -195,7 +195,7 @@ def verify_bar_invariance(n: int, table: KLTable | None = None) -> Report:
         if pww != ONE:
             report.violations.append(f"w={_fmt(perms[w])}: P_{{w,w}} = {pww} != 1")
         wmask = masks[w]
-        raised = sum(1 for x in support if not wmask & ~masks[x])
+        raised = (support & table._raised_set(wmask)).bit_count()
         entries = len(col[1])
         if entries != raised:
             report.violations.append(
@@ -212,7 +212,7 @@ def verify_bar_invariance(n: int, table: KLTable | None = None) -> Report:
         muv = [(z, lengths[z], (lw - lengths[z]) // 2, m)
                for z, m in table._mu_list(v) if masks[z] & ibit]
         bad = []
-        for x in support:
+        for x in _ranks(support):
             lx = lengths[x]
             sx = step[x]
             down = lengths[sx] < lx

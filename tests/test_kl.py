@@ -13,7 +13,7 @@ from cache_files import resign, sign
 from kl_entries import read_column
 from oracles import all_perms, kl_by_dict_recursion
 from rscells.hecke import c_prime, kl_action_q1
-from rscells.kl import MAX_DEGREE, KLTable, default_table, kl_polynomial, mu, mu_sym
+from rscells.kl import MAX_DEGREE, KLTable, _ranks, default_table, kl_polynomial, mu, mu_sym
 from rscells.permutations import (
     bruhat_leq,
     inverse,
@@ -218,8 +218,8 @@ def test_cache_file_format(tmp_path):
 
 
 def test_supports_and_column_keys_match_bruhat_order():
-    # guards the rank-array intervals and the inlined lookups of the
-    # recursion against a silently missing or duplicated entry
+    # guards the interval bitsets and the inlined lookups of the recursion
+    # against a silently missing or duplicated entry
     for n in range(1, 6):
         perms = all_perms(n)
         for side, descents in (("left", left_descents), ("right", right_descents)):
@@ -227,7 +227,7 @@ def test_supports_and_column_keys_match_bruhat_order():
             for w in perms:
                 below = {y for y in perms if bruhat_leq(y, w)}
                 assert tbl.support(w) == below, (side, w)
-                assert len(tbl._support(tbl._rank(w))) == len(below), (side, w)
+                assert tbl._support(tbl._rank(w)).bit_count() == len(below), (side, w)
                 raised = {y for y in below if descents(w) <= descents(y)}
                 column = read_column(tbl, tbl._rank(w))
                 assert {tbl.perms[y] for y in column} == raised, (side, w)
@@ -245,6 +245,30 @@ def test_rank_tables_match_permutation_arithmetic():
                 assert tbl._masks[r] == sum(1 << (i - 1) for i in descents(w))
                 for i in range(1, n):
                     assert tbl.perms[tbl._steps[i - 1][r]] == multiply_simple(w, i, side)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_interval_bitsets_match_permutation_arithmetic(n):
+    # multiply_simple is the oracle of the swap tables, bruhat_leq that of
+    # the interval bitsets, and the descent masks that of the raised sets
+    perms = sorted(all_perms(n))
+    # y <= w in Bruhat order only if y <= w lexicographically
+    below = [
+        {y for y in range(r + 1) if bruhat_leq(perms[y], w)} for r, w in enumerate(perms)
+    ]
+    for side in ("left", "right"):
+        tbl = KLTable(n, side=side)
+        swaps = tbl._interval_tables()
+        assert len(swaps) == n - 1
+        for r, w in enumerate(perms):
+            for i, pairs in enumerate(swaps, start=1):
+                [moved] = [r + delta for mask, delta in pairs if mask >> r & 1]
+                assert tbl.perms[moved] == multiply_simple(w, i, "right"), (side, w, i)
+        for r in tbl._in_length_order():
+            assert set(_ranks(tbl._support(r))) == below[r], (side, perms[r])
+        for wmask in range(1 << max(n - 1, 0)):
+            raised = {y for y, m in enumerate(tbl._masks) if not wmask & ~m}
+            assert set(_ranks(tbl._raised_set(wmask))) == raised, (side, wmask)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -306,10 +330,20 @@ RECORDS_SHA256 = {
     "kl_s6.tsv": "82dba142cb15a2a80746e473e54180752e20bac8cd0935badbfcee8a9da930ef",
     "kl_s6.right.tsv": "c7906d7116bf8c45e854419b46c78a333f955898a83f92e2a4c8fc450b7827b5",
 }
+# ... and the digests and sizes of the whole S_7 files, both sides of which
+# warm in about 2 s
+CACHE_SHA256_S7 = {
+    "kl_s7.tsv": (
+        "47ba367f8adcf064fbd2c4f937b3ce5acb68cc7e39ef22b7730843f3256b770f", 5_655_736
+    ),
+    "kl_s7.right.tsv": (
+        "843dde630ed7bb8afa378f92dccf33752069ca9d1914174451faa2ff11f64d18", 5_655_752
+    ),
+}
 
 
 def test_cache_files_are_byte_identical_to_reference(tmp_path):
-    for n in (5, 6):
+    for n in (5, 6, 7):
         for side in ("left", "right"):
             tbl = KLTable(n, side=side, cache_dir=tmp_path)
             tbl.warm()
@@ -322,6 +356,10 @@ def test_cache_files_are_byte_identical_to_reference(tmp_path):
         assert hashlib.sha256(records).hexdigest() == digest, name
         assert len(records) == {"5": 9724, "6": 198060}[name[4]], name
     assert (tmp_path / "kl_s5.tsv").stat().st_size == 11103
+    for name, (digest, size) in CACHE_SHA256_S7.items():
+        data = (tmp_path / name).read_bytes()
+        assert len(data) == size, name
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 def test_save_after_a_lazy_load_matches_a_cold_save(tmp_path):
@@ -541,8 +579,9 @@ print(table.entry_count(), int(peak.split()[1]) // 1024)
 @pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_s8_warm_peak_memory_long():
-    # about 80 s; the columns and supports of S_8 took 1.06 GB before they
-    # were stored compactly and one support length at a time
+    # about 40 s at 177 MB; the columns and supports of S_8 took 1.06 GB
+    # before they were stored compactly and one support length at a time,
+    # and 249 MB while the supports were arrays of ranks
     src = os.path.dirname(os.path.dirname(rscells.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
@@ -551,4 +590,4 @@ def test_s8_warm_peak_memory_long():
     ).stdout
     entries, peak_mb = map(int, out.split())
     assert entries == 9_551_060
-    assert peak_mb < 400, peak_mb
+    assert peak_mb < 250, peak_mb

@@ -1,9 +1,12 @@
 """The scripts under scripts/ run against the current API."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,6 +39,42 @@ def test_run_verifications_passes_every_suite():
 def test_run_verifications_long_honours_max_n():
     proc = _run_script("run_verifications.py", "--long", "--max-n", "4")
     assert len(_suite_lines(proc)) == 24
+
+
+def test_run_verifications_long_reaches_degree_8():
+    top_degree = runpy.run_path(str(ROOT / "scripts" / "run_verifications.py"))["top_degree"]
+    assert [top_degree(None, False), top_degree(9, False)] == [5, 5]
+    assert [top_degree(None, True), top_degree(8, True), top_degree(9, True)] == [6, 8, 8]
+
+
+# the child reads its peak from VmHWM, as test_s8_warm_peak_memory_long does
+_DEGREE_8 = """
+import runpy, sys
+run_degree = runpy.run_path(sys.argv[1])["run_degree"]
+failures = run_degree(8, names=("crystal-theorem-a", "theorem-a"))
+peak = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(failures, int(peak.split()[1]) // 1024)
+"""
+
+
+@pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_run_verifications_degree_8_on_one_table_long():
+    # both routes to theorem A at n = 8 on one warm S_8 table: about 45 s
+    # at 288 MB, most of it the warm
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("RSCELLS_CACHE_DIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEGREE_8, str(ROOT / "scripts" / "run_verifications.py")],
+        env=env, capture_output=True, text=True, timeout=900,
+    )
+    lines = _suite_lines(proc)
+    assert [line.split()[:2] for line in lines] == [
+        ["n=8", "crystal-theorem-a"], ["n=8", "theorem-a"]
+    ]
+    failures, peak_mb = map(int, proc.stdout.splitlines()[-1].split())
+    assert failures == 0
+    assert peak_mb < 350, peak_mb
 
 
 def test_cell_census_has_no_mixed_cells():
