@@ -23,15 +23,15 @@ def top_degree(max_n, long: bool) -> int:
     return min(default if max_n is None else max_n, cap)
 
 
-def run_degree(n: int, cache_dir=None, names=tuple(sorted(SUITES))) -> int:
-    """Run the suites ``names`` at degree n on one warm table, print a line
-    for each that is not skipped, and return how many failed."""
+def run_degree(n: int, cache_dir=None) -> int:
+    """Run every suite at degree n on one warm table, print a line for each
+    that is not skipped, and return how many failed."""
     table = KLTable(n, cache_dir=cache_dir)
     table.warm()
     if cache_dir:
         table.save()
     failures = 0
-    for name in names:
+    for name in sorted(SUITES):
         too_many_words = name == "crystal-djm" and n**n > MAX_WORDS
         if n > SUITE_MAX_DEGREE.get(name, n) or too_many_words:
             continue

@@ -465,7 +465,7 @@ _TABLE_SUITES = {
 # command line refuses a larger one.  bar-invariance 7 checks 3,550,918
 # interval identities in about 35 s, and 8 would need 170,288,585.  The other
 # table suites need no entry below the warm cap of the command line (8): at
-# n = 8 descents takes about 3 s and knuth-mu about 12 s past the ~70 s warm
+# n = 8 descents takes about 3 s and knuth-mu about 12 s past the ~40 s warm
 SUITE_MAX_DEGREE = {"bar-invariance": 7}
 
 

@@ -234,41 +234,32 @@ def test_supports_and_column_keys_match_bruhat_order():
 
 
 def test_rank_tables_match_permutation_arithmetic():
-    # multiply_simple is the oracle of the step tables
+    # multiply_simple is the oracle of the step and swap tables, bruhat_leq
+    # that of the interval bitsets, and the descent masks that of the raised
+    # sets
     for n in range(1, 7):
+        perms = sorted(all_perms(n))
         for side, descents in (("left", left_descents), ("right", right_descents)):
             tbl = KLTable(n, side=side)
-            assert tbl.perms == sorted(all_perms(n))
+            assert tbl.perms == perms
+            swaps = tbl._interval_tables()
+            assert len(swaps) == n - 1
             for r, w in enumerate(tbl.perms):
                 assert tbl._lengths[r] == length(w)
                 assert tbl.perms[tbl._inverse[r]] == inverse(w)
                 assert tbl._masks[r] == sum(1 << (i - 1) for i in descents(w))
                 for i in range(1, n):
                     assert tbl.perms[tbl._steps[i - 1][r]] == multiply_simple(w, i, side)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_interval_bitsets_match_permutation_arithmetic(n):
-    # multiply_simple is the oracle of the swap tables, bruhat_leq that of
-    # the interval bitsets, and the descent masks that of the raised sets
-    perms = sorted(all_perms(n))
-    # y <= w in Bruhat order only if y <= w lexicographically
-    below = [
-        {y for y in range(r + 1) if bruhat_leq(perms[y], w)} for r, w in enumerate(perms)
-    ]
-    for side in ("left", "right"):
-        tbl = KLTable(n, side=side)
-        swaps = tbl._interval_tables()
-        assert len(swaps) == n - 1
+                    [moved] = [r + delta for mask, delta in swaps[i - 1] if mask >> r & 1]
+                    assert tbl.perms[moved] == multiply_simple(w, i, "right"), (side, w, i)
+            for wmask in range(1 << max(n - 1, 0)):
+                raised = {y for y, m in enumerate(tbl._masks) if not wmask & ~m}
+                assert set(_ranks(tbl._raised_set(wmask))) == raised, (side, wmask)
+        # Bruhat order does not depend on the side, and neither do the
+        # intervals; y <= w in Bruhat order only if y <= w lexicographically
         for r, w in enumerate(perms):
-            for i, pairs in enumerate(swaps, start=1):
-                [moved] = [r + delta for mask, delta in pairs if mask >> r & 1]
-                assert tbl.perms[moved] == multiply_simple(w, i, "right"), (side, w, i)
-        for r in tbl._in_length_order():
-            assert set(_ranks(tbl._support(r))) == below[r], (side, perms[r])
-        for wmask in range(1 << max(n - 1, 0)):
-            raised = {y for y, m in enumerate(tbl._masks) if not wmask & ~m}
-            assert set(_ranks(tbl._raised_set(wmask))) == raised, (side, wmask)
+            below = {y for y in range(r + 1) if bruhat_leq(perms[y], w)}
+            assert set(_ranks(tbl._support(r))) == below, w
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
