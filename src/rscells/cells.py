@@ -27,7 +27,7 @@ def _rank_graph(n: int, table: KLTable | None) -> tuple[KLTable, list[list[int]]
         table = KLTable(n)
     elif table.n != n:
         raise ValueError(f"cells of S_{n} need a table of degree {n}, got {table.n}")
-    masks = table._on_side("left")[1]
+    masks = table._masks
     adj: list[list[int]] = [[] for _ in masks]
     for w in table._in_length_order():
         mw = masks[w]

@@ -274,8 +274,8 @@ def cmd_verify(cfg: Config, args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-# kl_s<n>.tsv and kl_s<n>.right.tsv; digit notation keeps n to one digit
-_CACHE_NAME = re.compile(r"kl_s([1-9])(\.right)?\.tsv")
+# kl_s<n>.tsv; digit notation keeps n to one digit
+_CACHE_NAME = re.compile(r"kl_s([1-9])\.tsv")
 
 
 def _cache_records(path: Path) -> int:
@@ -284,10 +284,7 @@ def _cache_records(path: Path) -> int:
     m = _CACHE_NAME.fullmatch(path.name)
     if m is None:
         raise OSError(f"{path}: not a KL cache file name")
-    table = KLTable(int(m[1]), "right" if m[2] else "left")
-    table.cache_dir = path.parent
-    table.load()
-    return table.parse_stored()
+    return KLTable(int(m[1]), cache_dir=path.parent).parse_stored()
 
 
 def cmd_cache(cfg: Config, args) -> int:

@@ -265,8 +265,6 @@ def kl_action_q1(i: int, w: Perm, table: KLTable | None = None) -> dict[Perm, in
         raise ValueError(f"index {i} out of range for degree {n}")
     if table is None:
         table = default_table(n)
-    if table.side != "left":
-        raise ValueError("the q=1 action needs a left-sided table")
     if i in left_descents(w):
         return {w: -1}
     out = {w: 1, multiply_simple(w, i, "left"): 1}

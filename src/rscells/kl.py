@@ -2,7 +2,7 @@
 Kazhdan-Lusztig polynomials for S_n by the descent recursion.
 
 A :class:`KLTable` computes the whole column P_{., w} at once, recursing on
-v = s_i w for the smallest descent s_i of w:
+v = s_i w for the smallest left descent s_i of w:
 
     P_{y,w} = P_{s_i y, v} + q P_{y, v}
               - sum over z <= v with s_i z < z and mu(z, v) != 0 of
@@ -20,11 +20,14 @@ Inside a table an element is its rank in the lexicographic list of S_n
 each s_i are arrays over ranks built once per table.  Because ranks follow
 lexicographic order, sorting ranks sorts the permutations.  Permutation
 tuples appear only at the public methods, which reject anything that is not
-a permutation of the table's degree.
+a permutation of the table's degree.  The polynomials do not depend on the
+side the recursion takes (Kazhdan-Lusztig 1979), so a table recurses on the
+left only; the right steps and descents, which the cell suites read, are
+the left ones conjugated by inversion.
 
 The Bruhat interval {y : y <= w} is an int bitset over ranks.  Bruhat
 order does not depend on the side, so it is built as [e, v] u [e, v] s_i
-for v = w s_i and a right descent s_i of w, whatever the table's side.
+for v = w s_i and a right descent s_i of w.
 Right multiplication by s_i swaps the entries at positions i and i + 1,
 and on a rank, whose factorial-base digits are the Lehmer code, it changes
 only the digits c_i and c_{i+1}: every rank with the same difference
@@ -48,7 +51,7 @@ both are memoized per table on pool indices, and S_7 computes 1,533 of
 them instead of about 385,000.
 
 Columns persist to a cache file in format 2: a version line
-``#rscells-kl 2 S_<n> <side>``, then one record per line,
+``#rscells-kl 2 S_<n> left``, then one record per line,
 ``y<TAB>w<TAB>c0,c1,...,cd`` with permutations in digit notation, in
 (length, rank) order of w and then of y, and last a trailer line
 ``#end <records> <w>:<offset>,... <sha256>`` giving the record count, the
@@ -64,6 +67,7 @@ only those.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from array import array
@@ -107,7 +111,8 @@ def _narrowest(size: int) -> str:
 
 
 class KLTable:
-    """Memoized Kazhdan-Lusztig polynomials and mu-coefficients for S_n.
+    """Memoized Kazhdan-Lusztig polynomials and mu-coefficients for S_n,
+    by the left descent recursion.
 
     Construction enumerates S_n once: ``perms[r]`` is the permutation of
     rank r in lexicographic order, and columns, supports and mu lists are
@@ -119,13 +124,10 @@ class KLTable:
     Degrees above MAX_DEGREE raise ValueError before any enumeration.
     """
 
-    def __init__(self, n: int, side: str = "left", cache_dir=None):
+    def __init__(self, n: int, *, cache_dir=None):
         if not 1 <= n <= MAX_DEGREE:
             raise ValueError(f"degree must lie in 1..{MAX_DEGREE}, got {n}")
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         self.n = n
-        self.side = side
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.perms: list[Perm] = list(all_permutations(n))
         self._index = index = {w: r for r, w in enumerate(self.perms)}
@@ -137,16 +139,14 @@ class KLTable:
         self._lengths = lengths
         # _inverse[r]: rank of perms[r]^-1
         self._inverse = inv = [index[inverse(w)] for w in self.perms]
-        # _steps[i - 1][r]: rank of s_i * perms[r] on the recursion side; w s_i
-        # swaps two entries, and s_i w = (w^-1 s_i)^-1
-        steps = [
+        # _steps[i - 1][r]: rank of s_i * perms[r]; w s_i swaps two entries,
+        # and s_i w = (w^-1 s_i)^-1
+        right = [
             [index[w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]] for w in self.perms]
             for i in range(1, n)
         ]
-        if side == "left":
-            steps = [[inv[step[r]] for r in inv] for step in steps]
-        self._steps = steps
-        # descent set on the recursion side, bit i - 1 for s_i
+        self._steps = steps = [[inv[step[r]] for r in inv] for step in right]
+        # left descent set, bit i - 1 for s_i
         masks = [0] * len(lengths)
         for i, step in enumerate(steps):
             bit = 1 << i
@@ -189,12 +189,9 @@ class KLTable:
         except (KeyError, TypeError):
             raise ValueError(f"not a permutation in S_{self.n}: {w!r}") from None
 
-    def _on_side(self, side: str) -> tuple[list[list[int]], list[int]]:
-        """The products by each s_i and the descent masks on ``side``, as
-        ``_steps`` and ``_masks`` hold them on the table's own side; the
-        other side's are conjugate by inversion: w s_i = (s_i w^-1)^-1."""
-        if side == self.side:
-            return self._steps, self._masks
+    def _right(self) -> tuple[list[list[int]], list[int]]:
+        """The products w s_i by each s_i and the right descent masks, the
+        left ones conjugated by inversion: w s_i = (s_i w^-1)^-1."""
         inv = self._inverse
         steps = [[inv[step[r]] for r in inv] for step in self._steps]
         return steps, [self._masks[r] for r in inv]
@@ -411,10 +408,12 @@ class KLTable:
         exponent is a nonnegative integer and y < w."""
         return self._mu(self._rank(y), self._rank(w))
 
+    def _mu_sym(self, y: int, w: int) -> int:
+        return self._mu(y, w) if self._lengths[y] < self._lengths[w] else self._mu(w, y)
+
     def mu_sym(self, y: Perm, w: Perm) -> int:
         """mu on whichever side of the pair is shorter; symmetric."""
-        y, w = self._rank(y), self._rank(w)
-        return self._mu(y, w) if self._lengths[y] < self._lengths[w] else self._mu(w, y)
+        return self._mu_sym(self._rank(y), self._rank(w))
 
     def mu_list(self, w: Perm) -> tuple[tuple[Perm, int], ...]:
         """All (z, mu(z, w)) with z < w and mu(z, w) != 0, z ascending."""
@@ -440,11 +439,10 @@ class KLTable:
     def cache_path(self) -> Path:
         if self.cache_dir is None:
             raise ValueError("no cache directory configured")
-        suffix = "" if self.side == "left" else ".right"
-        return self.cache_dir / f"kl_s{self.n}{suffix}.tsv"
+        return self.cache_dir / f"kl_s{self.n}.tsv"
 
     def _header(self) -> bytes:
-        return f"#rscells-kl {FORMAT_VERSION} S_{self.n} {self.side}\n".encode()
+        return f"#rscells-kl {FORMAT_VERSION} S_{self.n} left\n".encode()
 
     def _names(self) -> tuple[list[str], dict[str, int]]:
         """The digit name of each rank, and name -> rank; built on first use."""
@@ -517,8 +515,8 @@ class KLTable:
         header = self._header()
         if not data.startswith(header):
             raise OSError(
-                f"{path}:1: not a format-{FORMAT_VERSION} KL cache file of S_{self.n} "
-                f"({self.side}): the first line is not {header.decode().strip()!r}"
+                f"{path}:1: not a format-{FORMAT_VERSION} KL cache file of S_{self.n}: "
+                f"the first line is not {header.decode().strip()!r}"
             )
         # the trailer is the last line, and the sha256 its last field
         end = data.rfind(b"\n", 0, len(data) - 1) + 1
@@ -617,16 +615,11 @@ class KLTable:
         return records
 
 
-_DEFAULT_TABLES: dict[tuple[int, str], KLTable] = {}
-
-
-def default_table(n: int, side: str = "left") -> KLTable:
-    """A process-wide shared table per degree; cheap to call repeatedly."""
-    key = (n, side)
-    table = _DEFAULT_TABLES.get(key)
-    if table is None:
-        table = _DEFAULT_TABLES.setdefault(key, KLTable(n, side))
-    return table
+@functools.lru_cache(maxsize=1)
+def default_table(n: int) -> KLTable:
+    """A process-wide table of degree n, shared until a call asks for
+    another degree: only the last degree's table is kept."""
+    return KLTable(n)
 
 
 def kl_polynomial(y: Perm, w: Perm) -> IntPolynomial:

@@ -175,8 +175,7 @@ def verify_bar_invariance(n: int, table: KLTable | None = None) -> Report:
     length each C'_w = C'_s C'_v - sum mu C'_z is bar-invariant, and with
     P_{w,w} = 1 and the degree bound it is the canonical basis element by
     uniqueness (Kazhdan-Lusztig 1979).  Values are read through the
-    table's own lookup, so non-raised x test the raising shortcut, and its
-    own s_i, so a right-sided table is checked on its side.
+    table's own lookup, so non-raised x test the raising shortcut.
     """
     report = Report("bar-invariance", n, cases=0)
     table = _table(n, table)
@@ -283,7 +282,7 @@ def verify_prop_descents(n: int, table: KLTable | None = None) -> Report:
     for r, k in enumerate(part.of_rank):
         members[k].append(r)
     # right descent set as a bit mask, bit i - 1 for s_i
-    rmask = table._on_side("right")[1]
+    rmask = table._right()[1]
     # R of each cell, or None where it is not constant
     const = []
     for ranks in members:
@@ -342,18 +341,15 @@ def verify_knuth_mu(n: int, table: KLTable | None = None) -> Report:
     report = Report("knuth-mu", n, cases=0)
     table = _table(n, table)
     left = cell_partition(n, "left", table).of_rank
-    perms, lengths = table.perms, table._lengths
+    perms, mu_sym = table.perms, table._mu_sym
     # the right cell of w is the inverse of the left cell of w^-1
     right = [left[r] for r in table._inverse]
     # rank -> rank of w s_i, and right descent masks, bit i - 1 for s_i
-    rsteps, rmasks = table._on_side("right")
+    rsteps, rmasks = table._right()
     # every nonzero-mu pair (y, w, mu) with y < w
     edges = [
         (min(z, w), max(z, w), m) for w in range(len(perms)) for z, m in table._mu_list(w)
     ]
-
-    def mu_sym(y: int, w: int) -> int:
-        return table._mu(y, w) if lengths[y] < lengths[w] else table._mu(w, y)
 
     cases = 0
     moves = [(i2, j2) for i in range(1, n - 1) for i2, j2 in ((i, i + 1), (i + 1, i))]

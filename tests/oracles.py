@@ -343,17 +343,19 @@ def knuth_mu_by_scan(n, table=None):
 
 # -- KL columns by the dict recursion -----------------------------------------
 
-def kl_by_dict_recursion(table):
-    """Every column and mu list of ``table``'s degree and side, by the
-    descent recursion with each column a dict rank -> polynomial and each
-    Bruhat interval a set of ranks.  Only the table's rank arithmetic (steps,
-    descent masks and lengths) is shared.
+def kl_by_dict_recursion(table, side="left"):
+    """Every column and mu list of ``table``'s degree, by the descent
+    recursion on ``side`` with each column a dict rank -> polynomial and
+    each Bruhat interval a set of ranks.  Only the table's rank arithmetic
+    (steps, descent masks and lengths) is shared.
 
     Returns ``(columns, mu_lists, lookup)``: column w holds P_{y,w} for
-    every y <= w whose descent set contains that of w, mu list w is sorted
-    by rank, and ``lookup(y, w)`` is P_{y,w} for any pair of ranks.
+    every y <= w whose descent set on ``side`` contains that of w, mu list
+    w is sorted by rank, and ``lookup(y, w)`` is P_{y,w} for any pair of
+    ranks.
     """
-    steps, masks, lengths = table._steps, table._masks, table._lengths
+    steps, masks = (table._steps, table._masks) if side == "left" else table._right()
+    lengths = table._lengths
     columns = {0: {0: ONE}}
     supports = {0: {0}}
     mu_lists = {}

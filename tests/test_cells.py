@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from oracles import (
@@ -7,7 +10,6 @@ from oracles import (
     left_cell_graph_by_tuples,
     left_closure,
 )
-from rscells import kl
 from rscells.cells import cells, left_cell_graph, strongly_connected_components
 from rscells.hecke import kl_action_q1
 from rscells.kl import KLTable, default_table
@@ -123,15 +125,15 @@ def test_scc_on_a_known_graph():
     assert comps.index([0, 1, 2]) < comps.index([3, 4])
 
 
-@pytest.mark.parametrize("table_side", ["left", "right"])
+@pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_rank_cells_match_the_tuple_oracle(n, table_side):
-    table = KLTable(n, table_side)
-    assert left_cell_graph(n, table) == left_cell_graph_by_tuples(n, table)
-    for side in ("left", "right"):
-        part = cells(n, side, table)
-        assert (part.cells, part.leq) == cells_by_tuples(n, side, table)
-        assert [part.cell_index(w) for w in table.perms] == part.of_rank
+def test_rank_cells_match_the_tuple_oracle(n, side):
+    table = KLTable(n)
+    if side == "left":
+        assert left_cell_graph(n, table) == left_cell_graph_by_tuples(n, table)
+    part = cells(n, side, table)
+    assert (part.cells, part.leq) == cells_by_tuples(n, side, table)
+    assert [part.cell_index(w) for w in table.perms] == part.of_rank
 
 
 def test_a_table_of_another_degree_is_refused():
@@ -141,13 +143,22 @@ def test_a_table_of_another_degree_is_refused():
         left_cell_graph(5, KLTable(4))
 
 
-def test_the_cell_layer_keeps_no_process_wide_table(monkeypatch):
-    monkeypatch.setattr(kl, "_DEFAULT_TABLES", {})
+def test_the_cell_layer_keeps_no_process_wide_table():
+    default_table.cache_clear()
     cells(4)
     left_cell_graph(4, None)
     for name in sorted(_TABLE_SUITES):
         run_suite(name, 4)
-    assert kl._DEFAULT_TABLES == {}
+    assert default_table.cache_info().currsize == 0
+    # the process-wide table is shared per degree, and only the last
+    # degree's is kept
+    s4 = default_table(4)
+    assert default_table(4) is s4
+    released = weakref.ref(s4)
+    del s4
+    default_table(5)
+    gc.collect()
+    assert released() is None
 
 
 def test_graph_is_deterministic():

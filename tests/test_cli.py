@@ -441,14 +441,13 @@ def test_warm_cache_klpoly_parses_only_the_column_it_reads(capsys, tmp_path, mon
 def test_cache_info_counts_valid_files(capsys, tmp_path):
     from rscells.kl import KLTable
 
-    for n, side in ((3, "left"), (4, "right"), (5, "left")):
-        tbl = KLTable(n, side=side, cache_dir=tmp_path)
+    for n in (3, 4, 5):
+        tbl = KLTable(n, cache_dir=tmp_path)
         tbl.warm()
         tbl.save()
-    (tmp_path / "kl_s4.right.tsv").write_text(
-        (tmp_path / "kl_s4.right.tsv").read_text() + "\n  \n"
-    )
-    resign(tmp_path / "kl_s4.right.tsv")
+    s4 = tmp_path / "kl_s4.tsv"
+    s4.write_text(s4.read_text() + "\n  \n")
+    resign(s4)
     # the count before validation: non-blank lines per file, less the
     # version line and the trailer
     counts = {
@@ -459,7 +458,18 @@ def test_cache_info_counts_valid_files(capsys, tmp_path):
     expected += f"total: {sum(counts.values())} entries\n"
     code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "cache", "info")
     assert (code, out) == (EXIT_OK, expected)
-    assert out.startswith("kl_s3.tsv: 8 entries\nkl_s4.right.tsv: ")
+    assert out.startswith("kl_s3.tsv: 8 entries\nkl_s4.tsv: ")
+    # a right-sided file, which older versions wrote, is not a cache file
+    # name: info refuses it and clear removes it with the others
+    stray = s4.read_bytes().replace(b" left\n", b" right\n", 1)
+    (tmp_path / "kl_s4.right.tsv").write_bytes(stray)
+    code, out, err = run(capsys, "--cache-dir", str(tmp_path), "cache", "info")
+    assert code == EXIT_IO
+    assert "total" not in out
+    assert "kl_s4.right.tsv: not a KL cache file name" in err
+    code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "cache", "clear")
+    assert (code, out) == (EXIT_OK, "removed 4 file(s)\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_info_rejects_bad_records(capsys, tmp_path):

@@ -115,14 +115,6 @@ def _ldesc(w):
     return right_descents(inverse(w))
 
 
-def test_left_and_right_recursions_agree():
-    left = KLTable(4, side="left")
-    right = KLTable(4, side="right")
-    for y in all_perms(4):
-        for w in all_perms(4):
-            assert left.polynomial(y, w) == right.polynomial(y, w)
-
-
 def test_mu_examples():
     tbl = default_table(4)
     for y in all_perms(4):
@@ -222,41 +214,42 @@ def test_supports_and_column_keys_match_bruhat_order():
     # against a silently missing or duplicated entry
     for n in range(1, 6):
         perms = all_perms(n)
-        for side, descents in (("left", left_descents), ("right", right_descents)):
-            tbl = KLTable(n, side=side)
-            for w in perms:
-                below = {y for y in perms if bruhat_leq(y, w)}
-                assert tbl.support(w) == below, (side, w)
-                assert tbl._support(tbl._rank(w)).bit_count() == len(below), (side, w)
-                raised = {y for y in below if descents(w) <= descents(y)}
-                column = read_column(tbl, tbl._rank(w))
-                assert {tbl.perms[y] for y in column} == raised, (side, w)
+        tbl = KLTable(n)
+        for w in perms:
+            below = {y for y in perms if bruhat_leq(y, w)}
+            assert tbl.support(w) == below, w
+            assert tbl._support(tbl._rank(w)).bit_count() == len(below), w
+            raised = {y for y in below if left_descents(w) <= left_descents(y)}
+            column = read_column(tbl, tbl._rank(w))
+            assert {tbl.perms[y] for y in column} == raised, w
 
 
 def test_rank_tables_match_permutation_arithmetic():
-    # multiply_simple is the oracle of the step and swap tables, bruhat_leq
-    # that of the interval bitsets, and the descent masks that of the raised
-    # sets
+    # multiply_simple is the oracle of the step, right step and swap tables,
+    # the descent sets that of the masks, bruhat_leq that of the interval
+    # bitsets, and the descent masks that of the raised sets
     for n in range(1, 7):
         perms = sorted(all_perms(n))
-        for side, descents in (("left", left_descents), ("right", right_descents)):
-            tbl = KLTable(n, side=side)
-            assert tbl.perms == perms
-            swaps = tbl._interval_tables()
-            assert len(swaps) == n - 1
-            for r, w in enumerate(tbl.perms):
-                assert tbl._lengths[r] == length(w)
-                assert tbl.perms[tbl._inverse[r]] == inverse(w)
-                assert tbl._masks[r] == sum(1 << (i - 1) for i in descents(w))
-                for i in range(1, n):
-                    assert tbl.perms[tbl._steps[i - 1][r]] == multiply_simple(w, i, side)
-                    [moved] = [r + delta for mask, delta in swaps[i - 1] if mask >> r & 1]
-                    assert tbl.perms[moved] == multiply_simple(w, i, "right"), (side, w, i)
-            for wmask in range(1 << max(n - 1, 0)):
-                raised = {y for y, m in enumerate(tbl._masks) if not wmask & ~m}
-                assert set(_ranks(tbl._raised_set(wmask))) == raised, (side, wmask)
-        # Bruhat order does not depend on the side, and neither do the
-        # intervals; y <= w in Bruhat order only if y <= w lexicographically
+        tbl = KLTable(n)
+        assert tbl.perms == perms
+        swaps = tbl._interval_tables()
+        assert len(swaps) == n - 1
+        rsteps, rmasks = tbl._right()
+        for r, w in enumerate(tbl.perms):
+            assert tbl._lengths[r] == length(w)
+            assert tbl.perms[tbl._inverse[r]] == inverse(w)
+            assert tbl._masks[r] == sum(1 << (i - 1) for i in left_descents(w))
+            assert rmasks[r] == sum(1 << (i - 1) for i in right_descents(w))
+            for i in range(1, n):
+                assert tbl.perms[tbl._steps[i - 1][r]] == multiply_simple(w, i, "left")
+                right = multiply_simple(w, i, "right")
+                assert tbl.perms[rsteps[i - 1][r]] == right, (w, i)
+                [moved] = [r + delta for mask, delta in swaps[i - 1] if mask >> r & 1]
+                assert tbl.perms[moved] == right, (w, i)
+        for wmask in range(1 << max(n - 1, 0)):
+            raised = {y for y, m in enumerate(tbl._masks) if not wmask & ~m}
+            assert set(_ranks(tbl._raised_set(wmask))) == raised, wmask
+        # y <= w in Bruhat order only if y <= w lexicographically
         for r, w in enumerate(perms):
             below = {y for y in range(r + 1) if bruhat_leq(perms[y], w)}
             assert set(_ranks(tbl._support(r))) == below, w
@@ -265,10 +258,14 @@ def test_rank_tables_match_permutation_arithmetic():
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_compact_columns_match_the_dict_recursion(n, side):
-    tbl = KLTable(n, side=side)
+    # the table recurses on the left, the oracle on ``side``: the
+    # polynomials and mu lists do not depend on the side, the raised
+    # entries a column stores do
+    tbl = KLTable(n)
     tbl.warm()
-    columns, mu_lists, lookup = kl_by_dict_recursion(tbl)
-    assert _columns(tbl) == columns
+    columns, mu_lists, lookup = kl_by_dict_recursion(tbl, side)
+    if side == "left":
+        assert _columns(tbl) == columns
     ranks = range(len(tbl.perms))
     assert [tbl._mu_list(w) for w in ranks] == [mu_lists[w] for w in ranks]
     for w in ranks:
@@ -304,6 +301,9 @@ def test_degree_above_bound_raises_before_enumeration():
         c_prime(big)
     with pytest.raises(ValueError):
         kl_action_q1(1, malformed)
+    # the cache directory is keyword-only
+    with pytest.raises(TypeError):
+        KLTable(4, "right")
 
 
 # reference digests of the S_5 cache files: a change to the element or
@@ -311,34 +311,27 @@ def test_degree_above_bound_raises_before_enumeration():
 # byte-identical
 CACHE_SHA256 = {
     "kl_s5.tsv": "ae4838b0afcaf146fb1aa85076d70900013bea8dfd12c3e22d603b1f28f530f3",
-    "kl_s5.right.tsv": "3804a1f0afbee1a70f8ac072ae3bdc2f8f4e4d90125b4229690f2a3b84b2b61b",
 }
 # ... and of the records of the S_5 and S_6 files, the lines between the
 # version line and the trailer, which are the whole files of format 1
 RECORDS_SHA256 = {
     "kl_s5.tsv": "311d4f11159f66febbe318c72ea72f4124d7a0d9814ee23ee4b1173651a24e2b",
-    "kl_s5.right.tsv": "ec8c86cb584cd7af10f840961cb1a4847d28dbf7903b8300b90ac012a37c78fb",
     "kl_s6.tsv": "82dba142cb15a2a80746e473e54180752e20bac8cd0935badbfcee8a9da930ef",
-    "kl_s6.right.tsv": "c7906d7116bf8c45e854419b46c78a333f955898a83f92e2a4c8fc450b7827b5",
 }
-# ... and the digests and sizes of the whole S_7 files, both sides of which
-# warm in about 2 s
+# ... and the digest and size of the whole S_7 file, which warms in about 1 s
 CACHE_SHA256_S7 = {
     "kl_s7.tsv": (
         "47ba367f8adcf064fbd2c4f937b3ce5acb68cc7e39ef22b7730843f3256b770f", 5_655_736
-    ),
-    "kl_s7.right.tsv": (
-        "843dde630ed7bb8afa378f92dccf33752069ca9d1914174451faa2ff11f64d18", 5_655_752
     ),
 }
 
 
 def test_cache_files_are_byte_identical_to_reference(tmp_path):
     for n in (5, 6, 7):
-        for side in ("left", "right"):
-            tbl = KLTable(n, side=side, cache_dir=tmp_path)
-            tbl.warm()
-            tbl.save()
+        tbl = KLTable(n, cache_dir=tmp_path)
+        tbl.warm()
+        tbl.save()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kl_s5.tsv", "kl_s6.tsv", "kl_s7.tsv"]
     for name, digest in CACHE_SHA256.items():
         data = (tmp_path / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
@@ -355,19 +348,18 @@ def test_cache_files_are_byte_identical_to_reference(tmp_path):
 
 def test_save_after_a_lazy_load_matches_a_cold_save(tmp_path):
     for n in range(1, 7):
-        for side in ("left", "right"):
-            cold = KLTable(n, side=side, cache_dir=tmp_path)
-            cold.warm()
-            cold.save()
-            clean = cold.cache_path().read_bytes()
-            loaded = KLTable(n, side=side, cache_dir=tmp_path)
-            loaded.warm()
-            loaded.save()
-            assert loaded.cache_path().read_bytes() == clean, (n, side)
-            # save() writes the stored columns that were never parsed, too
-            unparsed = KLTable(n, side=side, cache_dir=tmp_path)
-            unparsed.save()
-            assert unparsed.cache_path().read_bytes() == clean, (n, side)
+        cold = KLTable(n, cache_dir=tmp_path)
+        cold.warm()
+        cold.save()
+        clean = cold.cache_path().read_bytes()
+        loaded = KLTable(n, cache_dir=tmp_path)
+        loaded.warm()
+        loaded.save()
+        assert loaded.cache_path().read_bytes() == clean, n
+        # save() writes the stored columns that were never parsed, too
+        unparsed = KLTable(n, cache_dir=tmp_path)
+        unparsed.save()
+        assert unparsed.cache_path().read_bytes() == clean, n
 
 
 def test_save_leaves_no_temp_file_on_failure(tmp_path):
@@ -390,20 +382,19 @@ def _distinct_objects(tbl):
 
 def test_one_object_per_distinct_polynomial(tmp_path):
     for n in range(1, 6):
-        for side in ("left", "right"):
-            warmed = KLTable(n, side=side, cache_dir=tmp_path)
-            warmed.warm()
-            objects, values = _distinct_objects(warmed)
-            assert objects == values, (n, side)
-            warmed.save()
+        warmed = KLTable(n, cache_dir=tmp_path)
+        warmed.warm()
+        objects, values = _distinct_objects(warmed)
+        assert objects == values, n
+        warmed.save()
 
-            loaded = KLTable(n, side=side)
-            loaded.cache_dir = tmp_path
-            assert loaded.load() == warmed.entry_count()
-            loaded.warm()
-            objects, values = _distinct_objects(loaded)
-            assert objects == values, (n, side)
-            assert _columns(loaded) == _columns(warmed), (n, side)
+        loaded = KLTable(n)
+        loaded.cache_dir = tmp_path
+        assert loaded.load() == warmed.entry_count()
+        loaded.warm()
+        objects, values = _distinct_objects(loaded)
+        assert objects == values, n
+        assert _columns(loaded) == _columns(warmed), n
 
 
 def test_load_skips_blank_lines_and_normalizes_trailing_zeros(tmp_path):

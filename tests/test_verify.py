@@ -182,15 +182,6 @@ def test_cell_suites_match_the_pair_scans_on_poisoned_tables(poison, n):
         assert rep.to_json() == want.to_json()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_knuth_mu_reads_moves_from_either_side_of_table(n):
-    # a right-sided table holds right steps and descents directly, a left
-    # one reaches them through the inverse ranks
-    rep, want = run_suite("knuth-mu", n, KLTable(n, "right")), knuth_mu_by_scan(n, KLTable(n))
-    assert rep.lines() == want.lines()
-    assert rep.to_json() == want.to_json()
-
-
 def test_knuth_mu_fails_on_poisoned_mu_lists():
     # singleton cells: every move leaves a right cell and no pair shares a
     # left cell; the cases are the 32 domain elements, with no mu pair left
@@ -251,12 +242,6 @@ def test_bar_invariance_report_lines_are_unchanged(n):
         "violations: 0",
         "result: PASS",
     ]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_bar_invariance_passes_on_right_sided_tables(n):
-    rep = run_suite("bar-invariance", n, KLTable(n, "right"))
-    assert rep.ok, rep.violations[:3]
 
 
 def _poisoned(n, y, w):
