@@ -116,11 +116,6 @@ def eps(i: int, word: Word) -> int:
     return signature_counts(i, word)[0]
 
 
-def is_highest_weight(word: Word, r: int) -> bool:
-    """No raising operator applies."""
-    return all(eps(i, word) == 0 for i in range(1, r))
-
-
 def component(word: Word, r: int) -> frozenset[Word]:
     """Connected component: closure of the word under all e_i and f_i."""
     word = _check_word(word, r)
@@ -145,26 +140,6 @@ def _check_word(word, r: int) -> Word:
         raise ValueError(f"rank must be at least 1, got {r}")
     if any(not isinstance(a, int) or not 1 <= a <= r for a in word):
         raise ValueError(f"letters must lie in 1..{r}: {word}")
-    return word
-
-
-def word_p_symbol(word: Word) -> Tableau:
-    """Insertion tableau of the word (column-strict for arbitrary words)."""
-    return insert_word(word)[0]
-
-
-def word_q_symbol(word: Word) -> Tableau:
-    """Recording tableau of the word; standard."""
-    return insert_word(word)[1]
-
-
-def tableau_reading_embedding(tab: Tableau, r: int) -> Word:
-    """Reading word of a column-strict tableau as a crystal word of rank r."""
-    if not tab.is_column_strict():
-        raise ValueError("reading embedding requires a column-strict tableau")
-    word = reading_word(tab)
-    if any(a > r for a in word):
-        raise ValueError(f"entry exceeds rank {r}")
     return word
 
 
@@ -197,10 +172,10 @@ def decompose(n: int, r: int | None = None, check: bool = True) -> list[CrystalC
         comp = component(word, r)
         seen.update(comp)
         label = min(comp)
-        q = word_q_symbol(label)
+        q = insert_word(label)[1]
         if check:
             for other in comp:
-                if word_q_symbol(other) != q:
+                if insert_word(other)[1] != q:
                     raise AssertionError(
                         f"recording tableau not constant on the component of {label}"
                     )
@@ -264,7 +239,7 @@ def djm_violations(n: int, r: int) -> tuple[int, list[str]]:
                 f"B(lambda) has {len(target)}"
             )
         for b in comp.words:
-            rw = tableau_reading_embedding(symbols[b], r)
+            rw = reading_word(symbols[b])
             for i in range(1, r):
                 for op in (e_op, f_op):
                     b2 = op(i, b)

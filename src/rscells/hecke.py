@@ -1,6 +1,7 @@
 """
 The Hecke algebra of S_n in the T-basis over Laurent polynomials in v,
-v**2 = q.  Generators satisfy (T_i - q)(T_i + 1) = 0, so
+v**2 = q: the bar involution and two routes to the canonical basis.
+Generators satisfy (T_i - q)(T_i + 1) = 0, so
 
     T_i T_w = T_{s_i w}                     if s_i w > w
             = q T_{s_i w} + (q - 1) T_w     otherwise
@@ -16,7 +17,9 @@ bound directly, never touching the recursion.  No suite runs them
 ranks): they are the independent oracle that the tests and the perfbench
 goldens compare the table against.  Each ``bar`` or
 ``canonical_basis_by_bar`` call memoizes bar(T_w) for its own elements
-only, so nothing outlives the call.
+only, so nothing outlives the call.  The full T-basis product, the
+C'-expansion of a product and the q = 1 action are test oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,10 +30,8 @@ from .permutations import (
     all_permutations,
     check_permutation,
     identity,
-    left_descents,
     length,
     multiply_simple,
-    reduced_word,
     right_descents,
 )
 from .polynomials import LaurentPoly
@@ -65,9 +66,6 @@ class HeckeElement:
 
     def coeff(self, w: Perm) -> LaurentPoly:
         return self.coords.get(tuple(w), LaurentPoly.zero())
-
-    def support(self) -> tuple[Perm, ...]:
-        return tuple(sorted(self.coords))
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -104,8 +102,8 @@ class HeckeElement:
         return " + ".join(parts)
 
 
-def _mult_gen(x: HeckeElement, i: int, side: str) -> HeckeElement:
-    """Multiply by T_{s_i} on the given side."""
+def _mult_gen(x: HeckeElement, i: int) -> HeckeElement:
+    """Multiply by T_{s_i} on the right."""
     out: dict[Perm, LaurentPoly] = {}
 
     def add(w, c):
@@ -113,12 +111,8 @@ def _mult_gen(x: HeckeElement, i: int, side: str) -> HeckeElement:
         out[w] = c if s is None else s + c
 
     for w, c in x.coords.items():
-        u = multiply_simple(w, i, side)
-        if side == "right":
-            longer = w[i - 1] < w[i]
-        else:
-            longer = w.index(i) < w.index(i + 1)
-        if longer:
+        u = multiply_simple(w, i)
+        if w[i - 1] < w[i]:
             add(u, c)
         else:
             add(u, c * _Q)
@@ -128,20 +122,7 @@ def _mult_gen(x: HeckeElement, i: int, side: str) -> HeckeElement:
 
 def _mult_gen_inverse_right(x: HeckeElement, i: int) -> HeckeElement:
     # x * T_i^-1 = q^-1 (x T_i) + (q^-1 - 1) x
-    return _mult_gen(x, i, "right").scale(_Q_INV) + x.scale(_Q_INV_MINUS_1)
-
-
-def t_multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Product in the T-basis; expands the left factor into generators."""
-    if a.n != b.n:
-        raise ValueError("degree mismatch")
-    out = HeckeElement.zero(a.n)
-    for w, c in sorted(a.coords.items()):
-        cur = b
-        for i in reversed(reduced_word(w)):
-            cur = _mult_gen(cur, i, "left")
-        out = out + cur.scale(c)
-    return out
+    return _mult_gen(x, i).scale(_Q_INV) + x.scale(_Q_INV_MINUS_1)
 
 
 def _bar_t(n: int, w: Perm, memo: dict[Perm, HeckeElement]) -> HeckeElement:
@@ -217,58 +198,4 @@ def canonical_basis_by_bar(n: int) -> dict[Perm, HeckeElement]:
         else:
             raise AssertionError("bar-invariance solve did not terminate")
         out[w] = x
-    return out
-
-
-def c_prime_coordinates(
-    x: HeckeElement, table: KLTable | None = None
-) -> dict[Perm, LaurentPoly]:
-    """Expand an element in the C'-basis by peeling top terms."""
-    if table is None:
-        table = default_table(x.n)
-    out: dict[Perm, LaurentPoly] = {}
-    rem = x
-    for _ in range(100_000):
-        if rem.is_zero():
-            return out
-        y = max(rem.coords, key=lambda p: (length(p), p))
-        a = rem.coeff(y).shifted(length(y))
-        out[y] = a
-        rem = rem - c_prime(y, table).scale(a)
-    raise AssertionError("C'-expansion did not terminate")
-
-
-def c_prime_product_expansion(
-    i: int, w: Perm, table: KLTable | None = None
-) -> dict[Perm, LaurentPoly]:
-    """Coordinates of C'_{s_i} C'_w in the C'-basis.
-
-    Equals C'_{s_i w} + sum of mu(z, w) C'_z over z < w with s_i z < z when
-    s_i w > w, and (v + v^-1) C'_w otherwise.
-    """
-    w = check_permutation(w)
-    n = len(w)
-    if table is None:
-        table = default_table(n)
-    s = multiply_simple(identity(n), i)
-    prod = t_multiply(c_prime(s, table), c_prime(w, table))
-    return c_prime_coordinates(prod, table)
-
-
-def kl_action_q1(i: int, w: Perm, table: KLTable | None = None) -> dict[Perm, int]:
-    """Coordinates of s_i . a(w) in the a-basis (the q = 1 canonical basis):
-    -a(w) when s_i w < w, else a(w) + a(s_i w) + sum of mu(z, w) a(z) over
-    z < w with s_i z < z."""
-    w = check_permutation(w)
-    n = len(w)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"index {i} out of range for degree {n}")
-    if table is None:
-        table = default_table(n)
-    if i in left_descents(w):
-        return {w: -1}
-    out = {w: 1, multiply_simple(w, i, "left"): 1}
-    for z, m in table.mu_list(w):
-        if i in left_descents(z):
-            out[z] = m
     return out

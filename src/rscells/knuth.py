@@ -1,11 +1,13 @@
-"""Knuth relations on permutations, and the descent-pattern moves K_ij
-between the two descent classes of an adjacent-transposition coset."""
+"""Elementary Knuth relations on permutations and the Knuth classes they
+generate.  The descent-pattern moves K_ij, which the ``knuth-mu`` suite
+reads off a KL table's right steps, are the test oracle in
+``tests/oracles.py``."""
 
 from __future__ import annotations
 
 from collections import deque
 
-from .permutations import Perm, min_coset_rep, multiply_simple, right_descents
+from .permutations import Perm
 
 
 def knuth_neighbors(w: Perm) -> frozenset[Perm]:
@@ -35,35 +37,3 @@ def knuth_class(w: Perm) -> frozenset[Perm]:
                 seen.add(nxt)
                 queue.append(nxt)
     return frozenset(seen)
-
-
-def _check_adjacent(i: int, j: int, n: int) -> None:
-    if abs(i - j) != 1:
-        raise ValueError(f"indices must be adjacent, got {i}, {j}")
-    if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
-        raise ValueError(f"indices {i}, {j} out of range for degree {n}")
-
-
-def in_knuth_domain(w: Perm, i: int, j: int) -> bool:
-    """True if w s_i < w and w s_j > w (the domain D_ij of the move)."""
-    _check_adjacent(i, j, len(w))
-    des = right_descents(w)
-    return i in des and j not in des
-
-
-def knuth_move(w: Perm, i: int, j: int) -> Perm:
-    """The move K_ij, a bijection from D_ij onto D_ji.
-
-    With y0 the minimal coset representative of w<s_i, s_j>: w == y0 s_i maps
-    to y0 s_i s_j, and w == y0 s_j s_i maps to y0 s_j.
-    """
-    if not in_knuth_domain(w, i, j):
-        raise ValueError(f"{w} is not in D_{i}{j}")
-    y0 = min_coset_rep(w, i, j)
-    y0si = multiply_simple(y0, i)
-    if w == y0si:
-        return multiply_simple(y0si, j)
-    y0sj = multiply_simple(y0, j)
-    if w == multiply_simple(y0sj, i):
-        return y0sj
-    raise AssertionError(f"{w} not of the form y0 s_i or y0 s_j s_i")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from bisect import insort
 from collections.abc import Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -128,67 +127,6 @@ def multiply_simple(w: Perm, i: int, side: str = "right") -> Perm:
         swap = {i: i + 1, i + 1: i}
         return tuple(swap.get(a, a) for a in w)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def bruhat_leq(y: Perm, w: Perm) -> bool:
-    """Bruhat order test by sorted-prefix dominance.
-
-    For every k, the increasingly sorted prefix of y of length k must be
-    entrywise at most the sorted prefix of w.
-
-    >>> bruhat_leq((1, 3, 2, 4), (3, 4, 1, 2))
-    True
-    >>> bruhat_leq((3, 2, 1), (3, 1, 2))
-    False
-    """
-    if len(y) != len(w):
-        raise ValueError(f"degree mismatch: {len(y)} vs {len(w)}")
-    ys: list[int] = []
-    ws: list[int] = []
-    for k in range(len(y) - 1):
-        insort(ys, y[k])
-        insort(ws, w[k])
-        if any(a > b for a, b in zip(ys, ws)):
-            return False
-    return True
-
-
-def reduced_word(w: Perm) -> tuple[int, ...]:
-    """A reduced expression for ``w``, obtained by repeatedly stripping the
-    smallest right descent.  The product s_{i_1} ... s_{i_r} of the returned
-    indices equals ``w``, and r == length(w).
-
-    >>> reduced_word((3, 2, 1))
-    (1, 2, 1)
-    >>> reduced_word((1, 2, 3))
-    ()
-    """
-    out = []
-    while True:
-        des = right_descents(w)
-        if not des:
-            return tuple(reversed(out))
-        i = min(des)
-        out.append(i)
-        w = multiply_simple(w, i)
-
-
-def min_coset_rep(w: Perm, i: int, j: int) -> Perm:
-    """The minimal-length element of the right coset w<s_i, s_j>, j = i +/- 1.
-
-    >>> min_coset_rep((3, 2, 1), 1, 2)
-    (1, 2, 3)
-    """
-    if abs(i - j) != 1:
-        raise ValueError(f"indices must be adjacent, got {i}, {j}")
-    a, b = min(i, j), max(i, j)
-    while True:
-        if w[a - 1] > w[a]:
-            w = multiply_simple(w, a)
-        elif w[b - 1] > w[b]:
-            w = multiply_simple(w, b)
-        else:
-            return w
 
 
 def all_permutations(n: int) -> Iterator[Perm]:

@@ -73,12 +73,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def __call__(self, x: int) -> int:
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 
@@ -148,10 +142,6 @@ class LaurentPoly:
     @property
     def max_exponent(self):
         return max(self.terms) if self.terms else None
-
-    @property
-    def min_exponent(self):
-        return min(self.terms) if self.terms else None
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by v**k."""

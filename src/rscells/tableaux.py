@@ -1,6 +1,7 @@
 """
 Young diagrams and tableaux: Schensted insertion, P/Q-symbols and their
-inverse, jeu de taquin, evacuation, reading words, and small enumerations.
+inverse, evacuation by jeu de taquin slides, reading words, and the
+column-strict fillings of a shape.
 
 Cells are (row, column), 1-based, rows growing downward, so a shape is the
 weakly decreasing tuple of its row lengths.  A skew tableau stores only the
@@ -10,7 +11,9 @@ directions with entries 1..n (standard) is checked by the public operations
 that need it.  Validation happens only there: the bumping and sliding loops
 (``_bump``, ``_slide``) work on plain lists and cell dicts, and
 ``insert_word`` and ``evacuation`` build their ``Tableau`` results once, at
-the end.
+the end.  Jeu de taquin on skew shapes, rectification and the enumeration
+of standard fillings are the test oracles in ``tests/oracles.py`` that
+evacuation and the P-symbol are checked against.
 """
 
 from __future__ import annotations
@@ -40,31 +43,6 @@ def conjugate(shape: Sequence[int]) -> tuple[int, ...]:
     if not shape:
         return ()
     return tuple(sum(1 for a in shape if a >= j) for j in range(1, shape[0] + 1))
-
-
-def staircase(n: int) -> tuple[int, ...]:
-    """The staircase partition (n-1, n-2, ..., 1)."""
-    return tuple(range(n - 1, 0, -1))
-
-
-def partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of n, largest part first, in reverse lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(n, 0, -1):
-        for rest in partitions(n - first):
-            if not rest or rest[0] <= first:
-                yield (first,) + rest
-
-
-def inner_corners(shape: Sequence[int]) -> list[tuple[int, int]]:
-    """Removable corners of a partition, as (row, column) cells."""
-    out = []
-    for x in range(1, len(shape) + 1):
-        if x == len(shape) or shape[x] < shape[x - 1]:
-            out.append((x, shape[x - 1]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -254,51 +232,6 @@ def _bump(rows: list[list[int]], k: int) -> tuple[int, int]:
     return len(rows), 1
 
 
-def row_insert(tab: Tableau, k: int) -> tuple[Tableau, tuple[int, int]]:
-    """Insert ``k`` by row bumping; return the new tableau and the added cell."""
-    if tab.is_skew:
-        raise ValueError("row insertion requires a non-skew tableau")
-    if not tab.is_column_strict():
-        raise ValueError("row insertion requires a column-strict tableau")
-    rows = [list(r) for r in tab.rows]
-    cell = _bump(rows, k)
-    return Tableau(rows), cell
-
-
-def column_insert(k: int, tab: Tableau) -> tuple[Tableau, tuple[int, int]]:
-    """Insert ``k`` by column bumping, the transpose-dual of :func:`row_insert`.
-
-    Within each column, ``k`` either goes at the bottom (if strictly greater
-    than every entry) or bumps the topmost entry >= k into the next column.
-    """
-    if tab.is_skew:
-        raise ValueError("column insertion requires a non-skew tableau")
-    if not tab.is_column_strict():
-        raise ValueError("column insertion requires a column-strict tableau")
-    ncols = tab.outer[0] if tab.rows else 0
-    cols = [[tab.rows[x][y] for x in range(len(tab.rows)) if len(tab.rows[x]) > y]
-            for y in range(ncols)]
-    y = 0
-    while True:
-        if y == len(cols):
-            cols.append([k])
-            cell = (1, y + 1)
-            break
-        col = cols[y]
-        pos = bisect_left(col, k)
-        if pos == len(col):
-            col.append(k)
-            cell = (len(col), y + 1)
-            break
-        col[pos], k = k, col[pos]
-        y += 1
-    rows = [
-        [cols[y2][x2] for y2 in range(len(cols)) if len(cols[y2]) > x2]
-        for x2 in range(max(len(c) for c in cols))
-    ]
-    return Tableau(rows), cell
-
-
 def insert_word(word: Sequence[int]) -> tuple[Tableau, Tableau]:
     """Row-insert the letters of ``word`` in order; return (P, recording Q)."""
     prows: list[list[int]] = []
@@ -376,46 +309,8 @@ def _slide(cells: dict[tuple[int, int], int], x: int, y: int) -> tuple[int, int]
             y += 1
 
 
-def jdt_slide(tab: Tableau, corner: tuple[int, int]) -> Tableau:
-    """One jeu de taquin slide into the given removable corner of the inner
-    shape.  The hole repeatedly swallows the smaller of its right and lower
-    neighbours (the lower one on ties) until it reaches an outer corner."""
-    if not tab.is_skew:
-        raise ValueError("slide requires a skew tableau")
-    if not tab.is_column_strict():
-        raise ValueError("slide requires a column-strict tableau")
-    if corner not in inner_corners(tab.inner):
-        raise ValueError(f"{corner} is not a removable corner of {tab.inner}")
-    cells = tab.to_dict()
-    _slide(cells, *corner)
-    cx, _cy = corner
-    new_inner = list(tab.inner)
-    new_inner[cx - 1] -= 1
-    return _from_cells(cells, new_inner)
-
-
-def rectify(tab: Tableau, choose=None) -> Tableau:
-    """Slide until the inner shape is gone.  The default corner choice is the
-    bottommost removable corner; pass ``choose`` (corners -> corner) to force
-    a different slide order.  The result does not depend on the order."""
-    while tab.is_skew:
-        corners = inner_corners(tab.inner)
-        corner = max(corners) if choose is None else choose(corners)
-        tab = jdt_slide(tab, corner)
-    return tab
-
-
 # ---------------------------------------------------------------------------
-# permutation tableaux and reading words
-
-def permutation_tableau(w: Perm) -> Tableau:
-    """The staircase-skew tableau whose antidiagonal cells carry w_1, ..., w_n
-    from the bottom-left cell to the top-right cell."""
-    w = check_permutation(w)
-    n = len(w)
-    rows = [(w[n - x],) for x in range(1, n + 1)]
-    return Tableau(rows, staircase(n))
-
+# reading words
 
 def reading_word(tab: Tableau) -> tuple[int, ...]:
     """Rows read bottom to top, each left to right.
@@ -446,7 +341,7 @@ def reading_word_to_tableau(word: Sequence[int], shape: Sequence[int]):
 
 
 # ---------------------------------------------------------------------------
-# evacuation and superstandard tableaux
+# evacuation
 
 def evacuation(tab: Tableau) -> Tableau:
     """Schuetzenberger evacuation: repeatedly delete the smallest entry by a
@@ -462,61 +357,8 @@ def evacuation(tab: Tableau) -> Tableau:
     return _from_cells(out, ())
 
 
-def superstandard(shape: Sequence[int]) -> Tableau:
-    """The standard tableau whose i-th column holds the consecutive run
-    l_1 + ... + l_{i-1} + 1, ..., l_1 + ... + l_i, top to bottom."""
-    shape = tuple(shape)
-    if shape and not is_partition(shape):
-        raise ValueError(f"{shape} is not a partition")
-    cols = conjugate(shape)
-    starts = [0]
-    for l in cols:
-        starts.append(starts[-1] + l)
-    rows = [
-        tuple(starts[y] + x + 1 for y in range(shape[x]))
-        for x in range(len(shape))
-    ]
-    return Tableau(rows)
-
-
 # ---------------------------------------------------------------------------
 # enumeration helpers
-
-def standard_tableaux(shape: Sequence[int], inner: Sequence[int] = ()) -> Iterator[Tableau]:
-    """All standard fillings of the (possibly skew) shape."""
-    shape = tuple(shape)
-    inner = tuple(inner)
-    pad = inner + (0,) * (len(shape) - len(inner))
-    cells = [
-        (x, y)
-        for x in range(1, len(shape) + 1)
-        for y in range(pad[x - 1] + 1, shape[x - 1] + 1)
-    ]
-    m = len(cells)
-    filled: dict[tuple[int, int], int] = {}
-
-    def placeable(cell):
-        x, y = cell
-        left = (x, y - 1)
-        above = (x - 1, y)
-        if y - 1 > pad[x - 1] and left not in filled:
-            return False
-        if x > 1 and pad[x - 2] < y <= shape[x - 2] and above not in filled:
-            return False
-        return True
-
-    def fill(t: int) -> Iterator[Tableau]:
-        if t > m:
-            yield _from_cells(dict(filled), inner)
-            return
-        for cell in cells:
-            if cell not in filled and placeable(cell):
-                filled[cell] = t
-                yield from fill(t + 1)
-                del filled[cell]
-
-    return fill(1)
-
 
 def semistandard_tableaux(
     shape: Sequence[int], max_entry: int, inner: Sequence[int] = ()

@@ -1,34 +1,43 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here deliberately avoids the code paths it checks: Bruhat order
-via subwords of one fixed reduced word, composition via explicit function
-application, involution counting by direct scan, crystal operators by the
-recursive tensor-product rule, evacuation by rectifying punctured tableaux,
-the cell graph on permutation tuples with Tarjan's state in dicts, left
-closures by reverse reachability in the cell graph, the cell suites by
-scanning every pair of elements, and the KL columns by the descent
+by sorted-prefix dominance and via subwords of one fixed reduced word,
+reduced words and minimal coset representatives by stripping descents,
+composition via explicit function application, involution counting by
+direct scan, the Knuth moves K_ij through minimal coset representatives,
+crystal operators by the recursive tensor-product rule, jeu de taquin
+slides on cell dicts with their own sliding loop, rectification, the
+permutation tableau and standard fillings of skew shapes, evacuation by
+rectifying punctured tableaux, T-basis products by expanding into
+generators, C'-expansions by peeling top terms, the q = 1 action from mu
+lists, the cell graph on permutation tuples with Tarjan's state in dicts,
+left closures by reverse reachability in the cell graph, the cell suites
+by scanning every pair of elements, and the KL columns by the descent
 recursion on dict columns and set supports.
 """
 
 import itertools
+from bisect import insort
 from collections import deque
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
 from rscells.cells import cells, left_cell_graph
-from rscells.kl import KLTable
-from rscells.knuth import in_knuth_domain, knuth_move
+from rscells.hecke import HeckeElement, c_prime
+from rscells.kl import KLTable, default_table
 from rscells.permutations import (
+    Perm,
     check_permutation,
     format_permutation as _fmt,
     identity,
     inverse,
     left_descents,
+    length,
     multiply_simple,
-    reduced_word,
     right_descents,
 )
-from rscells.polynomials import ONE, ZERO
-from rscells.tableaux import Tableau, q_symbol, rectify
+from rscells.polynomials import ONE, ZERO, LaurentPoly
+from rscells.tableaux import Tableau, _from_cells, q_symbol
 from rscells.verify import Report
 
 
@@ -41,6 +50,69 @@ def compose_as_maps(u, v):
     um = {i: a for i, a in enumerate(u, start=1)}
     vm = {i: a for i, a in enumerate(v, start=1)}
     return tuple(um[vm[i]] for i in range(1, len(u) + 1))
+
+
+# -- Bruhat order, reduced words and coset representatives --------------------
+
+def bruhat_leq(y: Perm, w: Perm) -> bool:
+    """Bruhat order test by sorted-prefix dominance.
+
+    For every k, the increasingly sorted prefix of y of length k must be
+    entrywise at most the sorted prefix of w.
+
+    >>> bruhat_leq((1, 3, 2, 4), (3, 4, 1, 2))
+    True
+    >>> bruhat_leq((3, 2, 1), (3, 1, 2))
+    False
+    """
+    if len(y) != len(w):
+        raise ValueError(f"degree mismatch: {len(y)} vs {len(w)}")
+    ys: list[int] = []
+    ws: list[int] = []
+    for k in range(len(y) - 1):
+        insort(ys, y[k])
+        insort(ws, w[k])
+        if any(a > b for a, b in zip(ys, ws)):
+            return False
+    return True
+
+
+def reduced_word(w: Perm) -> tuple[int, ...]:
+    """A reduced expression for ``w``, obtained by repeatedly stripping the
+    smallest right descent.  The product s_{i_1} ... s_{i_r} of the returned
+    indices equals ``w``, and r == length(w).
+
+    >>> reduced_word((3, 2, 1))
+    (1, 2, 1)
+    >>> reduced_word((1, 2, 3))
+    ()
+    """
+    out = []
+    while True:
+        des = right_descents(w)
+        if not des:
+            return tuple(reversed(out))
+        i = min(des)
+        out.append(i)
+        w = multiply_simple(w, i)
+
+
+def min_coset_rep(w: Perm, i: int, j: int) -> Perm:
+    """The minimal-length element of the right coset w<s_i, s_j>, j = i +/- 1.
+
+    >>> min_coset_rep((3, 2, 1), 1, 2)
+    (1, 2, 3)
+    """
+    if abs(i - j) != 1:
+        raise ValueError(f"indices must be adjacent, got {i}, {j}")
+    a, b = min(i, j), max(i, j)
+    while True:
+        if w[a - 1] > w[a]:
+            w = multiply_simple(w, a)
+        elif w[b - 1] > w[b]:
+            w = multiply_simple(w, b)
+        else:
+            return w
 
 
 def bruhat_leq_subwords(y, w):
@@ -115,6 +187,115 @@ def tensor_eps(i, word):
     return _string_length(tensor_e, i, word)
 
 
+# -- jeu de taquin, rectification and standard fillings -----------------------
+
+def staircase(n: int) -> tuple[int, ...]:
+    """The staircase partition (n-1, n-2, ..., 1)."""
+    return tuple(range(n - 1, 0, -1))
+
+
+def partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """All partitions of n, largest part first, in reverse lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(n, 0, -1):
+        for rest in partitions(n - first):
+            if not rest or rest[0] <= first:
+                yield (first,) + rest
+
+
+def inner_corners(shape: Sequence[int]) -> list[tuple[int, int]]:
+    """Removable corners of a partition, as (row, column) cells."""
+    out = []
+    for x in range(1, len(shape) + 1):
+        if x == len(shape) or shape[x] < shape[x - 1]:
+            out.append((x, shape[x - 1]))
+    return out
+
+
+def jdt_slide(tab: Tableau, corner: tuple[int, int]) -> Tableau:
+    """One jeu de taquin slide into the given removable corner of the inner
+    shape.  The hole repeatedly swallows the smaller of its right and lower
+    neighbours (the lower one on ties) until it reaches an outer corner."""
+    if not tab.is_skew:
+        raise ValueError("slide requires a skew tableau")
+    if not tab.is_column_strict():
+        raise ValueError("slide requires a column-strict tableau")
+    if corner not in inner_corners(tab.inner):
+        raise ValueError(f"{corner} is not a removable corner of {tab.inner}")
+    cells = tab.to_dict()
+    hole = corner
+    while True:
+        x, y = hole
+        nbrs = [c for c in ((x + 1, y), (x, y + 1)) if c in cells]
+        if not nbrs:
+            break
+        nxt = min(nbrs, key=lambda c: (cells[c], -c[0]))
+        cells[hole] = cells.pop(nxt)
+        hole = nxt
+    cx, _cy = corner
+    new_inner = list(tab.inner)
+    new_inner[cx - 1] -= 1
+    return _from_cells(cells, new_inner)
+
+
+def rectify(tab: Tableau, choose=None) -> Tableau:
+    """Slide until the inner shape is gone.  The default corner choice is the
+    bottommost removable corner; pass ``choose`` (corners -> corner) to force
+    a different slide order.  The result does not depend on the order."""
+    while tab.is_skew:
+        corners = inner_corners(tab.inner)
+        corner = max(corners) if choose is None else choose(corners)
+        tab = jdt_slide(tab, corner)
+    return tab
+
+
+def permutation_tableau(w: Perm) -> Tableau:
+    """The staircase-skew tableau whose antidiagonal cells carry w_1, ..., w_n
+    from the bottom-left cell to the top-right cell."""
+    w = check_permutation(w)
+    n = len(w)
+    rows = [(w[n - x],) for x in range(1, n + 1)]
+    return Tableau(rows, staircase(n))
+
+
+def standard_tableaux(shape: Sequence[int], inner: Sequence[int] = ()) -> Iterator[Tableau]:
+    """All standard fillings of the (possibly skew) shape."""
+    shape = tuple(shape)
+    inner = tuple(inner)
+    pad = inner + (0,) * (len(shape) - len(inner))
+    cells = [
+        (x, y)
+        for x in range(1, len(shape) + 1)
+        for y in range(pad[x - 1] + 1, shape[x - 1] + 1)
+    ]
+    m = len(cells)
+    filled: dict[tuple[int, int], int] = {}
+
+    def placeable(cell):
+        x, y = cell
+        left = (x, y - 1)
+        above = (x - 1, y)
+        if y - 1 > pad[x - 1] and left not in filled:
+            return False
+        if x > 1 and pad[x - 2] < y <= shape[x - 2] and above not in filled:
+            return False
+        return True
+
+    def fill(t: int) -> Iterator[Tableau]:
+        if t > m:
+            yield _from_cells(dict(filled), inner)
+            return
+        for cell in cells:
+            if cell not in filled and placeable(cell):
+                filled[cell] = t
+                yield from fill(t + 1)
+                del filled[cell]
+
+    return fill(1)
+
+
 # -- evacuation by rectification ----------------------------------------------
 
 def evacuation_by_rectify(tab):
@@ -134,6 +315,124 @@ def evacuation_by_rectify(tab):
         [[out[(x, y)] for y in range(1, length + 1)]
          for x, length in enumerate(tab.outer, start=1)]
     )
+
+
+# -- Knuth moves K_ij ---------------------------------------------------------
+
+def _check_adjacent(i: int, j: int, n: int) -> None:
+    if abs(i - j) != 1:
+        raise ValueError(f"indices must be adjacent, got {i}, {j}")
+    if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
+        raise ValueError(f"indices {i}, {j} out of range for degree {n}")
+
+
+def in_knuth_domain(w: Perm, i: int, j: int) -> bool:
+    """True if w s_i < w and w s_j > w (the domain D_ij of the move)."""
+    _check_adjacent(i, j, len(w))
+    des = right_descents(w)
+    return i in des and j not in des
+
+
+def knuth_move(w: Perm, i: int, j: int) -> Perm:
+    """The move K_ij, a bijection from D_ij onto D_ji.
+
+    With y0 the minimal coset representative of w<s_i, s_j>: w == y0 s_i maps
+    to y0 s_i s_j, and w == y0 s_j s_i maps to y0 s_j.
+    """
+    if not in_knuth_domain(w, i, j):
+        raise ValueError(f"{w} is not in D_{i}{j}")
+    y0 = min_coset_rep(w, i, j)
+    y0si = multiply_simple(y0, i)
+    if w == y0si:
+        return multiply_simple(y0si, j)
+    y0sj = multiply_simple(y0, j)
+    if w == multiply_simple(y0sj, i):
+        return y0sj
+    raise AssertionError(f"{w} not of the form y0 s_i or y0 s_j s_i")
+
+
+# -- the Hecke algebra: T-basis products, C'-expansions, the q = 1 action -----
+
+def _left_gen(x, i):
+    """T_{s_i} x by the left multiplication rule, with lengths counted as
+    inversions; the library multiplies by generators on the right only."""
+    q = LaurentPoly({2: 1})
+    out = HeckeElement.zero(x.n)
+    for w, c in x.coords.items():
+        sw = multiply_simple(w, i, "left")
+        if length(sw) > length(w):
+            terms = {sw: c}
+        else:
+            terms = {sw: c * q, w: c * (q - LaurentPoly.one())}
+        out = out + HeckeElement(x.n, terms)
+    return out
+
+
+def t_multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
+    """Product in the T-basis; expands the left factor into generators."""
+    if a.n != b.n:
+        raise ValueError("degree mismatch")
+    out = HeckeElement.zero(a.n)
+    for w, c in sorted(a.coords.items()):
+        cur = b
+        for i in reversed(reduced_word(w)):
+            cur = _left_gen(cur, i)
+        out = out + cur.scale(c)
+    return out
+
+
+def c_prime_coordinates(
+    x: HeckeElement, table: KLTable | None = None
+) -> dict[Perm, LaurentPoly]:
+    """Expand an element in the C'-basis by peeling top terms."""
+    if table is None:
+        table = default_table(x.n)
+    out: dict[Perm, LaurentPoly] = {}
+    rem = x
+    for _ in range(100_000):
+        if rem.is_zero():
+            return out
+        y = max(rem.coords, key=lambda p: (length(p), p))
+        a = rem.coeff(y).shifted(length(y))
+        out[y] = a
+        rem = rem - c_prime(y, table).scale(a)
+    raise AssertionError("C'-expansion did not terminate")
+
+
+def c_prime_product_expansion(
+    i: int, w: Perm, table: KLTable | None = None
+) -> dict[Perm, LaurentPoly]:
+    """Coordinates of C'_{s_i} C'_w in the C'-basis.
+
+    Equals C'_{s_i w} + sum of mu(z, w) C'_z over z < w with s_i z < z when
+    s_i w > w, and (v + v^-1) C'_w otherwise.
+    """
+    w = check_permutation(w)
+    n = len(w)
+    if table is None:
+        table = default_table(n)
+    s = multiply_simple(identity(n), i)
+    prod = t_multiply(c_prime(s, table), c_prime(w, table))
+    return c_prime_coordinates(prod, table)
+
+
+def kl_action_q1(i: int, w: Perm, table: KLTable | None = None) -> dict[Perm, int]:
+    """Coordinates of s_i . a(w) in the a-basis (the q = 1 canonical basis):
+    -a(w) when s_i w < w, else a(w) + a(s_i w) + sum of mu(z, w) a(z) over
+    z < w with s_i z < z."""
+    w = check_permutation(w)
+    n = len(w)
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"index {i} out of range for degree {n}")
+    if table is None:
+        table = default_table(n)
+    if i in left_descents(w):
+        return {w: -1}
+    out = {w: 1, multiply_simple(w, i, "left"): 1}
+    for z, m in table.mu_list(w):
+        if i in left_descents(z):
+            out[z] = m
+    return out
 
 
 # -- cells on permutation tuples ----------------------------------------------

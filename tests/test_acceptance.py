@@ -10,7 +10,16 @@ import os
 
 import pytest
 
-from oracles import all_perms, involution_count
+from oracles import (
+    all_perms,
+    inner_corners,
+    involution_count,
+    jdt_slide,
+    partitions,
+    permutation_tableau,
+    rectify,
+    standard_tableaux,
+)
 from rscells.cells import cells
 from rscells.cli import main
 from rscells.crystal import djm_violations, e_op, f_op, signature_rule
@@ -20,16 +29,10 @@ from rscells.permutations import inverse, length
 from rscells.polynomials import IntPolynomial
 from rscells.tableaux import (
     Tableau,
-    inner_corners,
-    jdt_slide,
     p_symbol,
-    partitions,
-    permutation_tableau,
     q_symbol,
-    rectify,
     rs_inverse,
     semistandard_tableaux,
-    standard_tableaux,
 )
 from rscells.verify import run_suite
 

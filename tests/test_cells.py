@@ -8,10 +8,10 @@ from oracles import (
     cells_by_tuples,
     involution_count,
     left_cell_graph_by_tuples,
+    kl_action_q1,
     left_closure,
 )
 from rscells.cells import cells, left_cell_graph, strongly_connected_components
-from rscells.hecke import kl_action_q1
 from rscells.kl import KLTable, default_table
 from rscells.verify import _TABLE_SUITES, run_suite
 from rscells.permutations import identity, inverse, left_descents, longest_element

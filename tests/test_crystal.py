@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import tensor_e, tensor_eps, tensor_f, tensor_phi
+from oracles import partitions, tensor_e, tensor_eps, tensor_f, tensor_phi
 from rscells.crystal import (
     component,
     crystal_edges,
@@ -14,17 +14,14 @@ from rscells.crystal import (
     eps,
     f_op,
     highest_weight_rep,
-    is_highest_weight,
     phi,
     signature_counts,
     signature_rule,
-    tableau_reading_embedding,
-    word_p_symbol,
-    word_q_symbol,
 )
 from rscells.tableaux import (
     Tableau,
-    partitions,
+    insert_word,
+    reading_word,
     reading_word_to_tableau,
     semistandard_tableaux,
 )
@@ -137,7 +134,7 @@ def test_components_have_unique_highest_weight():
             continue
         comp = component(b, r)
         seen.update(comp)
-        hw = [x for x in comp if is_highest_weight(x, r)]
+        hw = [x for x in comp if all(eps(i, x) == 0 for i in range(1, r))]
         assert len(hw) == 1
         assert highest_weight_rep(b, r) == hw[0]
 
@@ -168,22 +165,11 @@ def test_decompose_bounds():
         decompose(12, 12)
 
 
-def test_reading_embedding_example():
-    t = Tableau([[1, 1, 2, 4], [2, 3], [4]])
-    assert tableau_reading_embedding(t, 4) == (4, 2, 3, 1, 1, 2, 4)
-    with pytest.raises(ValueError):
-        tableau_reading_embedding(t, 3)
-    row = Tableau([[1, 2]])
-    assert tableau_reading_embedding(row, 2) == (1, 2)
-    assert word_p_symbol((1, 2)) == row
-
-
 def test_reading_round_trip_small_tableaux():
     for size in range(1, 6):
         for shape in partitions(size):
             for t in semistandard_tableaux(shape, 3):
-                word = tableau_reading_embedding(t, 3)
-                assert word_p_symbol(word) == t
+                assert insert_word(reading_word(t))[0] == t
 
 
 def test_reading_words_stable_under_operators():
@@ -191,7 +177,7 @@ def test_reading_words_stable_under_operators():
     for size in range(1, 6):
         for shape in partitions(size):
             for t in semistandard_tableaux(shape, 3):
-                word = tableau_reading_embedding(t, 3)
+                word = reading_word(t)
                 for i in (1, 2):
                     for op in (e_op, f_op):
                         nxt = op(i, word)
@@ -207,8 +193,7 @@ def test_djm_small():
 
 
 def test_word_symbols():
-    p = word_p_symbol((2, 1, 2, 2))
-    q = word_q_symbol((2, 1, 2, 2))
+    p, q = insert_word((2, 1, 2, 2))
     assert p.is_column_strict() and q.is_standard()
     assert p.outer == q.outer
 

@@ -1,4 +1,4 @@
-"""Run the examples in every module's docstrings."""
+"""Run the examples in every module's docstrings, and in the test oracles."""
 
 import doctest
 import importlib
@@ -9,6 +9,7 @@ import pytest
 import rscells
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(rscells.__path__, "rscells."))
+MODULES.append("oracles")
 
 
 @pytest.mark.parametrize("name", MODULES)

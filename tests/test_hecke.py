@@ -2,16 +2,8 @@ import itertools
 
 import pytest
 
-from oracles import all_perms
-from rscells.hecke import (
-    HeckeElement,
-    bar,
-    c_prime,
-    c_prime_product_expansion,
-    canonical_basis_by_bar,
-    kl_action_q1,
-    t_multiply,
-)
+from oracles import all_perms, c_prime_product_expansion, kl_action_q1, t_multiply
+from rscells.hecke import HeckeElement, bar, c_prime, canonical_basis_by_bar
 from rscells.kl import KLTable, default_table
 from rscells.permutations import identity, left_descents, length, multiply_simple
 from rscells.polynomials import IntPolynomial, LaurentPoly

@@ -11,15 +11,19 @@ import pytest
 import rscells
 from cache_files import resign, sign
 from kl_entries import read_column
-from oracles import all_perms, kl_by_dict_recursion
-from rscells.hecke import c_prime, kl_action_q1
+from oracles import (
+    all_perms,
+    bruhat_leq,
+    kl_action_q1,
+    kl_by_dict_recursion,
+    min_coset_rep,
+)
+from rscells.hecke import c_prime
 from rscells.kl import MAX_DEGREE, KLTable, _ranks, default_table, kl_polynomial, mu, mu_sym
 from rscells.permutations import (
-    bruhat_leq,
     inverse,
     left_descents,
     length,
-    min_coset_rep,
     multiply_simple,
     right_descents,
 )

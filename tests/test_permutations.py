@@ -2,10 +2,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import all_perms, bruhat_leq_subwords, compose_as_maps
+from oracles import (
+    all_perms,
+    bruhat_leq,
+    bruhat_leq_subwords,
+    compose_as_maps,
+    min_coset_rep,
+    reduced_word,
+)
 from rscells.permutations import (
     all_permutations,
-    bruhat_leq,
     check_permutation,
     compose,
     format_permutation,
@@ -14,10 +20,8 @@ from rscells.permutations import (
     left_descents,
     length,
     longest_element,
-    min_coset_rep,
     multiply_simple,
     parse_permutation,
-    reduced_word,
     right_descents,
 )
 

@@ -1,34 +1,33 @@
-import itertools
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import all_perms, evacuation_by_rectify
+import rscells.tableaux
+from oracles import (
+    all_perms,
+    evacuation_by_rectify,
+    inner_corners,
+    jdt_slide,
+    partitions,
+    permutation_tableau,
+    rectify,
+    staircase,
+    standard_tableaux,
+)
 from rscells.permutations import identity, inverse
 from rscells.tableaux import (
     EMPTY_TABLEAU,
     Tableau,
-    column_insert,
     conjugate,
     evacuation,
-    inner_corners,
     insert_word,
     is_partition,
-    jdt_slide,
     p_symbol,
-    partitions,
-    permutation_tableau,
     q_symbol,
     reading_word,
     reading_word_to_tableau,
-    rectify,
-    row_insert,
     rs_inverse,
     semistandard_tableaux,
-    staircase,
-    standard_tableaux,
-    superstandard,
 )
 
 perm_strategy = st.integers(min_value=1, max_value=7).flatmap(
@@ -89,82 +88,6 @@ def test_render():
     assert Tableau([[2], [1]], inner=(1,)).render() == ". 2\n1"
 
 
-# -- insertion --------------------------------------------------------------
-
-def test_row_insert_examples():
-    t, cell = row_insert(EMPTY_TABLEAU, 5)
-    assert t == Tableau([[5]]) and cell == (1, 1)
-    # the worked example: insert 3,1,5,2,4 successively
-    t = EMPTY_TABLEAU
-    for k in (3, 1, 5, 2, 4):
-        t, _ = row_insert(t, k)
-    assert t == Tableau([[1, 2, 4], [3, 5]])
-    # hand-run bumping trace: 3 bumps 4, 4 bumps 5, 5 starts a new row
-    t, cell = row_insert(Tableau([[1, 2, 4], [3, 5]]), 3)
-    assert t == Tableau([[1, 2, 3], [3, 4], [5]])
-    assert cell == (3, 1)
-
-
-def test_row_insert_rejects_bad_input():
-    with pytest.raises(ValueError):
-        row_insert(Tableau([[2], [1]], inner=(1,)), 1)
-    with pytest.raises(ValueError):
-        row_insert(Tableau([[1, 2], [1, 3]]), 2)  # not column-strict
-
-
-def test_column_insert_examples():
-    t, cell = column_insert(5, EMPTY_TABLEAU)
-    assert t == Tableau([[5]]) and cell == (1, 1)
-    t, cell = column_insert(3, Tableau([[1]]))
-    assert t == Tableau([[1], [3]]) and cell == (2, 1)
-    t, cell = column_insert(1, Tableau([[3]]))
-    assert t == Tableau([[1, 3]]) and cell == (1, 2)
-
-
-def _partial_standard_tableaux(max_size, universe):
-    """Column-strict tableaux with distinct entries from ``universe``."""
-    for m in range(max_size + 1):
-        for shape in partitions(m):
-            for entries in itertools.combinations(universe, m):
-                relabel = dict(enumerate(entries, start=1))
-                for std in standard_tableaux(shape):
-                    yield Tableau([[relabel[e] for e in row] for row in std.rows])
-
-
-def test_column_insert_is_transpose_dual_of_row_insert():
-    universe = (1, 2, 3, 4, 5)
-    for t in _partial_standard_tableaux(4, universe):
-        free = set(universe) - set(t.entries())
-        for k in free:
-            rt, rcell = row_insert(t, k)
-            ct, ccell = column_insert(k, t.transpose())
-            assert ct == rt.transpose()
-            assert ccell == (rcell[1], rcell[0])
-
-
-def _mixed_p(w, k):
-    t = EMPTY_TABLEAU
-    for a in reversed(w[:k]):
-        t, _ = column_insert(a, t)
-    for a in w[k:]:
-        t, _ = row_insert(t, a)
-    return t
-
-
-def test_mixed_insertion_on_worked_example():
-    w = (3, 1, 5, 2, 4)
-    for k in range(len(w) + 1):
-        assert _mixed_p(w, k) == p_symbol(w), k
-
-
-def test_mixed_insertion_exhaustive():
-    for n in range(1, 6):
-        for w in all_perms(n):
-            p = p_symbol(w)
-            for k in range(n + 1):
-                assert _mixed_p(w, k) == p
-
-
 # -- P and Q symbols ----------------------------------------------------------
 
 def test_symbol_examples():
@@ -191,6 +114,12 @@ def test_insert_word_with_repeats():
     assert p.is_column_strict() and q.is_standard()
     assert p.outer == q.outer
     assert sorted(p.entries()) == [1, 1, 2, 2, 2]
+    # hand-run bumping trace of the last letter: 3 bumps 4, 4 bumps 5, and
+    # 5 starts a new row
+    assert insert_word((3, 1, 5, 2, 4, 3)) == (
+        Tableau([[1, 2, 3], [3, 4], [5]]),
+        Tableau([[1, 3, 5], [2, 4], [6]]),
+    )
 
 
 def test_rs_inverse_examples():
@@ -314,32 +243,18 @@ def test_evacuation_involution_small():
                 assert evacuation(ev) == t
 
 
-# -- superstandard tableaux ----------------------------------------------------
+def test_evacuation_oracle_does_not_slide_with_the_library(monkeypatch):
+    # evacuation_by_rectify must not reach the sliding loop of evacuation
+    tableaux = [
+        t for n in range(1, 6) for shape in partitions(n) for t in standard_tableaux(shape)
+    ]
+    expected = [evacuation_by_rectify(t) for t in tableaux]
 
-def test_superstandard_examples():
-    assert superstandard((1, 1, 1)) == Tableau([[1], [2], [3]])
-    assert superstandard((2, 2)) == Tableau([[1, 3], [2, 4]])
-    assert superstandard(()) == EMPTY_TABLEAU
-    with pytest.raises(ValueError):
-        superstandard((1, 2))
+    def fail(*args):
+        raise AssertionError("the oracle called rscells.tableaux._slide")
 
-
-def _column_decreasing_word(shape):
-    cols = conjugate(shape)
-    word = []
-    start = 0
-    for l in cols:
-        word.extend(range(start + l, start, -1))
-        start += l
-    return tuple(word)
-
-
-def test_superstandard_pair_inverts_to_column_decreasing_permutation():
-    for n in range(1, 7):
-        for shape in partitions(n):
-            t = superstandard(shape)
-            assert t.is_standard()
-            assert rs_inverse(t, t) == _column_decreasing_word(shape)
+    monkeypatch.setattr(rscells.tableaux, "_slide", fail)
+    assert [evacuation_by_rectify(t) for t in tableaux] == expected
 
 
 # -- transpose -----------------------------------------------------------------
