@@ -31,7 +31,6 @@ from .hecke import HeckeElement, bar, c_prime, canonical_basis_by_bar
 from .cells import CellPartition, cells, left_cell_graph
 from .crystal import (
     CrystalComponent,
-    component,
     decompose,
     e_op,
     eps,

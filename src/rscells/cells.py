@@ -112,13 +112,6 @@ class CellPartition:
     def same_cell(self, y: Perm, w: Perm) -> bool:
         return self.cell_index(y) == self.cell_index(w)
 
-    def leq_elements(self, y: Perm, w: Perm) -> bool:
-        """Whether y <= w in the preorder (left: y <=_L w)."""
-        return (self.cell_index(y), self.cell_index(w)) in self.leq
-
-    def as_sets(self) -> set[frozenset]:
-        return {frozenset(cell) for cell in self.cells}
-
 
 def cells(n: int, side: str = "left", table: KLTable | None = None) -> CellPartition:
     """The cell partition with its condensation order, cells numbered by

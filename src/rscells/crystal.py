@@ -15,27 +15,31 @@ two-factor tensor rule
 
 is the test oracle it is checked against (``tests/oracles.py``).
 Annihilation is the value None, never an exception.
+
+The crystal of all words of length n (``decompose``, ``crystal_edges``,
+``djm_violations``) works on integer codes: a word is its base-r number,
+letter a being the digit a - 1, so codes ascend in lexicographic order and
+the least code of a component is its label.  Each e_i and f_i is an array
+over codes (-1: annihilated), and the insertion tableaux of all words come
+from one walk down the prefix tree, since P(w.a) is P(w) with a inserted
+(the plactic monoid): each distinct P, a tuple of rows, is bumped once per
+letter.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .tableaux import (
-    Tableau,
-    insert_word,
-    reading_word,
-    reading_word_to_tableau,
-    semistandard_tableaux,
-)
+from .tableaux import Tableau, _bump, insert_word, semistandard_tableaux
 
 Word = tuple[int, ...]
+Rows = tuple[tuple[int, ...], ...]
 
-# decompose() and crystal_edges() refuse alphabets/lengths whose word count
-# exceeds this
+# decompose(), crystal_edges() and djm_violations() refuse alphabets and
+# lengths whose word count exceeds this
 MAX_WORDS = 500_000
 
 
@@ -43,23 +47,12 @@ class _WordCountError(ValueError):
     """r**n exceeds MAX_WORDS; the command line reports it as a bound (exit 3)."""
 
 
-def _check_word_count(n: int, r: int) -> None:
-    if r**n > MAX_WORDS:
-        raise _WordCountError(
-            f"crystal with {r}**{n} words is too large (bound {MAX_WORDS})"
-        )
-
-
-def _check_index(i: int) -> None:
-    if i < 1:
-        raise ValueError(f"operator index must be at least 1, got {i}")
-
-
 def _cancel(i: int, word: Word) -> tuple[list[int], list[int]]:
     """0-based positions of the letters i+1 and i left uncancelled when each
     letter i cancels the most recent open i+1.  Every surviving i lies left
     of every surviving i+1."""
-    _check_index(i)
+    if i < 1:
+        raise ValueError(f"operator index must be at least 1, got {i}")
     open_down: list[int] = []   # positions of uncancelled letters i+1
     unmatched_up: list[int] = []  # positions of uncancelled letters i
     for pos, a in enumerate(word):
@@ -84,12 +77,6 @@ def signature_rule(i: int, word: Word) -> tuple[Optional[int], Optional[int]]:
     return (down[0] if down else None), (up[-1] if up else None)
 
 
-def signature_counts(i: int, word: Word) -> tuple[int, int]:
-    """(eps_i, phi_i): the numbers of surviving letters i+1 and i."""
-    down, up = _cancel(i, word)
-    return len(down), len(up)
-
-
 @lru_cache(maxsize=None)
 def f_op(i: int, word: Word) -> Optional[Word]:
     """Apply the lowering operator f_i; None when it annihilates."""
@@ -107,29 +94,13 @@ def e_op(i: int, word: Word) -> Optional[Word]:
 @lru_cache(maxsize=None)
 def phi(i: int, word: Word) -> int:
     """Largest k with f_i^k applicable: the surviving letters i."""
-    return signature_counts(i, word)[1]
+    return len(_cancel(i, word)[1])
 
 
 @lru_cache(maxsize=None)
 def eps(i: int, word: Word) -> int:
     """Largest k with e_i^k applicable: the surviving letters i+1."""
-    return signature_counts(i, word)[0]
-
-
-def component(word: Word, r: int) -> frozenset[Word]:
-    """Connected component: closure of the word under all e_i and f_i."""
-    word = _check_word(word, r)
-    seen = {word}
-    queue = deque((word,))
-    while queue:
-        cur = queue.popleft()
-        for i in range(1, r):
-            for op in (e_op, f_op):
-                nxt = op(i, cur)
-                if nxt is not None and nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return frozenset(seen)
+    return len(_cancel(i, word)[0])
 
 
 def _check_word(word, r: int) -> Word:
@@ -151,39 +122,6 @@ class CrystalComponent:
     shape: tuple[int, ...]
 
 
-def decompose(n: int, r: int | None = None, check: bool = True) -> list[CrystalComponent]:
-    """Partition all r**n words into components, labelled by the common
-    recording tableau of their members (constant by the tensor-product
-    decomposition theorem; ``check`` verifies it)."""
-    if n < 1:
-        raise ValueError(f"word length must be at least 1, got {n}")
-    if r is None:
-        r = n
-    if r < 1:
-        raise ValueError(f"rank must be at least 1, got {r}")
-    _check_word_count(n, r)
-    import itertools
-
-    out = []
-    seen: set[Word] = set()
-    for word in itertools.product(range(1, r + 1), repeat=n):
-        if word in seen:
-            continue
-        comp = component(word, r)
-        seen.update(comp)
-        label = min(comp)
-        q = insert_word(label)[1]
-        if check:
-            for other in comp:
-                if insert_word(other)[1] != q:
-                    raise AssertionError(
-                        f"recording tableau not constant on the component of {label}"
-                    )
-        out.append(CrystalComponent(label, comp, q, q.outer))
-    out.sort(key=lambda c: c.label)
-    return out
-
-
 def highest_weight_rep(word: Word, r: int) -> Word:
     """The unique all-eps-zero word of the component, reached greedily."""
     word = _check_word(word, r)
@@ -197,18 +135,115 @@ def highest_weight_rep(word: Word, r: int) -> Word:
             return word
 
 
+# -- the crystal of all words of length n, on codes --------------------------
+
+def _operators(n: int, r: int, words: list[Word]) -> list[list[int]]:
+    """[e_1, f_1, e_2, f_2, ...] as arrays over codes, -1 where the operator
+    annihilates."""
+    place = [r ** (n - 1 - p) for p in range(n)]
+    ops = [[-1] * len(words) for _ in range(2 * (r - 1))]
+    for i in range(1, r):
+        e, f = ops[2 * i - 2], ops[2 * i - 1]
+        for c, word in enumerate(words):
+            down, up = _cancel(i, word)
+            if down:
+                e[c] = c - place[down[0]]
+            if up:
+                f[c] = c + place[up[-1]]
+    return ops
+
+
+def _crystal(n: int, r: int) -> tuple[list[Word], list[list[int]], list[list[int]]]:
+    """(words by code, operator arrays, components) after the bounds checks;
+    a component is the ascending list of its codes, found by a breadth-first
+    search, and the components ascend by their least code."""
+    if n < 1:
+        raise ValueError(f"word length must be at least 1, got {n}")
+    if r < 1:
+        raise ValueError(f"rank must be at least 1, got {r}")
+    if r**n > MAX_WORDS:
+        raise _WordCountError(f"crystal with {r}**{n} words is too large (bound {MAX_WORDS})")
+    words = list(itertools.product(range(1, r + 1), repeat=n))
+    ops = _operators(n, r, words)
+    seen = bytearray(len(words))
+    comps = []
+    c = 0
+    while c >= 0:
+        seen[c] = 1
+        members = [c]
+        for x in members:
+            for op in ops:
+                y = op[x]
+                if y >= 0 and not seen[y]:
+                    seen[y] = 1
+                    members.append(y)
+        comps.append(sorted(members))
+        c = seen.find(0, c + 1)
+    return words, ops, comps
+
+
+def _symbols(n: int, r: int) -> tuple[list[int], list[int], list[Rows], dict[Rows, int]]:
+    """(P index by code, Q code by code, the distinct P as row tuples, their
+    indices).  The prefix w.a has P(w.a) = P(w) <- a, so a walk down the
+    prefix tree bumps each distinct P once per letter.  The Q code is the
+    base-n number of the rows that the bumps grew: it determines Q."""
+    prows: list[Rows] = [()]
+    pindex = {(): 0}
+    steps: dict[int, list[tuple[int, int]]] = {}  # P -> (P <- a, row it grew) per letter
+    pidx, qcode = [0], [0]
+    for _ in range(n):
+        next_p, next_q = [], []
+        for p, q in zip(pidx, qcode):
+            if p not in steps:
+                steps[p] = []
+                for a in range(1, r + 1):
+                    grown = [list(row) for row in prows[p]]
+                    x = _bump(grown, a)[0] - 1
+                    rows = tuple(map(tuple, grown))
+                    if pindex.setdefault(rows, len(prows)) == len(prows):
+                        prows.append(rows)
+                    steps[p].append((pindex[rows], x))
+            for p2, x in steps[p]:
+                next_p.append(p2)
+                next_q.append(q * n + x)
+        pidx, qcode = next_p, next_q
+    return pidx, qcode, prows, pindex
+
+
+def _reading_code(rows: Rows, r: int) -> int:
+    """Code of the reading word: rows bottom to top, each left to right."""
+    code = 0
+    for a in itertools.chain.from_iterable(reversed(rows)):
+        code = code * r + a - 1
+    return code
+
+
+def decompose(n: int, r: int | None = None, check: bool = True) -> list[CrystalComponent]:
+    """Partition all r**n words into components, labelled by the common
+    recording tableau of their members (constant by the tensor-product
+    decomposition theorem; ``check`` verifies it)."""
+    r = n if r is None else r
+    words, _ops, comps = _crystal(n, r)
+    qcode = _symbols(n, r)[1] if check else None
+    out = []
+    for members in comps:
+        label = words[members[0]]
+        if check and len({qcode[c] for c in members}) > 1:
+            raise AssertionError(f"recording tableau not constant on the component of {label}")
+        q = insert_word(label)[1]
+        out.append(CrystalComponent(label, frozenset(words[c] for c in members), q, q.outer))
+    return out
+
+
 def crystal_edges(n: int, r: int) -> list[tuple[Word, int, Word]]:
     """All (word, i, f_i(word)) triples, for graph export."""
-    import itertools
-
-    _check_word_count(n, r)
-    out = []
-    for word in itertools.product(range(1, r + 1), repeat=n):
-        for i in range(1, r):
-            nxt = f_op(i, word)
-            if nxt is not None:
-                out.append((word, i, nxt))
-    return out
+    words, ops, _comps = _crystal(n, r)
+    return [
+        (word, i, words[ops[2 * i - 1][c]])
+        for c, word in enumerate(words)
+        for i in range(1, r)
+        if ops[2 * i - 1][c] >= 0
+    ]
 
 
 def djm_violations(n: int, r: int) -> tuple[int, list[str]]:
@@ -217,50 +252,48 @@ def djm_violations(n: int, r: int) -> tuple[int, list[str]]:
     bijection onto the column-strict tableaux of the component's shape,
     (c) insertion intertwines the operators with their tableau counterparts
     acting through reading words.  Returns (cases, violations)."""
+    words, ops, comps = _crystal(n, r)
+    pidx, qcode, prows, pindex = _symbols(n, r)
+    reading = [_reading_code(rows, r) for rows in prows]
+    # shape -> {reading code of a tableau of B(shape): the P index of that
+    # tableau, -1 if no word inserts to it}
+    crystals: dict[tuple[int, ...], dict[int, int]] = {}
     violations: list[str] = []
-    comps = decompose(n, r, check=False)
-    for comp in comps:
-        q = comp.q_symbol
-        shape = comp.shape
-        symbols = {}
-        for b in comp.words:
-            symbols[b], q_b = insert_word(b)
-            if q_b != q:
+    for members in comps:
+        label, q = words[members[0]], qcode[members[0]]
+        for c in members:
+            if qcode[c] != q:
                 violations.append(
-                    f"component {comp.label}: word {b} has a different recording tableau"
+                    f"component {label}: word {words[c]} has a different recording tableau"
                 )
-        image = set(symbols.values())
-        if len(image) != len(comp.words):
-            violations.append(f"component {comp.label}: insertion is not injective")
-        target = set(semistandard_tableaux(shape, r))
-        if image != target:
+        shape = tuple(map(len, prows[pidx[members[0]]]))
+        if shape not in crystals:
+            crystals[shape] = {
+                _reading_code(t.rows, r): pindex.get(t.rows, -1)
+                for t in semistandard_tableaux(shape, r)
+            }
+        tabs = crystals[shape]
+        image = {pidx[c] for c in members}
+        if len(image) != len(members):
+            violations.append(f"component {label}: insertion is not injective")
+        if image != set(tabs.values()):
             violations.append(
-                f"component {comp.label}: image has {len(image)} tableaux, "
-                f"B(lambda) has {len(target)}"
+                f"component {label}: image has {len(image)} tableaux, "
+                f"B(lambda) has {len(tabs)}"
             )
-        for b in comp.words:
-            rw = reading_word(symbols[b])
-            for i in range(1, r):
-                for op in (e_op, f_op):
-                    b2 = op(i, b)
-                    rw2 = op(i, rw)
-                    if (b2 is None) != (rw2 is None):
-                        violations.append(
-                            f"word {b}, op {op.__name__} i={i}: "
-                            f"annihilation mismatch with the reading word"
-                        )
-                        continue
-                    if b2 is None:
-                        continue
-                    t2 = reading_word_to_tableau(rw2, shape)
-                    if t2 is None:
-                        violations.append(
-                            f"word {b}, op {op.__name__} i={i}: reading word "
-                            f"left the tableau crystal"
-                        )
-                    elif symbols[b2] != t2:
-                        violations.append(
-                            f"word {b}, op {op.__name__} i={i}: insertion does "
-                            f"not intertwine the operators"
-                        )
+        for c in members:
+            rw = reading[pidx[c]]
+            for k, op in enumerate(ops):
+                b2, rw2 = op[c], op[rw]
+                if (b2 < 0) != (rw2 < 0):
+                    problem = "annihilation mismatch with the reading word"
+                elif b2 < 0 or tabs.get(rw2) == pidx[b2]:
+                    continue
+                elif rw2 not in tabs:
+                    problem = "reading word left the tableau crystal"
+                else:
+                    problem = "insertion does not intertwine the operators"
+                violations.append(
+                    f"word {words[c]}, op {'ef'[k % 2]}_op i={k // 2 + 1}: {problem}"
+                )
     return r**n, violations

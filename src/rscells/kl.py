@@ -415,10 +415,6 @@ class KLTable:
         """mu on whichever side of the pair is shorter; symmetric."""
         return self._mu_sym(self._rank(y), self._rank(w))
 
-    def mu_list(self, w: Perm) -> tuple[tuple[Perm, int], ...]:
-        """All (z, mu(z, w)) with z < w and mu(z, w) != 0, z ascending."""
-        return tuple((self.perms[z], m) for z, m in self._mu_list(self._rank(w)))
-
     def support(self, w: Perm) -> frozenset[Perm]:
         """The Bruhat interval {y : y <= w}."""
         return frozenset(self.perms[y] for y in _ranks(self._support(self._rank(w))))

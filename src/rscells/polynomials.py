@@ -139,10 +139,6 @@ class LaurentPoly:
     def coeff(self, k: int) -> int:
         return self.terms.get(k, 0)
 
-    @property
-    def max_exponent(self):
-        return max(self.terms) if self.terms else None
-
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by v**k."""
         return LaurentPoly({e + k: c for e, c in self.terms.items()})

@@ -9,11 +9,12 @@ entries outside its inner shape.  Construction checks that rows and columns
 weakly increase; strictness down columns (column-strict) or in both
 directions with entries 1..n (standard) is checked by the public operations
 that need it.  Validation happens only there: the bumping and sliding loops
-(``_bump``, ``_slide``) work on plain lists and cell dicts, and
-``insert_word`` and ``evacuation`` build their ``Tableau`` results once, at
-the end.  Jeu de taquin on skew shapes, rectification and the enumeration
-of standard fillings are the test oracles in ``tests/oracles.py`` that
-evacuation and the P-symbol are checked against.
+(``_bump``, also the bump of the crystal's symbols, and ``_slide``) work on
+plain lists and cell dicts, and ``insert_word`` and ``evacuation`` build
+their ``Tableau`` results once.  Jeu de taquin on skew shapes,
+rectification and the enumeration of standard fillings are the test
+oracles in ``tests/oracles.py`` that evacuation and the P-symbol are
+checked against.
 """
 
 from __future__ import annotations
@@ -319,25 +320,6 @@ def reading_word(tab: Tableau) -> tuple[int, ...]:
     (4, 2, 3, 1, 1, 2, 4)
     """
     return tuple(itertools.chain.from_iterable(reversed(tab.rows)))
-
-
-def reading_word_to_tableau(word: Sequence[int], shape: Sequence[int]):
-    """Reassemble a straight-shape tableau from its reading word; None if the
-    chopped filling is not column-strict of that shape."""
-    shape = tuple(shape)
-    if sum(shape) != len(word):
-        return None
-    rows = []
-    pos = 0
-    for rlen in reversed(shape):
-        rows.append(tuple(word[pos : pos + rlen]))
-        pos += rlen
-    rows.reverse()
-    try:
-        tab = Tableau(rows)
-    except ValueError:
-        return None
-    return tab if tab.is_column_strict() else None
 
 
 # ---------------------------------------------------------------------------

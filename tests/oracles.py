@@ -5,15 +5,18 @@ by sorted-prefix dominance and via subwords of one fixed reduced word,
 reduced words and minimal coset representatives by stripping descents,
 composition via explicit function application, involution counting by
 direct scan, the Knuth moves K_ij through minimal coset representatives,
-crystal operators by the recursive tensor-product rule, jeu de taquin
-slides on cell dicts with their own sliding loop, rectification, the
-permutation tableau and standard fillings of skew shapes, evacuation by
-rectifying punctured tableaux, T-basis products by expanding into
-generators, C'-expansions by peeling top terms, the q = 1 action from mu
-lists, the cell graph on permutation tuples with Tarjan's state in dicts,
-left closures by reverse reachability in the cell graph, the cell suites
-by scanning every pair of elements, and the KL columns by the descent
-recursion on dict columns and set supports.
+crystal operators by the recursive tensor-product rule, crystal components
+by a search on word tuples, the crystal-djm checks on validated tableaux
+built per word, operator and reading word, jeu de taquin slides on cell
+dicts with their own sliding loop, rectification, the permutation tableau
+and standard fillings of skew shapes, evacuation by rectifying punctured
+tableaux, T-basis products by expanding into generators, C'-expansions by
+peeling top terms, the q = 1 action from mu lists, the cell graph on
+permutation tuples with Tarjan's state in dicts, left closures by reverse
+reachability in the cell graph, the cell suites by scanning every pair of
+elements, and the KL columns by the descent recursion on dict columns and
+set supports.  A few queries on library objects that only the tests make
+(the cell preorder on elements, mu lists of tuples) live here too.
 """
 
 import itertools
@@ -22,7 +25,8 @@ from collections import deque
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
-from rscells.cells import cells, left_cell_graph
+from rscells.cells import CellPartition, cells, left_cell_graph
+from rscells.crystal import _check_word, e_op, f_op
 from rscells.hecke import HeckeElement, c_prime
 from rscells.kl import KLTable, default_table
 from rscells.permutations import (
@@ -37,7 +41,14 @@ from rscells.permutations import (
     right_descents,
 )
 from rscells.polynomials import ONE, ZERO, LaurentPoly
-from rscells.tableaux import Tableau, _from_cells, q_symbol
+from rscells.tableaux import (
+    Tableau,
+    _from_cells,
+    insert_word,
+    q_symbol,
+    reading_word,
+    semistandard_tableaux,
+)
 from rscells.verify import Report
 
 
@@ -50,6 +61,27 @@ def compose_as_maps(u, v):
     um = {i: a for i, a in enumerate(u, start=1)}
     vm = {i: a for i, a in enumerate(v, start=1)}
     return tuple(um[vm[i]] for i in range(1, len(u) + 1))
+
+
+# -- queries on library objects that only the tests make ----------------------
+
+def leq_elements(part: CellPartition, y: Perm, w: Perm) -> bool:
+    """Whether y <= w in the preorder of ``part`` (left: y <=_L w)."""
+    return (part.cell_index(y), part.cell_index(w)) in part.leq
+
+
+def as_sets(part: CellPartition) -> set[frozenset]:
+    return {frozenset(cell) for cell in part.cells}
+
+
+def max_exponent(poly: LaurentPoly):
+    """The largest exponent of v; None for the zero polynomial."""
+    return max(poly.terms) if poly.terms else None
+
+
+def mu_list(table: KLTable, w: Perm) -> tuple[tuple[Perm, int], ...]:
+    """All (z, mu(z, w)) with z < w and mu(z, w) != 0, z ascending."""
+    return tuple((table.perms[z], m) for z, m in table._mu_list(table._rank(w)))
 
 
 # -- Bruhat order, reduced words and coset representatives --------------------
@@ -185,6 +217,101 @@ def tensor_phi(i, word):
 @lru_cache(maxsize=None)
 def tensor_eps(i, word):
     return _string_length(tensor_e, i, word)
+
+
+# -- the crystal of words on tuples and Tableau objects ---------------------
+
+def component(word, r):
+    """Connected component: closure of the word under all e_i and f_i, by a
+    breadth-first search on tuples through the cached ``e_op``/``f_op``."""
+    word = _check_word(word, r)
+    seen = {word}
+    queue = deque((word,))
+    while queue:
+        cur = queue.popleft()
+        for i in range(1, r):
+            for op in (e_op, f_op):
+                nxt = op(i, cur)
+                if nxt is not None and nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return frozenset(seen)
+
+
+def reading_word_to_tableau(word, shape):
+    """Reassemble a straight-shape tableau from its reading word; None if the
+    chopped filling is not column-strict of that shape."""
+    shape = tuple(shape)
+    if sum(shape) != len(word):
+        return None
+    rows = []
+    pos = 0
+    for rlen in reversed(shape):
+        rows.append(tuple(word[pos : pos + rlen]))
+        pos += rlen
+    rows.reverse()
+    try:
+        tab = Tableau(rows)
+    except ValueError:
+        return None
+    return tab if tab.is_column_strict() else None
+
+
+def djm_violations_by_tableaux(n, r):
+    """The crystal-djm checks (a)-(c) on tuples and validated tableaux:
+    components by ``component``, symbols by ``insert_word``, and one reading
+    word chopped back into a ``Tableau`` per (word, i, operator)."""
+    violations = []
+    seen = set()
+    for label in itertools.product(range(1, r + 1), repeat=n):
+        if label in seen:
+            continue
+        words = component(label, r)
+        seen |= words
+        q = insert_word(label)[1]
+        shape = q.outer
+        symbols = {}
+        for b in sorted(words):
+            symbols[b], q_b = insert_word(b)
+            if q_b != q:
+                violations.append(
+                    f"component {label}: word {b} has a different recording tableau"
+                )
+        image = set(symbols.values())
+        if len(image) != len(words):
+            violations.append(f"component {label}: insertion is not injective")
+        target = set(semistandard_tableaux(shape, r))
+        if image != target:
+            violations.append(
+                f"component {label}: image has {len(image)} tableaux, "
+                f"B(lambda) has {len(target)}"
+            )
+        for b in sorted(words):
+            rw = reading_word(symbols[b])
+            for i in range(1, r):
+                for op in (e_op, f_op):
+                    b2 = op(i, b)
+                    rw2 = op(i, rw)
+                    if (b2 is None) != (rw2 is None):
+                        violations.append(
+                            f"word {b}, op {op.__name__} i={i}: "
+                            f"annihilation mismatch with the reading word"
+                        )
+                        continue
+                    if b2 is None:
+                        continue
+                    t2 = reading_word_to_tableau(rw2, shape)
+                    if t2 is None:
+                        violations.append(
+                            f"word {b}, op {op.__name__} i={i}: reading word "
+                            f"left the tableau crystal"
+                        )
+                    elif symbols[b2] != t2:
+                        violations.append(
+                            f"word {b}, op {op.__name__} i={i}: insertion does "
+                            f"not intertwine the operators"
+                        )
+    return r**n, violations
 
 
 # -- jeu de taquin, rectification and standard fillings -----------------------
@@ -429,7 +556,7 @@ def kl_action_q1(i: int, w: Perm, table: KLTable | None = None) -> dict[Perm, in
     if i in left_descents(w):
         return {w: -1}
     out = {w: 1, multiply_simple(w, i, "left"): 1}
-    for z, m in table.mu_list(w):
+    for z, m in mu_list(table, w):
         if i in left_descents(z):
             out[z] = m
     return out
@@ -439,12 +566,12 @@ def kl_action_q1(i: int, w: Perm, table: KLTable | None = None) -> dict[Perm, in
 
 def left_cell_graph_by_tuples(n, table):
     """The cell graph keyed by tuples, with left descents computed per tuple
-    and mu read through the table's public ``mu_list``."""
+    and mu read through ``mu_list``."""
     perms = all_perms(n)
     desc = {w: left_descents(w) for w in perms}
     adj = {w: set() for w in perms}
     for w in perms:
-        for z, _m in table.mu_list(w):
+        for z, _m in mu_list(table, w):
             if desc[z] - desc[w]:
                 adj[z].add(w)
             if desc[w] - desc[z]:
@@ -580,7 +707,7 @@ def descents_by_scan(n, table=None):
     for y in perms:
         ry = right_descents(y)
         for w in perms:
-            if not part.leq_elements(y, w):
+            if not leq_elements(part, y, w):
                 continue
             report.cases += 1
             rw = right_descents(w)

@@ -2,19 +2,26 @@
 
 Long runs (n = 6, 7 and 8 for the cell/Q partition, n = 6 and 7 for the
 bar-invariance certificate, n = 5 to 8 for the descent and mu/Knuth-move
-checks) are gated behind RSCELLS_LONG=1.
+checks, n = 6 for the crystal checks) are gated behind RSCELLS_LONG=1.
 """
 
+import hashlib
 import itertools
 import os
+import subprocess
+import sys
 
 import pytest
 
+import rscells
+
 from oracles import (
     all_perms,
+    as_sets,
     inner_corners,
     involution_count,
     jdt_slide,
+    max_exponent,
     partitions,
     permutation_tableau,
     rectify,
@@ -67,7 +74,7 @@ def test_criterion_01_s3_cells_and_q_symbols():
         frozenset({(1, 3, 2), (2, 3, 1)}): Tableau([[1, 2], [3]]),
         frozenset({(3, 2, 1)}): Tableau([[1], [2], [3]]),
     }
-    assert part.as_sets() == set(expected)
+    assert as_sets(part) == set(expected)
     for cell, q in expected.items():
         for w in cell:
             assert q_symbol(w) == q
@@ -123,7 +130,7 @@ def test_criterion_05_kl_oracle_s4():
         assert bar(cw) == cw
         for y, coef in cw.coords.items():
             if y != w:
-                assert coef.shifted(length(y)).max_exponent <= -1
+                assert max_exponent(coef.shifted(length(y))) <= -1
         for y in all_perms(n):
             got = table.polynomial(y, w)
             want = oracle[w].coeff(y).as_q_polynomial(v_shift=-length(w))
@@ -224,6 +231,40 @@ def test_criterion_11_crystal_djm_and_signature():
                 if eb is not None:
                     assert eb == b[:e_pos] + (i,) + b[e_pos + 1 :]
     _ok(11, "DJM checks pass for n = r <= 4; signature rule matches for n <= 5")
+
+
+# the child reads its peak from VmHWM, the high-water mark of its own
+# address space, as the S_8 warm test in test_kl.py does
+_DJM_6 = """
+from rscells.cli import main
+code = main(["--long", "verify", "crystal-djm", "6"])
+peak = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(code, int(peak.split()[1]) // 1024)
+"""
+
+
+@long_run
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_criterion_11_crystal_djm_n6_long():
+    # 46,656 words in about 1 s at a 37 MB peak; building a Tableau per
+    # word, operator and reading word took 8-11 s and 92 MB
+    src = os.path.dirname(os.path.dirname(rscells.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", _DJM_6], env=env, capture_output=True, text=True, check=True,
+        timeout=300,
+    ).stdout
+    *report, last = out.splitlines(keepends=True)
+    code, peak_mb = map(int, last.split())
+    assert code == 0
+    assert "".join(report).endswith("cases: 46656\nviolations: 0\nresult: PASS\n")
+    # the stdout of `rscells --long verify crystal-djm 6` while the suite
+    # built a Tableau per word, operator and reading word
+    assert hashlib.sha256("".join(report).encode()).hexdigest() == (
+        "9fa12caf3126e1c889e7361b41097af1a19ebe2630b753493ea468d50d1ec423"
+    )
+    assert peak_mb < 60, peak_mb
+    _ok(11, "DJM checks pass for n = r = 6 (long)")
 
 
 def test_criterion_12_crystal_route_to_theorem_a():

@@ -179,6 +179,31 @@ def test_cell_outputs_are_pinned(capsys, n):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
+# sha256 of stdout of `rscells --format FMT graph N crystal`, recorded while
+# the crystal was built from tuple operators
+CRYSTAL_GRAPH_SHA256 = {
+    "text graph 1 crystal": "9212c23eb6cbd98e28cf716bde5b6d8beea8fd043c38b202ec2815cf26695c97",
+    "json graph 1 crystal": "23477081c49f9ee796652767472973fa5c7e453eb23ce143398109475aecd048",
+    "text graph 2 crystal": "4a1d9d17d5ca39daae7de3d43436bef6bd2e6b3c184c87ee3673d784abfef11d",
+    "json graph 2 crystal": "b0a1b779dd8bd758e29f9d923ec775379a41d14250fef70b9bcccdb4a6897ec6",
+    "text graph 3 crystal": "0fc585a1a3ee2478c269ccdfdb755d7075428b1476296896a31d4f36c5d6d0b3",
+    "json graph 3 crystal": "767bf49d912b2eb7d1f7295495f279083c71e0a2d7cd7ebd3b61843440dae289",
+    "text graph 4 crystal": "a3f15bd9bbabdd074fd5c542cc200afe84ef231d18ed53f1e9f2186de8e895c0",
+    "json graph 4 crystal": "5ebaaf804344cf837c237e8b1b71189c8a23dc6baec1d3163293d56360edd09e",
+    "text graph 5 crystal": "aa372f7cccebc0aa3b94bc5a56fe197f5739110e501575a3e64bdba15db6cf85",
+    "json graph 5 crystal": "8352c59ab07ff7d98d64e569089b0a81f303875096212e55182733547ef28dbe",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_crystal_graph_outputs_are_pinned(capsys, n):
+    for fmt in ("text", "json"):
+        code, out, _ = run(capsys, "--format", fmt, "graph", str(n), "crystal")
+        assert code == EXIT_OK
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == CRYSTAL_GRAPH_SHA256[f"{fmt} graph {n} crystal"], (fmt, n)
+
+
 def test_graph_crystal(capsys):
     code, out, _ = run(capsys, "graph", "2", "crystal")
     assert code == EXIT_OK

@@ -1,12 +1,23 @@
+import bisect
 import itertools
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import partitions, tensor_e, tensor_eps, tensor_f, tensor_phi
-from rscells.crystal import (
+import rscells.crystal
+import rscells.tableaux
+from oracles import (
     component,
+    djm_violations_by_tableaux,
+    partitions,
+    reading_word_to_tableau,
+    tensor_e,
+    tensor_eps,
+    tensor_f,
+    tensor_phi,
+)
+from rscells.crystal import (
     crystal_edges,
     decompose,
     djm_violations,
@@ -15,16 +26,9 @@ from rscells.crystal import (
     f_op,
     highest_weight_rep,
     phi,
-    signature_counts,
     signature_rule,
 )
-from rscells.tableaux import (
-    Tableau,
-    insert_word,
-    reading_word,
-    reading_word_to_tableau,
-    semistandard_tableaux,
-)
+from rscells.tableaux import Tableau, insert_word, reading_word, semistandard_tableaux
 
 words = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(st.integers(1, 3), min_size=n, max_size=n).map(tuple)
@@ -102,9 +106,7 @@ def test_signature_rule_matches_recursive_operators():
                     else:
                         assert eb == b[:e_pos] + (i,) + b[e_pos + 1 :]
                     assert (f_op(i, b), e_op(i, b)) == (fb, eb)
-                    expected = (tensor_eps(i, b), tensor_phi(i, b))
-                    assert signature_counts(i, b) == expected
-                    assert (eps(i, b), phi(i, b)) == expected
+                    assert (eps(i, b), phi(i, b)) == (tensor_eps(i, b), tensor_phi(i, b))
 
 
 def test_sl2_string_bookkeeping():
@@ -160,6 +162,38 @@ def test_decompose_q_constancy():
             pass  # check=True raises on a violation
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_decompose_matches_the_tuple_search(n, r):
+    expected = []
+    seen = set()
+    for word in all_words(n, r):
+        if word not in seen:
+            words = component(word, r)
+            seen |= words
+            q = insert_word(word)[1]
+            expected.append((word, words, q, q.outer))
+    for check in (True, False):
+        got = [(c.label, c.words, c.q_symbol, c.shape) for c in decompose(n, r, check)]
+        assert got == expected
+
+
+def test_decompose_check_sees_a_recording_tableau_that_varies(monkeypatch):
+    # give the last word, 222 in the component of 111, a recording code of
+    # its own
+    symbols = rscells.crystal._symbols
+
+    def poisoned(n, r):
+        pidx, qcode, prows, pindex = symbols(n, r)
+        qcode[-1] += 1
+        return pidx, qcode, prows, pindex
+
+    monkeypatch.setattr(rscells.crystal, "_symbols", poisoned)
+    with pytest.raises(AssertionError, match=r"component of \(1, 1, 1\)"):
+        decompose(3, 2, check=True)
+    assert len(decompose(3, 2, check=False)) == 3
+
+
 def test_decompose_bounds():
     with pytest.raises(ValueError):
         decompose(12, 12)
@@ -192,6 +226,29 @@ def test_djm_small():
     assert cases == 27 and violations == []
 
 
+@pytest.mark.parametrize(
+    "n, r", [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (3, 2), (4, 3), (2, 4)]
+)
+def test_djm_violations_match_the_tableau_oracle(n, r):
+    assert djm_violations(n, r) == djm_violations_by_tableaux(n, r)
+
+
+@pytest.mark.parametrize("n, r", [(3, 3), (4, 3), (4, 4)])
+def test_djm_violations_match_the_tableau_oracle_on_a_poisoned_bump(monkeypatch, n, r):
+    # a bump that replaces an equal entry breaks all three checks, in the
+    # library's prefix walk and in the oracle's insert_word alike
+    monkeypatch.setattr(rscells.tableaux, "bisect_right", bisect.bisect_left)
+    cases, violations = djm_violations(n, r)
+    assert violations
+    assert (cases, violations) == djm_violations_by_tableaux(n, r)
+
+
+def test_djm_violations_bounds():
+    for n, r in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError):
+            djm_violations(n, r)
+
+
 def test_word_symbols():
     p, q = insert_word((2, 1, 2, 2))
     assert p.is_column_strict() and q.is_standard()
@@ -202,3 +259,14 @@ def test_crystal_edges_export():
     edges = crystal_edges(2, 2)
     assert ((1, 1), 1, (1, 2)) in edges
     assert all(f_op(i, a) == b for a, i, b in edges)
+
+
+def test_crystal_edges_are_every_f_step_in_order():
+    for n, r in ((3, 3), (2, 4), (4, 2)):
+        expected = [
+            (b, i, f_op(i, b))
+            for b in all_words(n, r)
+            for i in range(1, r)
+            if f_op(i, b) is not None
+        ]
+        assert crystal_edges(n, r) == expected

@@ -2,7 +2,14 @@ import itertools
 
 import pytest
 
-from oracles import all_perms, c_prime_product_expansion, kl_action_q1, t_multiply
+from oracles import (
+    all_perms,
+    c_prime_product_expansion,
+    kl_action_q1,
+    max_exponent,
+    mu_list,
+    t_multiply,
+)
 from rscells.hecke import HeckeElement, bar, c_prime, canonical_basis_by_bar
 from rscells.kl import KLTable, default_table
 from rscells.permutations import identity, left_descents, length, multiply_simple
@@ -91,7 +98,7 @@ def test_c_prime_bar_invariance_s4():
         assert bar(cw) == cw
         for y, coef in cw.coords.items():
             if y != w:
-                assert coef.shifted(length(y)).max_exponent <= -1
+                assert max_exponent(coef.shifted(length(y))) <= -1
 
 
 def test_c_prime_matches_bar_invariance_solve():
@@ -137,7 +144,7 @@ def test_product_expansion_matches_mu_rule():
                 assert got == {w: V + VINV}
                 continue
             expected = {multiply_simple(w, i, "left"): LaurentPoly.one()}
-            for z, m in tbl.mu_list(w):
+            for z, m in mu_list(tbl, w):
                 if i in left_descents(z):
                     expected[z] = LaurentPoly.from_q_polynomial(IntPolynomial((m,)))
             assert got == expected, (w, i)

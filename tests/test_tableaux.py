@@ -10,6 +10,7 @@ from oracles import (
     jdt_slide,
     partitions,
     permutation_tableau,
+    reading_word_to_tableau,
     rectify,
     staircase,
     standard_tableaux,
@@ -25,7 +26,6 @@ from rscells.tableaux import (
     p_symbol,
     q_symbol,
     reading_word,
-    reading_word_to_tableau,
     rs_inverse,
     semistandard_tableaux,
 )

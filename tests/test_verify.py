@@ -1,7 +1,13 @@
+import bisect
+import hashlib
+import json
+
 import pytest
 
+import rscells.tableaux
 from kl_entries import read_column, write_column
 from oracles import descents_by_scan, knuth_mu_by_scan, theorem_a_by_scan
+from rscells import crystal
 from rscells.kl import KLTable
 from rscells.polynomials import ONE, IntPolynomial
 from rscells.verify import SUITES, Report, run_suite
@@ -229,6 +235,95 @@ def test_crystal_theorem_a_fails_on_poisoned_mu_lists():
     rep = run_suite("crystal-theorem-a", 4, _NoMuTable(4))
     assert rep.violations == ["Q-symbol fibers (10) differ from left cells (24)"]
     assert rep.lines()[-1] == "result: FAIL"
+
+
+@pytest.fixture
+def clean_operator_caches():
+    """Empty the cached tuple operators after a test that patched the rule
+    they are computed by."""
+    yield
+    for op in (crystal.f_op, crystal.e_op, crystal.phi, crystal.eps):
+        op.cache_clear()
+
+
+def test_crystal_djm_fails_when_f_hits_the_leftmost_surviving_i(
+    monkeypatch, clean_operator_caches
+):
+    cancel = crystal._cancel
+
+    def leftmost(i, word):
+        down, up = cancel(i, word)
+        return down, up[:1]
+
+    monkeypatch.setattr(crystal, "_cancel", leftmost)
+    rep = run_suite("crystal-djm", 4)
+    assert not rep.ok
+    # check (c): f_1 turns the reading word 1111 into 2111, whose row is
+    # not weakly increasing
+    assert "word (1, 1, 1, 1), op f_op i=1: reading word left the tableau crystal" in (
+        rep.violations
+    )
+
+
+def test_crystal_djm_fails_when_the_bump_replaces_an_equal_entry(monkeypatch):
+    monkeypatch.setattr(rscells.tableaux, "bisect_right", bisect.bisect_left)
+    rep = run_suite("crystal-djm", 4)
+    assert not rep.ok
+    # check (b): 1111 now inserts to one column of 1s, and the one tableau
+    # of that shape is not the image of the 35 words of the component
+    assert "component (1, 1, 1, 1): image has 35 tableaux, B(lambda) has 1" in rep.violations
+
+
+def test_crystal_djm_fails_on_a_recording_tableau_that_varies(monkeypatch):
+    # check (a): the last word, 333 in the component of 111, gets a
+    # recording code of its own
+    symbols = crystal._symbols
+
+    def poisoned(n, r):
+        pidx, qcode, prows, pindex = symbols(n, r)
+        qcode[-1] += 1
+        return pidx, qcode, prows, pindex
+
+    monkeypatch.setattr(crystal, "_symbols", poisoned)
+    rep = run_suite("crystal-djm", 3)
+    assert rep.violations == [
+        "component (1, 1, 1): word (3, 3, 3) has a different recording tableau"
+    ]
+
+
+# sha256 of "\n".join(Report.lines()) and of json.dumps(Report.to_json(),
+# sort_keys=True) for crystal-djm, recorded while the suite still built a
+# Tableau per word, operator and reading word
+CRYSTAL_DJM_SHA256 = {
+    1: (
+        "45ef0c667887e77f010131ab5d825506d1cc5fb6297df581cb5e42c3a1a1acf2",
+        "af9b32cf72e913802bfdba2b8db62206ea6e45a7f53a7bf75935c0644ada0389",
+    ),
+    2: (
+        "a48d2641b3093ed05b96f77cb0e42bc7e0c470b3575b603372e5abb779f6b944",
+        "beb9e071f7b8c68fd420daa5e13584044a313e62dd2d9a89bff93f3e29c5142d",
+    ),
+    3: (
+        "4fa989259c5cfd364f3a136795f547a09e42b07b9f76fa2d0018a8ead85ba45e",
+        "bb97050bab00d3a7c94fc1ed516a4bf09f1aadf7ec31711b196c709591ba466e",
+    ),
+    4: (
+        "160da494c373898d3901ffd95919f52cdd322d591b22fa817453ad30259fa98f",
+        "e875699673687fb705862df97ba9cdaccd6924d002f8cd7803d1594b20c30234",
+    ),
+    5: (
+        "530c5642b102803917ec5fcbcaa24e324d2e7d33c5646ed41d580bea61171ec9",
+        "ddb53824d7e32358c6e0a785f42ab2fca1ffb9b2a95da8cedd9960fd9063d710",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_crystal_djm_report_is_pinned(n):
+    rep = run_suite("crystal-djm", n)
+    lines = hashlib.sha256("\n".join(rep.lines()).encode()).hexdigest()
+    data = hashlib.sha256(json.dumps(rep.to_json(), sort_keys=True).encode()).hexdigest()
+    assert (lines, data) == CRYSTAL_DJM_SHA256[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
