@@ -20,10 +20,19 @@ The crystal of all words of length n (``decompose``, ``crystal_edges``,
 ``djm_violations``) works on integer codes: a word is its base-r number,
 letter a being the digit a - 1, so codes ascend in lexicographic order and
 the least code of a component is its label.  Each e_i and f_i is an array
-over codes (-1: annihilated), and the insertion tableaux of all words come
-from one walk down the prefix tree, since P(w.a) is P(w) with a inserted
-(the plactic monoid): each distinct P, a tuple of rows, is bumped once per
-letter.
+over codes (-1: annihilated), and the P indices and Q codes of all words
+come from ``tableaux._symbols``, the walk down the prefix tree that the
+permutation suites share: since P(w.a) is P(w) with a inserted (the
+plactic monoid), each distinct P, a tuple of rows, is bumped once per
+letter.  The tableaux of a shape come as row tuples, with no ``Tableau``
+built per filling.
+
+``highest_weight_reps`` walks many words to their highest-weight words in
+one call, the permutations of S_n for ``crystal-theorem-a``: e_i is applied
+for the least i that does not annihilate, through the same ``_cancel``
+scan, and a memo that lives for the call visits each word on a path once,
+so it fills no cache that outlives the call.  ``highest_weight_rep`` is its
+one-word case.
 """
 
 from __future__ import annotations
@@ -33,10 +42,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .tableaux import Tableau, _bump, insert_word, semistandard_tableaux
+from .tableaux import Rows, Tableau, _semistandard_rows, _symbols, insert_word
 
 Word = tuple[int, ...]
-Rows = tuple[tuple[int, ...], ...]
 
 # decompose(), crystal_edges() and djm_violations() refuse alphabets and
 # lengths whose word count exceeds this
@@ -124,15 +132,34 @@ class CrystalComponent:
 
 def highest_weight_rep(word: Word, r: int) -> Word:
     """The unique all-eps-zero word of the component, reached greedily."""
-    word = _check_word(word, r)
-    while True:
-        for i in range(1, r):
-            nxt = e_op(i, word)
-            if nxt is not None:
-                word = nxt
-                break
-        else:
-            return word
+    return highest_weight_reps([_check_word(word, r)], r)[0]
+
+
+def highest_weight_reps(words, r: int) -> list[Word]:
+    """The highest-weight word of the component of each word, reached by
+    applying e_i for the least i that does not annihilate until every e_i
+    does.  A memo that lives for the call holds every word met on a path,
+    so each is walked once.  The words are tuples over 1..r and are not
+    checked."""
+    top: dict[Word, Word] = {}
+    out = []
+    for word in words:
+        path = []
+        while word not in top:
+            path.append(word)
+            for i in range(1, r):
+                down = _cancel(i, word)[0]
+                if down:
+                    pos = down[0]
+                    word = word[:pos] + (i,) + word[pos + 1 :]
+                    break
+            else:
+                top[word] = word
+        rep = top[word]
+        for seen in path:
+            top[seen] = rep
+        out.append(rep)
+    return out
 
 
 # -- the crystal of all words of length n, on codes --------------------------
@@ -180,34 +207,6 @@ def _crystal(n: int, r: int) -> tuple[list[Word], list[list[int]], list[list[int
         comps.append(sorted(members))
         c = seen.find(0, c + 1)
     return words, ops, comps
-
-
-def _symbols(n: int, r: int) -> tuple[list[int], list[int], list[Rows], dict[Rows, int]]:
-    """(P index by code, Q code by code, the distinct P as row tuples, their
-    indices).  The prefix w.a has P(w.a) = P(w) <- a, so a walk down the
-    prefix tree bumps each distinct P once per letter.  The Q code is the
-    base-n number of the rows that the bumps grew: it determines Q."""
-    prows: list[Rows] = [()]
-    pindex = {(): 0}
-    steps: dict[int, list[tuple[int, int]]] = {}  # P -> (P <- a, row it grew) per letter
-    pidx, qcode = [0], [0]
-    for _ in range(n):
-        next_p, next_q = [], []
-        for p, q in zip(pidx, qcode):
-            if p not in steps:
-                steps[p] = []
-                for a in range(1, r + 1):
-                    grown = [list(row) for row in prows[p]]
-                    x = _bump(grown, a)[0] - 1
-                    rows = tuple(map(tuple, grown))
-                    if pindex.setdefault(rows, len(prows)) == len(prows):
-                        prows.append(rows)
-                    steps[p].append((pindex[rows], x))
-            for p2, x in steps[p]:
-                next_p.append(p2)
-                next_q.append(q * n + x)
-        pidx, qcode = next_p, next_q
-    return pidx, qcode, prows, pindex
 
 
 def _reading_code(rows: Rows, r: int) -> int:
@@ -269,8 +268,8 @@ def djm_violations(n: int, r: int) -> tuple[int, list[str]]:
         shape = tuple(map(len, prows[pidx[members[0]]]))
         if shape not in crystals:
             crystals[shape] = {
-                _reading_code(t.rows, r): pindex.get(t.rows, -1)
-                for t in semistandard_tableaux(shape, r)
+                _reading_code(rows, r): pindex.get(rows, -1)
+                for rows in _semistandard_rows(shape, r)
             }
         tabs = crystals[shape]
         image = {pidx[c] for c in members}

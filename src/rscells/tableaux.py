@@ -9,12 +9,21 @@ entries outside its inner shape.  Construction checks that rows and columns
 weakly increase; strictness down columns (column-strict) or in both
 directions with entries 1..n (standard) is checked by the public operations
 that need it.  Validation happens only there: the bumping and sliding loops
-(``_bump``, also the bump of the crystal's symbols, and ``_slide``) work on
-plain lists and cell dicts, and ``insert_word`` and ``evacuation`` build
-their ``Tableau`` results once.  Jeu de taquin on skew shapes,
-rectification and the enumeration of standard fillings are the test
-oracles in ``tests/oracles.py`` that evacuation and the P-symbol are
-checked against.
+(``_bump`` and ``_slide``) work on plain lists and cell dicts, and
+``insert_word`` and ``evacuation`` build their ``Tableau`` results once.
+
+The exhaustive callers do not insert one word at a time.  ``_symbols``
+walks the prefix tree of all words of length n over 1..r, or of the
+permutations of S_n, level by level in lexicographic order (the rank order
+of ``KLTable.perms``).  Since P(w.a) is P(w) with a inserted (the plactic
+monoid), it bumps each distinct P once per letter that may follow it, and
+it gives every word a P index, into the distinct P as row tuples, and a
+Q code: the base-n number of the rows that the bumps grew, first letter
+most significant, which determines Q (``q_code`` and ``q_tableau``
+convert).  The crystal's checks and the permutation suites share this one
+walk.  Jeu de taquin on skew shapes, rectification and the enumeration of
+standard fillings are the test oracles in ``tests/oracles.py`` that
+evacuation and the P-symbol are checked against.
 """
 
 from __future__ import annotations
@@ -24,6 +33,8 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 
 from .permutations import Perm, check_permutation
+
+Rows = tuple[tuple[int, ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +301,83 @@ def rs_inverse(p: Tableau, q: Tableau) -> Perm:
     return tuple(reversed(out))
 
 
+def _symbols(
+    n: int, r: int, permutations: bool = False
+) -> tuple[list[int], list[int], list[Rows], dict[Rows, int]]:
+    """(P index by rank, Q code by rank, the distinct P as row tuples, their
+    indices) of all words of length n over 1..r, or with ``permutations``
+    of the words that repeat no letter, each in lexicographic order.  The
+    prefix w.a has P(w.a) = P(w) <- a, and the letters that may follow w
+    are those not in P(w) when letters are not repeated, so a walk down the
+    prefix tree bumps each distinct P once per letter that may follow it."""
+    prows: list[Rows] = [()]
+    pindex = {(): 0}
+    steps: dict[int, list[tuple[int, int]]] = {}  # P -> (P <- a, row it grew) per letter
+    pidx, qcode = [0], [0]
+    for _ in range(n):
+        next_p, next_q = [], []
+        for p, q in zip(pidx, qcode):
+            if p not in steps:
+                steps[p] = []
+                used = set(itertools.chain.from_iterable(prows[p])) if permutations else ()
+                for a in range(1, r + 1):
+                    if a in used:
+                        continue
+                    grown = [list(row) for row in prows[p]]
+                    x = _bump(grown, a)[0] - 1
+                    rows = tuple(map(tuple, grown))
+                    if pindex.setdefault(rows, len(prows)) == len(prows):
+                        prows.append(rows)
+                    steps[p].append((pindex[rows], x))
+            for p2, x in steps[p]:
+                next_p.append(p2)
+                next_q.append(q * n + x)
+        pidx, qcode = next_p, next_q
+    return pidx, qcode, prows, pindex
+
+
+def q_code(tab: Tableau) -> int:
+    """The Q code of a standard tableau with n entries: the base-n number
+    whose t-th digit, most significant first, is the 0-based row of t.
+
+    >>> q_code(Tableau([[1, 3], [2]]))
+    3
+    """
+    if tab.is_skew or not tab.is_standard():
+        raise ValueError("a Q code needs a standard tableau")
+    n = tab.size
+    row_of = [0] * (n + 1)
+    for x, row in enumerate(tab.rows):
+        for t in row:
+            row_of[t] = x
+    code = 0
+    for t in range(1, n + 1):
+        code = code * n + row_of[t]
+    return code
+
+
+def q_tableau(code: int, n: int) -> Tableau:
+    """The standard tableau with n entries whose Q code is ``code``.
+
+    >>> q_tableau(3, 3)
+    Tableau([[1, 3], [2]])
+    """
+    if n < 0 or not 0 <= code < n**n:
+        raise ValueError(f"{code} is not a Q code of degree {n}")
+    digits = []
+    for _ in range(n):
+        code, x = divmod(code, n)
+        digits.append(x)
+    rows: list[list[int]] = []
+    for t, x in enumerate(reversed(digits), start=1):
+        if x > len(rows):
+            raise ValueError(f"entry {t} skips a row")
+        if x == len(rows):
+            rows.append([])
+        rows[x].append(t)
+    return Tableau(rows)
+
+
 # ---------------------------------------------------------------------------
 # jeu de taquin
 
@@ -342,36 +430,39 @@ def evacuation(tab: Tableau) -> Tableau:
 # ---------------------------------------------------------------------------
 # enumeration helpers
 
+def _semistandard_rows(
+    shape: Sequence[int], max_entry: int, inner: Sequence[int] = ()
+) -> Iterator[Rows]:
+    """The rows of every column-strict filling with entries at most
+    ``max_entry``, as tuples of the entries outside ``inner``, unchecked."""
+    shape = tuple(shape)
+    pad = tuple(inner) + (0,) * (len(shape) - len(inner))
+    cells = [(x, y) for x in range(len(shape)) for y in range(pad[x], shape[x])]
+    rows: list[list[int]] = [[] for _ in shape]
+
+    def fill(k: int) -> Iterator[Rows]:
+        if k == len(cells):
+            yield tuple(map(tuple, rows))
+            return
+        x, y = cells[k]  # 0-based
+        row = rows[x]
+        lo = row[-1] if y > pad[x] else 1
+        if x and pad[x - 1] <= y < shape[x - 1]:
+            lo = max(lo, rows[x - 1][y - pad[x - 1]] + 1)
+        for e in range(lo, max_entry + 1):
+            row.append(e)
+            yield from fill(k + 1)
+            row.pop()
+
+    return fill(0)
+
+
 def semistandard_tableaux(
     shape: Sequence[int], max_entry: int, inner: Sequence[int] = ()
 ) -> Iterator[Tableau]:
     """All column-strict fillings with entries at most ``max_entry``."""
-    shape = tuple(shape)
     inner = tuple(inner)
-    pad = inner + (0,) * (len(shape) - len(inner))
-    cells = [
-        (x, y)
-        for x in range(1, len(shape) + 1)
-        for y in range(pad[x - 1] + 1, shape[x - 1] + 1)
-    ]
-    filled: dict[tuple[int, int], int] = {}
-
-    def fill(k: int) -> Iterator[Tableau]:
-        if k == len(cells):
-            yield _from_cells(dict(filled), inner)
-            return
-        x, y = cells[k]
-        lo = 1
-        if y - 1 > pad[x - 1]:
-            lo = max(lo, filled[(x, y - 1)])
-        if x > 1 and pad[x - 2] < y <= shape[x - 2]:
-            lo = max(lo, filled[(x - 1, y)] + 1)
-        for e in range(lo, max_entry + 1):
-            filled[cells[k]] = e
-            yield from fill(k + 1)
-            del filled[cells[k]]
-
-    return fill(0)
+    return (Tableau(rows, inner) for rows in _semistandard_rows(shape, max_entry, inner))
 
 
 if __name__ == "__main__":

@@ -16,9 +16,11 @@ from .cells import cells as cell_partition
 from .hecke import bar, c_prime, canonical_basis_by_bar  # noqa: F401
 from .kl import KLTable, _ranks
 from .knuth import knuth_class
-from .permutations import all_permutations, compose, format_permutation, longest_element
+from .permutations import all_permutations, format_permutation
 from .polynomials import ONE, IntPolynomial
-from .tableaux import evacuation, p_symbol, q_symbol
+# p_symbol and q_symbol are unused here; perfbench/spans.py patches them on
+# this module
+from .tableaux import _symbols, evacuation, p_symbol, q_code, q_symbol, q_tableau  # noqa: F401
 
 
 @dataclass
@@ -85,7 +87,7 @@ def verify_theorem_a(n: int, table: KLTable | None = None) -> Report:
     cell = cell_partition(n, "left", table).of_rank
     perms = table.perms
     report.cases = len(perms)
-    fiber = _labels(map(q_symbol, perms))
+    fiber = _labels(_symbols(n, n, permutations=True)[1])
     report.info["cells"] = str(len(set(cell)))
     report.info["q-symbols"] = str(len(set(fiber)))
     if cell != fiber:
@@ -113,40 +115,53 @@ def verify_theorem_a(n: int, table: KLTable | None = None) -> Report:
 
 
 def verify_knuth_classes(n: int) -> Report:
-    """Knuth closure classes versus fibers of the insertion tableau."""
+    """Knuth closure classes versus fibers of the insertion tableau, keyed
+    by P index."""
     report = Report("knuth", n, cases=0)
-    fibers: dict = {}
     perms = _perms(n)
     report.cases = len(perms)
-    for w in perms:
-        fibers.setdefault(p_symbol(w), set()).add(w)
+    pidx = _symbols(n, n, permutations=True)[0]
+    fibers: dict[int, set] = {}
+    for w, p in zip(perms, pidx):
+        fibers.setdefault(p, set()).add(w)
     report.info["classes"] = str(len(fibers))
     done = set()
-    for w in perms:
+    for w, p in zip(perms, pidx):
         if w in done:
             continue
         cls = knuth_class(w)
         done.update(cls)
-        if cls != frozenset(fibers[p_symbol(w)]):
+        if cls != frozenset(fibers[p]):
             report.violations.append(
                 f"w={_fmt(w)} knuth class {sorted(map(_fmt, cls))} != "
-                f"P-fiber {sorted(map(_fmt, fibers[p_symbol(w)]))}"
+                f"P-fiber {sorted(map(_fmt, fibers[p]))}"
             )
     return report
 
 
 def verify_evacuation(n: int) -> Report:
-    """transpose(evacuation(Q(w))) == Q(w w0), and evacuation is an involution."""
+    """transpose(evacuation(Q(w))) == Q(w w0), and evacuation is an involution.
+
+    Q(w) comes as a Q code, and each distinct Q is evacuated once, then once
+    more for the involution check.  w w0 is w reversed, whose Q code is
+    looked up by rank."""
     report = Report("evacuation", n, cases=0)
-    w0 = longest_element(n)
     perms = _perms(n)
     report.cases = len(perms)
-    for w in perms:
-        q = q_symbol(w)
-        ev = evacuation(q)
-        if evacuation(ev) != q:
+    qcode = _symbols(n, n, permutations=True)[1]
+    rank = {w: r for r, w in enumerate(perms)}
+    # Q code -> (Q, whether evacuation is involutive on Q, the Q code of
+    # transpose(evacuation(Q)))
+    evacuated: dict[int, tuple] = {}
+    for w, code in zip(perms, qcode):
+        if code not in evacuated:
+            q = q_tableau(code, n)
+            ev = evacuation(q)
+            evacuated[code] = (q, evacuation(ev) == q, q_code(ev.transpose()))
+        q, involutive, target = evacuated[code]
+        if not involutive:
             report.violations.append(f"w={_fmt(w)}: evacuation is not involutive")
-        if ev.transpose() != q_symbol(compose(w, w0)):
+        if target != qcode[rank[w[::-1]]]:
             report.violations.append(
                 f"w={_fmt(w)}: transpose(evac(Q(w))) != Q(w.w0), "
                 f"Q(w)={q.to_json()}"
@@ -418,8 +433,8 @@ def verify_crystal_theorem_a(n: int, table: KLTable | None = None) -> Report:
     table = _table(n, table)
     perms = table.perms
     report.cases = len(perms)
-    component = _labels(crystal_mod.highest_weight_rep(w, n) for w in perms)
-    fiber = _labels(map(q_symbol, perms))
+    component = _labels(crystal_mod.highest_weight_reps(perms, n))
+    fiber = _labels(_symbols(n, n, permutations=True)[1])
     cell = cell_partition(n, "left", table).of_rank
     components, fibers, cells = len(set(component)), len(set(fiber)), len(set(cell))
     report.info["components"] = str(components)

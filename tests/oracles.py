@@ -6,14 +6,15 @@ reduced words and minimal coset representatives by stripping descents,
 composition via explicit function application, involution counting by
 direct scan, the Knuth moves K_ij through minimal coset representatives,
 crystal operators by the recursive tensor-product rule, crystal components
-by a search on word tuples, the crystal-djm checks on validated tableaux
-built per word, operator and reading word, jeu de taquin slides on cell
-dicts with their own sliding loop, rectification, the permutation tableau
+by a search on word tuples, highest-weight words one word at a time, the
+crystal-djm checks on validated tableaux built per word, operator and
+reading word, jeu de taquin slides on cell dicts with their own sliding loop, rectification, the permutation tableau
 and standard fillings of skew shapes, evacuation by rectifying punctured
 tableaux, T-basis products by expanding into generators, C'-expansions by
 peeling top terms, the q = 1 action from mu lists, the cell graph on
 permutation tuples with Tarjan's state in dicts, left closures by reverse
-reachability in the cell graph, the cell suites by scanning every pair of
+reachability in the cell graph, the permutation suites by inserting each
+permutation on its own, the cell suites by scanning every pair of
 elements, and the KL columns by the descent recursion on dict columns and
 set supports.  A few queries on library objects that only the tests make
 (the cell preorder on elements, mu lists of tuples) live here too.
@@ -37,14 +38,18 @@ from rscells.permutations import (
     inverse,
     left_descents,
     length,
+    longest_element,
     multiply_simple,
     right_descents,
 )
 from rscells.polynomials import ONE, ZERO, LaurentPoly
+from rscells.knuth import knuth_class
 from rscells.tableaux import (
     Tableau,
     _from_cells,
+    evacuation,
     insert_word,
+    p_symbol,
     q_symbol,
     reading_word,
     semistandard_tableaux,
@@ -236,6 +241,21 @@ def component(word, r):
                     seen.add(nxt)
                     queue.append(nxt)
     return frozenset(seen)
+
+
+def highest_weight_rep_greedy(word, r):
+    """The highest-weight word of the component of ``word``, one word at a
+    time through the cached ``e_op``: apply e_i for the least i that does
+    not annihilate until every e_i does."""
+    word = _check_word(word, r)
+    while True:
+        for i in range(1, r):
+            nxt = e_op(i, word)
+            if nxt is not None:
+                word = nxt
+                break
+        else:
+            return word
 
 
 def reading_word_to_tableau(word, shape):
@@ -673,6 +693,52 @@ def left_closure(w, table=None):
                 seen.add(nxt)
                 queue.append(nxt)
     return frozenset(seen)
+
+
+# -- the permutation suites, one insertion per permutation --------------------
+
+def knuth_by_insertion(n):
+    """The knuth suite with the P-symbol of each permutation inserted on its
+    own and its fibers keyed by ``Tableau``."""
+    report = Report("knuth", n, cases=0)
+    fibers = {}
+    perms = all_perms(n)
+    report.cases = len(perms)
+    for w in perms:
+        fibers.setdefault(p_symbol(w), set()).add(w)
+    report.info["classes"] = str(len(fibers))
+    done = set()
+    for w in perms:
+        if w in done:
+            continue
+        cls = knuth_class(w)
+        done.update(cls)
+        if cls != frozenset(fibers[p_symbol(w)]):
+            report.violations.append(
+                f"w={_fmt(w)} knuth class {sorted(map(_fmt, cls))} != "
+                f"P-fiber {sorted(map(_fmt, fibers[p_symbol(w)]))}"
+            )
+    return report
+
+
+def evacuation_by_insertion(n):
+    """The evacuation suite with Q(w) and Q(w w0) inserted and Q(w)
+    evacuated twice for every permutation, w w0 by composition."""
+    report = Report("evacuation", n, cases=0)
+    w0 = longest_element(n)
+    perms = all_perms(n)
+    report.cases = len(perms)
+    for w in perms:
+        q = q_symbol(w)
+        ev = evacuation(q)
+        if evacuation(ev) != q:
+            report.violations.append(f"w={_fmt(w)}: evacuation is not involutive")
+        if ev.transpose() != q_symbol(compose_as_maps(w, w0)):
+            report.violations.append(
+                f"w={_fmt(w)}: transpose(evac(Q(w))) != Q(w.w0), "
+                f"Q(w)={q.to_json()}"
+            )
+    return report
 
 
 # -- the cell suites by scanning every pair -----------------------------------

@@ -2,7 +2,8 @@
 
 Long runs (n = 6, 7 and 8 for the cell/Q partition, n = 6 and 7 for the
 bar-invariance certificate, n = 5 to 8 for the descent and mu/Knuth-move
-checks, n = 6 for the crystal checks) are gated behind RSCELLS_LONG=1.
+checks, n = 6 for the crystal checks, n = 8 for crystal-theorem-a,
+evacuation and knuth) are gated behind RSCELLS_LONG=1.
 """
 
 import hashlib
@@ -272,6 +273,44 @@ def test_criterion_12_crystal_route_to_theorem_a():
         rep = run_suite("crystal-theorem-a", n)
         assert rep.ok, rep.violations[:3]
     _ok(12, "crystal components = Q-fibers = left cells on words, n <= 5")
+
+
+# the child reads its peak from VmHWM, as test_criterion_11_crystal_djm_n6_long does
+_SUITE_8 = """
+import contextlib, io, sys
+from rscells.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["--long", "verify", sys.argv[1], "8"])
+peak = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(code, int(peak.split()[1]) // 1024)
+print(out.getvalue(), end="")
+"""
+
+
+@long_run
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+@pytest.mark.parametrize(
+    "suite, criterion, peak_bound",
+    # crystal-theorem-a 8 warms the S_8 table (about 40 s) and peaked at
+    # 202 MB, 1 MB above theorem-a 8; with a cached e_op per word it peaked
+    # at 287 MB.  evacuation 8 and knuth 8 need no table: 0.5 s at 29 MB and
+    # 0.8 s at 33 MB
+    [("crystal-theorem-a", 12, 230), ("evacuation", 9, 45), ("knuth", 8, 50)],
+)
+def test_permutation_suites_n8_long(suite, criterion, peak_bound):
+    src = os.path.dirname(os.path.dirname(rscells.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "RSCELLS_CACHE_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", _SUITE_8, suite], env=env, capture_output=True, text=True,
+        check=True, timeout=900,
+    ).stdout.splitlines()
+    code, peak_mb = map(int, out[0].split())
+    assert code == 0
+    assert "cases: 40320" in out and "result: PASS" in out
+    assert peak_mb < peak_bound, peak_mb
+    _ok(criterion, f"{suite} passes for n = 8 (long)")
 
 
 def _all_rectifications(tab):

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 import rscells.crystal
 import rscells.tableaux
 from oracles import (
+    all_perms,
     component,
     djm_violations_by_tableaux,
+    highest_weight_rep_greedy,
     partitions,
     reading_word_to_tableau,
     tensor_e,
@@ -25,6 +27,7 @@ from rscells.crystal import (
     eps,
     f_op,
     highest_weight_rep,
+    highest_weight_reps,
     phi,
     signature_rule,
 )
@@ -139,6 +142,21 @@ def test_components_have_unique_highest_weight():
         hw = [x for x in comp if all(eps(i, x) == 0 for i in range(1, r))]
         assert len(hw) == 1
         assert highest_weight_rep(b, r) == hw[0]
+
+
+def test_highest_weight_reps_match_the_greedy_walk():
+    cases = [(all_perms(n), n) for n in range(1, 7)]
+    cases += [(list(all_words(n, r)), r) for n in range(1, 5) for r in range(1, 5)]
+    for words, r in cases:
+        want = [highest_weight_rep_greedy(word, r) for word in words]
+        assert highest_weight_reps(words, r) == want
+        assert [highest_weight_rep(word, r) for word in words[:50]] == want[:50]
+
+
+def test_highest_weight_rep_checks_its_word():
+    for word, r in (((), 2), ((3, 1), 2), ((1, 0), 2)):
+        with pytest.raises(ValueError):
+            highest_weight_rep(word, r)
 
 
 def test_decompose_examples():

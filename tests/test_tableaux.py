@@ -1,3 +1,6 @@
+import itertools
+import os
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from oracles import (
     all_perms,
     evacuation_by_rectify,
     inner_corners,
+    involution_count,
     jdt_slide,
     partitions,
     permutation_tableau,
@@ -15,16 +19,20 @@ from oracles import (
     staircase,
     standard_tableaux,
 )
-from rscells.permutations import identity, inverse
+from rscells.kl import KLTable
+from rscells.permutations import all_permutations, identity, inverse
 from rscells.tableaux import (
     EMPTY_TABLEAU,
     Tableau,
+    _symbols,
     conjugate,
     evacuation,
     insert_word,
     is_partition,
     p_symbol,
+    q_code,
     q_symbol,
+    q_tableau,
     reading_word,
     rs_inverse,
     semistandard_tableaux,
@@ -149,6 +157,89 @@ def test_rs_round_trip_s5():
 @given(perm_strategy)
 def test_rs_round_trip_random(w):
     assert rs_inverse(p_symbol(w), q_symbol(w)) == w
+
+
+# -- the prefix-tree walk -------------------------------------------------------
+
+def _code_of(q, n):
+    """The Q code of a recording tableau, digit by digit."""
+    row = {t: x for x, entries in enumerate(q.rows) for t in entries}
+    return sum(row[t] * n ** (n - t) for t in range(1, n + 1))
+
+
+_LONG = pytest.mark.skipif(
+    not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1"
+)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=_LONG)])
+def test_symbol_walk_matches_insert_word(n):
+    pidx, qcode, prows, pindex = _symbols(n, n, permutations=True)
+    perms = all_perms(n)
+    assert len(pidx) == len(qcode) == len(perms)
+    assert [pindex[rows] for rows in prows] == list(range(len(prows)))
+    for w, p, code in zip(perms, pidx, qcode):
+        ptab, qtab = insert_word(w)
+        assert prows[p] == ptab.rows
+        assert code == _code_of(qtab, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symbol_walk_matches_rectification(n):
+    pidx, qcode, prows, _ = _symbols(n, n, permutations=True)
+    for w, p, code in zip(all_perms(n), pidx, qcode):
+        assert prows[p] == rectify(permutation_tableau(w)).rows
+        assert q_tableau(code, n) == rectify(permutation_tableau(inverse(w)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_symbol_walk_is_in_table_rank_order(n):
+    # rank r of the walk is rank r of KLTable(n): RS inverse of its two
+    # symbols gives that permutation back
+    perms = KLTable(n).perms
+    assert perms == list(all_permutations(n))
+    pidx, qcode, prows, _ = _symbols(n, n, permutations=True)
+    for r, w in enumerate(perms):
+        assert rs_inverse(Tableau(prows[pidx[r]]), q_tableau(qcode[r], n)) == w
+
+
+def test_symbol_walk_on_words_matches_insert_word():
+    for n, r in ((1, 3), (3, 3), (4, 2), (2, 4)):
+        pidx, qcode, prows, _ = _symbols(n, r)
+        words = list(itertools.product(range(1, r + 1), repeat=n))
+        assert len(pidx) == len(words)
+        for word, p, code in zip(words, pidx, qcode):
+            ptab, qtab = insert_word(word)
+            assert (prows[p], code) == (ptab.rows, _code_of(qtab, n))
+
+
+def test_q_code_round_trips_every_standard_tableau():
+    for n in range(0, 7):
+        codes = set()
+        for shape in partitions(n):
+            for t in standard_tableaux(shape):
+                code = q_code(t)
+                assert code == _code_of(t, n)
+                assert q_tableau(code, n) == t
+                codes.add(code)
+        assert len(codes) == involution_count(n)
+
+
+def test_q_code_rejects_what_is_not_a_standard_tableau():
+    with pytest.raises(ValueError):
+        q_code(Tableau([[1, 1]]))
+    with pytest.raises(ValueError):
+        q_code(Tableau([[2], [1]], inner=(1,)))
+    assert q_tableau(0, 0) == EMPTY_TABLEAU
+    for code, n in ((-1, 3), (27, 3), (1, 1)):
+        with pytest.raises(ValueError):
+            q_tableau(code, n)
+    # entry 1 in row 2, entry 2 above entry 3 in the second column, and a
+    # second row longer than the first
+    for digits in ((1, 0, 0), (0, 1, 1, 0), (0, 1, 1)):
+        n = len(digits)
+        with pytest.raises(ValueError):
+            q_tableau(sum(x * n ** (n - 1 - k) for k, x in enumerate(digits)), n)
 
 
 # -- jeu de taquin ------------------------------------------------------------
@@ -284,3 +375,36 @@ def test_semistandard_tableaux_counts():
     assert sum(1 for _ in semistandard_tableaux((2,), 2)) == 3
     for t in semistandard_tableaux((2, 2), 3):
         assert t.is_column_strict()
+
+
+def _fillings_by_brute_force(shape, max_entry, inner=()):
+    """Every filling of the skew shape that validates and is column-strict,
+    in lexicographic order of its row-major entries."""
+    pad = tuple(inner) + (0,) * (len(shape) - len(inner))
+    lengths = [m - k for m, k in zip(shape, pad)]
+    out = []
+    for entries in itertools.product(range(1, max_entry + 1), repeat=sum(lengths)):
+        it = iter(entries)
+        rows = [[next(it) for _ in range(k)] for k in lengths]
+        try:
+            t = Tableau(rows, inner)
+        except ValueError:
+            continue
+        if t.is_column_strict():
+            out.append(t)
+    return out
+
+
+def test_semistandard_tableaux_match_brute_force():
+    for size in range(0, 6):
+        for shape in partitions(size):
+            inners = [()] + [
+                mu
+                for m in range(1, size)
+                for mu in partitions(m)
+                if len(mu) <= len(shape) and all(a <= b for a, b in zip(mu, shape))
+            ]
+            for inner in inners:
+                for max_entry in (1, 2, 3):
+                    got = list(semistandard_tableaux(shape, max_entry, inner))
+                    assert got == _fillings_by_brute_force(shape, max_entry, inner)

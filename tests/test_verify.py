@@ -5,8 +5,15 @@ import json
 import pytest
 
 import rscells.tableaux
+import rscells.verify
 from kl_entries import read_column, write_column
-from oracles import descents_by_scan, knuth_mu_by_scan, theorem_a_by_scan
+from oracles import (
+    descents_by_scan,
+    evacuation_by_insertion,
+    knuth_by_insertion,
+    knuth_mu_by_scan,
+    theorem_a_by_scan,
+)
 from rscells import crystal
 from rscells.kl import KLTable
 from rscells.polynomials import ONE, IntPolynomial
@@ -289,6 +296,88 @@ def test_crystal_djm_fails_on_a_recording_tableau_that_varies(monkeypatch):
     assert rep.violations == [
         "component (1, 1, 1): word (3, 3, 3) has a different recording tableau"
     ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_permutation_suites_match_one_insertion_per_permutation(n):
+    for name, oracle in (("knuth", knuth_by_insertion), ("evacuation", evacuation_by_insertion)):
+        rep, want = run_suite(name, n), oracle(n)
+        assert rep.ok
+        assert rep.lines() == want.lines()
+        assert rep.to_json() == want.to_json()
+
+
+def _slide_to_the_larger(cells, x, y):
+    """A jeu de taquin slide whose hole swallows the larger of its right and
+    lower neighbours.  The vacated cell is still an outer corner, so
+    evacuation still returns a standard tableau, only the wrong one."""
+    while True:
+        below = cells.get((x + 1, y))
+        right = cells.get((x, y + 1))
+        if below is None and right is None:
+            return x, y
+        if right is None or (below is not None and below > right):
+            cells[(x, y)] = cells.pop((x + 1, y))
+            x += 1
+        else:
+            cells[(x, y)] = cells.pop((x, y + 1))
+            y += 1
+
+
+def test_evacuation_fails_on_a_slide_to_the_larger_neighbour(monkeypatch):
+    monkeypatch.setattr(rscells.tableaux, "_slide", _slide_to_the_larger)
+    rep = run_suite("evacuation", 4)
+    assert (rep.cases, len(rep.violations)) == (24, 24)
+    # both checks fail, one line per permutation and check, in the order of
+    # the suite that evacuated each Q(w) twice
+    assert "w=1324: evacuation is not involutive" in rep.violations
+    assert (
+        "w=1243: transpose(evac(Q(w))) != Q(w.w0), Q(w)={'rows': [[1, 2, 3], [4]]}"
+        in rep.violations
+    )
+    assert rep.lines() == evacuation_by_insertion(4).lines()
+    assert rep.lines()[-1] == "result: FAIL"
+
+
+def test_knuth_fails_when_the_walk_merges_two_p_indices(monkeypatch):
+    symbols = rscells.verify._symbols
+
+    def merged(n, r, permutations=False):
+        # the P-symbols of 1234 and 1243 get one index
+        pidx, qcode, prows, pindex = symbols(n, r, permutations)
+        first, second = pidx[0], pidx[1]
+        return [first if p == second else p for p in pidx], qcode, prows, pindex
+
+    monkeypatch.setattr(rscells.verify, "_symbols", merged)
+    rep = run_suite("knuth", 4)
+    assert rep.info["classes"] == "9"
+    assert rep.violations == [
+        "w=1234 knuth class ['1234'] != P-fiber ['1234', '1243', '1423', '4123']",
+        "w=1243 knuth class ['1243', '1423', '4123'] != P-fiber ['1234', '1243', '1423', '4123']",
+    ]
+
+
+def test_crystal_theorem_a_fails_when_no_letter_cancels(monkeypatch, clean_operator_caches):
+    def never(i, word):
+        return (
+            [pos for pos, a in enumerate(word) if a == i + 1],
+            [pos for pos, a in enumerate(word) if a == i],
+        )
+
+    # every e_i then turns each letter i + 1 into i, so every word reaches
+    # 11...1 and all of S_n lies in one component
+    monkeypatch.setattr(crystal, "_cancel", never)
+    rep = run_suite("crystal-theorem-a", 4)
+    assert rep.info["components"] == "1"
+    assert rep.violations == ["crystal components (1) differ from Q-symbol fibers (10)"]
+
+
+def test_crystal_theorem_a_fills_no_operator_cache(clean_operator_caches):
+    caches = (crystal.f_op, crystal.e_op, crystal.phi, crystal.eps)
+    for op in caches:
+        op.cache_clear()
+    assert run_suite("crystal-theorem-a", 5).ok
+    assert [op.cache_info().currsize for op in caches] == [0, 0, 0, 0]
 
 
 # sha256 of "\n".join(Report.lines()) and of json.dumps(Report.to_json(),
