@@ -5,14 +5,13 @@ Degrees 2..--max-n run: 5 by default and at most 5, or with --long 6 by
 default and at most 8.
 Each degree warms one KL table that its suites share, written to
 --cache-dir when given.  A suite is skipped above its degree cap in
-``rscells.verify.SUITE_MAX_DEGREE``, and crystal-djm where its n**n words
-exceed ``rscells.crystal.MAX_WORDS``.
+``rscells.verify.SUITE_MAX_DEGREE``: bar-invariance above 7 and
+crystal-djm above 6.
 """
 
 import argparse
 import sys
 
-from rscells.crystal import MAX_WORDS
 from rscells.kl import KLTable
 from rscells.verify import SUITE_MAX_DEGREE, SUITES, run_suite
 
@@ -32,8 +31,7 @@ def run_degree(n: int, cache_dir=None) -> int:
         table.save()
     failures = 0
     for name in sorted(SUITES):
-        too_many_words = name == "crystal-djm" and n**n > MAX_WORDS
-        if n > SUITE_MAX_DEGREE.get(name, n) or too_many_words:
+        if n > SUITE_MAX_DEGREE[name]:
             continue
         report = run_suite(name, n, table)
         status = "PASS" if report.ok else "FAIL"

@@ -15,38 +15,27 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
-from . import crystal as crystal_mod
 from .cells import cells as cell_partition, left_cell_graph
-from .kl import MAX_DEGREE, KLTable
+from .crystal import crystal_edges
+from .kl import MAX_DEGREE, WARM_MAX_DEGREE, KLTable
 from .permutations import format_permutation, parse_permutation
-from .tableaux import Tableau, p_symbol, q_symbol, rs_inverse
+from .tableaux import Tableau, insert_word, rs_inverse
 from .verify import _TABLE_SUITES, SUITE_MAX_DEGREE, SUITES, run_suite
 
 ENV_CACHE_DIR = "RSCELLS_CACHE_DIR"
 DEFAULT_MAX_DEGREE = 8
-HARD_MAX_DEGREE = MAX_DEGREE
-# a table with every column computed takes about 250 MB at S_8, but the
-# Bruhat intervals grow 26x, 36x and 48x per degree up to S_8, so S_9
-# would take hours and more memory than a few GB; runs that warm every
-# column stop here
-WARM_MAX_DEGREE = 8
+# graph N crystal prints every edge of the crystal of the N**N words of
+# length N over 1..N: 46,656 words at 6, and at 7 823,543 words with up to
+# 4.9 M edges
+CRYSTAL_GRAPH_MAX_DEGREE = 6
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_BOUNDS = 3
 EXIT_IO = 4
-
-
-@dataclass
-class Config:
-    cache_dir: str | None = None
-    max_n: int = DEFAULT_MAX_DEGREE
-    long_run: bool = False
-    fmt: str = "text"
 
 
 class _BoundsError(Exception):
@@ -95,40 +84,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args) -> Config:
-    cache_dir = os.environ.get(ENV_CACHE_DIR) or args.cache_dir
-    if not 1 <= args.max_n <= HARD_MAX_DEGREE:
-        raise ValueError(f"--max-n must lie in 1..{HARD_MAX_DEGREE}")
-    return Config(
-        cache_dir=cache_dir,
-        max_n=args.max_n,
-        long_run=args.long,
-        fmt=args.format,
-    )
+def _check_degree(args, n: int) -> None:
+    if not 1 <= n <= args.max_n:
+        raise _BoundsError(f"degree {n} outside 1..{args.max_n}")
 
 
-def _check_degree(cfg: Config, n: int) -> None:
-    if not 1 <= n <= cfg.max_n:
-        raise _BoundsError(f"degree {n} outside 1..{cfg.max_n}")
+def _check_run(args, run: str, cap: int) -> None:
+    """Refuse ``run`` at degree args.n outside 1..--max-n or above its cap,
+    before it builds a table, opens a cache file or lists a word."""
+    _check_degree(args, args.n)
+    if args.n > cap:
+        raise _BoundsError(f"{run} stops at degree {cap}, got {args.n}")
 
 
-def _parse_perm_arg(cfg: Config, text: str):
+def _parse_perm_arg(args, text: str):
     w = parse_permutation(text)
-    _check_degree(cfg, len(w))
+    _check_degree(args, len(w))
     return w
-
-
-def _table(cfg: Config, n: int) -> KLTable:
-    return KLTable(n, cache_dir=cfg.cache_dir)
-
-
-def _check_warm_degree(n: int) -> None:
-    """Refuse a run that computes every column of S_n beyond WARM_MAX_DEGREE."""
-    if n > WARM_MAX_DEGREE:
-        raise _BoundsError(
-            f"a full KL table of S_{n} does not fit in memory; "
-            f"runs that warm every column stop at degree {WARM_MAX_DEGREE}"
-        )
 
 
 def _emit(text: str) -> None:
@@ -141,35 +113,35 @@ def _emit_json(obj) -> None:
 
 # -- commands ---------------------------------------------------------------
 
-def cmd_rsk(cfg: Config, args) -> int:
-    w = _parse_perm_arg(cfg, args.w)
-    p, q = p_symbol(w), q_symbol(w)
-    if cfg.fmt == "json":
+def cmd_rsk(args) -> int:
+    w = _parse_perm_arg(args, args.w)
+    p, q = insert_word(w)
+    if args.format == "json":
         _emit_json({"w": format_permutation(w), "P": p.to_json(), "Q": q.to_json()})
     else:
         _emit("P:\n" + p.render() + "\nQ:\n" + q.render())
     return EXIT_OK
 
 
-def cmd_rsk_inverse(cfg: Config, args) -> int:
+def cmd_rsk_inverse(args) -> int:
     p = Tableau.from_json(json.loads(args.p))
     q = Tableau.from_json(json.loads(args.q))
-    _check_degree(cfg, max(p.size, 1))
+    _check_degree(args, max(p.size, 1))
     w = rs_inverse(p, q)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json({"w": format_permutation(w)})
     else:
         _emit(format_permutation(w))
     return EXIT_OK
 
 
-def cmd_klpoly(cfg: Config, args) -> int:
-    y = _parse_perm_arg(cfg, args.y)
-    w = _parse_perm_arg(cfg, args.w)
+def cmd_klpoly(args) -> int:
+    y = _parse_perm_arg(args, args.y)
+    w = _parse_perm_arg(args, args.w)
     if len(y) != len(w):
         raise ValueError(f"degree mismatch: {len(y)} vs {len(w)}")
-    poly = _table(cfg, len(y)).polynomial(y, w)
-    if cfg.fmt == "json":
+    poly = KLTable(len(y), cache_dir=args.cache_dir).polynomial(y, w)
+    if args.format == "json":
         _emit_json(
             {
                 "y": format_permutation(y),
@@ -183,11 +155,10 @@ def cmd_klpoly(cfg: Config, args) -> int:
     return EXIT_OK
 
 
-def cmd_cells(cfg: Config, args) -> int:
-    _check_degree(cfg, args.n)
-    _check_warm_degree(args.n)
-    part = cell_partition(args.n, args.side, _table(cfg, args.n))
-    if cfg.fmt == "json":
+def cmd_cells(args) -> int:
+    _check_run(args, "cells", WARM_MAX_DEGREE)
+    part = cell_partition(args.n, args.side, KLTable(args.n, cache_dir=args.cache_dir))
+    if args.format == "json":
         _emit_json(
             {
                 "n": args.n,
@@ -202,7 +173,7 @@ def cmd_cells(cfg: Config, args) -> int:
     return EXIT_OK
 
 
-def _dot(name: str, edges, label=None) -> str:
+def _dot(name: str, edges) -> str:
     lines = [f"digraph {name} {{"]
     for a, b, lab in edges:
         suffix = f' [label="{lab}"]' if lab is not None else ""
@@ -211,17 +182,16 @@ def _dot(name: str, edges, label=None) -> str:
     return "\n".join(lines)
 
 
-def cmd_graph(cfg: Config, args) -> int:
-    _check_degree(cfg, args.n)
+def cmd_graph(args) -> int:
     if args.kind == "mu":
-        _check_warm_degree(args.n)
-        adj = left_cell_graph(args.n, _table(cfg, args.n))
+        _check_run(args, "graph mu", WARM_MAX_DEGREE)
+        adj = left_cell_graph(args.n, KLTable(args.n, cache_dir=args.cache_dir))
         edges = sorted(
             (format_permutation(a), format_permutation(b), None)
             for a, nbrs in adj.items()
             for b in nbrs
         )
-        if cfg.fmt == "json":
+        if args.format == "json":
             _emit_json(
                 {
                     "n": args.n,
@@ -233,10 +203,11 @@ def cmd_graph(cfg: Config, args) -> int:
         else:
             _emit(_dot(f"left_cell_graph_{args.n}", edges))
     else:
-        triples = crystal_mod.crystal_edges(args.n, args.n)
+        _check_run(args, "graph crystal", CRYSTAL_GRAPH_MAX_DEGREE)
+        triples = crystal_edges(args.n, args.n)
         fmt_word = lambda word: "".join(str(a) for a in word)
         edges = sorted((fmt_word(a), fmt_word(b), f"f{i}") for a, i, b in triples)
-        if cfg.fmt == "json":
+        if args.format == "json":
             _emit_json(
                 {
                     "n": args.n,
@@ -253,20 +224,14 @@ def cmd_graph(cfg: Config, args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: Config, args) -> int:
-    _check_degree(cfg, args.n)
-    if args.n >= 6 and not cfg.long_run:
+def cmd_verify(args) -> int:
+    _check_run(args, f"verify {args.suite}", SUITE_MAX_DEGREE[args.suite])
+    if args.n >= 6 and not args.long:
         raise _BoundsError(f"suite at n={args.n} needs --long")
     # only the suites that read KL polynomials get a table
-    reads_kl = args.suite in _TABLE_SUITES
-    if reads_kl:
-        _check_warm_degree(args.n)
-    cap = SUITE_MAX_DEGREE.get(args.suite)
-    if cap is not None and args.n > cap:
-        raise _BoundsError(f"suite {args.suite} stops at degree {cap}")
-    table = _table(cfg, args.n) if reads_kl else None
+    table = KLTable(args.n, cache_dir=args.cache_dir) if args.suite in _TABLE_SUITES else None
     report = run_suite(args.suite, args.n, table)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json(report.to_json())
     else:
         _emit("\n".join(report.lines()))
@@ -287,10 +252,10 @@ def _cache_records(path: Path) -> int:
     return KLTable(int(m[1]), cache_dir=path.parent).parse_stored()
 
 
-def cmd_cache(cfg: Config, args) -> int:
-    if cfg.cache_dir is None:
+def cmd_cache(args) -> int:
+    if args.cache_dir is None:
         raise ValueError("no cache directory configured (flag or RSCELLS_CACHE_DIR)")
-    root = Path(cfg.cache_dir)
+    root = Path(args.cache_dir)
     files = sorted(root.glob("kl_s*.tsv")) if root.exists() else []
     if args.action == "info":
         total = 0
@@ -307,8 +272,7 @@ def cmd_cache(cfg: Config, args) -> int:
         return EXIT_OK
     if args.n is None:
         raise ValueError("cache warm needs a degree argument")
-    _check_degree(cfg, args.n)
-    _check_warm_degree(args.n)
+    _check_run(args, "cache warm", WARM_MAX_DEGREE)
     start = time.perf_counter()
     try:
         # warm() parses every stored column, so a bad record fails here too
@@ -340,10 +304,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.cache_dir = os.environ.get(ENV_CACHE_DIR) or args.cache_dir
     try:
-        cfg = _config(args)
-        return _COMMANDS[args.command](cfg, args)
-    except (_BoundsError, crystal_mod._WordCountError) as exc:
+        if not 1 <= args.max_n <= MAX_DEGREE:
+            raise ValueError(f"--max-n must lie in 1..{MAX_DEGREE}")
+        return _COMMANDS[args.command](args)
+    except _BoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUNDS
     except (ValueError, json.JSONDecodeError) as exc:

@@ -47,12 +47,9 @@ from .tableaux import Rows, Tableau, _semistandard_rows, _symbols, insert_word
 Word = tuple[int, ...]
 
 # decompose(), crystal_edges() and djm_violations() refuse alphabets and
-# lengths whose word count exceeds this
+# lengths whose word count exceeds this with ValueError; the command line
+# refuses crystals past its degree caps before it lists a word
 MAX_WORDS = 500_000
-
-
-class _WordCountError(ValueError):
-    """r**n exceeds MAX_WORDS; the command line reports it as a bound (exit 3)."""
 
 
 def _cancel(i: int, word: Word) -> tuple[list[int], list[int]]:
@@ -189,7 +186,7 @@ def _crystal(n: int, r: int) -> tuple[list[Word], list[list[int]], list[list[int
     if r < 1:
         raise ValueError(f"rank must be at least 1, got {r}")
     if r**n > MAX_WORDS:
-        raise _WordCountError(f"crystal with {r}**{n} words is too large (bound {MAX_WORDS})")
+        raise ValueError(f"crystal with {r}**{n} words is too large (bound {MAX_WORDS})")
     words = list(itertools.product(range(1, r + 1), repeat=n))
     ops = _operators(n, r, words)
     seen = bytearray(len(words))
@@ -217,17 +214,17 @@ def _reading_code(rows: Rows, r: int) -> int:
     return code
 
 
-def decompose(n: int, r: int | None = None, check: bool = True) -> list[CrystalComponent]:
+def decompose(n: int, r: int | None = None) -> list[CrystalComponent]:
     """Partition all r**n words into components, labelled by the common
     recording tableau of their members (constant by the tensor-product
-    decomposition theorem; ``check`` verifies it)."""
+    decomposition theorem, which each call checks)."""
     r = n if r is None else r
     words, _ops, comps = _crystal(n, r)
-    qcode = _symbols(n, r)[1] if check else None
+    qcode = _symbols(n, r)[1]
     out = []
     for members in comps:
         label = words[members[0]]
-        if check and len({qcode[c] for c in members}) > 1:
+        if len({qcode[c] for c in members}) > 1:
             raise AssertionError(f"recording tableau not constant on the component of {label}")
         q = insert_word(label)[1]
         out.append(CrystalComponent(label, frozenset(words[c] for c in members), q, q.outer))

@@ -82,6 +82,12 @@ from .polynomials import ONE, ZERO, IntPolynomial
 # a table holds n! * n ranks up front, and digit notation stops at 9
 MAX_DEGREE = 9
 
+# a table with every column computed takes about 177 MB and 32 s at S_8, but
+# the Bruhat intervals grow 26x, 36x and 48x per degree up to S_8, so S_9
+# would take hours and more memory than a few GB; runs that warm every
+# column stop here
+WARM_MAX_DEGREE = 8
+
 # the version in the first line of a cache file
 FORMAT_VERSION = 2
 
@@ -139,19 +145,21 @@ class KLTable:
         self._lengths = lengths
         # _inverse[r]: rank of perms[r]^-1
         self._inverse = inv = [index[inverse(w)] for w in self.perms]
-        # _steps[i - 1][r]: rank of s_i * perms[r]; w s_i swaps two entries,
-        # and s_i w = (w^-1 s_i)^-1
-        right = [
+        # _rsteps[i - 1][r] and _steps[i - 1][r]: ranks of perms[r] * s_i
+        # and s_i * perms[r]; w s_i swaps two entries, and s_i w = (w^-1 s_i)^-1
+        self._rsteps = right = [
             [index[w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]] for w in self.perms]
             for i in range(1, n)
         ]
         self._steps = steps = [[inv[step[r]] for r in inv] for step in right]
-        # left descent set, bit i - 1 for s_i
+        # left descent set, bit i - 1 for s_i, and the right one, the left
+        # one of the inverse
         masks = [0] * len(lengths)
         for i, step in enumerate(steps):
             bit = 1 << i
             masks = [m | bit if lengths[sr] < lr else m for m, sr, lr in zip(masks, step, lengths)]
         self._masks = masks
+        self._rmasks = [masks[r] for r in inv]
         # the key objects of every column; the last, n!, ends each key list
         self._ints = list(range(len(lengths) + 1))
         # the pool: each distinct polynomial once, ZERO and ONE at 0 and 1,
@@ -188,13 +196,6 @@ class KLTable:
             return self._index[tuple(w)]
         except (KeyError, TypeError):
             raise ValueError(f"not a permutation in S_{self.n}: {w!r}") from None
-
-    def _right(self) -> tuple[list[list[int]], list[int]]:
-        """The products w s_i by each s_i and the right descent masks, the
-        left ones conjugated by inversion: w s_i = (s_i w^-1)^-1."""
-        inv = self._inverse
-        steps = [[inv[step[r]] for r in inv] for step in self._steps]
-        return steps, [self._masks[r] for r in inv]
 
     def _by_length(self, ranks) -> list[int]:
         # a stable sort by length of the sorted ranks orders by (length, rank)
@@ -274,9 +275,8 @@ class KLTable:
         s = self._supports.get(w)
         if s is not None:
             return s
-        p = self.perms[w]
-        i = max(j for j in range(1, self.n) if p[j - 1] > p[j])
-        sv = self._support(self._index[p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :]])
+        i = self._rmasks[w].bit_length()
+        sv = self._support(self._rsteps[i - 1][w])
         s = sv
         for mask, delta in self._interval_tables()[i - 1]:
             s |= (sv & mask) << delta if delta > 0 else (sv & mask) >> -delta

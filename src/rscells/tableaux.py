@@ -86,23 +86,27 @@ class Tableau:
         for k in range(len(outer) - 1):
             if outer[k] < outer[k + 1]:
                 raise ValueError(f"row lengths {outer} are not weakly decreasing")
-        pad = inner + (0,) * (len(rows) - len(inner))
         for x, row in enumerate(rows):
             for e in row:
                 if not isinstance(e, int) or e < 1:
                     raise ValueError(f"entry {e!r} is not a positive integer")
             if any(row[k] > row[k + 1] for k in range(len(row) - 1)):
                 raise ValueError(f"row {x + 1} is not weakly increasing: {row}")
+        for x, y, above, here in self._vertical_pairs():
+            if above > here:
+                raise ValueError(f"column {y} decreases between rows {x} and {x + 1}")
+
+    def _vertical_pairs(self) -> Iterator[tuple[int, int, int, int]]:
+        """(x, y, above, here) for each filled cell (x + 1, y) with a filled
+        cell (x, y) above it, and their entries."""
+        rows = self.rows
+        pad = self.inner + (0,) * (len(rows) - len(self.inner))
+        outer = self.outer
         for x in range(1, len(rows)):
             lo = max(pad[x - 1], pad[x])
             hi = min(outer[x - 1], outer[x])
             for y in range(lo + 1, hi + 1):
-                above = rows[x - 1][y - 1 - pad[x - 1]]
-                here = rows[x][y - 1 - pad[x]]
-                if above > here:
-                    raise ValueError(
-                        f"column {y} decreases between rows {x} and {x + 1}"
-                    )
+                yield x, y, rows[x - 1][y - 1 - pad[x - 1]], rows[x][y - 1 - pad[x]]
 
     @property
     def outer(self) -> tuple[int, ...]:
@@ -143,15 +147,7 @@ class Tableau:
 
     def is_column_strict(self) -> bool:
         """Rows weakly increase (guaranteed), columns strictly increase."""
-        pad = self.inner + (0,) * (len(self.rows) - len(self.inner))
-        outer = self.outer
-        for x in range(1, len(self.rows)):
-            lo = max(pad[x - 1], pad[x])
-            hi = min(outer[x - 1], outer[x])
-            for y in range(lo + 1, hi + 1):
-                if self.rows[x - 1][y - 1 - pad[x - 1]] >= self.rows[x][y - 1 - pad[x]]:
-                    return False
-        return True
+        return all(above < here for _x, _y, above, here in self._vertical_pairs())
 
     def is_row_strict(self) -> bool:
         return all(

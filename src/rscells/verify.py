@@ -14,7 +14,7 @@ from . import crystal as crystal_mod
 from .cells import cells as cell_partition
 # unused here; perfbench/spans.py patches these names on this module
 from .hecke import bar, c_prime, canonical_basis_by_bar  # noqa: F401
-from .kl import KLTable, _ranks
+from .kl import MAX_DEGREE, WARM_MAX_DEGREE, KLTable, _ranks
 from .knuth import knuth_class
 from .permutations import all_permutations, format_permutation
 from .polynomials import ONE, IntPolynomial
@@ -297,7 +297,7 @@ def verify_prop_descents(n: int, table: KLTable | None = None) -> Report:
     for r, k in enumerate(part.of_rank):
         members[k].append(r)
     # right descent set as a bit mask, bit i - 1 for s_i
-    rmask = table._right()[1]
+    rmask = table._rmasks
     # R of each cell, or None where it is not constant
     const = []
     for ranks in members:
@@ -360,7 +360,7 @@ def verify_knuth_mu(n: int, table: KLTable | None = None) -> Report:
     # the right cell of w is the inverse of the left cell of w^-1
     right = [left[r] for r in table._inverse]
     # rank -> rank of w s_i, and right descent masks, bit i - 1 for s_i
-    rsteps, rmasks = table._right()
+    rsteps, rmasks = table._rsteps, table._rmasks
     # every nonzero-mu pair (y, w, mu) with y < w
     edges = [
         (min(z, w), max(z, w), m) for w in range(len(perms)) for z, m in table._mu_list(w)
@@ -472,12 +472,24 @@ _TABLE_SUITES = {
 }
 
 
-# the largest degree at which a suite is known to finish within minutes; the
-# command line refuses a larger one.  bar-invariance 7 checks 3,550,918
-# interval identities in about 35 s, and 8 would need 170,288,585.  The other
-# table suites need no entry below the warm cap of the command line (8): at
-# n = 8 descents takes about 3 s and knuth-mu about 12 s past the ~40 s warm
-SUITE_MAX_DEGREE = {"bar-invariance": 7}
+# the largest degree at which each suite is known to finish within minutes;
+# the command line refuses a larger one before any work.  The suites that
+# read KL polynomials warm every column, so they stop at the warm cap: at
+# n = 8 descents takes about 3 s and knuth-mu about 12 s past the ~35 s
+# warm.  bar-invariance 7 checks 3,550,918 interval identities in about
+# 35 s, and 8 would need 170,288,585.  crystal-djm lists all n**n words,
+# 46,656 at 6 and 823,543 at 7, past crystal.MAX_WORDS.  knuth and
+# evacuation build no table and pass at 9 in about 5 and 2 s
+SUITE_MAX_DEGREE = {
+    "theorem-a": WARM_MAX_DEGREE,
+    "crystal-theorem-a": WARM_MAX_DEGREE,
+    "descents": WARM_MAX_DEGREE,
+    "knuth-mu": WARM_MAX_DEGREE,
+    "bar-invariance": 7,
+    "crystal-djm": 6,
+    "knuth": MAX_DEGREE,
+    "evacuation": MAX_DEGREE,
+}
 
 
 def run_suite(name: str, n: int, table: KLTable | None = None) -> Report:

@@ -846,7 +846,7 @@ def kl_by_dict_recursion(table, side="left"):
     w is sorted by rank, and ``lookup(y, w)`` is P_{y,w} for any pair of
     ranks.
     """
-    steps, masks = (table._steps, table._masks) if side == "left" else table._right()
+    steps, masks = (table._steps, table._masks) if side == "left" else (table._rsteps, table._rmasks)
     lengths = table._lengths
     columns = {0: {0: ONE}}
     supports = {0: {0}}

@@ -9,6 +9,7 @@ import pytest
 import rscells
 from cache_files import resign
 from rscells.cli import (
+    CRYSTAL_GRAPH_MAX_DEGREE,
     ENV_CACHE_DIR,
     EXIT_BOUNDS,
     EXIT_INPUT,
@@ -17,7 +18,9 @@ from rscells.cli import (
     EXIT_VIOLATION,
     main,
 )
-from rscells.verify import _TABLE_SUITES, SUITES
+from rscells.crystal import MAX_WORDS
+from rscells.kl import MAX_DEGREE, WARM_MAX_DEGREE
+from rscells.verify import _TABLE_SUITES, SUITE_MAX_DEGREE, SUITES
 
 
 def run(capsys, *argv):
@@ -541,14 +544,14 @@ def test_graph_size_bound(capsys):
     for n in ("7", "8"):
         code, _, err = run(capsys, "graph", n, "crystal")
         assert code == EXIT_BOUNDS
-        assert f"{n}**{n} words is too large" in err
+        assert f"graph crystal stops at degree 6, got {n}" in err
 
 
 def test_crystal_djm_word_bound_exits_3(capsys):
     code, out, err = run(capsys, "--long", "verify", "crystal-djm", "7")
     assert code == EXIT_BOUNDS
     assert out == ""
-    assert "7**7 words is too large" in err
+    assert "verify crystal-djm stops at degree 6, got 7" in err
 
 
 def test_hard_max_n_bound(capsys):
@@ -557,29 +560,85 @@ def test_hard_max_n_bound(capsys):
     assert "--max-n" in err
 
 
-def _forbid_tables(monkeypatch):
+def _stub(monkeypatch, names, error=AssertionError):
+    """Replace each of ``names`` on rscells.cli, the calls that start a
+    run's work, by a callable that raises ``error`` with its arguments."""
     import rscells.cli as cli_mod
 
-    def no_table(*args, **kwargs):
-        raise AssertionError("KLTable built")
+    def stub(*args, **kwargs):
+        raise error("work started", *args)
 
-    monkeypatch.setattr(cli_mod, "KLTable", no_table)
+    for name in names:
+        monkeypatch.setattr(cli_mod, name, stub)
+
+
+def _forbid_tables(monkeypatch):
+    _stub(monkeypatch, ["KLTable"])
+
+
+# every run with a degree cap: its argv with {n} for the degree, its name in
+# refusals, and its cap
+_CAPPED_RUNS = [
+    (("cache", "warm", "{n}"), "cache warm", WARM_MAX_DEGREE),
+    (("cells", "{n}"), "cells", WARM_MAX_DEGREE),
+    (("graph", "{n}", "mu"), "graph mu", WARM_MAX_DEGREE),
+    (("graph", "{n}", "crystal"), "graph crystal", CRYSTAL_GRAPH_MAX_DEGREE),
+] + [
+    (("--long", "verify", suite, "{n}"), f"verify {suite}", cap)
+    for suite, cap in sorted(SUITE_MAX_DEGREE.items())
+]
+
+
+def _param(argv, n, *rest):
+    """The run ``argv`` at degree n, named by its last three arguments."""
+    argv = tuple(a.format(n=n) for a in argv)
+    return pytest.param(argv, n, *rest, id=" ".join(argv[-3:]))
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("cache", "warm", "9"), ("cells", "9"), ("graph", "9", "mu")]
-    + [("--long", "verify", suite, "9") for suite in sorted(_TABLE_SUITES)],
-    ids=lambda argv: " ".join(argv[-3:]),
+    "argv, n, name, cap",
+    [
+        _param(argv, n, name, cap)
+        for argv, name, cap in _CAPPED_RUNS
+        for n in [cap + 1] + ([MAX_DEGREE] if cap + 1 < MAX_DEGREE else [])
+    ],
 )
-def test_runs_that_warm_every_column_stop_at_degree_8(capsys, tmp_path, monkeypatch, argv):
-    # a full S_9 table does not fit in memory, so these exit 3 before any
-    # KLTable is built
-    _forbid_tables(monkeypatch)
+def test_runs_that_warm_every_column_stop_at_degree_8(
+    capsys, tmp_path, monkeypatch, argv, n, name, cap
+):
+    # each run is refused at cap + 1 and at 9, the largest --max-n, before it
+    # builds a KLTable, opens a cache file or lists a word; --max-n refuses a
+    # run capped at 9 at 10.  Runs that warm every column stop at 8 because a
+    # full S_9 table does not fit in memory
+    _stub(monkeypatch, ["KLTable", "run_suite", "crystal_edges"])
     code, out, err = run(capsys, "--max-n", "9", "--cache-dir", str(tmp_path), *argv)
     assert (code, out) == (EXIT_BOUNDS, "")
-    assert "a full KL table of S_9 does not fit in memory" in err
+    if cap < MAX_DEGREE:
+        assert f"error: {name} stops at degree {cap}, got {n}\n" == err
+    else:
+        assert f"error: degree {n} outside 1..9\n" == err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_every_suite_has_a_cap_and_the_crystal_caps_fit_the_word_bound():
+    # a crystal run at its cap must not reach the library's ValueError
+    assert set(SUITE_MAX_DEGREE) == set(SUITES)
+    for cap in (CRYSTAL_GRAPH_MAX_DEGREE, SUITE_MAX_DEGREE["crystal-djm"]):
+        assert cap**cap <= MAX_WORDS
+
+
+class _Admitted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv, n", [_param(argv, cap) for argv, _name, cap in _CAPPED_RUNS])
+def test_runs_at_their_cap_are_admitted(tmp_path, monkeypatch, argv, n):
+    # the run passes its checks and starts its work at degree n, which the
+    # stubs stop
+    _stub(monkeypatch, ["KLTable", "run_suite", "crystal_edges"], _Admitted)
+    with pytest.raises(_Admitted) as started:
+        main(["--max-n", "9", "--cache-dir", str(tmp_path), *argv])
+    assert n in started.value.args
 
 
 def test_bar_invariance_stops_at_degree_7(capsys, tmp_path, monkeypatch):
@@ -588,7 +647,7 @@ def test_bar_invariance_stops_at_degree_7(capsys, tmp_path, monkeypatch):
     argv = ("--cache-dir", str(tmp_path), "--long", "verify", "bar-invariance", "8")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (EXIT_BOUNDS, "")
-    assert "suite bar-invariance stops at degree 7" in err
+    assert "verify bar-invariance stops at degree 7, got 8" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -176,8 +176,7 @@ def test_decompose_examples():
 
 def test_decompose_q_constancy():
     for n in range(1, 6):
-        for comp in decompose(n, n, check=True):
-            pass  # check=True raises on a violation
+        decompose(n, n)  # raises on a violation
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -191,9 +190,8 @@ def test_decompose_matches_the_tuple_search(n, r):
             seen |= words
             q = insert_word(word)[1]
             expected.append((word, words, q, q.outer))
-    for check in (True, False):
-        got = [(c.label, c.words, c.q_symbol, c.shape) for c in decompose(n, r, check)]
-        assert got == expected
+    got = [(c.label, c.words, c.q_symbol, c.shape) for c in decompose(n, r)]
+    assert got == expected
 
 
 def test_decompose_check_sees_a_recording_tableau_that_varies(monkeypatch):
@@ -208,8 +206,7 @@ def test_decompose_check_sees_a_recording_tableau_that_varies(monkeypatch):
 
     monkeypatch.setattr(rscells.crystal, "_symbols", poisoned)
     with pytest.raises(AssertionError, match=r"component of \(1, 1, 1\)"):
-        decompose(3, 2, check=True)
-    assert len(decompose(3, 2, check=False)) == 3
+        decompose(3, 2)
 
 
 def test_decompose_bounds():

@@ -239,7 +239,7 @@ def test_rank_tables_match_permutation_arithmetic():
         assert tbl.perms == perms
         swaps = tbl._interval_tables()
         assert len(swaps) == n - 1
-        rsteps, rmasks = tbl._right()
+        rsteps, rmasks = tbl._rsteps, tbl._rmasks
         for r, w in enumerate(tbl.perms):
             assert tbl._lengths[r] == length(w)
             assert tbl.perms[tbl._inverse[r]] == inverse(w)

@@ -69,7 +69,7 @@ def test_run_verifications_degree_8_on_one_table_long():
         env=env, capture_output=True, text=True, timeout=900,
     )
     lines = _suite_lines(proc)
-    # bar-invariance stops at n = 7 and crystal-djm at MAX_WORDS
+    # bar-invariance stops at n = 7 and crystal-djm at 6
     suites = ["crystal-theorem-a", "descents", "evacuation", "knuth", "knuth-mu", "theorem-a"]
     assert [line.split()[:2] for line in lines] == [["n=8", name] for name in suites]
     failures, peak_mb = map(int, proc.stdout.splitlines()[-1].split())

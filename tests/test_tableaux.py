@@ -58,8 +58,10 @@ def test_tableau_validation():
     Tableau([[1, 2], [2]])
     with pytest.raises(ValueError):
         Tableau([[2, 1]])  # row decreases
-    with pytest.raises(ValueError):
-        Tableau([[2, 3], [1]])  # column decreases
+    with pytest.raises(ValueError, match=r"^column 1 decreases between rows 1 and 2$"):
+        Tableau([[2, 3], [1]])
+    with pytest.raises(ValueError, match=r"^column 2 decreases between rows 2 and 3$"):
+        Tableau([[1], [3], [2, 2]], inner=(1, 1))
     with pytest.raises(ValueError):
         Tableau([[1], [1, 2]])  # not a partition
     with pytest.raises(ValueError):
