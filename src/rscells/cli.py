@@ -256,7 +256,16 @@ def cmd_cache(args) -> int:
     if args.cache_dir is None:
         raise ValueError("no cache directory configured (flag or RSCELLS_CACHE_DIR)")
     root = Path(args.cache_dir)
-    files = sorted(root.glob("kl_s*.tsv")) if root.exists() else []
+    if args.action == "warm":
+        return _cache_warm(args, root)
+    if args.n is None:
+        files = sorted(root.glob("kl_s*.tsv")) if root.exists() else []
+    else:
+        _check_degree(args, args.n)
+        names = [f"kl_s{args.n}.tsv"]
+        if args.action == "clear":
+            names.append(f"kl_s{args.n}.right.tsv")  # written by older versions
+        files = [root / name for name in names if (root / name).exists()]
     if args.action == "info":
         total = 0
         for f in files:
@@ -265,11 +274,13 @@ def cmd_cache(args) -> int:
             _emit(f"{f.name}: {count} entries")
         _emit(f"total: {total} entries")
         return EXIT_OK
-    if args.action == "clear":
-        for f in files:
-            f.unlink()
-        _emit(f"removed {len(files)} file(s)")
-        return EXIT_OK
+    for f in files:
+        f.unlink()
+    _emit(f"removed {len(files)} file(s)")
+    return EXIT_OK
+
+
+def _cache_warm(args, root: Path) -> int:
     if args.n is None:
         raise ValueError("cache warm needs a degree argument")
     _check_run(args, "cache warm", WARM_MAX_DEGREE)

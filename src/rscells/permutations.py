@@ -34,7 +34,8 @@ def is_permutation(word: Sequence[int]) -> bool:
     n = len(word)
     seen = [False] * (n + 1)
     for a in word:
-        if not isinstance(a, int) or a < 1 or a > n or seen[a]:
+        # bool is an int subclass, so JSON true would pass for 1
+        if type(a) is not int or a < 1 or a > n or seen[a]:
             return False
         seen[a] = True
     return True

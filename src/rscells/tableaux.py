@@ -4,11 +4,10 @@ inverse, evacuation by jeu de taquin slides, reading words, and the
 column-strict fillings of a shape.
 
 Cells are (row, column), 1-based, rows growing downward, so a shape is the
-weakly decreasing tuple of its row lengths.  A skew tableau stores only the
-entries outside its inner shape.  Construction checks that rows and columns
-weakly increase; strictness down columns (column-strict) or in both
-directions with entries 1..n (standard) is checked by the public operations
-that need it.  Validation happens only there: the bumping and sliding loops
+weakly decreasing tuple of its row lengths.  Construction checks that rows
+and columns weakly increase; strictness down columns (column-strict) or in
+both directions with entries 1..n (standard) is checked by the public
+operations that need it.  Validation happens only there: the bumping and sliding loops
 (``_bump`` and ``_slide``) work on plain lists and cell dicts, and
 ``insert_word`` and ``evacuation`` build their ``Tableau`` results once.
 
@@ -38,57 +37,29 @@ Rows = tuple[tuple[int, ...], ...]
 
 
 # ---------------------------------------------------------------------------
-# shapes
-
-def is_partition(seq: Sequence[int]) -> bool:
-    return all(a >= 1 for a in seq) and all(
-        seq[k] >= seq[k + 1] for k in range(len(seq) - 1)
-    )
-
-
-def conjugate(shape: Sequence[int]) -> tuple[int, ...]:
-    """Column lengths of a partition.
-
-    >>> conjugate((3, 2))
-    (2, 2, 1)
-    """
-    if not shape:
-        return ()
-    return tuple(sum(1 for a in shape if a >= j) for j in range(1, shape[0] + 1))
-
-
-# ---------------------------------------------------------------------------
 # the tableau value type
 
 class Tableau:
-    """Filling of a (possibly skew) Young diagram with positive integers."""
+    """Filling of a Young diagram with positive integers."""
 
-    __slots__ = ("rows", "inner")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows: Sequence[Sequence[int]] = (), inner: Sequence[int] = ()):
+    def __init__(self, rows: Sequence[Sequence[int]] = ()):
         rows = [tuple(r) for r in rows]
-        inner = tuple(m for m in inner)
-        while inner and inner[-1] == 0:
-            inner = inner[:-1]
-        while rows and not rows[-1] and len(rows) > len(inner):
+        while rows and not rows[-1]:
             rows.pop()
         self.rows = tuple(rows)
-        self.inner = inner
         self._validate()
 
     def _validate(self) -> None:
-        rows, inner = self.rows, self.inner
-        if len(inner) > len(rows):
-            raise ValueError("inner shape has more rows than the tableau")
-        if inner and not is_partition(inner):
-            raise ValueError(f"inner shape {inner} is not a partition")
         outer = self.outer
         for k in range(len(outer) - 1):
             if outer[k] < outer[k + 1]:
                 raise ValueError(f"row lengths {outer} are not weakly decreasing")
-        for x, row in enumerate(rows):
+        for x, row in enumerate(self.rows):
             for e in row:
-                if not isinstance(e, int) or e < 1:
+                # bool is an int subclass, so JSON true would pass for 1
+                if type(e) is not int or e < 1:
                     raise ValueError(f"entry {e!r} is not a positive integer")
             if any(row[k] > row[k + 1] for k in range(len(row) - 1)):
                 raise ValueError(f"row {x + 1} is not weakly increasing: {row}")
@@ -97,47 +68,32 @@ class Tableau:
                 raise ValueError(f"column {y} decreases between rows {x} and {x + 1}")
 
     def _vertical_pairs(self) -> Iterator[tuple[int, int, int, int]]:
-        """(x, y, above, here) for each filled cell (x + 1, y) with a filled
-        cell (x, y) above it, and their entries."""
+        """(x, y, above, here) for each cell (x + 1, y) with a cell (x, y)
+        above it, and their entries."""
         rows = self.rows
-        pad = self.inner + (0,) * (len(rows) - len(self.inner))
-        outer = self.outer
         for x in range(1, len(rows)):
-            lo = max(pad[x - 1], pad[x])
-            hi = min(outer[x - 1], outer[x])
-            for y in range(lo + 1, hi + 1):
-                yield x, y, rows[x - 1][y - 1 - pad[x - 1]], rows[x][y - 1 - pad[x]]
+            for y, (above, here) in enumerate(zip(rows[x - 1], rows[x]), start=1):
+                yield x, y, above, here
 
     @property
     def outer(self) -> tuple[int, ...]:
-        pad = self.inner + (0,) * (len(self.rows) - len(self.inner))
-        return tuple(m + len(r) for m, r in zip(pad, self.rows))
+        """The shape: the row lengths."""
+        return tuple(len(r) for r in self.rows)
 
     @property
     def size(self) -> int:
-        """Number of filled cells."""
+        """Number of cells."""
         return sum(len(r) for r in self.rows)
 
-    @property
-    def is_skew(self) -> bool:
-        return bool(self.inner)
-
-    def _inner_at(self, x: int) -> int:
-        return self.inner[x - 1] if x <= len(self.inner) else 0
-
     def entry(self, x: int, y: int) -> int:
-        if not 1 <= x <= len(self.rows):
+        if not (1 <= x <= len(self.rows) and 1 <= y <= len(self.rows[x - 1])):
             raise ValueError(f"no cell ({x}, {y})")
-        off = y - self._inner_at(x) - 1
-        if not 0 <= off < len(self.rows[x - 1]):
-            raise ValueError(f"no cell ({x}, {y})")
-        return self.rows[x - 1][off]
+        return self.rows[x - 1][y - 1]
 
     def cells(self) -> Iterator[tuple[int, int]]:
         for x, row in enumerate(self.rows, start=1):
-            base = self._inner_at(x)
-            for off in range(len(row)):
-                yield (x, base + off + 1)
+            for y in range(1, len(row) + 1):
+                yield (x, y)
 
     def to_dict(self) -> dict[tuple[int, int], int]:
         return {(x, y): self.entry(x, y) for (x, y) in self.cells()}
@@ -165,60 +121,50 @@ class Tableau:
 
     def transpose(self) -> "Tableau":
         """Reflect across the main diagonal."""
-        cells = {(y, x): e for (x, y), e in self.to_dict().items()}
-        return _from_cells(cells, conjugate(self.inner))
+        return _from_cells({(y, x): e for (x, y), e in self.to_dict().items()})
 
     def to_json(self) -> dict:
-        out: dict = {"rows": [list(r) for r in self.rows]}
-        if self.inner:
-            out["inner"] = list(self.inner)
-        return out
+        return {"rows": [list(r) for r in self.rows]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "Tableau":
-        if not isinstance(data, dict) or "rows" not in data:
+    def from_json(cls, data) -> "Tableau":
+        """The tableau of ``{"rows": [[...], ...]}``: a list of lists of
+        positive integers, and no other key.  Anything else raises
+        ValueError, since this is where the CLI reads a tableau."""
+        if not isinstance(data, dict) or set(data) != {"rows"}:
             raise ValueError(f"malformed tableau object: {data!r}")
-        return cls(data["rows"], data.get("inner", ()))
+        rows = data["rows"]
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError(f"tableau rows are not a list of lists: {rows!r}")
+        return cls(rows)
 
     def render(self) -> str:
-        """One row per line; inner cells shown as dots."""
-        lines = []
-        for x, row in enumerate(self.rows, start=1):
-            cells = ["."] * self._inner_at(x) + [str(e) for e in row]
-            lines.append(" ".join(cells))
-        return "\n".join(lines)
+        """One row per line, entries separated by spaces."""
+        return "\n".join(" ".join(map(str, row)) for row in self.rows)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tableau)
-            and self.rows == other.rows
-            and self.inner == other.inner
-        )
+        return isinstance(other, Tableau) and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.inner))
+        return hash(self.rows)
 
     def __repr__(self) -> str:
-        if self.inner:
-            return f"Tableau({[list(r) for r in self.rows]!r}, inner={list(self.inner)!r})"
         return f"Tableau({[list(r) for r in self.rows]!r})"
 
 
 EMPTY_TABLEAU = Tableau()
 
 
-def _from_cells(cells: dict[tuple[int, int], int], inner: Sequence[int]) -> Tableau:
+def _from_cells(cells: dict[tuple[int, int], int]) -> Tableau:
     """Rebuild a tableau from a cell dict whose rows are contiguous."""
-    inner = tuple(inner)
-    nrows = max(max((x for x, _ in cells), default=0), len(inner))
+    nrows = max((x for x, _ in cells), default=0)
     rows = []
     for x in range(1, nrows + 1):
-        base = inner[x - 1] if x <= len(inner) else 0
         ys = sorted(y for (xx, y) in cells if xx == x)
-        if ys != list(range(base + 1, base + len(ys) + 1)):
+        if ys != list(range(1, len(ys) + 1)):
             raise ValueError(f"row {x} is not contiguous: columns {ys}")
         rows.append(tuple(cells[(x, y)] for y in ys))
-    return Tableau(rows, inner)
+    return Tableau(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +224,8 @@ def rs_inverse(p: Tableau, q: Tableau) -> Perm:
     bumping in decreasing order of the entries of ``q``."""
     if not p.is_standard() or not q.is_standard():
         raise ValueError("both tableaux must be standard")
-    if p.outer != q.outer or p.is_skew or q.is_skew:
-        raise ValueError("tableaux must share a non-skew shape")
+    if p.outer != q.outer:
+        raise ValueError("tableaux must share a shape")
     rows = [list(r) for r in p.rows]
     where = {q.entry(x, y): (x, y) for (x, y) in q.cells()}
     out = []
@@ -339,7 +285,7 @@ def q_code(tab: Tableau) -> int:
     >>> q_code(Tableau([[1, 3], [2]]))
     3
     """
-    if tab.is_skew or not tab.is_standard():
+    if not tab.is_standard():
         raise ValueError("a Q code needs a standard tableau")
     n = tab.size
     row_of = [0] * (n + 1)
@@ -412,7 +358,7 @@ def reading_word(tab: Tableau) -> tuple[int, ...]:
 def evacuation(tab: Tableau) -> Tableau:
     """Schuetzenberger evacuation: repeatedly delete the smallest entry by a
     slide into (1, 1) and record the vacated cell with the complement label."""
-    if tab.is_skew or not tab.is_standard():
+    if not tab.is_standard():
         raise ValueError("evacuation requires a standard tableau")
     n = tab.size
     cells = tab.to_dict()
@@ -420,20 +366,17 @@ def evacuation(tab: Tableau) -> Tableau:
     for label in range(n, 0, -1):
         del cells[(1, 1)]
         out[_slide(cells, 1, 1)] = label
-    return _from_cells(out, ())
+    return _from_cells(out)
 
 
 # ---------------------------------------------------------------------------
 # enumeration helpers
 
-def _semistandard_rows(
-    shape: Sequence[int], max_entry: int, inner: Sequence[int] = ()
-) -> Iterator[Rows]:
+def _semistandard_rows(shape: Sequence[int], max_entry: int) -> Iterator[Rows]:
     """The rows of every column-strict filling with entries at most
-    ``max_entry``, as tuples of the entries outside ``inner``, unchecked."""
+    ``max_entry``, as tuples, unchecked."""
     shape = tuple(shape)
-    pad = tuple(inner) + (0,) * (len(shape) - len(inner))
-    cells = [(x, y) for x in range(len(shape)) for y in range(pad[x], shape[x])]
+    cells = [(x, y) for x in range(len(shape)) for y in range(shape[x])]
     rows: list[list[int]] = [[] for _ in shape]
 
     def fill(k: int) -> Iterator[Rows]:
@@ -442,9 +385,9 @@ def _semistandard_rows(
             return
         x, y = cells[k]  # 0-based
         row = rows[x]
-        lo = row[-1] if y > pad[x] else 1
-        if x and pad[x - 1] <= y < shape[x - 1]:
-            lo = max(lo, rows[x - 1][y - pad[x - 1]] + 1)
+        lo = row[-1] if y else 1
+        if x and y < shape[x - 1]:
+            lo = max(lo, rows[x - 1][y] + 1)
         for e in range(lo, max_entry + 1):
             row.append(e)
             yield from fill(k + 1)
@@ -453,12 +396,9 @@ def _semistandard_rows(
     return fill(0)
 
 
-def semistandard_tableaux(
-    shape: Sequence[int], max_entry: int, inner: Sequence[int] = ()
-) -> Iterator[Tableau]:
+def semistandard_tableaux(shape: Sequence[int], max_entry: int) -> Iterator[Tableau]:
     """All column-strict fillings with entries at most ``max_entry``."""
-    inner = tuple(inner)
-    return (Tableau(rows, inner) for rows in _semistandard_rows(shape, max_entry, inner))
+    return (Tableau(rows) for rows in _semistandard_rows(shape, max_entry))
 
 
 if __name__ == "__main__":

@@ -8,8 +8,10 @@ direct scan, the Knuth moves K_ij through minimal coset representatives,
 crystal operators by the recursive tensor-product rule, crystal components
 by a search on word tuples, highest-weight words one word at a time, the
 crystal-djm checks on validated tableaux built per word, operator and
-reading word, jeu de taquin slides on cell dicts with their own sliding loop, rectification, the permutation tableau
-and standard fillings of skew shapes, evacuation by rectifying punctured
+reading word, a skew tableau type of its own (an inner shape and a cell
+dict), jeu de taquin slides on it with their own sliding loop,
+rectification, the permutation tableau, standard and column-strict
+fillings of skew shapes, evacuation by rectifying punctured
 tableaux, T-basis products by expanding into generators, C'-expansions by
 peeling top terms, the q = 1 action from mu lists, the cell graph on
 permutation tuples with Tarjan's state in dicts, left closures by reverse
@@ -46,7 +48,6 @@ from rscells.polynomials import ONE, ZERO, LaurentPoly
 from rscells.knuth import knuth_class
 from rscells.tableaux import (
     Tableau,
-    _from_cells,
     evacuation,
     insert_word,
     p_symbol,
@@ -334,7 +335,7 @@ def djm_violations_by_tableaux(n, r):
     return r**n, violations
 
 
-# -- jeu de taquin, rectification and standard fillings -----------------------
+# -- skew tableaux, jeu de taquin, rectification and standard fillings --------
 
 def staircase(n: int) -> tuple[int, ...]:
     """The staircase partition (n-1, n-2, ..., 1)."""
@@ -352,6 +353,19 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
                 yield (first,) + rest
 
 
+def is_partition(seq: Sequence[int]) -> bool:
+    return all(a >= 1 for a in seq) and all(
+        seq[k] >= seq[k + 1] for k in range(len(seq) - 1)
+    )
+
+
+def conjugate(shape: Sequence[int]) -> tuple[int, ...]:
+    """Column lengths of a partition."""
+    if not shape:
+        return ()
+    return tuple(sum(1 for a in shape if a >= j) for j in range(1, shape[0] + 1))
+
+
 def inner_corners(shape: Sequence[int]) -> list[tuple[int, int]]:
     """Removable corners of a partition, as (row, column) cells."""
     out = []
@@ -361,17 +375,92 @@ def inner_corners(shape: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
-def jdt_slide(tab: Tableau, corner: tuple[int, int]) -> Tableau:
+class SkewTableau:
+    """A filling of the skew shape outer/inner: the inner partition and a
+    dict from the (row, column) cells outside it to their entries.  The
+    checks are its own: each row is contiguous from the inner shape on,
+    the row lengths weakly decrease, and rows and columns weakly increase."""
+
+    __slots__ = ("inner", "cells")
+
+    def __init__(self, inner: Sequence[int], cells: dict[tuple[int, int], int]):
+        inner = tuple(inner)
+        while inner and inner[-1] == 0:
+            inner = inner[:-1]
+        if not is_partition(inner):
+            raise ValueError(f"inner shape {inner} is not a partition")
+        self.inner, self.cells = inner, dict(cells)
+        for (x, y), e in sorted(self.cells.items()):
+            if type(e) is not int or e < 1:
+                raise ValueError(f"entry {e!r} is not a positive integer")
+            if x < 1 or y <= self._base(x):
+                raise ValueError(f"cell ({x}, {y}) is not outside {inner}")
+            left, above = self.cells.get((x, y - 1)), self.cells.get((x - 1, y))
+            if left is None and y - 1 > self._base(x):
+                raise ValueError(f"row {x} is not contiguous")
+            if left is not None and left > e:
+                raise ValueError(f"row {x} is not weakly increasing")
+            if above is not None and above > e:
+                raise ValueError(f"column {y} decreases between rows {x - 1} and {x}")
+        outer = self.outer
+        if any(outer[k] < outer[k + 1] for k in range(len(outer) - 1)):
+            raise ValueError(f"row lengths {outer} are not weakly decreasing")
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int]], inner: Sequence[int]) -> "SkewTableau":
+        """The filling whose row x lists the entries right of inner[x]."""
+        if len(inner) > len(rows):
+            raise ValueError("inner shape has more rows than the tableau")
+        base = tuple(inner) + (0,) * (len(rows) - len(inner))
+        return cls(inner, {
+            (x, base[x - 1] + k): e
+            for x, row in enumerate(rows, start=1)
+            for k, e in enumerate(row, start=1)
+        })
+
+    def _base(self, x: int) -> int:
+        return self.inner[x - 1] if x <= len(self.inner) else 0
+
+    @property
+    def outer(self) -> tuple[int, ...]:
+        nrows = max([len(self.inner)] + [x for x, _ in self.cells])
+        return tuple(
+            self._base(x) + sum(1 for xx, _ in self.cells if xx == x)
+            for x in range(1, nrows + 1)
+        )
+
+    def is_column_strict(self) -> bool:
+        return all(
+            self.cells[(x - 1, y)] < e
+            for (x, y), e in self.cells.items()
+            if (x - 1, y) in self.cells
+        )
+
+    def reading_word(self) -> tuple[int, ...]:
+        """Rows read bottom to top, each left to right."""
+        return tuple(self.cells[c] for c in sorted(self.cells, key=lambda c: (-c[0], c[1])))
+
+    def to_tableau(self) -> Tableau:
+        """The same filling as a package ``Tableau``, once the inner shape is gone."""
+        if self.inner:
+            raise ValueError(f"a skew tableau with inner shape {self.inner}")
+        return Tableau(
+            [[self.cells[(x, y)] for y in range(1, m + 1)]
+             for x, m in enumerate(self.outer, start=1)]
+        )
+
+
+def jdt_slide(tab: SkewTableau, corner: tuple[int, int]) -> SkewTableau:
     """One jeu de taquin slide into the given removable corner of the inner
     shape.  The hole repeatedly swallows the smaller of its right and lower
     neighbours (the lower one on ties) until it reaches an outer corner."""
-    if not tab.is_skew:
+    if not tab.inner:
         raise ValueError("slide requires a skew tableau")
     if not tab.is_column_strict():
         raise ValueError("slide requires a column-strict tableau")
     if corner not in inner_corners(tab.inner):
         raise ValueError(f"{corner} is not a removable corner of {tab.inner}")
-    cells = tab.to_dict()
+    cells = dict(tab.cells)
     hole = corner
     while True:
         x, y = hole
@@ -384,31 +473,32 @@ def jdt_slide(tab: Tableau, corner: tuple[int, int]) -> Tableau:
     cx, _cy = corner
     new_inner = list(tab.inner)
     new_inner[cx - 1] -= 1
-    return _from_cells(cells, new_inner)
+    return SkewTableau(new_inner, cells)
 
 
-def rectify(tab: Tableau, choose=None) -> Tableau:
-    """Slide until the inner shape is gone.  The default corner choice is the
-    bottommost removable corner; pass ``choose`` (corners -> corner) to force
-    a different slide order.  The result does not depend on the order."""
-    while tab.is_skew:
+def rectify(tab: SkewTableau, choose=None) -> Tableau:
+    """Slide until the inner shape is gone, and return the straight result
+    as a package ``Tableau``.  The default corner choice is the bottommost
+    removable corner; pass ``choose`` (corners -> corner) to force a
+    different slide order.  The result does not depend on the order."""
+    while tab.inner:
         corners = inner_corners(tab.inner)
         corner = max(corners) if choose is None else choose(corners)
         tab = jdt_slide(tab, corner)
-    return tab
+    return tab.to_tableau()
 
 
-def permutation_tableau(w: Perm) -> Tableau:
+def permutation_tableau(w: Perm) -> SkewTableau:
     """The staircase-skew tableau whose antidiagonal cells carry w_1, ..., w_n
     from the bottom-left cell to the top-right cell."""
     w = check_permutation(w)
     n = len(w)
-    rows = [(w[n - x],) for x in range(1, n + 1)]
-    return Tableau(rows, staircase(n))
+    return SkewTableau(staircase(n), {(x, n + 1 - x): w[n - x] for x in range(1, n + 1)})
 
 
-def standard_tableaux(shape: Sequence[int], inner: Sequence[int] = ()) -> Iterator[Tableau]:
-    """All standard fillings of the (possibly skew) shape."""
+def standard_tableaux(shape: Sequence[int], inner: Sequence[int] = ()) -> Iterator:
+    """All standard fillings of the shape as package tableaux or, given an
+    inner shape, of the skew shape shape/inner as ``SkewTableau``."""
     shape = tuple(shape)
     inner = tuple(inner)
     pad = inner + (0,) * (len(shape) - len(inner))
@@ -430,9 +520,10 @@ def standard_tableaux(shape: Sequence[int], inner: Sequence[int] = ()) -> Iterat
             return False
         return True
 
-    def fill(t: int) -> Iterator[Tableau]:
+    def fill(t: int) -> Iterator:
         if t > m:
-            yield _from_cells(dict(filled), inner)
+            tab = SkewTableau(inner, filled)
+            yield tab if inner else tab.to_tableau()
             return
         for cell in cells:
             if cell not in filled and placeable(cell):
@@ -441,6 +532,26 @@ def standard_tableaux(shape: Sequence[int], inner: Sequence[int] = ()) -> Iterat
                 del filled[cell]
 
     return fill(1)
+
+
+def column_strict_fillings(
+    shape: Sequence[int], max_entry: int, inner: Sequence[int] = ()
+) -> list[SkewTableau]:
+    """Every column-strict filling of shape/inner with entries at most
+    ``max_entry``, by trying every filling of its cells, in lexicographic
+    order of the entries read row by row."""
+    pad = tuple(inner) + (0,) * (len(shape) - len(inner))
+    rows = [range(k + 1, m + 1) for m, k in zip(shape, pad)]
+    cells = [(x, y) for x, ys in enumerate(rows, start=1) for y in ys]
+    out = []
+    for entries in itertools.product(range(1, max_entry + 1), repeat=len(cells)):
+        try:
+            t = SkewTableau(inner, dict(zip(cells, entries)))
+        except ValueError:
+            continue
+        if t.is_column_strict():
+            out.append(t)
+    return out
 
 
 # -- evacuation by rectification ----------------------------------------------
@@ -452,7 +563,7 @@ def evacuation_by_rectify(tab):
     out = {}
     cur = tab
     for step in range(1, n + 1):
-        punctured = Tableau((cur.rows[0][1:],) + cur.rows[1:], (1,))
+        punctured = SkewTableau((1,), {c: e for c, e in cur.to_dict().items() if c != (1, 1)})
         slid = rectify(punctured)
         old, new = cur.outer, slid.outer + (0,)
         x = next(i for i in range(len(old)) if old[i] != new[i])

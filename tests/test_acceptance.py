@@ -19,6 +19,7 @@ import rscells
 from oracles import (
     all_perms,
     as_sets,
+    column_strict_fillings,
     inner_corners,
     involution_count,
     jdt_slide,
@@ -40,7 +41,6 @@ from rscells.tableaux import (
     p_symbol,
     q_symbol,
     rs_inverse,
-    semistandard_tableaux,
 )
 from rscells.verify import run_suite
 
@@ -314,8 +314,8 @@ def test_permutation_suites_n8_long(suite, criterion, peak_bound):
 
 
 def _all_rectifications(tab):
-    if not tab.is_skew:
-        return {tab}
+    if not tab.inner:
+        return {tab.to_tableau()}
     out = set()
     for corner in inner_corners(tab.inner):
         out |= _all_rectifications(jdt_slide(tab, corner))
@@ -354,6 +354,6 @@ def test_criterion_13_rectification():
             for inner in _sub_partitions(outer):
                 if not inner:
                     continue
-                for t in semistandard_tableaux(outer, 3, inner):
+                for t in column_strict_fillings(outer, 3, inner):
                     assert len(_all_rectifications(t)) == 1
     _ok(13, "rectification equals P-symbols and is slide-order independent")

@@ -66,10 +66,43 @@ def test_rsk_inverse_bad_input(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        '{"rows": 5}',
+        '{"rows": [1, 2]}',
+        '{"rows": [[1]], "inner": "x"}',
+        '{"rows": [[1]], "inner": [1]}',
+        '{"rows": [[1], "2"]}',
+        '{"rows": [[1.5]]}',
+        '{"rows": [[true]]}',
+        '{"rows": [[1, 2], [true]]}',
+        '{"rows": [[1]], "extra": 0}',
+        '[[1]]',
+    ],
+)
+def test_rsk_inverse_malformed_tableau_json(capsys, p):
+    # a tableau must be {"rows": <list of lists of integers>} and nothing else
+    for argv in ((p, '{"rows": [[1]]}'), ('{"rows": [[1]]}', p)):
+        code, out, err = run(capsys, "rsk-inverse", *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("error: ")
+
+
 def test_malformed_permutation(capsys):
     code, _, err = run(capsys, "rsk", "31324")
     assert code == EXIT_INPUT
     assert "error" in err
+    # JSON true is not the integer 1
+    for argv in (
+        ("rsk", "[true]"),
+        ("rsk", "[2, true]"),
+        ("klpoly", "[true, 2]", "[2, 1]"),
+        ("klpoly", "[1, 2]", "[2, true]"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "error" in err
 
 
 def test_klpoly(capsys):
@@ -281,6 +314,49 @@ def test_cache_workflow(capsys, tmp_path):
     assert code == EXIT_OK
     code, out, _ = run(capsys, "--cache-dir", cache, "cache", "info")
     assert out.endswith("total: 0 entries\n")
+
+
+def test_cache_info_and_clear_of_one_degree(capsys, tmp_path):
+    cache = str(tmp_path)
+    for n in ("3", "4"):
+        assert run(capsys, "--cache-dir", cache, "cache", "warm", n)[0] == EXIT_OK
+    s4 = (tmp_path / "kl_s4.tsv").read_bytes()
+    code, out, _ = run(capsys, "--cache-dir", cache, "cache", "info", "4")
+    assert (code, out) == (EXIT_OK, "kl_s4.tsv: 58 entries\ntotal: 58 entries\n")
+    code, out, _ = run(capsys, "--cache-dir", cache, "cache", "info", "5")
+    assert (code, out) == (EXIT_OK, "total: 0 entries\n")
+    # a right-sided file of degree 3, which older versions wrote, goes with
+    # kl_s3.tsv; info of one degree reads kl_sN.tsv only
+    (tmp_path / "kl_s3.right.tsv").write_bytes(b"")
+    code, out, _ = run(capsys, "--cache-dir", cache, "cache", "info", "3")
+    assert (code, out) == (EXIT_OK, "kl_s3.tsv: 8 entries\ntotal: 8 entries\n")
+    code, out, _ = run(capsys, "--cache-dir", cache, "cache", "clear", "3")
+    assert (code, out) == (EXIT_OK, "removed 2 file(s)\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["kl_s4.tsv"]
+    assert (tmp_path / "kl_s4.tsv").read_bytes() == s4
+    code, out, _ = run(capsys, "--cache-dir", cache, "cache", "clear", "3")
+    assert (code, out) == (EXIT_OK, "removed 0 file(s)\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cache", "info", "12"),
+        ("cache", "info", "0"),
+        ("cache", "clear", "0"),
+        ("cache", "clear", "12"),
+        ("cache", "clear", "9"),
+        ("--max-n", "3", "cache", "clear", "4"),
+    ],
+)
+def test_cache_info_and_clear_refuse_a_degree_out_of_range(capsys, tmp_path, argv):
+    cache = str(tmp_path)
+    assert run(capsys, "--cache-dir", cache, "cache", "warm", "4")[0] == EXIT_OK
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    code, out, err = run(capsys, "--cache-dir", cache, *argv)
+    assert (code, out) == (EXIT_BOUNDS, "")
+    assert err.startswith("error: degree ")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_cache_env_var_overrides_flag(capsys, tmp_path, monkeypatch):

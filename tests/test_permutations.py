@@ -199,7 +199,7 @@ def test_parse_format_round_trip():
     assert format_permutation((3, 1, 5, 2, 4)) == "31524"
     big = tuple(range(1, 12))
     assert parse_permutation(format_permutation(big)) == big
-    for bad in ("", "132x", "122", "[1,2,2]", "[1"):
+    for bad in ("", "132x", "122", "[1,2,2]", "[1", "[true]", "[true, 2]", "[2, 1.0]"):
         with pytest.raises(ValueError):
             parse_permutation(bad)
 
@@ -209,3 +209,7 @@ def test_check_permutation():
         check_permutation((1, 1, 2))
     with pytest.raises(ValueError):
         check_permutation((0, 1))
+    # bool is an int subclass, but True is not the letter 1
+    for bad in ((True,), (True, 2), (2, True), (False, 1)):
+        with pytest.raises(ValueError):
+            check_permutation(bad)

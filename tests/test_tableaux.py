@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 
 import rscells.tableaux
 from oracles import (
+    SkewTableau,
     all_perms,
+    column_strict_fillings,
+    conjugate,
     evacuation_by_rectify,
     inner_corners,
     involution_count,
+    is_partition,
     jdt_slide,
     partitions,
     permutation_tableau,
@@ -25,10 +29,8 @@ from rscells.tableaux import (
     EMPTY_TABLEAU,
     Tableau,
     _symbols,
-    conjugate,
     evacuation,
     insert_word,
-    is_partition,
     p_symbol,
     q_code,
     q_symbol,
@@ -61,18 +63,43 @@ def test_tableau_validation():
     with pytest.raises(ValueError, match=r"^column 1 decreases between rows 1 and 2$"):
         Tableau([[2, 3], [1]])
     with pytest.raises(ValueError, match=r"^column 2 decreases between rows 2 and 3$"):
-        Tableau([[1], [3], [2, 2]], inner=(1, 1))
+        Tableau([[1, 1], [2, 3], [2, 2]])
     with pytest.raises(ValueError):
         Tableau([[1], [1, 2]])  # not a partition
     with pytest.raises(ValueError):
         Tableau([[0]])
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="is not a positive integer"):
+            Tableau([[1], [bad]])
+    t = Tableau([[1, 3], [2]])
+    assert t.outer == (2, 1) and t.size == 3
+    assert t.entry(1, 2) == 3 and t.entry(2, 1) == 2
+    for x, y in ((2, 2), (3, 1), (0, 1), (1, 0)):
+        with pytest.raises(ValueError):
+            t.entry(x, y)
+
+
+def test_skew_tableau_validation():
+    # the oracles' skew type makes its own row, column and shape checks
+    with pytest.raises(ValueError, match=r"^column 2 decreases between rows 2 and 3$"):
+        SkewTableau.from_rows([[1], [3], [2, 2]], inner=(1, 1))
     with pytest.raises(ValueError):
-        Tableau([[1]], inner=(1, 1))
-    skew = Tableau([[2], [1]], inner=(1,))
-    assert skew.is_skew and skew.outer == (2, 1) and skew.size == 2
-    assert skew.entry(1, 2) == 2 and skew.entry(2, 1) == 1
+        SkewTableau.from_rows([[1]], inner=(1, 1))
     with pytest.raises(ValueError):
-        skew.entry(1, 1)
+        SkewTableau.from_rows([[2], [1, 1]], inner=(1,))  # not a skew shape
+    with pytest.raises(ValueError):
+        SkewTableau((1, 2), {(1, 2): 1})  # inner shape not a partition
+    with pytest.raises(ValueError):
+        SkewTableau((1,), {(1, 3): 1})  # row not contiguous
+    with pytest.raises(ValueError):
+        SkewTableau((1,), {(1, 2): 2, (1, 3): 1})  # row decreases
+    with pytest.raises(ValueError):
+        SkewTableau((1,), {(1, 2): True})
+    skew = SkewTableau.from_rows([[2], [1]], inner=(1,))
+    assert skew.inner == (1,) and skew.outer == (2, 1)
+    assert skew.cells == {(1, 2): 2, (2, 1): 1}
+    # a row that lies wholly in the inner shape
+    assert SkewTableau((2, 1), {(1, 3): 1, (3, 1): 1}).outer == (3, 1, 1)
 
 
 def test_tableau_kinds():
@@ -86,16 +113,23 @@ def test_tableau_kinds():
 def test_tableau_json_round_trip():
     t = Tableau([[1, 2, 4], [3, 5]])
     assert Tableau.from_json(t.to_json()) == t
-    skew = Tableau([[2], [1]], inner=(1,))
-    assert Tableau.from_json(skew.to_json()) == skew
-    assert skew.to_json() == {"rows": [[2], [1]], "inner": [1]}
-    with pytest.raises(ValueError):
-        Tableau.from_json({"cols": []})
+    assert Tableau.from_json({"rows": []}) == EMPTY_TABLEAU
+    for bad in (
+        {"cols": []},
+        {"rows": [[2], [1]], "inner": [1]},
+        {"rows": 5},
+        {"rows": [1, 2]},
+        {"rows": [[1], (2,)]},
+        {"rows": [[True]]},
+        [[1]],
+    ):
+        with pytest.raises(ValueError):
+            Tableau.from_json(bad)
 
 
 def test_render():
     assert Tableau([[1, 2, 4], [3, 5]]).render() == "1 2 4\n3 5"
-    assert Tableau([[2], [1]], inner=(1,)).render() == ". 2\n1"
+    assert EMPTY_TABLEAU.render() == ""
 
 
 # -- P and Q symbols ----------------------------------------------------------
@@ -230,8 +264,6 @@ def test_q_code_round_trips_every_standard_tableau():
 def test_q_code_rejects_what_is_not_a_standard_tableau():
     with pytest.raises(ValueError):
         q_code(Tableau([[1, 1]]))
-    with pytest.raises(ValueError):
-        q_code(Tableau([[2], [1]], inner=(1,)))
     assert q_tableau(0, 0) == EMPTY_TABLEAU
     for code, n in ((-1, 3), (27, 3), (1, 1)):
         with pytest.raises(ValueError):
@@ -248,15 +280,19 @@ def test_q_code_rejects_what_is_not_a_standard_tableau():
 
 def test_rectify_of_straight_tableau_is_identity():
     t = Tableau([[1, 2], [3]])
-    assert rectify(t) == t
+    assert rectify(SkewTableau((), t.to_dict())) == t
 
 
 def test_jdt_slide_rejects_bad_holes():
-    skew = Tableau([[2], [1]], inner=(1,))
+    skew = SkewTableau.from_rows([[2], [1]], inner=(1,))
     with pytest.raises(ValueError):
         jdt_slide(skew, (2, 1))
     with pytest.raises(ValueError):
-        jdt_slide(Tableau([[1, 2]]), (1, 1))
+        jdt_slide(SkewTableau((), {(1, 1): 1, (1, 2): 2}), (1, 1))
+    with pytest.raises(ValueError):
+        jdt_slide(SkewTableau.from_rows([[1], [1, 1]], inner=(1,)), (1, 1))  # not column-strict
+    slid = jdt_slide(skew, (1, 1))
+    assert slid.inner == () and slid.cells == {(1, 1): 1, (1, 2): 2}
 
 
 def test_rectify_permutation_tableaux_small():
@@ -267,8 +303,8 @@ def test_rectify_permutation_tableaux_small():
 
 def _all_slide_orders(tab):
     """Rectify along every inner-corner choice sequence."""
-    if not tab.is_skew:
-        return {tab}
+    if not tab.inner:
+        return {tab.to_tableau()}
     out = set()
     for corner in inner_corners(tab.inner):
         out |= _all_slide_orders(jdt_slide(tab, corner))
@@ -296,12 +332,12 @@ def test_rectification_is_slide_order_independent_small():
 
 def test_permutation_tableau_and_reading_word():
     t = permutation_tableau((1,))
-    assert t == Tableau([[1]]) and not t.is_skew
+    assert not t.inner and t.to_tableau() == Tableau([[1]])
     pt = permutation_tableau((3, 1, 5, 2, 4))
     assert pt.inner == staircase(5) and pt.outer == (5, 4, 3, 2, 1)
-    assert reading_word(pt) == (3, 1, 5, 2, 4)
+    assert pt.reading_word() == (3, 1, 5, 2, 4)
     for w in all_perms(4):
-        assert reading_word(permutation_tableau(w)) == w
+        assert permutation_tableau(w).reading_word() == w
 
 
 def test_reading_word_of_displayed_tableau():
@@ -379,34 +415,9 @@ def test_semistandard_tableaux_counts():
         assert t.is_column_strict()
 
 
-def _fillings_by_brute_force(shape, max_entry, inner=()):
-    """Every filling of the skew shape that validates and is column-strict,
-    in lexicographic order of its row-major entries."""
-    pad = tuple(inner) + (0,) * (len(shape) - len(inner))
-    lengths = [m - k for m, k in zip(shape, pad)]
-    out = []
-    for entries in itertools.product(range(1, max_entry + 1), repeat=sum(lengths)):
-        it = iter(entries)
-        rows = [[next(it) for _ in range(k)] for k in lengths]
-        try:
-            t = Tableau(rows, inner)
-        except ValueError:
-            continue
-        if t.is_column_strict():
-            out.append(t)
-    return out
-
-
 def test_semistandard_tableaux_match_brute_force():
     for size in range(0, 6):
         for shape in partitions(size):
-            inners = [()] + [
-                mu
-                for m in range(1, size)
-                for mu in partitions(m)
-                if len(mu) <= len(shape) and all(a <= b for a, b in zip(mu, shape))
-            ]
-            for inner in inners:
-                for max_entry in (1, 2, 3):
-                    got = list(semistandard_tableaux(shape, max_entry, inner))
-                    assert got == _fillings_by_brute_force(shape, max_entry, inner)
+            for max_entry in (1, 2, 3):
+                got = list(semistandard_tableaux(shape, max_entry))
+                assert got == [t.to_tableau() for t in column_strict_fillings(shape, max_entry)]
