@@ -11,9 +11,20 @@ v = s_i w for the smallest left descent s_i of w:
 Only "raised" y are stored, those whose descent set contains the descent set
 of w; any other y is first pushed up through the descents of w, which leaves
 the polynomial unchanged, so c = 1 in the recursion above.  The mu list of w
-consists of the stored entries with a nonzero top-degree coefficient plus the
-lower covers s_i w for descents s_i of w (the only non-raised pairs whose mu
-can survive the degree bound).
+consists of the stored entries whose degree meets the bound
+2 deg P_{y,w} <= l(w) - l(y) - 1, with mu the top coefficient, plus
+the lower covers s_i w for descents s_i of w (the only non-raised pairs
+whose mu can survive the degree bound).
+
+The recursion itself runs only at the two-sided extremal y, whose right
+descent set contains that of w as well: P_{y,w} = P_{yt,w} for every right
+descent t of w too (F. du Cloux, "Computing Kazhdan-Lusztig polynomials for
+arbitrary Coxeter groups", Experiment. Math. 11, 2002).  Any other raised y
+lacks some right descent t of w, and y t lies below w, is raised again
+(yt > y keeps every left descent of y) and has a higher rank, so a walk
+down the ranks copies P_{yt,w} into P_{y,w}.  Chained, the copies raise y on
+the right until it is extremal.  S_7 has 50,224 extremal entries among its
+292,070, and S_8 1,147,956 among its 9,551,060.
 
 Inside a table an element is its rank in the lexicographic list of S_n
 (the identity is rank 0), and lengths, descent masks and the products by
@@ -34,7 +45,8 @@ only the digits c_i and c_{i+1}: every rank with the same difference
 d = c_{i+1} - c_i moves by the same offset.  So the image of a bitset is
 the union of at most 2(n - i) masked shifts, one per d.  The raised part
 of an interval is one AND with the bitset of the ranks whose descents
-contain those of w, and a column walks its set bits in ascending rank.
+contain those of w, its extremal part one more AND on the right descents,
+and a column walks the set bits of both.
 An interval is read only by the intervals one length up, so warm(), the
 cell graph and the bar-invariance walk drop each length layer once the
 next is built.
@@ -47,8 +59,9 @@ bytes after that).  Entries are found by bisection; the sentinel keeps
 every probe inside the list.  S_7 holds 292,070 entries in about 4 MB,
 S_8 9,551,060 in about 105 MB.  The two polynomial steps of the recursion,
 P_{s_i y,v} + q P_{y,v} and p - mu q^k P_{y,z}, see few distinct operands:
-both are memoized per table on pool indices, and S_7 computes 1,533 of
-them instead of about 385,000.
+both are memoized per table on pool indices: S_7 looks them up 61,264
+times and computes 968 of them, S_8 looks them up 1.56 M times and
+computes 29,060.
 
 Columns persist to a cache file in format 2: a version line
 ``#rscells-kl 2 S_<n> left``, then one record per line,
@@ -72,7 +85,7 @@ import os
 import re
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from math import factorial
 from pathlib import Path
 
@@ -82,8 +95,8 @@ from .polynomials import ONE, ZERO, IntPolynomial
 # a table holds n! * n ranks up front, and digit notation stops at 9
 MAX_DEGREE = 9
 
-# a table with every column computed takes about 177 MB and 32 s at S_8, but
-# the Bruhat intervals grow 26x, 36x and 48x per degree up to S_8, so S_9
+# a table with every column computed takes about 178 MB and 15-17 s at S_8,
+# but the Bruhat intervals grow 26x, 36x and 48x per degree up to S_8, so S_9
 # would take hours and more memory than a few GB; runs that warm every
 # column stop here
 WARM_MAX_DEGREE = 8
@@ -101,14 +114,25 @@ _COEFFS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 Column = tuple[list[int], bytes | array]
 
 
+# the set bits of each byte value, and the translation that marks the
+# nonzero bytes
+_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+_NONZERO = bytes([0] + [1] * 255)
+
+
 def _ranks(bits: int) -> Iterator[int]:
-    """The set bits of ``bits``, ascending: bit r is character r of the
-    reversed binary text, and str.find skips the zeros in C."""
-    text = bin(bits)[:1:-1]
-    r = text.find("1")
-    while r >= 0:
-        yield r
-        r = text.find("1", r + 1)
+    """The set bits of ``bits``, ascending.  bytes.find skips the zero
+    bytes of its little-endian bytes in C; on the sparse raised sets of S_8
+    this walks in about half the time of str.find over the binary text,
+    which is eight times longer and slower to build."""
+    data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    marks = data.translate(_NONZERO)
+    k = marks.find(1)
+    while k >= 0:
+        base = 8 * k
+        for i in _BYTE_BITS[data[k]]:
+            yield base + i
+        k = marks.find(1, k + 1)
 
 
 def _narrowest(size: int) -> str:
@@ -173,7 +197,11 @@ class KLTable:
         # the ranks raised to it, are made on first use
         self._supports: dict[int, int] = {0: 1}
         self._swaps: list[list[tuple[int, int]]] | None = None
-        self._raised: dict[int, int] = {}
+        self._raised: dict[tuple[int, bool], int] = {}
+        # right descent mask -> the rows of _right_raises, and a scratch
+        # array over ranks that _column fills one column at a time
+        self._right_rows: dict[int, list[list[int]]] = {}
+        self._scratch = [0] * len(lengths)
         # memos of the two polynomial steps of _column on pool indices,
         # (a, b) -> a + q b and (p, P, k, m) -> p - m q^k P
         self._sums: dict[tuple[int, int], int] = {}
@@ -218,15 +246,19 @@ class KLTable:
             self._degrees.append(p.degree)
         return i
 
+    def _pack(self, keys: list[int], values: Iterable[int]) -> Column:
+        """Column form of the ascending ranks ``keys``, which should be the
+        table's shared int objects, and their pool indices ``values``."""
+        code = _narrowest(len(self._polys))
+        values = bytes(values) if code == "B" else array(code, values)
+        keys.append(self._ints[-1])
+        return keys, values
+
     def _compact(self, col: dict[int, int]) -> Column:
         """Column form of rank -> pool index; the keys of ``col`` become the
         column's keys, so they should be the table's shared int objects."""
         keys = sorted(col)
-        code = _narrowest(len(self._polys))
-        values = map(col.__getitem__, keys)
-        values = bytes(values) if code == "B" else array(code, values)
-        keys.append(self._ints[-1])
-        return keys, values
+        return self._pack(keys, map(col.__getitem__, keys))
 
     def _entry(self, col: Column, y: int) -> IntPolynomial:
         """The polynomial ``col`` holds for rank y; ZERO when it holds none."""
@@ -283,15 +315,28 @@ class KLTable:
         self._supports[w] = s
         return s
 
-    def _raised_set(self, wmask: int) -> int:
-        """The bitset of the ranks whose descent set contains ``wmask``,
-        memoized per mask: the descent masks as bytes, highest rank first,
-        translate to its binary text."""
-        got = self._raised.get(wmask)
+    def _raised_set(self, wmask: int, right: bool = False) -> int:
+        """The bitset of the ranks whose left (or right) descent set contains
+        ``wmask``, memoized per side and mask: the descent masks as bytes,
+        highest rank first, translate to its binary text."""
+        got = self._raised.get((wmask, right))
         if got is None:
+            masks = self._rmasks if right else self._masks
             keep = bytes(48 if wmask & ~m else 49 for m in range(256))
-            got = self._raised[wmask] = int(bytes(self._masks)[::-1].translate(keep), 2)
+            got = self._raised[wmask, right] = int(bytes(masks)[::-1].translate(keep), 2)
         return got
+
+    def _right_raises(self, wrmask: int) -> list[list[int]]:
+        """Per right descent mask m of y, the row of right steps that sends y
+        to y t for the first t in ``wrmask`` but not in m, or the identity
+        row when m contains ``wrmask``; memoized per mask."""
+        rows = self._right_rows.get(wrmask)
+        if rows is None:
+            rows = self._right_rows[wrmask] = []
+            for m in range(1 << self.n - 1):
+                rest = wrmask & ~m
+                rows.append(self._rsteps[(rest & -rest).bit_length() - 1] if rest else self._ints)
+        return rows
 
     def _in_length_order(self) -> Iterator[int]:
         """Every rank in (length, rank) order.
@@ -311,7 +356,10 @@ class KLTable:
             below = layer
 
     def _column(self, w: int) -> Column:
-        """P_{y,w} for every raised y <= w (descents of w all descend y)."""
+        """P_{y,w} for every raised y <= w (descents of w all descend y).
+
+        The recursion runs only at the two-sided extremal y, whose right
+        descents contain those of w as well."""
         col = self._columns.get(w)
         if col is not None:
             return col
@@ -319,12 +367,11 @@ class KLTable:
             col = self._columns[w] = self._parse_column(w)
             return col
         masks, lengths = self._masks, self._lengths
-        wmask = masks[w]
+        wmask, wrmask = masks[w], self._rmasks[w]
         ibit = wmask & -wmask
         step = self._steps[ibit.bit_length() - 1]
         v = step[w]
-        # column v is read twice per entry, so it is worth a transient dict
-        colv = dict(zip(*self._column(v)))
+        keysv, valuesv = self._column(v)
         vmask = masks[v]
         lw = lengths[w]
         # mu(z, v) q^k P_{y,z} is subtracted for each z in the mu list of v
@@ -336,10 +383,16 @@ class KLTable:
         ]
         raise_to, pool_index, polys = self._raise_to, self._pool_index, self._polys
         sums, corrections, ints = self._sums, self._corrections, self._ints
-        col = {}
-        for y in _ranks(self._support(w) & self._raised_set(wmask)):
-            a = colv.get(raise_to(step[y], vmask), 0)
-            b = colv.get(raise_to(y, vmask), 0)
+        # this column's entries by rank; every column it reads is built by now
+        scratch = self._scratch
+        raised = self._support(w) & self._raised_set(wmask)
+        for y in _ranks(raised & self._raised_set(wrmask, right=True)):
+            x = raise_to(step[y], vmask)
+            i = bisect_left(keysv, x)
+            a = valuesv[i] if keysv[i] == x else 0
+            x = raise_to(y, vmask)
+            i = bisect_left(keysv, x)
+            b = valuesv[i] if keysv[i] == x else 0
             p = sums.get((a, b))
             if p is None:
                 p = sums[a, b] = pool_index(polys[a] + polys[b].shift(1))
@@ -357,8 +410,17 @@ class KLTable:
                             polys[p] - polys[valuesz[i]].shift(k) * m
                         )
                     p = r
-            col[ints[y]] = p
-        col = self._columns[w] = self._compact(col)
+            scratch[y] = p
+        # every other raised y copies the entry of y t, for the first right
+        # descent t of w that y lacks: P_{y,w} = P_{yt,w}, and y t lies in
+        # the interval, is raised (yt > y keeps every left descent of y) and
+        # has a higher rank, so a walk down the ranks has filled it already;
+        # the row of an extremal y is the identity, and y copies itself
+        keys = list(map(ints.__getitem__, _ranks(raised)))
+        rows, rmasks = self._right_raises(wrmask), self._rmasks
+        for y in reversed(keys):
+            scratch[y] = scratch[rows[rmasks[y]][y]]
+        col = self._columns[w] = self._pack(keys, map(scratch.__getitem__, keys))
         return col
 
     def _lookup(self, y: int, w: int) -> IntPolynomial:
@@ -372,23 +434,21 @@ class KLTable:
         got = self._mu_lists.get(w)
         if got is not None:
             return got
-        lw = self._lengths[w]
-        polys = self._polys
-        pairs = []
+        lengths, degrees, polys = self._lengths, self._degrees, self._polys
+        # 2 deg P_{y,w} <= l(w) - l(y) - 1 for y != w, which the recursion
+        # keeps and parsing checks, so mu(y, w) is nonzero exactly when the
+        # degree meets the bound, and it is then the top coefficient
+        top = lengths[w] - 1
         # zip stops at the last value, before the sentinel
-        for y, p in zip(*self._column(w)):
-            if y == w:
-                continue
-            d = lw - self._lengths[y]
-            if d % 2:
-                m = polys[p].coeff((d - 1) // 2)
-                if m:
-                    pairs.append((y, m))
+        pairs = [
+            (y, polys[p].coeffs[-1])
+            for y, p in zip(*self._column(w))
+            if lengths[y] + 2 * degrees[p] == top
+        ]
         for i, step in enumerate(self._steps):
             if self._masks[w] >> i & 1:
                 pairs.append((step[w], 1))
-        got = tuple(sorted(pairs))
-        self._mu_lists[w] = got
+        got = self._mu_lists[w] = tuple(sorted(pairs))
         return got
 
     def _mu(self, y: int, w: int) -> int:

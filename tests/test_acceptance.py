@@ -292,7 +292,7 @@ print(out.getvalue(), end="")
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 @pytest.mark.parametrize(
     "suite, criterion, peak_bound",
-    # crystal-theorem-a 8 warms the S_8 table (about 40 s) and peaked at
+    # crystal-theorem-a 8 warms the S_8 table (about 15 s) and peaked at
     # 202 MB, 1 MB above theorem-a 8; with a cached e_op per word it peaked
     # at 287 MB.  evacuation 8 and knuth 8 need no table: 0.5 s at 29 MB and
     # 0.8 s at 33 MB

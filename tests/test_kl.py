@@ -260,6 +260,11 @@ def test_rank_tables_match_permutation_arithmetic():
             assert set(_ranks(tbl._support(r))) == below, w
 
 
+def test_ranks_walks_every_set_bit():
+    for bits in (0, 1, 0b1011, 1 << 8, (1 << 64) | 0xF0, (1 << 200) - 1, 0x8000_0001 << 77):
+        assert list(_ranks(bits)) == [r for r in range(bits.bit_length()) if bits >> r & 1]
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_compact_columns_match_the_dict_recursion(n, side):
@@ -275,6 +280,62 @@ def test_compact_columns_match_the_dict_recursion(n, side):
     assert [tbl._mu_list(w) for w in ranks] == [mu_lists[w] for w in ranks]
     for w in ranks:
         assert [tbl._lookup(y, w) for y in ranks] == [lookup(y, w) for y in ranks], w
+
+
+def _two_sided_raise(y, w):
+    """y raised on the right through the right descents of w, then on the
+    left through the left descents of w, until both hold: P_{y,w} = P_{yt,w} =
+    P_{sy,w} for a right descent t and a left descent s of w (du Cloux)."""
+    right, left = right_descents(w), left_descents(w)
+    while not (right <= right_descents(y) and left <= left_descents(y)):
+        while missing := right - right_descents(y):
+            y = multiply_simple(y, min(missing), "right")
+        while missing := left - left_descents(y):
+            y = multiply_simple(y, min(missing), "left")
+    return y
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_each_entry_is_the_entry_at_its_two_sided_raise(n):
+    tbl = KLTable(n)
+    tbl.warm()
+    perms = tbl.perms
+    columns = kl_by_dict_recursion(tbl)[0]
+    for w, column in columns.items():
+        stored = read_column(tbl, w)
+        assert stored.keys() == column.keys(), perms[w]
+        for y, p in stored.items():
+            x = tbl._rank(_two_sided_raise(perms[y], perms[w]))
+            assert x in column and p == column[x], (perms[y], perms[w])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_recursion_runs_only_at_two_sided_extremal_entries(n):
+    # column w recurses at y by reading P_{s_i y, v} and P_{y, v} from
+    # column v = s_i w, each first raised to the left descents of v; y has
+    # the descent s_i and s_i y lacks it, and the mu terms raise to descent
+    # sets that hold s_i, which those of v lack
+    tbl = KLTable(n)
+    columns = kl_by_dict_recursion(tbl)[0]
+    raises = []
+
+    def raise_to(y, mask):
+        raises.append((y, mask))
+        return KLTable._raise_to(tbl, y, mask)
+
+    tbl._raise_to = raise_to
+    perms, masks = tbl.perms, tbl._masks
+    # in length order every column that column w reads is built before it
+    for w in tbl._in_length_order():
+        raises.clear()
+        tbl._column(w)
+        if w == 0:
+            continue
+        i = min(left_descents(perms[w]))
+        vmask = masks[tbl._rank(multiply_simple(perms[w], i, "left"))]
+        recursed = {y for y, mask in raises if mask == vmask and i in left_descents(perms[y])}
+        extremal = {y for y in columns[w] if right_descents(perms[w]) <= right_descents(perms[y])}
+        assert recursed == extremal, perms[w]
 
 
 def test_every_query_rejects_non_permutations():
@@ -554,27 +615,38 @@ def test_parse_stored_checks_the_record_count(tmp_path):
 # the child reads its peak from VmHWM, the high-water mark of its own
 # address space: getrusage's ru_maxrss, in the child or from wait4, also
 # counts the RSS of the parent it was started from
-_S8_WARM = """
+_S8_WARM = r"""
+import hashlib
 from rscells.kl import KLTable
 table = KLTable(8)
 table.warm()
+digest = hashlib.sha256()
+for w in range(len(table.perms)):
+    digest.update(f"{table._mu_list(w)}\n".encode())
 peak = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
-print(table.entry_count(), int(peak.split()[1]) // 1024)
+print(table.entry_count(), int(peak.split()[1]) // 1024, digest.hexdigest())
 """
+
+# the sha256 of the S_8 mu lists as _S8_WARM prints them, one line per rank,
+# recorded from the recursion that ran at every raised entry
+S8_MU_SHA256 = "fda5a780776dce4ec8d1b182cd6cc7814b9bb2986da6c6cac8bd45fe298b0475"
 
 
 @pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_s8_warm_peak_memory_long():
-    # about 40 s at 177 MB; the columns and supports of S_8 took 1.06 GB
-    # before they were stored compactly and one support length at a time,
-    # and 249 MB while the supports were arrays of ranks
+    # about 16 s at 178 MB after warm() and 189 MB with every mu list, and
+    # 45 s at 183 and 194 MB while the recursion ran at every raised entry;
+    # the columns and supports of S_8 took 1.06 GB before they were stored
+    # compactly and one support length at a time, and 249 MB while the
+    # supports were arrays of ranks
     src = os.path.dirname(os.path.dirname(rscells.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c", _S8_WARM], env=env, capture_output=True, text=True, check=True,
         timeout=900,
     ).stdout
-    entries, peak_mb = map(int, out.split())
-    assert entries == 9_551_060
-    assert peak_mb < 250, peak_mb
+    entries, peak_mb, digest = out.split()
+    assert int(entries) == 9_551_060
+    assert digest == S8_MU_SHA256
+    assert int(peak_mb) < 200, peak_mb
