@@ -126,7 +126,7 @@ def cmd_rsk(args) -> int:
 def cmd_rsk_inverse(args) -> int:
     p = Tableau.from_json(json.loads(args.p))
     q = Tableau.from_json(json.loads(args.q))
-    _check_degree(args, max(p.size, 1))
+    _check_degree(args, p.size)
     w = rs_inverse(p, q)
     if args.format == "json":
         _emit_json({"w": format_permutation(w)})

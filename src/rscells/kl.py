@@ -33,27 +33,24 @@ lexicographic order, sorting ranks sorts the permutations.  Permutation
 tuples appear only at the public methods, which reject anything that is not
 a permutation of the table's degree.  The polynomials do not depend on the
 side the recursion takes (Kazhdan-Lusztig 1979), so a table recurses on the
-left only; the right steps and descents, which the cell suites read, are
-the left ones conjugated by inversion.
+left only.  Right multiplication by s_i moves runs of ranks, the same in
+every block of (n - i + 1)! ranks, by one offset per run (_right_runs), and
+w s_i < w exactly where the offset is negative; the left steps and
+descents are the right ones conjugated by inversion.
 
 The Bruhat interval {y : y <= w} is an int bitset over ranks.  Bruhat
 order does not depend on the side, so it is built as [e, v] u [e, v] s_i
-for v = w s_i and a right descent s_i of w.
-Right multiplication by s_i swaps the entries at positions i and i + 1,
-and on a rank, whose factorial-base digits are the Lehmer code, it changes
-only the digits c_i and c_{i+1}: every rank with the same difference
-d = c_{i+1} - c_i moves by the same offset.  So the image of a bitset is
-the union of at most 2(n - i) masked shifts, one per d.  The raised part
+for v = w s_i and a right descent s_i of w, the image of [e, v] being the
+union of at most 2(n - i) masked shifts, one per offset.  The raised part
 of an interval is one AND with the bitset of the ranks whose descents
-contain those of w, its extremal part one more AND on the right descents,
-and a column walks the set bits of both.
+contain those of w, and a column walks its set bits once, down the ranks.
 An interval is read only by the intervals one length up, so warm(), the
 cell graph and the bar-invariance walk drop each length layer once the
 next is built.
 
 A column is two aligned sequences: its raised ranks in ascending order,
 as a list of the table's shared int objects that ends with the sentinel
-n!, and for each rank an index into the table's pool, the list of
+n!, and an array of each rank's index into the table's pool, the list of
 distinct polynomials (one byte each while the pool holds at most 256, two
 bytes after that).  Entries are found by bisection; the sentinel keeps
 every probe inside the list.  S_7 holds 292,070 entries in about 4 MB,
@@ -109,9 +106,8 @@ FORMAT_VERSION = 2
 _COEFFS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 # a column: its raised ranks ascending plus the sentinel n!, and their
-# polynomials as indices into the table's pool, in bytes while the pool
-# holds at most 256 polynomials and in an array of two bytes each after that
-Column = tuple[list[int], bytes | array]
+# polynomials as indices into the table's pool
+Column = tuple[list[int], array]
 
 
 # the set bits of each byte value, and the translation that marks the
@@ -135,9 +131,40 @@ def _ranks(bits: int) -> Iterator[int]:
         k = marks.find(1, k + 1)
 
 
-def _narrowest(size: int) -> str:
-    """The narrowest unsigned array typecode that holds 0..size - 1."""
-    return "B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "I"
+def _right_runs(n: int, i: int) -> tuple[int, int, list[tuple[int, int]]]:
+    """How w s_i moves the ranks of S_n: (block, run, [(start, offset)]),
+    each run of ``run`` ranks from ``start`` moving by ``offset``, in the
+    first block of ``block`` ranks and in every later one alike.
+
+    A rank's factorial-base digits are the Lehmer code c_1..c_n of its
+    permutation, c_j of weight (n - j)!, and w s_i changes only c_i and
+    c_{i+1}: to (c_{i+1} + 1, c_i) when d = c_{i+1} - c_i >= 0, w s_i > w,
+    and to (c_{i+1}, c_i - 1) when d < 0.  So each pair (c_i, c_{i+1}) is a
+    run of (n - i - 1)! ranks, and its offset depends on d alone."""
+    f1, f2 = factorial(n - i), factorial(n - i - 1)
+    runs = []
+    for ci in range(n - i + 1):
+        for cj in range(n - i):
+            d = cj - ci
+            runs.append((ci * f1 + cj * f2, d * (f1 - f2) + (f1 if d >= 0 else -f2)))
+    return (n - i + 1) * f1, f2, runs
+
+
+def _right_steps(n: int, i: int, ints: list[int]) -> list[int]:
+    """The rank of w s_i for each rank of w in S_n, as objects of ``ints``;
+    a run takes one slice assignment per block or, where that makes fewer,
+    one per place of the run across every block."""
+    size = len(ints) - 1
+    block, run, runs = _right_runs(n, i)
+    row = [0] * size
+    for start, offset in runs:
+        if run * block <= size:
+            for k in range(start, start + run):
+                row[k::block] = ints[k + offset : size : block]
+        else:
+            for b in range(start, size, block):
+                row[b : b + run] = ints[b + offset : b + offset + run]
+    return row
 
 
 class KLTable:
@@ -160,32 +187,33 @@ class KLTable:
         self.n = n
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.perms: list[Perm] = list(all_permutations(n))
-        self._index = index = {w: r for r, w in enumerate(self.perms)}
         # the lexicographic rank of w, written in the factorial base, has the
         # Lehmer code of w as its digits, and their sum is the length
         lengths = [0]
         for k in range(2, n + 1):
             lengths = [d + l for d in range(k) for l in lengths]
         self._lengths = lengths
+        size = len(lengths)
+        # the int objects every rank table, key list and index holds; the
+        # last, n!, ends each key list
+        self._ints = ints = list(range(size + 1))
+        self._index = index = dict(zip(self.perms, ints))
         # _inverse[r]: rank of perms[r]^-1
         self._inverse = inv = [index[inverse(w)] for w in self.perms]
         # _rsteps[i - 1][r] and _steps[i - 1][r]: ranks of perms[r] * s_i
-        # and s_i * perms[r]; w s_i swaps two entries, and s_i w = (w^-1 s_i)^-1
-        self._rsteps = right = [
-            [index[w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]] for w in self.perms]
-            for i in range(1, n)
-        ]
+        # and s_i * perms[r], where s_i w = (w^-1 s_i)^-1
+        self._rsteps = right = [_right_steps(n, i, ints) for i in range(1, n)]
         self._steps = steps = [[inv[step[r]] for r in inv] for step in right]
-        # left descent set, bit i - 1 for s_i, and the right one, the left
-        # one of the inverse
-        masks = [0] * len(lengths)
-        for i, step in enumerate(steps):
+        # right descent set, bit i - 1 for s_i, which holds where w s_i has
+        # the lower rank, and the left one, the right one of the inverse
+        rmasks = [0] * size
+        for i, step in enumerate(right):
             bit = 1 << i
-            masks = [m | bit if lengths[sr] < lr else m for m, sr, lr in zip(masks, step, lengths)]
-        self._masks = masks
-        self._rmasks = [masks[r] for r in inv]
-        # the key objects of every column; the last, n!, ends each key list
-        self._ints = list(range(len(lengths) + 1))
+            rmasks = [m | bit if s < r else m for m, s, r in zip(rmasks, step, ints)]
+        self._rmasks = rmasks
+        self._masks = [rmasks[r] for r in inv]
+        # the index of the lowest set bit of each descent mask
+        self._lowest = [(m & -m).bit_length() - 1 for m in range(1 << n - 1)]
         # the pool: each distinct polynomial once, ZERO and ONE at 0 and 1,
         # their degrees, and coefficients -> index
         self._polys: list[IntPolynomial] = [ZERO, ONE]
@@ -197,11 +225,9 @@ class KLTable:
         # the ranks raised to it, are made on first use
         self._supports: dict[int, int] = {0: 1}
         self._swaps: list[list[tuple[int, int]]] | None = None
-        self._raised: dict[tuple[int, bool], int] = {}
-        # right descent mask -> the rows of _right_raises, and a scratch
-        # array over ranks that _column fills one column at a time
-        self._right_rows: dict[int, list[list[int]]] = {}
-        self._scratch = [0] * len(lengths)
+        self._raised: dict[int, int] = {}
+        # a scratch array over ranks that _column fills one column at a time
+        self._scratch = [0] * size
         # memos of the two polynomial steps of _column on pool indices,
         # (a, b) -> a + q b and (p, P, k, m) -> p - m q^k P
         self._sums: dict[tuple[int, int], int] = {}
@@ -235,7 +261,7 @@ class KLTable:
             rest = wmask & ~self._masks[y]
             if not rest:
                 return y
-            y = self._steps[(rest & -rest).bit_length() - 1][y]
+            y = self._steps[self._lowest[rest]][y]
 
     def _pool_index(self, p: IntPolynomial) -> int:
         """The index of p's value in the pool, adding p if it is new."""
@@ -248,9 +274,10 @@ class KLTable:
 
     def _pack(self, keys: list[int], values: Iterable[int]) -> Column:
         """Column form of the ascending ranks ``keys``, which should be the
-        table's shared int objects, and their pool indices ``values``."""
-        code = _narrowest(len(self._polys))
-        values = bytes(values) if code == "B" else array(code, values)
+        table's shared int objects, and their pool indices ``values``, in the
+        narrowest unsigned array type that holds every index of the pool."""
+        size = len(self._polys)
+        values = array("B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "I", values)
         keys.append(self._ints[-1])
         return keys, values
 
@@ -270,40 +297,26 @@ class KLTable:
 
     def _interval_tables(self) -> list[list[tuple[int, int]]]:
         """The right-multiplication tables of _support, built on first use so
-        that queries the cache serves never pay for them.
-
-        ``swaps[i - 1]`` lists (M_d, delta_d) for each value d of
-        c_{i+1} - c_i, where c_1..c_n is the Lehmer code, the factorial-base
-        digits of a rank, c_j of weight (n - j)!.  Right multiplication by
-        s_i swaps the entries at positions i and i + 1, which sends
-        (c_i, c_{i+1}) to (c_{i+1} + 1, c_i) when d >= 0 and to
-        (c_{i+1}, c_i - 1) when d < 0, so it moves every rank in M_d by the
-        same delta_d.  Within each block of (n - i + 1)! ranks, M_d is a run
-        of (n - i - 1)! ranks per digit pair of difference d."""
+        that queries the cache serves never pay for them: ``swaps[i - 1]``
+        holds (M, offset) for each offset of w s_i, M the ranks it moves."""
         if self._swaps is None:
-            n, size = self.n, len(self._lengths)
+            size = len(self._lengths)
             swaps = []
-            for i in range(1, n):
-                f1, f2 = factorial(n - i), factorial(n - i - 1)
-                block = (n - i + 1) * f1
+            for i in range(1, self.n):
+                block, run, runs = _right_runs(self.n, i)
                 # the bitset of the first rank of every block
                 blocks = ((1 << size) - 1) // ((1 << block) - 1)
-                runs: dict[int, int] = {}
-                for ci in range(n - i + 1):
-                    for cj in range(n - i):
-                        run = ((1 << f2) - 1) << (ci * f1 + cj * f2)
-                        runs[cj - ci] = runs.get(cj - ci, 0) | run
-                swaps.append([
-                    (run * blocks, d * (f1 - f2) + (f1 if d >= 0 else -f2))
-                    for d, run in sorted(runs.items())
-                ])
+                moved: dict[int, int] = {}
+                for start, offset in runs:
+                    moved[offset] = moved.get(offset, 0) | ((1 << run) - 1) << start
+                swaps.append([(mask * blocks, offset) for offset, mask in moved.items()])
             self._swaps = swaps
         return self._swaps
 
     def _support(self, w: int) -> int:
         """The Bruhat interval {y : y <= w} as a bitset over ranks, built as
         [e, v] u [e, v] s_i for v = w s_i and the last right descent s_i
-        of w, the one with fewest values of d."""
+        of w, the one with fewest offsets."""
         s = self._supports.get(w)
         if s is not None:
             return s
@@ -315,28 +328,15 @@ class KLTable:
         self._supports[w] = s
         return s
 
-    def _raised_set(self, wmask: int, right: bool = False) -> int:
-        """The bitset of the ranks whose left (or right) descent set contains
-        ``wmask``, memoized per side and mask: the descent masks as bytes,
-        highest rank first, translate to its binary text."""
-        got = self._raised.get((wmask, right))
+    def _raised_set(self, wmask: int) -> int:
+        """The bitset of the ranks whose left descent set contains ``wmask``,
+        memoized per mask: the descent masks as bytes, highest rank first,
+        translate to its binary text."""
+        got = self._raised.get(wmask)
         if got is None:
-            masks = self._rmasks if right else self._masks
             keep = bytes(48 if wmask & ~m else 49 for m in range(256))
-            got = self._raised[wmask, right] = int(bytes(masks)[::-1].translate(keep), 2)
+            got = self._raised[wmask] = int(bytes(self._masks)[::-1].translate(keep), 2)
         return got
-
-    def _right_raises(self, wrmask: int) -> list[list[int]]:
-        """Per right descent mask m of y, the row of right steps that sends y
-        to y t for the first t in ``wrmask`` but not in m, or the identity
-        row when m contains ``wrmask``; memoized per mask."""
-        rows = self._right_rows.get(wrmask)
-        if rows is None:
-            rows = self._right_rows[wrmask] = []
-            for m in range(1 << self.n - 1):
-                rest = wrmask & ~m
-                rows.append(self._rsteps[(rest & -rest).bit_length() - 1] if rest else self._ints)
-        return rows
 
     def _in_length_order(self) -> Iterator[int]:
         """Every rank in (length, rank) order.
@@ -366,10 +366,10 @@ class KLTable:
         if w in self._stored:
             col = self._columns[w] = self._parse_column(w)
             return col
-        masks, lengths = self._masks, self._lengths
-        wmask, wrmask = masks[w], self._rmasks[w]
+        masks, rmasks, lengths, lowest = self._masks, self._rmasks, self._lengths, self._lowest
+        wmask, wrmask = masks[w], rmasks[w]
         ibit = wmask & -wmask
-        step = self._steps[ibit.bit_length() - 1]
+        step = self._steps[lowest[wmask]]
         v = step[w]
         keysv, valuesv = self._column(v)
         vmask = masks[v]
@@ -383,10 +383,17 @@ class KLTable:
         ]
         raise_to, pool_index, polys = self._raise_to, self._pool_index, self._polys
         sums, corrections, ints = self._sums, self._corrections, self._ints
-        # this column's entries by rank; every column it reads is built by now
-        scratch = self._scratch
-        raised = self._support(w) & self._raised_set(wmask)
-        for y in _ranks(raised & self._raised_set(wrmask, right=True)):
+        rsteps, scratch = self._rsteps, self._scratch
+        keys = list(map(ints.__getitem__, _ranks(self._support(w) & self._raised_set(wmask))))
+        # walk down the ranks: a raised y that lacks a right descent of w
+        # copies P_{yt,w} for the lowest such t, as y t lies in the interval,
+        # is raised (yt > y keeps every left descent of y) and has a higher
+        # rank, so it is filled already; every other y recurses
+        for y in reversed(keys):
+            rest = wrmask & ~rmasks[y]
+            if rest:
+                scratch[y] = scratch[rsteps[lowest[rest]][y]]
+                continue
             x = raise_to(step[y], vmask)
             i = bisect_left(keysv, x)
             a = valuesv[i] if keysv[i] == x else 0
@@ -411,15 +418,6 @@ class KLTable:
                         )
                     p = r
             scratch[y] = p
-        # every other raised y copies the entry of y t, for the first right
-        # descent t of w that y lacks: P_{y,w} = P_{yt,w}, and y t lies in
-        # the interval, is raised (yt > y keeps every left descent of y) and
-        # has a higher rank, so a walk down the ranks has filled it already;
-        # the row of an extremal y is the identity, and y copies itself
-        keys = list(map(ints.__getitem__, _ranks(raised)))
-        rows, rmasks = self._right_raises(wrmask), self._rmasks
-        for y in reversed(keys):
-            scratch[y] = scratch[rows[rmasks[y]][y]]
         col = self._columns[w] = self._pack(keys, map(scratch.__getitem__, keys))
         return col
 

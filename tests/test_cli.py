@@ -66,6 +66,17 @@ def test_rsk_inverse_bad_input(capsys):
     assert "error" in err
 
 
+def test_degree_0_exits_3(capsys):
+    # two empty tableaux are a degree-0 input, like the empty permutation
+    for argv in (
+        ("rsk-inverse", '{"rows": []}', '{"rows": []}'),
+        ("rsk", "[]"),
+        ("klpoly", "[]", "[]"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (EXIT_BOUNDS, "", "error: degree 0 outside 1..8\n"), argv
+
+
 @pytest.mark.parametrize(
     "p",
     [

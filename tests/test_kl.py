@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+from math import factorial
 
 import pytest
 
@@ -229,35 +230,85 @@ def test_supports_and_column_keys_match_bruhat_order():
             assert {tbl.perms[y] for y in column} == raised, w
 
 
-def test_rank_tables_match_permutation_arithmetic():
+def _check_rank_tables(tbl, ranks):
     # multiply_simple is the oracle of the step, right step and swap tables,
-    # the descent sets that of the masks, bruhat_leq that of the interval
-    # bitsets, and the descent masks that of the raised sets
-    for n in range(1, 7):
+    # the descent sets that of the masks, and the descent masks that of the
+    # raised sets; every rank the tables hold is one of the shared ints
+    n, ints = tbl.n, tbl._ints
+    swaps = tbl._interval_tables()
+    assert len(swaps) == max(n - 1, 0)
+    rsteps, rmasks = tbl._rsteps, tbl._rmasks
+    for r in ranks:
+        w = tbl.perms[r]
+        assert tbl._index[w] is ints[r]
+        assert tbl._lengths[r] == length(w)
+        assert tbl.perms[tbl._inverse[r]] == inverse(w)
+        assert tbl._masks[r] == sum(1 << (i - 1) for i in left_descents(w))
+        assert rmasks[r] == sum(1 << (i - 1) for i in right_descents(w))
+        for i in range(1, n):
+            assert tbl.perms[tbl._steps[i - 1][r]] == multiply_simple(w, i, "left")
+            right = multiply_simple(w, i, "right")
+            moved = rsteps[i - 1][r]
+            assert tbl.perms[moved] == right and moved is ints[moved], (w, i)
+            [moved] = [r + delta for mask, delta in swaps[i - 1] if mask >> r & 1]
+            assert tbl.perms[moved] == right, (w, i)
+    for wmask in range(1 << max(n - 1, 0)):
+        raised = tbl._raised_set(wmask)
+        assert raised >> len(tbl.perms) == 0, wmask
+        for r in ranks:
+            assert (raised >> r & 1) == (not wmask & ~tbl._masks[r]), (wmask, r)
+
+
+def _sampled_ranks(n, stride):
+    # every stride-th rank, with a prime stride that meets every place of
+    # the blocks of (n - i + 1)! ranks shorter than it, plus the first and
+    # last rank of each longer block
+    size = factorial(n)
+    ranks = set(range(0, size, stride))
+    for i in range(1, n):
+        block = factorial(n - i + 1)
+        if block >= stride:
+            for start in range(0, size, block):
+                ranks |= {start, start + block - 1}
+    return sorted(ranks)
+
+
+def test_rank_tables_match_permutation_arithmetic():
+    # in full up to S_7; bruhat_leq is the oracle of the interval bitsets
+    for n in range(1, 8):
         perms = sorted(all_perms(n))
         tbl = KLTable(n)
         assert tbl.perms == perms
-        swaps = tbl._interval_tables()
-        assert len(swaps) == n - 1
-        rsteps, rmasks = tbl._rsteps, tbl._rmasks
-        for r, w in enumerate(tbl.perms):
-            assert tbl._lengths[r] == length(w)
-            assert tbl.perms[tbl._inverse[r]] == inverse(w)
-            assert tbl._masks[r] == sum(1 << (i - 1) for i in left_descents(w))
-            assert rmasks[r] == sum(1 << (i - 1) for i in right_descents(w))
-            for i in range(1, n):
-                assert tbl.perms[tbl._steps[i - 1][r]] == multiply_simple(w, i, "left")
-                right = multiply_simple(w, i, "right")
-                assert tbl.perms[rsteps[i - 1][r]] == right, (w, i)
-                [moved] = [r + delta for mask, delta in swaps[i - 1] if mask >> r & 1]
-                assert tbl.perms[moved] == right, (w, i)
-        for wmask in range(1 << max(n - 1, 0)):
-            raised = {y for y, m in enumerate(tbl._masks) if not wmask & ~m}
-            assert set(_ranks(tbl._raised_set(wmask))) == raised, wmask
+        _check_rank_tables(tbl, range(len(perms)))
+        if n > 6:
+            continue
         # y <= w in Bruhat order only if y <= w lexicographically
         for r, w in enumerate(perms):
             below = {y for y in range(r + 1) if bruhat_leq(perms[y], w)}
             assert set(_ranks(tbl._support(r))) == below, w
+
+
+def _check_sampled_rank_tables(n, stride):
+    tbl = KLTable(n)
+    perms = tbl.perms
+    assert len(perms) == factorial(n) and all(a < b for a, b in zip(perms, perms[1:]))
+    ranks = _sampled_ranks(n, stride)
+    assert all(sorted(perms[r]) == list(range(1, n + 1)) for r in ranks)
+    _check_rank_tables(tbl, ranks)
+    for w in ranks[:: len(ranks) // 8]:
+        support = tbl._support(w)
+        for y in ranks:
+            assert (support >> y & 1) == bruhat_leq(perms[y], perms[w]), (perms[y], perms[w])
+
+
+def test_rank_tables_match_permutation_arithmetic_on_s8_samples():
+    _check_sampled_rank_tables(8, 97)
+
+
+@pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
+def test_rank_tables_match_permutation_arithmetic_on_s9_samples_long():
+    # S_9 nests the blocks one level deeper than any other degree
+    _check_sampled_rank_tables(9, 997)
 
 
 def test_ranks_walks_every_set_bit():
