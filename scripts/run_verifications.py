@@ -2,7 +2,7 @@
 """Run every verification suite over a range of degrees and print a table.
 
 Degrees 2..--max-n run: 5 by default and at most 5, or with --long 6 by
-default and at most 8.
+default and at most 8.  A --max-n below 2 exits 2.
 Each degree warms one KL table that its suites share, written to
 --cache-dir when given.  A suite is skipped above its degree cap in
 ``rscells.verify.SUITE_MAX_DEGREE``: bar-invariance above 7 and
@@ -53,6 +53,9 @@ def main() -> int:
     parser.add_argument("--long", action="store_true", help="allow --max-n up to 8")
     parser.add_argument("--cache-dir", default=None)
     args = parser.parse_args()
+    if args.max_n is not None and args.max_n < 2:
+        # degrees start at 2, so a smaller --max-n would run nothing and pass
+        parser.error(f"--max-n must be at least 2, got {args.max_n}")
 
     top = top_degree(args.max_n, args.long)
     failures = sum(run_degree(n, args.cache_dir) for n in range(2, top + 1))

@@ -41,6 +41,14 @@ def test_run_verifications_long_honours_max_n():
     assert len(_suite_lines(proc)) == 24
 
 
+@pytest.mark.parametrize("max_n", ["1", "0"])
+def test_run_verifications_refuses_a_max_n_that_runs_nothing(max_n):
+    # degrees start at 2: a smaller --max-n would print nothing and exit 0
+    proc = _run_script("run_verifications.py", "--max-n", max_n)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"--max-n must be at least 2, got {max_n}" in proc.stderr
+
+
 def test_run_verifications_long_reaches_degree_8():
     top_degree = runpy.run_path(str(ROOT / "scripts" / "run_verifications.py"))["top_degree"]
     assert [top_degree(None, False), top_degree(9, False)] == [5, 5]
@@ -60,8 +68,9 @@ print(failures, int(peak.split()[1]) // 1024)
 @pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_run_verifications_degree_8_on_one_table_long():
-    # every suite that runs at n = 8, both routes to theorem A among them,
-    # on one warm S_8 table: about 60 s at 332 MB, the warm about 35 s of it
+    # every suite that runs at n = 8: theorem-a, descents and knuth-mu read
+    # one warm S_8 table, and crystal-theorem-a, evacuation and knuth read
+    # none.  About 30 s at 180 MB, the warm about 15 s of it
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("RSCELLS_CACHE_DIR", None)
     proc = subprocess.run(
@@ -83,3 +92,12 @@ def test_cell_census_has_no_mixed_cells():
     assert proc.stdout.startswith("S_4: 10 left cells\n")
     assert proc.stdout.count("\ncell: ") == 10
     assert "MIXED Q-SYMBOLS" not in proc.stdout
+
+
+@pytest.mark.parametrize("n", ["0", "9", "10"])
+def test_cell_census_refuses_degrees_it_cannot_finish(n):
+    # an S_9 table would take hours, and the timeout catches a census that
+    # starts one
+    proc = _run_script("cell_census.py", n)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"error: degree {n} outside 1..8\n"

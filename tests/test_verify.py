@@ -238,12 +238,6 @@ def test_theorem_a_fails_on_poisoned_mu_lists():
     assert rep.lines()[-1] == "result: FAIL"
 
 
-def test_crystal_theorem_a_fails_on_poisoned_mu_lists():
-    rep = run_suite("crystal-theorem-a", 4, _NoMuTable(4))
-    assert rep.violations == ["Q-symbol fibers (10) differ from left cells (24)"]
-    assert rep.lines()[-1] == "result: FAIL"
-
-
 @pytest.fixture
 def clean_operator_caches():
     """Empty the cached tuple operators after a test that patched the rule
@@ -370,6 +364,32 @@ def test_crystal_theorem_a_fails_when_no_letter_cancels(monkeypatch, clean_opera
     rep = run_suite("crystal-theorem-a", 4)
     assert rep.info["components"] == "1"
     assert rep.violations == ["crystal components (1) differ from Q-symbol fibers (10)"]
+
+
+def test_crystal_theorem_a_reads_no_kl_table(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("crystal-theorem-a reached the KL layer")
+
+    monkeypatch.setattr(rscells.verify, "KLTable", forbidden)
+    monkeypatch.setattr(rscells.verify, "cell_partition", forbidden)
+    for n in range(1, 6):
+        assert run_suite("crystal-theorem-a", n).ok
+
+
+def test_crystal_theorem_a_fails_when_the_walk_merges_two_q_codes(monkeypatch):
+    symbols = rscells.verify._symbols
+
+    def merged(n, r, permutations=False):
+        # the Q-symbols of 1234 and 1243 get one code
+        pidx, qcode, prows, pindex = symbols(n, r, permutations)
+        first, second = qcode[0], qcode[1]
+        return pidx, [first if q == second else q for q in qcode], prows, pindex
+
+    monkeypatch.setattr(rscells.verify, "_symbols", merged)
+    rep = run_suite("crystal-theorem-a", 4)
+    assert rep.info["components"] == "10"
+    assert rep.violations == ["crystal components (10) differ from Q-symbol fibers (9)"]
+    assert rep.lines()[-1] == "result: FAIL"
 
 
 def test_crystal_theorem_a_fills_no_operator_cache(clean_operator_caches):
