@@ -323,6 +323,22 @@ def test_permutation_suites_n8_long(suite, criterion, peak_bound):
     _ok(criterion, f"{suite} passes for n = 8 (long)")
 
 
+@long_run
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_criterion_12_crystal_route_n9_long():
+    # 362,880 permutation words in 2,620 components: about 15 s at a 347 MB
+    # peak, with no KL table
+    code, peak_mb, out = _suite_child("crystal-theorem-a", 9)
+    assert code == 0
+    # the stdout of `rscells --max-n 9 --long verify crystal-theorem-a 9`
+    # when the suite was first admitted at n = 9
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == (
+        "00f633b900b4c558caf312aa25d2604737a4cf771f2e95955d3e0b86d4c2890e"
+    )
+    assert peak_mb < 400, peak_mb
+    _ok(12, "crystal components = Q-fibers for n = 9 (long)")
+
+
 def _all_rectifications(tab):
     if not tab.inner:
         return {tab.to_tableau()}

@@ -70,7 +70,7 @@ print(failures, int(peak.split()[1]) // 1024)
 def test_run_verifications_degree_8_on_one_table_long():
     # every suite that runs at n = 8: theorem-a, descents and knuth-mu read
     # one warm S_8 table, and crystal-theorem-a, evacuation and knuth read
-    # none.  About 30 s at 180 MB, the warm about 15 s of it
+    # none.  About 23 s at a 241 MB peak, the warm about half of it
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("RSCELLS_CACHE_DIR", None)
     proc = subprocess.run(
