@@ -309,10 +309,10 @@ def _suite_child(suite, n):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 @pytest.mark.parametrize(
     "suite, criterion, peak_bound",
-    # none of the three needs a KL table.  crystal-theorem-a 8 takes about
-    # 1.4 s at 57 MB; while it also compared the Q-fibers with the left
-    # cells it warmed the S_8 table, about 14 s at 203 MB.  evacuation 8 and
-    # knuth 8 take 0.5 s at 29 MB and 0.8 s at 33 MB
+    # none of the three needs a KL table: crystal-theorem-a 8 takes about
+    # 1.4 s at 57 MB, evacuation 8 and knuth 8 0.5 s at 29 MB and 0.8 s at
+    # 33 MB; a bound near the S_8 table's 180 MB would miss a suite that
+    # warms it again
     [("crystal-theorem-a", 12, 75), ("evacuation", 9, 45), ("knuth", 8, 50)],
 )
 def test_permutation_suites_n8_long(suite, criterion, peak_bound):
