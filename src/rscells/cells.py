@@ -31,7 +31,7 @@ def _rank_graph(n: int, table: KLTable | None) -> tuple[KLTable, list[list[int]]
     adj: list[list[int]] = [[] for _ in masks]
     for w in table._in_length_order():
         mw = masks[w]
-        for z, _m in table._mu_list(w):
+        for z in table._mu_list(w)[0]:
             mz = masks[z]
             if mz & ~mw:
                 adj[z].append(w)

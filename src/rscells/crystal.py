@@ -30,9 +30,9 @@ built per filling.
 ``highest_weight_reps`` walks many words to their highest-weight words in
 one call, the permutations of S_n for ``crystal-theorem-a``: e_i is applied
 for the least i that does not annihilate, through the same ``_cancel``
-scan, and a memo that lives for the call visits each word on a path once,
-so it fills no cache that outlives the call.  ``highest_weight_rep`` is its
-one-word case.
+scan, and a memo keyed by int codes that lives for the call visits each
+word on a path once, so it fills no cache that outlives the call.
+``highest_weight_rep`` is its one-word case.
 """
 
 from __future__ import annotations
@@ -135,24 +135,39 @@ def highest_weight_rep(word: Word, r: int) -> Word:
 def highest_weight_reps(words, r: int) -> list[Word]:
     """The highest-weight word of the component of each word, reached by
     applying e_i for the least i that does not annihilate until every e_i
-    does.  A memo that lives for the call holds every word met on a path,
-    so each is walked once.  The words are tuples over 1..r and are not
-    checked."""
-    top: dict[Word, Word] = {}
+    does.  The words are tuples over 1..r and are not checked.
+
+    A memo per word length, which lives for the call, maps the code of
+    every word met on a path to its highest-weight word, so each is walked
+    once.  The code of a word of length n is its base-r number, letter a
+    being the digit a - 1.  The walk keeps the word as a list and changes it
+    and its code in place: e_i turns a letter i + 1 at 0-based position p
+    into i, which lowers the code by r^(n - 1 - p)."""
+    # length -> (code -> highest-weight word, r^(n - 1 - p) by p)
+    memos: dict[int, tuple[dict[int, Word], list[int]]] = {}
     out = []
     for word in words:
+        memo = memos.get(len(word))
+        if memo is None:
+            memo = memos[len(word)] = {}, [r**k for k in reversed(range(len(word)))]
+        top, place = memo
+        word = list(word)
+        code = 0
+        for a in word:
+            code = code * r + a - 1
         path = []
-        while word not in top:
-            path.append(word)
+        while code not in top:
+            path.append(code)
             for i in range(1, r):
                 down = _cancel(i, word)[0]
                 if down:
                     pos = down[0]
-                    word = word[:pos] + (i,) + word[pos + 1 :]
+                    word[pos] = i
+                    code -= place[pos]
                     break
             else:
-                top[word] = word
-        rep = top[word]
+                top[code] = tuple(word)
+        rep = top[code]
         for seen in path:
             top[seen] = rep
         out.append(rep)

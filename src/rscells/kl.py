@@ -48,13 +48,14 @@ An interval is read only by the intervals one length up, so warm(), the
 cell graph and the bar-invariance walk drop each length layer once the
 next is built.
 
-A column is two aligned sequences: its raised ranks in ascending order,
-as a list of the table's shared int objects that ends with the sentinel
-n!, and an array of each rank's index into the table's pool, the list of
-distinct polynomials (one byte each while the pool holds at most 256, two
-bytes after that).  Entries are found by bisection; the sentinel keeps
-every probe inside the list.  S_7 holds 292,070 entries in about 4 MB,
-S_8 9,551,060 in about 105 MB.  The two polynomial steps of the recursion,
+A column is two aligned arrays: its raised ranks in ascending order,
+ending with the sentinel n! (two bytes each up to S_8, four at S_9), and
+each rank's index into the table's pool, the list of distinct polynomials
+(one byte each while the pool holds at most 256, two bytes after that).
+Entries are found by bisection; the sentinel keeps every probe inside the
+array.  A mu list is two arrays too, its ranks z ascending and their mu
+values.  S_7 holds 292,070 entries in about 2 MB, S_8 9,551,060 in about
+44 MB.  The two polynomial steps of the recursion,
 P_{s_i y,v} + q P_{y,v} and p - mu q^k P_{y,z}, see few distinct operands:
 both are memoized per table on pool indices: S_7 looks them up 61,264
 times and computes 968 of them, S_8 looks them up 1.56 M times and
@@ -77,6 +78,7 @@ only those.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import re
@@ -92,7 +94,7 @@ from .polynomials import ONE, ZERO, IntPolynomial
 # a table holds n! * n ranks up front, and digit notation stops at 9
 MAX_DEGREE = 9
 
-# a table with every column computed takes about 178 MB and 15-17 s at S_8,
+# a table with every column computed takes about 103 MB and 12-15 s at S_8,
 # but the Bruhat intervals grow 26x, 36x and 48x per degree up to S_8, so S_9
 # would take hours and more memory than a few GB; runs that warm every
 # column stop here
@@ -107,7 +109,9 @@ _COEFFS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 # a column: its raised ranks ascending plus the sentinel n!, and their
 # polynomials as indices into the table's pool
-Column = tuple[list[int], array]
+Column = tuple[array, array]
+# a mu list: the ranks z ascending and mu(z, w) of each
+MuList = tuple[array, "array | list[int]"]
 
 
 # the set bits of each byte value, and the translation that marks the
@@ -154,7 +158,7 @@ def _right_steps(n: int, i: int, ints: list[int]) -> list[int]:
     """The rank of w s_i for each rank of w in S_n, as objects of ``ints``;
     a run takes one slice assignment per block or, where that makes fewer,
     one per place of the run across every block."""
-    size = len(ints) - 1
+    size = len(ints)
     block, run, runs = _right_runs(n, i)
     row = [0] * size
     for start, offset in runs:
@@ -194,9 +198,11 @@ class KLTable:
             lengths = [d + l for d in range(k) for l in lengths]
         self._lengths = lengths
         size = len(lengths)
-        # the int objects every rank table, key list and index holds; the
-        # last, n!, ends each key list
-        self._ints = ints = list(range(size + 1))
+        # the int objects every rank table and index holds
+        self._ints = ints = list(range(size))
+        # the array type of column keys and mu list ranks, which run up to
+        # the sentinel n!
+        self._keycode = "H" if size < 1 << 16 else "I"
         self._index = index = dict(zip(self.perms, ints))
         # _inverse[r]: rank of perms[r]^-1
         self._inverse = inv = [index[inverse(w)] for w in self.perms]
@@ -232,7 +238,7 @@ class KLTable:
         # (a, b) -> a + q b and (p, P, k, m) -> p - m q^k P
         self._sums: dict[tuple[int, int], int] = {}
         self._corrections: dict[tuple[int, int, int, int], int] = {}
-        self._mu_lists: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._mu_lists: dict[int, MuList] = {}
         # the loaded cache file: its bytes, rank -> (start, end) of each
         # column's records in them, and the trailer's record count; columns
         # are parsed on first use, each coefficient text once per table
@@ -273,17 +279,16 @@ class KLTable:
         return i
 
     def _pack(self, keys: list[int], values: Iterable[int]) -> Column:
-        """Column form of the ascending ranks ``keys``, which should be the
-        table's shared int objects, and their pool indices ``values``, in the
-        narrowest unsigned array type that holds every index of the pool."""
+        """Column form of the ascending ranks ``keys`` and their pool indices
+        ``values``, the indices in the narrowest unsigned array type that
+        holds every index of the pool."""
         size = len(self._polys)
         values = array("B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "I", values)
-        keys.append(self._ints[-1])
-        return keys, values
+        keys.append(len(self._lengths))
+        return array(self._keycode, keys), values
 
     def _compact(self, col: dict[int, int]) -> Column:
-        """Column form of rank -> pool index; the keys of ``col`` become the
-        column's keys, so they should be the table's shared int objects."""
+        """Column form of rank -> pool index."""
         keys = sorted(col)
         return self._pack(keys, map(col.__getitem__, keys))
 
@@ -371,20 +376,25 @@ class KLTable:
         ibit = wmask & -wmask
         step = self._steps[lowest[wmask]]
         v = step[w]
+        # the keys of the columns probed below are read as lists for this
+        # call: bisection in an array builds an int at every comparison
         keysv, valuesv = self._column(v)
+        keysv = keysv.tolist()
         vmask = masks[v]
         lw = lengths[w]
         # mu(z, v) q^k P_{y,z} is subtracted for each z in the mu list of v
         # with s_i z < z; P_{y,z} is 0 unless y raises into column z
-        muv = [
-            (*self._column(z), masks[z], lengths[z], (lw - lengths[z]) // 2, m)
-            for z, m in self._mu_list(v)
-            if masks[z] & ibit
-        ]
+        muv = []
+        for z, m in zip(*self._mu_list(v)):
+            if masks[z] & ibit:
+                keysz, valuesz = self._column(z)
+                muv.append(
+                    (keysz.tolist(), valuesz, masks[z], lengths[z], (lw - lengths[z]) // 2, m)
+                )
         raise_to, pool_index, polys = self._raise_to, self._pool_index, self._polys
-        sums, corrections, ints = self._sums, self._corrections, self._ints
+        sums, corrections = self._sums, self._corrections
         rsteps, scratch = self._rsteps, self._scratch
-        keys = list(map(ints.__getitem__, _ranks(self._support(w) & self._raised_set(wmask))))
+        keys = list(_ranks(self._support(w) & self._raised_set(wmask)))
         # walk down the ranks: a raised y that lacks a right descent of w
         # copies P_{yt,w} for the lowest such t, as y t lies in the interval,
         # is raised (yt > y keeps every left descent of y) and has a higher
@@ -428,7 +438,8 @@ class KLTable:
             return ZERO
         return self._entry(self._column(w), self._raise_to(y, self._masks[w]))
 
-    def _mu_list(self, w: int) -> tuple[tuple[int, int], ...]:
+    def _mu_list(self, w: int) -> MuList:
+        """The z with mu(z, w) != 0, ascending, and mu(z, w) of each."""
         got = self._mu_lists.get(w)
         if got is not None:
             return got
@@ -438,15 +449,21 @@ class KLTable:
         # degree meets the bound, and it is then the top coefficient
         top = lengths[w] - 1
         # zip stops at the last value, before the sentinel
-        pairs = [
-            (y, polys[p].coeffs[-1])
+        mus = {
+            y: polys[p].coeffs[-1]
             for y, p in zip(*self._column(w))
             if lengths[y] + 2 * degrees[p] == top
-        ]
+        }
         for i, step in enumerate(self._steps):
             if self._masks[w] >> i & 1:
-                pairs.append((step[w], 1))
-        got = self._mu_lists[w] = tuple(sorted(pairs))
+                mus[step[w]] = 1
+        zs = sorted(mus)
+        values = list(map(mus.__getitem__, zs))
+        # every mu of S_8 is 1; a cache file may hold any top coefficient,
+        # and a list with one that fits no byte keeps ints
+        with contextlib.suppress(OverflowError):
+            values = array("B", values)
+        got = self._mu_lists[w] = array(self._keycode, zs), values
         return got
 
     def _mu(self, y: int, w: int) -> int:
@@ -502,7 +519,7 @@ class KLTable:
         """The digit name of each rank, and name -> rank; built on first use."""
         if self._name_ranks is None:
             names = list(map(format_permutation, self.perms))
-            # the shared int objects, so parsed columns hold no other ints
+            # the shared int objects, so the dict adds none
             self._name_ranks = names, dict(zip(names, self._ints))
         return self._name_ranks
 

@@ -224,7 +224,7 @@ def verify_bar_invariance(n: int, table: KLTable | None = None) -> Report:
         v = step[w]
         lw = lengths[w]
         muv = [(z, lengths[z], (lw - lengths[z]) // 2, m)
-               for z, m in table._mu_list(v) if masks[z] & ibit]
+               for z, m in zip(*table._mu_list(v)) if masks[z] & ibit]
         bad = []
         for x in _ranks(support):
             lx = lengths[x]
@@ -363,7 +363,9 @@ def verify_knuth_mu(n: int, table: KLTable | None = None) -> Report:
     rsteps, rmasks = table._rsteps, table._rmasks
     # every nonzero-mu pair (y, w, mu) with y < w
     edges = [
-        (min(z, w), max(z, w), m) for w in range(len(perms)) for z, m in table._mu_list(w)
+        (min(z, w), max(z, w), m)
+        for w in range(len(perms))
+        for z, m in zip(*table._mu_list(w))
     ]
 
     cases = 0
@@ -472,8 +474,8 @@ _TABLE_SUITES = {
 # warm.  bar-invariance 7 checks 3,550,918 interval identities in about
 # 35 s, and 8 would need 170,288,585.  crystal-djm lists all n**n words,
 # 46,656 at 6 and 823,543 at 7, past crystal.MAX_WORDS.  knuth, evacuation
-# and crystal-theorem-a build no table and pass at 9 in about 5, 2 and 15 s,
-# crystal-theorem-a at a 350 MB peak
+# and crystal-theorem-a build no table and pass at 9 in about 5, 2 and 12 s,
+# crystal-theorem-a at a 227 MB peak
 SUITE_MAX_DEGREE = {
     "theorem-a": WARM_MAX_DEGREE,
     "descents": WARM_MAX_DEGREE,

@@ -87,7 +87,7 @@ def max_exponent(poly: LaurentPoly):
 
 def mu_list(table: KLTable, w: Perm) -> tuple[tuple[Perm, int], ...]:
     """All (z, mu(z, w)) with z < w and mu(z, w) != 0, z ascending."""
-    return tuple((table.perms[z], m) for z, m in table._mu_list(table._rank(w)))
+    return tuple((table.perms[z], m) for z, m in zip(*table._mu_list(table._rank(w))))
 
 
 # -- Bruhat order, reduced words and coset representatives --------------------

@@ -762,9 +762,9 @@ print(out.getvalue(), end="")
 @pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_theorem_a_8_peak_memory_long():
-    # about 40 s at 201 MB with no cache; the cell graph walks the columns in
-    # length order, so each length layer of Bruhat supports is dropped as in
-    # warm()
+    # about 15-17 s at 128 MB with no cache, and the bound is that peak plus
+    # about 10 %; the cell graph walks the columns in length order, so each
+    # length layer of Bruhat supports is dropped as in warm()
     src = os.path.dirname(os.path.dirname(rscells.__file__))
     env = {k: v for k, v in os.environ.items() if k != ENV_CACHE_DIR}
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -775,4 +775,4 @@ def test_theorem_a_8_peak_memory_long():
     code, peak_mb = map(int, out[0].split())
     assert code == EXIT_OK
     assert "cells: 764" in out and "result: PASS" in out
-    assert peak_mb < 250, peak_mb
+    assert peak_mb < 145, peak_mb

@@ -147,6 +147,12 @@ def test_components_have_unique_highest_weight():
 def test_highest_weight_reps_match_the_greedy_walk():
     cases = [(all_perms(n), n) for n in range(1, 7)]
     cases += [(list(all_words(n, r)), r) for n in range(1, 5) for r in range(1, 5)]
+    # words of every length up to 4 in one call, shortest first and then
+    # longest first: the walk must keep words of different lengths apart
+    # whose letters read as the same number
+    for r in (1, 2, 3):
+        mixed = [w for n in range(1, 5) for w in all_words(n, r)]
+        cases += [(mixed, r), (mixed[::-1], r)]
     for words, r in cases:
         want = [highest_weight_rep_greedy(word, r) for word in words]
         assert highest_weight_reps(words, r) == want

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from rscells.verify import Report
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -49,20 +51,58 @@ def test_run_verifications_refuses_a_max_n_that_runs_nothing(max_n):
     assert f"--max-n must be at least 2, got {max_n}" in proc.stderr
 
 
-def test_run_verifications_long_reaches_degree_8():
+def test_run_verifications_long_reaches_degree_9():
     top_degree = runpy.run_path(str(ROOT / "scripts" / "run_verifications.py"))["top_degree"]
     assert [top_degree(None, False), top_degree(9, False)] == [5, 5]
-    assert [top_degree(None, True), top_degree(8, True), top_degree(9, True)] == [6, 8, 8]
+    assert [top_degree(None, True), top_degree(8, True), top_degree(9, True)] == [6, 8, 9]
+    assert top_degree(10, True) == 9
+
+
+def test_run_verifications_names_the_suites_it_skips(monkeypatch, capsys):
+    # at 9 every suite that reads KL polynomials is above its cap, so the
+    # degree builds no table
+    run_degree = runpy.run_path(str(ROOT / "scripts" / "run_verifications.py"))["run_degree"]
+    ran = []
+
+    def fake_run_suite(name, n, table):
+        assert table is None
+        ran.append(name)
+        return Report(name, n, cases=1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a KL table")
+
+    globals_ = run_degree.__globals__
+    monkeypatch.setitem(globals_, "run_suite", fake_run_suite)
+    monkeypatch.setitem(globals_, "KLTable", forbidden)
+    assert run_degree(9) == 0
+    assert ran == ["crystal-theorem-a", "evacuation", "knuth"]
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == (
+        "skipped at n=9, above their degree caps: "
+        "bar-invariance crystal-djm descents knuth-mu theorem-a"
+    )
 
 
 # the child reads its peak from VmHWM, as test_s8_warm_peak_memory_long does
-_DEGREE_8 = """
+_DEGREE = """
 import runpy, sys
 run_degree = runpy.run_path(sys.argv[1])["run_degree"]
-failures = run_degree(8)
+failures = run_degree(int(sys.argv[2]))
 peak = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
 print(failures, int(peak.split()[1]) // 1024)
 """
+
+
+def _degree_child(n):
+    """The process that runs run_degree(n) with no cache and prints the
+    failures and its VmHWM peak in MB last."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("RSCELLS_CACHE_DIR", None)
+    return subprocess.run(
+        [sys.executable, "-c", _DEGREE, str(ROOT / "scripts" / "run_verifications.py"), str(n)],
+        env=env, capture_output=True, text=True, timeout=900,
+    )
 
 
 @pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
@@ -70,20 +110,35 @@ print(failures, int(peak.split()[1]) // 1024)
 def test_run_verifications_degree_8_on_one_table_long():
     # every suite that runs at n = 8: theorem-a, descents and knuth-mu read
     # one warm S_8 table, and crystal-theorem-a, evacuation and knuth read
-    # none.  About 23 s at a 241 MB peak, the warm about half of it
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("RSCELLS_CACHE_DIR", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", _DEGREE_8, str(ROOT / "scripts" / "run_verifications.py")],
-        env=env, capture_output=True, text=True, timeout=900,
-    )
+    # none.  About 22-26 s at a 178 MB peak, the warm about half of it, and
+    # the bound is that peak plus about 10 %
+    proc = _degree_child(8)
     lines = _suite_lines(proc)
     # bar-invariance stops at n = 7 and crystal-djm at 6
     suites = ["crystal-theorem-a", "descents", "evacuation", "knuth", "knuth-mu", "theorem-a"]
     assert [line.split()[:2] for line in lines] == [["n=8", name] for name in suites]
     failures, peak_mb = map(int, proc.stdout.splitlines()[-1].split())
     assert failures == 0
-    assert peak_mb < 400, peak_mb
+    assert peak_mb < 200, peak_mb
+
+
+@pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_run_verifications_degree_9_without_a_table_long():
+    # knuth, evacuation and crystal-theorem-a, which read no KL table; an
+    # S_9 table would take hours.  About 17-24 s at a 222 MB peak, set by the
+    # crystal walk; the bound is that peak plus about 10 %
+    proc = _degree_child(9)
+    lines = _suite_lines(proc)
+    suites = ["crystal-theorem-a", "evacuation", "knuth"]
+    assert [line.split()[:2] for line in lines] == [["n=9", name] for name in suites]
+    assert proc.stdout.startswith(
+        "skipped at n=9, above their degree caps: "
+        "bar-invariance crystal-djm descents knuth-mu theorem-a\n"
+    )
+    failures, peak_mb = map(int, proc.stdout.splitlines()[-1].split())
+    assert failures == 0
+    assert peak_mb < 245, peak_mb
 
 
 def test_cell_census_has_no_mixed_cells():

@@ -93,7 +93,9 @@ class _PoisonedMuTable(KLTable):
     """Poisoned input at the rank level: a table warmed by the true
     recursion, whose mu lists and mu values are then read through
     ``poison_list`` and ``poison_mu``.  The suites read both, and so do the
-    pair scans, through the cells and ``mu_sym``."""
+    pair scans, through the cells and ``mu_sym``.  ``poison_list`` edits a
+    mu list as a tuple of (z, mu) pairs, z ascending, and the table serves
+    it back as the two sequences ``_mu_list`` returns."""
 
     def __init__(self, n):
         self._poisoned = False
@@ -103,7 +105,10 @@ class _PoisonedMuTable(KLTable):
 
     def _mu_list(self, w):
         got = super()._mu_list(w)
-        return self.poison_list(w, got) if self._poisoned else got
+        if not self._poisoned:
+            return got
+        pairs = self.poison_list(w, tuple(zip(*got)))
+        return tuple(zip(*pairs)) or ((), ())
 
     def _mu(self, y, w):
         m = super()._mu(y, w)
