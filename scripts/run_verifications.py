@@ -9,13 +9,16 @@ above 6, and the other suites that read KL polynomials above 8, so at 9
 only knuth, evacuation and crystal-theorem-a run.  Each degree prints a
 line naming the suites it skipped.  A degree at which some suite reads KL
 polynomials warms one KL table that those suites share, written to
---cache-dir when given; any other degree builds none.
+--cache-dir when given; any other degree builds none.  Every suite of a
+degree, with a table or without, reads the one ``Ranks`` of that degree
+(``rscells.permutations.rank_arrays``), so S_n is enumerated once.
 """
 
 import argparse
 import sys
 
-from rscells.kl import MAX_DEGREE, KLTable
+from rscells.kl import KLTable
+from rscells.permutations import MAX_DEGREE
 from rscells.verify import _TABLE_SUITES, SUITE_MAX_DEGREE, SUITES, run_suite
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .kl import KLTable
-from .permutations import Perm
+from .permutations import Perm, Ranks
 
 
 def _rank_graph(n: int, table: KLTable | None) -> tuple[KLTable, list[list[int]]]:
@@ -27,7 +27,7 @@ def _rank_graph(n: int, table: KLTable | None) -> tuple[KLTable, list[list[int]]
         table = KLTable(n)
     elif table.n != n:
         raise ValueError(f"cells of S_{n} need a table of degree {n}, got {table.n}")
-    masks = table._masks
+    masks = table.ranks.masks
     adj: list[list[int]] = [[] for _ in masks]
     for w in table._in_length_order():
         mw = masks[w]
@@ -44,7 +44,7 @@ def left_cell_graph(n: int, table: KLTable | None = None) -> dict[Perm, tuple[Pe
     """Adjacency of the chain-step graph: edge x -> x' iff L(x) is not a
     subset of L(x') and mu does not vanish between x and x'."""
     table, adj = _rank_graph(n, table)
-    perms = table.perms
+    perms = table.ranks.perms
     return {perms[w]: tuple(perms[x] for x in sorted(nbrs)) for w, nbrs in enumerate(adj)}
 
 
@@ -96,18 +96,17 @@ class CellPartition:
     ``leq`` holds index pairs (i, j) meaning every element of cells[i] is
     below every element of cells[j] in the one-sided preorder; it is
     reflexive and transitive.  ``of_rank[r]`` is the index of the cell of
-    the element of rank r in the lexicographic list of S_n.
+    ``perms[r]``, the element of rank r in the table's Ranks.
     """
 
     side: str
     cells: tuple[tuple[Perm, ...], ...]
     leq: frozenset[tuple[int, int]]
     of_rank: list[int] = field(repr=False, compare=False)
-    # permutation -> rank, the table's dict
-    _ranks: dict[Perm, int] = field(repr=False, compare=False)
+    _ranks: Ranks = field(repr=False, compare=False)
 
     def cell_index(self, w: Perm) -> int:
-        return self.of_rank[self._ranks[tuple(w)]]
+        return self.of_rank[self._ranks.index[tuple(w)]]
 
     def same_cell(self, y: Perm, w: Perm) -> bool:
         return self.cell_index(y) == self.cell_index(w)
@@ -136,14 +135,14 @@ def cells(n: int, side: str = "left", table: KLTable | None = None) -> CellParti
             bits |= reach[x]
         reach.append(bits)
     if side == "right":
-        comp_of = [comp_of[r] for r in table._inverse]
+        comp_of = [comp_of[r] for r in table.ranks.inverse]
     # component -> cell index, in order of least rank
     number: dict[int, int] = {}
     of_rank = [number.setdefault(k, len(number)) for k in comp_of]
     members: list[list[Perm]] = [[] for _ in comps]
-    for w, k in zip(table.perms, of_rank):
+    for w, k in zip(table.ranks.perms, of_rank):
         members[k].append(w)
     leq = frozenset(
         (number[k], number[j]) for k, bits in enumerate(reach) for j in range(k + 1) if bits >> j & 1
     )
-    return CellPartition(side, tuple(map(tuple, members)), leq, of_rank, table._index)
+    return CellPartition(side, tuple(map(tuple, members)), leq, of_rank, table.ranks)

@@ -19,8 +19,8 @@ from pathlib import Path
 
 from .cells import cells as cell_partition, left_cell_graph
 from .crystal import crystal_edges
-from .kl import MAX_DEGREE, WARM_MAX_DEGREE, KLTable
-from .permutations import format_permutation, parse_permutation
+from .kl import WARM_MAX_DEGREE, KLTable
+from .permutations import MAX_DEGREE, format_permutation, parse_permutation
 from .tableaux import Tableau, insert_word, rs_inverse
 from .verify import _TABLE_SUITES, SUITE_MAX_DEGREE, SUITES, run_suite
 

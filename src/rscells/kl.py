@@ -26,27 +26,23 @@ down the ranks copies P_{yt,w} into P_{y,w}.  Chained, the copies raise y on
 the right until it is extremal.  S_7 has 50,224 extremal entries among its
 292,070, and S_8 1,147,956 among its 9,551,060.
 
-Inside a table an element is its rank in the lexicographic list of S_n
-(the identity is rank 0), and lengths, descent masks and the products by
-each s_i are arrays over ranks built once per table.  Because ranks follow
-lexicographic order, sorting ranks sorts the permutations.  Permutation
-tuples appear only at the public methods, which reject anything that is not
-a permutation of the table's degree.  The polynomials do not depend on the
-side the recursion takes (Kazhdan-Lusztig 1979), so a table recurses on the
-left only.  Right multiplication by s_i moves runs of ranks, the same in
-every block of (n - i + 1)! ranks, by one offset per run (_right_runs), and
-w s_i < w exactly where the offset is negative; the left steps and
-descents are the right ones conjugated by inversion.
+Inside a table an element is its rank in S_n, and lengths, descent masks
+and the products by each s_i are the arrays of the degree's shared
+:class:`~rscells.permutations.Ranks`.  Permutation tuples appear only at the
+public methods, which reject anything that is not a permutation of the
+table's degree.  The polynomials do not depend on the side the recursion
+takes (Kazhdan-Lusztig 1979), so a table recurses on the left only.
 
 The Bruhat interval {y : y <= w} is an int bitset over ranks.  Bruhat
 order does not depend on the side, so it is built as [e, v] u [e, v] s_i
 for v = w s_i and a right descent s_i of w, the image of [e, v] being the
 union of at most 2(n - i) masked shifts, one per offset.  The raised part
 of an interval is one AND with the bitset of the ranks whose descents
-contain those of w, and a column walks its set bits once, down the ranks.
-An interval is read only by the intervals one length up, so warm(), the
-cell graph and the bar-invariance walk drop each length layer once the
-next is built.
+contain those of w, and a column walks its set bits once, down the ranks,
+or is checked against it when parsed from the cache.  An interval is read
+only by the intervals one length up, so warm(), parse_stored(), the cell
+graph and the bar-invariance walk drop each length layer once the next is
+built.
 
 A column is two aligned arrays: its raised ranks in ascending order,
 ending with the sentinel n! (two bytes each up to S_8, four at S_9), and
@@ -73,7 +69,9 @@ see either the old or the new complete file.  Loading reads the file once,
 checks the version line, the checksum and that the offsets tile the body,
 and keeps the bytes; a column's records are parsed and checked the first
 time the column is asked for, so a query that reaches a few columns parses
-only those.
+only those.  A parsed column must hold exactly the raised elements of its
+interval, so a record deleted from a file that was then signed again is
+refused rather than served as P = 0.
 """
 
 from __future__ import annotations
@@ -88,11 +86,8 @@ from collections.abc import Iterable, Iterator
 from math import factorial
 from pathlib import Path
 
-from .permutations import Perm, all_permutations, format_permutation, inverse
+from .permutations import Perm, _right_runs, format_permutation, rank_arrays
 from .polynomials import ONE, ZERO, IntPolynomial
-
-# a table holds n! * n ranks up front, and digit notation stops at 9
-MAX_DEGREE = 9
 
 # a table with every column computed takes about 103 MB and 12-15 s at S_8,
 # but the Bruhat intervals grow 26x, 36x and 48x per degree up to S_8, so S_9
@@ -135,91 +130,30 @@ def _ranks(bits: int) -> Iterator[int]:
         k = marks.find(1, k + 1)
 
 
-def _right_runs(n: int, i: int) -> tuple[int, int, list[tuple[int, int]]]:
-    """How w s_i moves the ranks of S_n: (block, run, [(start, offset)]),
-    each run of ``run`` ranks from ``start`` moving by ``offset``, in the
-    first block of ``block`` ranks and in every later one alike.
-
-    A rank's factorial-base digits are the Lehmer code c_1..c_n of its
-    permutation, c_j of weight (n - j)!, and w s_i changes only c_i and
-    c_{i+1}: to (c_{i+1} + 1, c_i) when d = c_{i+1} - c_i >= 0, w s_i > w,
-    and to (c_{i+1}, c_i - 1) when d < 0.  So each pair (c_i, c_{i+1}) is a
-    run of (n - i - 1)! ranks, and its offset depends on d alone."""
-    f1, f2 = factorial(n - i), factorial(n - i - 1)
-    runs = []
-    for ci in range(n - i + 1):
-        for cj in range(n - i):
-            d = cj - ci
-            runs.append((ci * f1 + cj * f2, d * (f1 - f2) + (f1 if d >= 0 else -f2)))
-    return (n - i + 1) * f1, f2, runs
-
-
-def _right_steps(n: int, i: int, ints: list[int]) -> list[int]:
-    """The rank of w s_i for each rank of w in S_n, as objects of ``ints``;
-    a run takes one slice assignment per block or, where that makes fewer,
-    one per place of the run across every block."""
-    size = len(ints)
-    block, run, runs = _right_runs(n, i)
-    row = [0] * size
-    for start, offset in runs:
-        if run * block <= size:
-            for k in range(start, start + run):
-                row[k::block] = ints[k + offset : size : block]
-        else:
-            for b in range(start, size, block):
-                row[b : b + run] = ints[b + offset : b + offset + run]
-    return row
-
-
 class KLTable:
     """Memoized Kazhdan-Lusztig polynomials and mu-coefficients for S_n,
     by the left descent recursion.
 
-    Construction enumerates S_n once: ``perms[r]`` is the permutation of
-    rank r in lexicographic order, and columns, supports and mu lists are
-    keyed by rank.  A support is an int bitset over ranks.  A column holds its
-    polynomials as indices into one pool of distinct values, and the
-    polynomial steps of the recursion are memoized on those indices.  With a cache
-    directory, construction loads the cache file, and a column it holds is
-    parsed instead of computed when first needed.
-    Degrees above MAX_DEGREE raise ValueError before any enumeration.
+    Columns, supports and mu lists are keyed by rank, and ``ranks`` is the
+    degree's shared :class:`~rscells.permutations.Ranks`.  A support is an
+    int bitset over ranks.  A column holds its polynomials as indices into
+    one pool of distinct values, and the polynomial steps of the recursion
+    are memoized on those indices.  With a cache directory, construction
+    loads the cache file, and a column it holds is parsed instead of
+    computed when first needed.
+    Degrees outside 1..MAX_DEGREE raise ValueError before any enumeration.
     """
 
     def __init__(self, n: int, *, cache_dir=None):
-        if not 1 <= n <= MAX_DEGREE:
-            raise ValueError(f"degree must lie in 1..{MAX_DEGREE}, got {n}")
+        self.ranks = rank_arrays(n)
         self.n = n
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.perms: list[Perm] = list(all_permutations(n))
-        # the lexicographic rank of w, written in the factorial base, has the
-        # Lehmer code of w as its digits, and their sum is the length
-        lengths = [0]
-        for k in range(2, n + 1):
-            lengths = [d + l for d in range(k) for l in lengths]
-        self._lengths = lengths
-        size = len(lengths)
-        # the int objects every rank table and index holds
-        self._ints = ints = list(range(size))
+        size = factorial(n)
         # the array type of column keys and mu list ranks, which run up to
         # the sentinel n!
         self._keycode = "H" if size < 1 << 16 else "I"
-        self._index = index = dict(zip(self.perms, ints))
-        # _inverse[r]: rank of perms[r]^-1
-        self._inverse = inv = [index[inverse(w)] for w in self.perms]
-        # _rsteps[i - 1][r] and _steps[i - 1][r]: ranks of perms[r] * s_i
-        # and s_i * perms[r], where s_i w = (w^-1 s_i)^-1
-        self._rsteps = right = [_right_steps(n, i, ints) for i in range(1, n)]
-        self._steps = steps = [[inv[step[r]] for r in inv] for step in right]
-        # right descent set, bit i - 1 for s_i, which holds where w s_i has
-        # the lower rank, and the left one, the right one of the inverse
-        rmasks = [0] * size
-        for i, step in enumerate(right):
-            bit = 1 << i
-            rmasks = [m | bit if s < r else m for m, s, r in zip(rmasks, step, ints)]
-        self._rmasks = rmasks
-        self._masks = [rmasks[r] for r in inv]
-        # the index of the lowest set bit of each descent mask
-        self._lowest = [(m & -m).bit_length() - 1 for m in range(1 << n - 1)]
+        # a scratch array over ranks that _column fills one column at a time
+        self._scratch = [0] * size
         # the pool: each distinct polynomial once, ZERO and ONE at 0 and 1,
         # their degrees, and coefficients -> index
         self._polys: list[IntPolynomial] = [ZERO, ONE]
@@ -232,8 +166,6 @@ class KLTable:
         self._supports: dict[int, int] = {0: 1}
         self._swaps: list[list[tuple[int, int]]] | None = None
         self._raised: dict[int, int] = {}
-        # a scratch array over ranks that _column fills one column at a time
-        self._scratch = [0] * size
         # memos of the two polynomial steps of _column on pool indices,
         # (a, b) -> a + q b and (p, P, k, m) -> p - m q^k P
         self._sums: dict[tuple[int, int], int] = {}
@@ -250,24 +182,9 @@ class KLTable:
         if self.cache_dir is not None:
             self.load()
 
-    def _rank(self, w) -> int:
-        """The rank of ``w``; ValueError unless it is a permutation in S_n."""
-        try:
-            return self._index[tuple(w)]
-        except (KeyError, TypeError):
-            raise ValueError(f"not a permutation in S_{self.n}: {w!r}") from None
-
     def _by_length(self, ranks) -> list[int]:
         # a stable sort by length of the sorted ranks orders by (length, rank)
-        return sorted(sorted(ranks), key=self._lengths.__getitem__)
-
-    def _raise_to(self, y: int, wmask: int) -> int:
-        """Push y up through the descents of w; P_{y,w} is unchanged."""
-        while True:
-            rest = wmask & ~self._masks[y]
-            if not rest:
-                return y
-            y = self._steps[self._lowest[rest]][y]
+        return sorted(sorted(ranks), key=self.ranks.lengths.__getitem__)
 
     def _pool_index(self, p: IntPolynomial) -> int:
         """The index of p's value in the pool, adding p if it is new."""
@@ -284,7 +201,7 @@ class KLTable:
         holds every index of the pool."""
         size = len(self._polys)
         values = array("B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "I", values)
-        keys.append(len(self._lengths))
+        keys.append(len(self._scratch))
         return array(self._keycode, keys), values
 
     def _compact(self, col: dict[int, int]) -> Column:
@@ -301,11 +218,11 @@ class KLTable:
     # -- the recursion -----------------------------------------------------
 
     def _interval_tables(self) -> list[list[tuple[int, int]]]:
-        """The right-multiplication tables of _support, built on first use so
-        that queries the cache serves never pay for them: ``swaps[i - 1]``
-        holds (M, offset) for each offset of w s_i, M the ranks it moves."""
+        """The right-multiplication tables of _support, built on first use:
+        ``swaps[i - 1]`` holds (M, offset) for each offset of w s_i, M the
+        ranks it moves."""
         if self._swaps is None:
-            size = len(self._lengths)
+            size = len(self._scratch)
             swaps = []
             for i in range(1, self.n):
                 block, run, runs = _right_runs(self.n, i)
@@ -325,8 +242,8 @@ class KLTable:
         s = self._supports.get(w)
         if s is not None:
             return s
-        i = self._rmasks[w].bit_length()
-        sv = self._support(self._rsteps[i - 1][w])
+        i = self.ranks.rmasks[w].bit_length()
+        sv = self._support(self.ranks.rsteps[i - 1][w])
         s = sv
         for mask, delta in self._interval_tables()[i - 1]:
             s |= (sv & mask) << delta if delta > 0 else (sv & mask) >> -delta
@@ -340,7 +257,7 @@ class KLTable:
         got = self._raised.get(wmask)
         if got is None:
             keep = bytes(48 if wmask & ~m else 49 for m in range(256))
-            got = self._raised[wmask] = int(bytes(self._masks)[::-1].translate(keep), 2)
+            got = self._raised[wmask] = int(bytes(self.ranks.masks)[::-1].translate(keep), 2)
         return got
 
     def _in_length_order(self) -> Iterator[int]:
@@ -349,8 +266,9 @@ class KLTable:
         _support(w) reads only supports of length l(w) - 1, so the supports
         of each length are dropped once all of the next length are yielded;
         the identity's, which ends that recursion, stays."""
-        layers = [[] for _ in range(max(self._lengths) + 1)]
-        for w, lw in enumerate(self._lengths):
+        lengths = self.ranks.lengths
+        layers = [[] for _ in range(max(lengths) + 1)]
+        for w, lw in enumerate(lengths):
             layers[lw].append(w)
         yield 0
         below: list[int] = []
@@ -371,10 +289,11 @@ class KLTable:
         if w in self._stored:
             col = self._columns[w] = self._parse_column(w)
             return col
-        masks, rmasks, lengths, lowest = self._masks, self._rmasks, self._lengths, self._lowest
+        ranks = self.ranks
+        masks, rmasks, lengths, lowest = ranks.masks, ranks.rmasks, ranks.lengths, ranks.lowest
         wmask, wrmask = masks[w], rmasks[w]
         ibit = wmask & -wmask
-        step = self._steps[lowest[wmask]]
+        step = ranks.steps[lowest[wmask]]
         v = step[w]
         # the keys of the columns probed below are read as lists for this
         # call: bisection in an array builds an int at every comparison
@@ -391,9 +310,9 @@ class KLTable:
                 muv.append(
                     (keysz.tolist(), valuesz, masks[z], lengths[z], (lw - lengths[z]) // 2, m)
                 )
-        raise_to, pool_index, polys = self._raise_to, self._pool_index, self._polys
+        raise_to, pool_index, polys = ranks.raise_to, self._pool_index, self._polys
         sums, corrections = self._sums, self._corrections
-        rsteps, scratch = self._rsteps, self._scratch
+        rsteps, scratch = ranks.rsteps, self._scratch
         keys = list(_ranks(self._support(w) & self._raised_set(wmask)))
         # walk down the ranks: a raised y that lacks a right descent of w
         # copies P_{yt,w} for the lowest such t, as y t lies in the interval,
@@ -434,16 +353,24 @@ class KLTable:
     def _lookup(self, y: int, w: int) -> IntPolynomial:
         if y == w:
             return ONE
-        if self._lengths[y] >= self._lengths[w]:
+        ranks = self.ranks
+        lengths = ranks.lengths
+        if lengths[y] >= lengths[w]:
             return ZERO
-        return self._entry(self._column(w), self._raise_to(y, self._masks[w]))
+        # _column and _entry inlined: the certificate of bar-invariance runs
+        # this a few times per interval element
+        keys, values = self._columns.get(w) or self._column(w)
+        y = ranks.raise_to(y, ranks.masks[w])
+        i = bisect_left(keys, y)
+        return self._polys[values[i]] if keys[i] == y else ZERO
 
     def _mu_list(self, w: int) -> MuList:
         """The z with mu(z, w) != 0, ascending, and mu(z, w) of each."""
         got = self._mu_lists.get(w)
         if got is not None:
             return got
-        lengths, degrees, polys = self._lengths, self._degrees, self._polys
+        ranks = self.ranks
+        lengths, degrees, polys = ranks.lengths, self._degrees, self._polys
         # 2 deg P_{y,w} <= l(w) - l(y) - 1 for y != w, which the recursion
         # keeps and parsing checks, so mu(y, w) is nonzero exactly when the
         # degree meets the bound, and it is then the top coefficient
@@ -454,8 +381,9 @@ class KLTable:
             for y, p in zip(*self._column(w))
             if lengths[y] + 2 * degrees[p] == top
         }
-        for i, step in enumerate(self._steps):
-            if self._masks[w] >> i & 1:
+        wmask = ranks.masks[w]
+        for i, step in enumerate(ranks.steps):
+            if wmask >> i & 1:
                 mus[step[w]] = 1
         zs = sorted(mus)
         values = list(map(mus.__getitem__, zs))
@@ -467,7 +395,8 @@ class KLTable:
         return got
 
     def _mu(self, y: int, w: int) -> int:
-        d = self._lengths[w] - self._lengths[y]
+        lengths = self.ranks.lengths
+        d = lengths[w] - lengths[y]
         if d <= 0 or d % 2 == 0:
             return 0
         return self._lookup(y, w).coeff((d - 1) // 2)
@@ -476,23 +405,25 @@ class KLTable:
 
     def polynomial(self, y: Perm, w: Perm) -> IntPolynomial:
         """P_{y,w}(q); the zero polynomial when y <= w fails."""
-        return self._lookup(self._rank(y), self._rank(w))
+        return self._lookup(self.ranks.rank(y), self.ranks.rank(w))
 
     def mu(self, y: Perm, w: Perm) -> int:
         """Coefficient of q^((l(w)-l(y)-1)/2) in P_{y,w}; 0 unless the
         exponent is a nonnegative integer and y < w."""
-        return self._mu(self._rank(y), self._rank(w))
+        return self._mu(self.ranks.rank(y), self.ranks.rank(w))
 
     def _mu_sym(self, y: int, w: int) -> int:
-        return self._mu(y, w) if self._lengths[y] < self._lengths[w] else self._mu(w, y)
+        lengths = self.ranks.lengths
+        return self._mu(y, w) if lengths[y] < lengths[w] else self._mu(w, y)
 
     def mu_sym(self, y: Perm, w: Perm) -> int:
         """mu on whichever side of the pair is shorter; symmetric."""
-        return self._mu_sym(self._rank(y), self._rank(w))
+        return self._mu_sym(self.ranks.rank(y), self.ranks.rank(w))
 
     def support(self, w: Perm) -> frozenset[Perm]:
         """The Bruhat interval {y : y <= w}."""
-        return frozenset(self.perms[y] for y in _ranks(self._support(self._rank(w))))
+        perms = self.ranks.perms
+        return frozenset(perms[y] for y in _ranks(self._support(self.ranks.rank(w))))
 
     def warm(self) -> None:
         """Compute every column, shortest elements first; only the
@@ -518,9 +449,9 @@ class KLTable:
     def _names(self) -> tuple[list[str], dict[str, int]]:
         """The digit name of each rank, and name -> rank; built on first use."""
         if self._name_ranks is None:
-            names = list(map(format_permutation, self.perms))
+            names = list(map(format_permutation, self.ranks.perms))
             # the shared int objects, so the dict adds none
-            self._name_ranks = names, dict(zip(names, self._ints))
+            self._name_ranks = names, dict(zip(names, self.ranks.ints))
         return self._name_ranks
 
     def save(self) -> None:
@@ -532,7 +463,7 @@ class KLTable:
         path = self.cache_path()
         path.parent.mkdir(parents=True, exist_ok=True)
         names = self._names()[0]
-        lengths, polys = self._lengths, self._polys
+        lengths, polys = self.ranks.lengths, self._polys
         texts: dict[int, str] = {}  # "c0,c1,..." per pool index
         digest = hashlib.sha256()
         offsets = []
@@ -629,14 +560,19 @@ class KLTable:
 
         Raises OSError naming the file and line of the first record that is
         malformed (coefficients other than comma-separated ASCII integers
-        included), not of this table's degree, not of column w, or not a KL
-        polynomial: P(0) != 1, P_{w,w} != 1, or deg P_{y,w} > (l(w) - l(y) - 1)/2."""
+        included), not of this table's degree, not of column w, not a raised
+        element of [e, w], or not a KL polynomial: P(0) != 1, P_{w,w} != 1,
+        or deg P_{y,w} > (l(w) - l(y) - 1)/2; and naming the column's first
+        line when it misses a raised element of [e, w]."""
         start, stop = self._stored[w]
-        names, ranks = self._names()
+        names, rank_of = self._names()
         wname = names[w]
-        lengths, degrees, texts = self._lengths, self._degrees, self._coeff_texts
+        lengths, degrees, texts = self.ranks.lengths, self._degrees, self._coeff_texts
         lw = lengths[w]
         col = {}
+        # the ranks the column must hold, one bit each
+        expected = self._support(w) & self._raised_set(self.ranks.masks[w])
+        inside = expected.to_bytes(len(self._scratch) // 8 + 1, "little")
         # undecodable bytes become U+FFFD, which fails below as a bad record
         lines = self._snapshot[start : stop - 1].decode(errors="replace").split("\n")
         for line in lines:
@@ -644,7 +580,9 @@ class KLTable:
                 ytext, wtext, ctext = line.split("\t")
                 if wtext != wname:
                     raise ValueError(wtext)
-                y = ranks[ytext]
+                y = rank_of[ytext]
+                if not inside[y >> 3] >> (y & 7) & 1:
+                    raise ValueError(ytext)
                 p = texts.get(ctext)
                 if p is None:
                     if not _COEFFS.fullmatch(ctext):
@@ -666,18 +604,28 @@ class KLTable:
                     f"of S_{self.n}: {line!r}"
                 ) from None
             col[y] = p
+        if len(col) != expected.bit_count():
+            lineno = self._snapshot.count(b"\n", 0, start) + 1
+            raise OSError(
+                f"{self.cache_path()}:{lineno}: column {wname} of S_{self.n} holds "
+                f"{len(col)} of the {expected.bit_count()} raised elements of its "
+                f"Bruhat interval"
+            )
         return self._compact(col)
 
     def parse_stored(self) -> int:
         """Parse every column of the loaded file; returns the records read.
 
-        Raises OSError on the first bad record, and when the records differ
-        in number from the trailer's count (a repeated record included)."""
+        Raises OSError on the first bad record or column, and when the
+        records differ in number from the trailer's count (a repeated record
+        included).  The columns are parsed in (length, rank) order, which
+        drops the supports one length layer at a time, as warm() does."""
         records = 0
-        for w in self._stored:
-            col = self._parse_column(w)
-            self._columns.setdefault(w, col)
-            records += len(col[1])
+        for w in self._in_length_order():
+            if w in self._stored:
+                col = self._parse_column(w)
+                self._columns.setdefault(w, col)
+                records += len(col[1])
         if records != self._stored_records:
             raise OSError(
                 f"{self.cache_path()}: the trailer counts {self._stored_records} records "

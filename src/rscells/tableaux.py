@@ -14,7 +14,7 @@ operations that need it.  Validation happens only there: the bumping and sliding
 The exhaustive callers do not insert one word at a time.  ``_symbols``
 walks the prefix tree of all words of length n over 1..r, or of the
 permutations of S_n, level by level in lexicographic order (the rank order
-of ``KLTable.perms``).  Since P(w.a) is P(w) with a inserted (the plactic
+of ``Ranks.perms``).  Since P(w.a) is P(w) with a inserted (the plactic
 monoid), it bumps each distinct P once per letter that may follow it, and
 it gives every word a P index, into the distinct P as row tuples, and a
 Q code: the base-n number of the rows that the bumps grew, first letter

@@ -14,9 +14,9 @@ from . import crystal as crystal_mod
 from .cells import cells as cell_partition
 # unused here; perfbench/spans.py patches these names on this module
 from .hecke import bar, c_prime, canonical_basis_by_bar  # noqa: F401
-from .kl import MAX_DEGREE, WARM_MAX_DEGREE, KLTable, _ranks
+from .kl import WARM_MAX_DEGREE, KLTable, _ranks
 from .knuth import knuth_class
-from .permutations import all_permutations, format_permutation
+from .permutations import MAX_DEGREE, format_permutation, rank_arrays
 from .polynomials import ONE, IntPolynomial
 # p_symbol and q_symbol are unused here; perfbench/spans.py patches them on
 # this module
@@ -60,10 +60,6 @@ class Report:
         }
 
 
-def _perms(n: int):
-    return list(all_permutations(n))
-
-
 def _fmt(w) -> str:
     return format_permutation(w)
 
@@ -85,7 +81,7 @@ def verify_theorem_a(n: int, table: KLTable | None = None) -> Report:
     report = Report("theorem-a", n, cases=0)
     table = _table(n, table)
     cell = cell_partition(n, "left", table).of_rank
-    perms = table.perms
+    perms = table.ranks.perms
     report.cases = len(perms)
     fiber = _labels(_symbols(n, n, permutations=True)[1])
     report.info["cells"] = str(len(set(cell)))
@@ -118,7 +114,7 @@ def verify_knuth_classes(n: int) -> Report:
     """Knuth closure classes versus fibers of the insertion tableau, keyed
     by P index."""
     report = Report("knuth", n, cases=0)
-    perms = _perms(n)
+    perms = rank_arrays(n).perms
     report.cases = len(perms)
     pidx = _symbols(n, n, permutations=True)[0]
     fibers: dict[int, set] = {}
@@ -146,10 +142,10 @@ def verify_evacuation(n: int) -> Report:
     more for the involution check.  w w0 is w reversed, whose Q code is
     looked up by rank."""
     report = Report("evacuation", n, cases=0)
-    perms = _perms(n)
+    ranks = rank_arrays(n)
+    perms, index = ranks.perms, ranks.index
     report.cases = len(perms)
     qcode = _symbols(n, n, permutations=True)[1]
-    rank = {w: r for r, w in enumerate(perms)}
     # Q code -> (Q, whether evacuation is involutive on Q, the Q code of
     # transpose(evacuation(Q)))
     evacuated: dict[int, tuple] = {}
@@ -161,7 +157,7 @@ def verify_evacuation(n: int) -> Report:
         q, involutive, target = evacuated[code]
         if not involutive:
             report.violations.append(f"w={_fmt(w)}: evacuation is not involutive")
-        if target != qcode[rank[w[::-1]]]:
+        if target != qcode[index[w[::-1]]]:
             report.violations.append(
                 f"w={_fmt(w)}: transpose(evac(Q(w))) != Q(w.w0), "
                 f"Q(w)={q.to_json()}"
@@ -194,8 +190,9 @@ def verify_bar_invariance(n: int, table: KLTable | None = None) -> Report:
     """
     report = Report("bar-invariance", n, cases=0)
     table = _table(n, table)
-    lookup, lengths, masks, steps = table._lookup, table._lengths, table._masks, table._steps
-    perms = table.perms
+    ranks = table.ranks
+    lookup, lengths, masks, steps = table._lookup, ranks.lengths, ranks.masks, ranks.steps
+    perms = ranks.perms
     report.cases = len(perms)
     # memos of the two polynomial steps, keyed on operand ids: every operand
     # is in the table's pool or held by these dicts, so no id is reused meanwhile
@@ -257,10 +254,11 @@ def verify_bar_invariance(n: int, table: KLTable | None = None) -> Report:
 
 def _identity_violation(table: KLTable, w: int, x: int, i: int, v: int, muv) -> str:
     """Both sides of the T_x coordinate of C'_s C'_v = C'_w + sum mu C'_z."""
-    lookup, perms = table._lookup, table.perms
-    sx = table._steps[i - 1][x]
+    lookup, ranks = table._lookup, table.ranks
+    perms, lengths = ranks.perms, ranks.lengths
+    sx = ranks.steps[i - 1][x]
     a, b = lookup(sx, v), lookup(x, v)
-    if table._lengths[sx] < table._lengths[x]:
+    if lengths[sx] < lengths[x]:
         left, lhs = "P_{sx,v} + q P_{x,v}", a + b.shift(1)
     else:
         left, lhs = "q P_{sx,v} + P_{x,v}", a.shift(1) + b
@@ -292,12 +290,12 @@ def verify_prop_descents(n: int, table: KLTable | None = None) -> Report:
     report = Report("descents", n, cases=0)
     table = _table(n, table)
     part = cell_partition(n, "left", table)
-    perms = table.perms
+    perms = table.ranks.perms
     members: list[list[int]] = [[] for _ in part.cells]
     for r, k in enumerate(part.of_rank):
         members[k].append(r)
     # right descent set as a bit mask, bit i - 1 for s_i
-    rmask = table._rmasks
+    rmask = table.ranks.rmasks
     # R of each cell, or None where it is not constant
     const = []
     for ranks in members:
@@ -356,18 +354,11 @@ def verify_knuth_mu(n: int, table: KLTable | None = None) -> Report:
     report = Report("knuth-mu", n, cases=0)
     table = _table(n, table)
     left = cell_partition(n, "left", table).of_rank
-    perms, mu_sym = table.perms, table._mu_sym
+    perms, mu_sym, mu_list = table.ranks.perms, table._mu_sym, table._mu_list
     # the right cell of w is the inverse of the left cell of w^-1
-    right = [left[r] for r in table._inverse]
+    right = [left[r] for r in table.ranks.inverse]
     # rank -> rank of w s_i, and right descent masks, bit i - 1 for s_i
-    rsteps, rmasks = table._rsteps, table._rmasks
-    # every nonzero-mu pair (y, w, mu) with y < w
-    edges = [
-        (min(z, w), max(z, w), m)
-        for w in range(len(perms))
-        for z, m in zip(*table._mu_list(w))
-    ]
-
+    rsteps, rmasks = table.ranks.rsteps, table.ranks.rmasks
     cases = 0
     moves = [(i2, j2) for i in range(1, n - 1) for i2, j2 in ((i, i + 1), (i + 1, i))]
     for i2, j2 in moves:
@@ -383,7 +374,9 @@ def verify_knuth_mu(n: int, table: KLTable | None = None) -> Report:
             if m & bi and not m & bj:
                 u = si[r]
                 image[r] = u if rmasks[u] & bj else sj[r]
-        pairs = [(y, w, m) for y, w, m in edges if y in image and w in image]
+        # the nonzero-mu pairs (z, w, mu) inside the domain: every z in the
+        # mu list of w lies below w, so z < w as ranks
+        pairs = [(z, w, m) for w in image for z, m in zip(*mu_list(w)) if z in image]
         cases += len(image) + len(pairs)
         for w, kw in image.items():
             if right[w] != right[kw]:
@@ -433,7 +426,7 @@ def verify_crystal_theorem_a(n: int) -> Report:
     recording-tableau fibers induce one partition.  The route reads no KL
     table; ``theorem-a`` compares the fibers with the left cells."""
     report = Report("crystal-theorem-a", n, cases=0)
-    perms = _perms(n)
+    perms = rank_arrays(n).perms
     report.cases = len(perms)
     component = _labels(crystal_mod.highest_weight_reps(perms, n))
     fiber = _labels(_symbols(n, n, permutations=True)[1])

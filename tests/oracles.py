@@ -19,7 +19,8 @@ reachability in the cell graph, the permutation suites by inserting each
 permutation on its own, the cell suites by scanning every pair of
 elements, and the KL columns by the descent recursion on dict columns and
 set supports.  A few queries on library objects that only the tests make
-(the cell preorder on elements, mu lists of tuples) live here too.
+(the cell preorder on elements, mu lists of tuples) live here too, and so
+does the sample of ranks that the S_8 and S_9 rank checks walk.
 """
 
 import itertools
@@ -27,6 +28,7 @@ from bisect import insort
 from collections import deque
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
+from math import factorial
 
 from rscells.cells import CellPartition, cells, left_cell_graph
 from rscells.crystal import _check_word, e_op, f_op
@@ -87,7 +89,8 @@ def max_exponent(poly: LaurentPoly):
 
 def mu_list(table: KLTable, w: Perm) -> tuple[tuple[Perm, int], ...]:
     """All (z, mu(z, w)) with z < w and mu(z, w) != 0, z ascending."""
-    return tuple((table.perms[z], m) for z, m in zip(*table._mu_list(table._rank(w))))
+    perms = table.ranks.perms
+    return tuple((perms[z], m) for z, m in zip(*table._mu_list(table.ranks.rank(w))))
 
 
 # -- Bruhat order, reduced words and coset representatives --------------------
@@ -944,21 +947,38 @@ def knuth_mu_by_scan(n, table=None):
     return report
 
 
+# -- a sample of the ranks of S_n ----------------------------------------------
+
+def sampled_ranks(n, stride):
+    """Every stride-th rank of S_n, with a prime stride that meets every
+    place of the blocks of (n - i + 1)! ranks shorter than it, plus the
+    first and last rank of each longer block."""
+    size = factorial(n)
+    ranks = set(range(0, size, stride))
+    for i in range(1, n):
+        block = factorial(n - i + 1)
+        if block >= stride:
+            for start in range(0, size, block):
+                ranks |= {start, start + block - 1}
+    return sorted(ranks)
+
+
 # -- KL columns by the dict recursion -----------------------------------------
 
 def kl_by_dict_recursion(table, side="left"):
     """Every column and mu list of ``table``'s degree, by the descent
     recursion on ``side`` with each column a dict rank -> polynomial and
-    each Bruhat interval a set of ranks.  Only the table's rank arithmetic
-    (steps, descent masks and lengths) is shared.
+    each Bruhat interval a set of ranks.  Only the rank arithmetic of the
+    table's Ranks (steps, descent masks and lengths) is shared.
 
     Returns ``(columns, mu_lists, lookup)``: column w holds P_{y,w} for
     every y <= w whose descent set on ``side`` contains that of w, mu list
     w is sorted by rank, and ``lookup(y, w)`` is P_{y,w} for any pair of
     ranks.
     """
-    steps, masks = (table._steps, table._masks) if side == "left" else (table._rsteps, table._rmasks)
-    lengths = table._lengths
+    ranks = table.ranks
+    steps, masks = (ranks.steps, ranks.masks) if side == "left" else (ranks.rsteps, ranks.rmasks)
+    lengths = ranks.lengths
     columns = {0: {0: ONE}}
     supports = {0: {0}}
     mu_lists = {}

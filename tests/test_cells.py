@@ -135,7 +135,7 @@ def test_rank_cells_match_the_tuple_oracle(n, side):
         assert left_cell_graph(n, table) == left_cell_graph_by_tuples(n, table)
     part = cells(n, side, table)
     assert (part.cells, part.leq) == cells_by_tuples(n, side, table)
-    assert [part.cell_index(w) for w in table.perms] == part.of_rank
+    assert [part.cell_index(w) for w in table.ranks.perms] == part.of_rank
 
 
 def test_a_table_of_another_degree_is_refused():

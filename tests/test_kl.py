@@ -19,14 +19,18 @@ from oracles import (
     kl_by_dict_recursion,
     min_coset_rep,
     mu_list,
+    sampled_ranks,
 )
 from rscells.hecke import c_prime
-from rscells.kl import MAX_DEGREE, KLTable, _ranks, default_table, kl_polynomial, mu, mu_sym
+from rscells.kl import KLTable, _ranks, default_table, kl_polynomial, mu, mu_sym
 from rscells.permutations import (
+    MAX_DEGREE,
+    Ranks,
     inverse,
     left_descents,
     length,
     multiply_simple,
+    rank_arrays,
     right_descents,
 )
 from rscells.polynomials import ONE, ZERO, IntPolynomial
@@ -169,10 +173,10 @@ def test_mu_list_keeps_a_mu_that_fits_no_byte():
     # a cache file may hold any top coefficient that meets the degree bound
     tbl = KLTable(4)
     tbl.warm()
-    lengths = tbl._lengths
+    lengths = tbl.ranks.lengths
     w, y = next(
         (w, y)
-        for w in range(len(tbl.perms))
+        for w in range(len(tbl.ranks.perms))
         for y in read_column(tbl, w)
         if lengths[w] - lengths[y] == 3
     )
@@ -200,7 +204,7 @@ def test_mu_list_keeps_a_mu_that_fits_no_byte():
 def test_column_keys_take_two_bytes_up_to_s8_and_four_at_s9(n):
     # the keys run up to the sentinel n!, which two bytes hold up to 8! = 40,320
     tbl = KLTable(n)
-    s1 = tbl._rank((2, 1) + tuple(range(3, n + 1)))
+    s1 = tbl.ranks.rank((2, 1) + tuple(range(3, n + 1)))
     keys, values = tbl._column(s1)
     zs, ms = tbl._mu_list(s1)
     code = "H" if n <= 8 else "I"
@@ -270,62 +274,36 @@ def test_supports_and_column_keys_match_bruhat_order():
         for w in perms:
             below = {y for y in perms if bruhat_leq(y, w)}
             assert tbl.support(w) == below, w
-            assert tbl._support(tbl._rank(w)).bit_count() == len(below), w
+            assert tbl._support(tbl.ranks.rank(w)).bit_count() == len(below), w
             raised = {y for y in below if left_descents(w) <= left_descents(y)}
-            column = read_column(tbl, tbl._rank(w))
-            assert {tbl.perms[y] for y in column} == raised, w
+            column = read_column(tbl, tbl.ranks.rank(w))
+            assert {tbl.ranks.perms[y] for y in column} == raised, w
 
 
-def _check_rank_tables(tbl, ranks):
-    # multiply_simple is the oracle of the step, right step and swap tables,
-    # the descent sets that of the masks, and the descent masks that of the
-    # raised sets; every rank the tables hold is one of the shared ints
-    n, ints = tbl.n, tbl._ints
+def _check_interval_tables(tbl, ranks):
+    # multiply_simple is the oracle of the swap tables, and the descent
+    # masks that of the raised sets; tests/test_permutations.py checks the
+    # rank arrays themselves
+    n, perms = tbl.n, tbl.ranks.perms
     swaps = tbl._interval_tables()
     assert len(swaps) == max(n - 1, 0)
-    rsteps, rmasks = tbl._rsteps, tbl._rmasks
     for r in ranks:
-        w = tbl.perms[r]
-        assert tbl._index[w] is ints[r]
-        assert tbl._lengths[r] == length(w)
-        assert tbl.perms[tbl._inverse[r]] == inverse(w)
-        assert tbl._masks[r] == sum(1 << (i - 1) for i in left_descents(w))
-        assert rmasks[r] == sum(1 << (i - 1) for i in right_descents(w))
         for i in range(1, n):
-            assert tbl.perms[tbl._steps[i - 1][r]] == multiply_simple(w, i, "left")
-            right = multiply_simple(w, i, "right")
-            moved = rsteps[i - 1][r]
-            assert tbl.perms[moved] == right and moved is ints[moved], (w, i)
             [moved] = [r + delta for mask, delta in swaps[i - 1] if mask >> r & 1]
-            assert tbl.perms[moved] == right, (w, i)
+            assert perms[moved] == multiply_simple(perms[r], i, "right"), (perms[r], i)
     for wmask in range(1 << max(n - 1, 0)):
         raised = tbl._raised_set(wmask)
-        assert raised >> len(tbl.perms) == 0, wmask
+        assert raised >> len(perms) == 0, wmask
         for r in ranks:
-            assert (raised >> r & 1) == (not wmask & ~tbl._masks[r]), (wmask, r)
+            assert (raised >> r & 1) == (not wmask & ~tbl.ranks.masks[r]), (wmask, r)
 
 
-def _sampled_ranks(n, stride):
-    # every stride-th rank, with a prime stride that meets every place of
-    # the blocks of (n - i + 1)! ranks shorter than it, plus the first and
-    # last rank of each longer block
-    size = factorial(n)
-    ranks = set(range(0, size, stride))
-    for i in range(1, n):
-        block = factorial(n - i + 1)
-        if block >= stride:
-            for start in range(0, size, block):
-                ranks |= {start, start + block - 1}
-    return sorted(ranks)
-
-
-def test_rank_tables_match_permutation_arithmetic():
+def test_interval_tables_match_permutation_arithmetic():
     # in full up to S_7; bruhat_leq is the oracle of the interval bitsets
     for n in range(1, 8):
-        perms = sorted(all_perms(n))
         tbl = KLTable(n)
-        assert tbl.perms == perms
-        _check_rank_tables(tbl, range(len(perms)))
+        perms = tbl.ranks.perms
+        _check_interval_tables(tbl, range(len(perms)))
         if n > 6:
             continue
         # y <= w in Bruhat order only if y <= w lexicographically
@@ -334,27 +312,25 @@ def test_rank_tables_match_permutation_arithmetic():
             assert set(_ranks(tbl._support(r))) == below, w
 
 
-def _check_sampled_rank_tables(n, stride):
+def _check_sampled_interval_tables(n, stride):
     tbl = KLTable(n)
-    perms = tbl.perms
-    assert len(perms) == factorial(n) and all(a < b for a, b in zip(perms, perms[1:]))
-    ranks = _sampled_ranks(n, stride)
-    assert all(sorted(perms[r]) == list(range(1, n + 1)) for r in ranks)
-    _check_rank_tables(tbl, ranks)
+    perms = tbl.ranks.perms
+    ranks = sampled_ranks(n, stride)
+    _check_interval_tables(tbl, ranks)
     for w in ranks[:: len(ranks) // 8]:
         support = tbl._support(w)
         for y in ranks:
             assert (support >> y & 1) == bruhat_leq(perms[y], perms[w]), (perms[y], perms[w])
 
 
-def test_rank_tables_match_permutation_arithmetic_on_s8_samples():
-    _check_sampled_rank_tables(8, 97)
+def test_interval_tables_match_permutation_arithmetic_on_s8_samples():
+    _check_sampled_interval_tables(8, 97)
 
 
 @pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
-def test_rank_tables_match_permutation_arithmetic_on_s9_samples_long():
+def test_interval_tables_match_permutation_arithmetic_on_s9_samples_long():
     # S_9 nests the blocks one level deeper than any other degree
-    _check_sampled_rank_tables(9, 997)
+    _check_sampled_interval_tables(9, 997)
 
 
 def test_ranks_walks_every_set_bit():
@@ -373,7 +349,7 @@ def test_compact_columns_match_the_dict_recursion(n, side):
     columns, mu_lists, lookup = kl_by_dict_recursion(tbl, side)
     if side == "left":
         assert _columns(tbl) == columns
-    ranks = range(len(tbl.perms))
+    ranks = range(len(tbl.ranks.perms))
     assert [tuple(zip(*tbl._mu_list(w))) for w in ranks] == [mu_lists[w] for w in ranks]
     for w in ranks:
         assert [tbl._lookup(y, w) for y in ranks] == [lookup(y, w) for y in ranks], w
@@ -396,13 +372,13 @@ def _two_sided_raise(y, w):
 def test_each_entry_is_the_entry_at_its_two_sided_raise(n):
     tbl = KLTable(n)
     tbl.warm()
-    perms = tbl.perms
+    perms = tbl.ranks.perms
     columns = kl_by_dict_recursion(tbl)[0]
     for w, column in columns.items():
         stored = read_column(tbl, w)
         assert stored.keys() == column.keys(), perms[w]
         for y, p in stored.items():
-            x = tbl._rank(_two_sided_raise(perms[y], perms[w]))
+            x = tbl.ranks.rank(_two_sided_raise(perms[y], perms[w]))
             assert x in column and p == column[x], (perms[y], perms[w])
 
 
@@ -415,13 +391,17 @@ def test_the_recursion_runs_only_at_two_sided_extremal_entries(n):
     tbl = KLTable(n)
     columns = kl_by_dict_recursion(tbl)[0]
     raises = []
+    # a fresh Ranks records the raises of this table alone: every other
+    # table of the degree reads the shared one
+    tbl.ranks = ranks = Ranks(n)
+    walk = ranks.raise_to
 
     def raise_to(y, mask):
         raises.append((y, mask))
-        return KLTable._raise_to(tbl, y, mask)
+        return walk(y, mask)
 
-    tbl._raise_to = raise_to
-    perms, masks = tbl.perms, tbl._masks
+    ranks.raise_to = raise_to
+    perms, masks = ranks.perms, ranks.masks
     # in length order every column that column w reads is built before it
     for w in tbl._in_length_order():
         raises.clear()
@@ -429,7 +409,7 @@ def test_the_recursion_runs_only_at_two_sided_extremal_entries(n):
         if w == 0:
             continue
         i = min(left_descents(perms[w]))
-        vmask = masks[tbl._rank(multiply_simple(perms[w], i, "left"))]
+        vmask = masks[ranks.rank(multiply_simple(perms[w], i, "left"))]
         recursed = {y for y, mask in raises if mask == vmask and i in left_descents(perms[y])}
         extremal = {y for y in columns[w] if right_descents(perms[w]) <= right_descents(perms[y])}
         assert recursed == extremal, perms[w]
@@ -447,6 +427,15 @@ def test_every_query_rejects_non_permutations():
         for query in (lambda w: mu_list(tbl, w), tbl.support):
             with pytest.raises(ValueError, match="S_3"):
                 query(bad)
+
+
+def test_tables_of_one_degree_share_one_ranks():
+    first, second = KLTable(4), KLTable(4)
+    assert first.ranks is second.ranks is rank_arrays(4)
+    # the factory keeps the last degree only; a table keeps the one it got
+    other = KLTable(5)
+    assert other.ranks is rank_arrays(5)
+    assert KLTable(4).ranks is not first.ranks and first.ranks.n == 4
 
 
 def test_degree_above_bound_raises_before_enumeration():
@@ -562,15 +551,16 @@ def test_one_object_per_distinct_polynomial(tmp_path):
 
 def test_load_skips_blank_lines_and_normalizes_trailing_zeros(tmp_path):
     path = tmp_path / "kl_s4.tsv"
-    path.write_text("#rscells-kl 2 S_4 left\n1234\t1234\t1\n \t \n\n1234\t2134\t1,0\n")
+    # column 2134 holds its one raised element, 2134 itself
+    path.write_text("#rscells-kl 2 S_4 left\n1234\t1234\t1\n \t \n\n2134\t2134\t1,0\n")
     resign(path)
     tbl = KLTable(4)
     tbl.cache_dir = tmp_path
     assert tbl.load() == 2
     assert tbl.parse_stored() == 2
-    e, s1 = tbl._rank((1, 2, 3, 4)), tbl._rank((2, 1, 3, 4))
-    assert read_column(tbl, s1)[e] == ONE
-    assert read_column(tbl, s1)[e] is read_column(tbl, e)[e]
+    e, s1 = tbl.ranks.rank((1, 2, 3, 4)), tbl.ranks.rank((2, 1, 3, 4))
+    assert read_column(tbl, s1) == {s1: ONE}
+    assert read_column(tbl, s1)[s1] is read_column(tbl, e)[e]
 
 
 def test_load_rejects_undecodable_bytes(tmp_path):
@@ -685,7 +675,9 @@ def test_a_column_holds_only_its_own_records(tmp_path):
     assert b",1342:71,1423:95," in data
     path.write_bytes(sign(data.replace(b",1423:95,", b",1423:83,")))
     loaded = KLTable(4, cache_dir=tmp_path)
-    assert loaded.polynomial((1, 2, 3, 4), (1, 3, 4, 2)) == ONE
+    # column 1342 lost line 7, so it misses one of its raised elements
+    with pytest.raises(OSError, match=r"kl_s4\.tsv:6: column 1342 of S_4 holds 1 of the 2 raised"):
+        loaded.polynomial((1, 2, 3, 4), (1, 3, 4, 2))
     with pytest.raises(OSError, match=r"kl_s4\.tsv:7: bad record for column 1423"):
         loaded.polynomial((1, 2, 3, 4), (1, 4, 2, 3))
     # without an offset for column 1423, its records fall into column 1342
@@ -718,7 +710,7 @@ from rscells.kl import KLTable
 table = KLTable(8)
 table.warm()
 digest = hashlib.sha256()
-for w in range(len(table.perms)):
+for w in range(len(table.ranks.perms)):
     digest.update(f"{tuple(zip(*table._mu_list(w)))}\n".encode())
 peak = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
 print(table.entry_count(), int(peak.split()[1]) // 1024, digest.hexdigest())

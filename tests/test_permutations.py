@@ -1,3 +1,6 @@
+import os
+from math import factorial
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,8 +12,12 @@ from oracles import (
     compose_as_maps,
     min_coset_rep,
     reduced_word,
+    sampled_ranks,
 )
+from rscells import permutations
 from rscells.permutations import (
+    MAX_DEGREE,
+    Ranks,
     all_permutations,
     check_permutation,
     compose,
@@ -213,3 +220,67 @@ def test_check_permutation():
     for bad in ((True,), (True, 2), (2, True), (False, 1)):
         with pytest.raises(ValueError):
             check_permutation(bad)
+
+
+def _check_rank_tables(ranks, sample):
+    # multiply_simple is the oracle of the step and right step arrays, the
+    # descent sets that of the masks and lowest bits; every rank the arrays
+    # hold is one of the shared ints
+    n, ints, perms = ranks.n, ranks.ints, ranks.perms
+    rsteps, rmasks = ranks.rsteps, ranks.rmasks
+    for r in sample:
+        w = perms[r]
+        assert ranks.index[w] is ints[r] and ranks.rank(w) == r
+        assert ranks.lengths[r] == length(w)
+        assert perms[ranks.inverse[r]] == inverse(w)
+        assert ranks.masks[r] == sum(1 << (i - 1) for i in left_descents(w))
+        assert rmasks[r] == sum(1 << (i - 1) for i in right_descents(w))
+        for i in range(1, n):
+            assert perms[ranks.steps[i - 1][r]] == multiply_simple(w, i, "left")
+            moved = rsteps[i - 1][r]
+            assert perms[moved] == multiply_simple(w, i, "right") and moved is ints[moved], (w, i)
+    for mask in range(1, 1 << (n - 1)):
+        assert ranks.lowest[mask] == min(i for i in range(n - 1) if mask >> i & 1)
+
+
+def test_rank_tables_match_permutation_arithmetic():
+    # in full up to S_7
+    for n in range(1, 8):
+        perms = sorted(all_perms(n))
+        ranks = Ranks(n)
+        assert ranks.perms == perms
+        _check_rank_tables(ranks, range(len(perms)))
+
+
+def _check_sampled_rank_tables(n, stride):
+    ranks = Ranks(n)
+    perms = ranks.perms
+    assert len(perms) == factorial(n) and all(a < b for a, b in zip(perms, perms[1:]))
+    sample = sampled_ranks(n, stride)
+    assert all(sorted(perms[r]) == list(range(1, n + 1)) for r in sample)
+    _check_rank_tables(ranks, sample)
+
+
+def test_rank_tables_match_permutation_arithmetic_on_s8_samples():
+    _check_sampled_rank_tables(8, 97)
+
+
+@pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
+def test_rank_tables_match_permutation_arithmetic_on_s9_samples_long():
+    # S_9 nests the blocks one level deeper than any other degree
+    _check_sampled_rank_tables(9, 997)
+
+
+def test_ranks_reject_a_degree_before_enumerating(monkeypatch):
+    def enumerate_nothing(n):
+        raise AssertionError(f"S_{n} enumerated")
+
+    monkeypatch.setattr(permutations, "all_permutations", enumerate_nothing)
+    for n in (0, MAX_DEGREE + 1, -1):
+        with pytest.raises(ValueError, match="degree"):
+            Ranks(n)
+        with pytest.raises(ValueError, match="degree"):
+            permutations.rank_arrays(n)
+    # construction builds no array: each is built when first read
+    assert vars(Ranks(MAX_DEGREE)) == {"n": MAX_DEGREE}
+

@@ -110,8 +110,8 @@ def _degree_child(n):
 def test_run_verifications_degree_8_on_one_table_long():
     # every suite that runs at n = 8: theorem-a, descents and knuth-mu read
     # one warm S_8 table, and crystal-theorem-a, evacuation and knuth read
-    # none.  About 22-26 s at a 178 MB peak, the warm about half of it, and
-    # the bound is that peak plus about 10 %
+    # none.  About 18-22 s at a 141-142 MB peak, the warm about half of it,
+    # and the bound is that peak plus about 10 %
     proc = _degree_child(8)
     lines = _suite_lines(proc)
     # bar-invariance stops at n = 7 and crystal-djm at 6
@@ -119,7 +119,7 @@ def test_run_verifications_degree_8_on_one_table_long():
     assert [line.split()[:2] for line in lines] == [["n=8", name] for name in suites]
     failures, peak_mb = map(int, proc.stdout.splitlines()[-1].split())
     assert failures == 0
-    assert peak_mb < 200, peak_mb
+    assert peak_mb < 155, peak_mb
 
 
 @pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")

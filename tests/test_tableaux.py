@@ -23,8 +23,7 @@ from oracles import (
     staircase,
     standard_tableaux,
 )
-from rscells.kl import KLTable
-from rscells.permutations import all_permutations, identity, inverse
+from rscells.permutations import Ranks, all_permutations, identity, inverse
 from rscells.tableaux import (
     EMPTY_TABLEAU,
     Tableau,
@@ -230,9 +229,9 @@ def test_symbol_walk_matches_rectification(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_symbol_walk_is_in_table_rank_order(n):
-    # rank r of the walk is rank r of KLTable(n): RS inverse of its two
-    # symbols gives that permutation back
-    perms = KLTable(n).perms
+    # rank r of the walk is rank r of Ranks(n), which KLTable(n) reads: RS
+    # inverse of its two symbols gives that permutation back
+    perms = Ranks(n).perms
     assert perms == list(all_permutations(n))
     pidx, qcode, prows, _ = _symbols(n, n, permutations=True)
     for r, w in enumerate(perms):
