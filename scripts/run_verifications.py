@@ -2,16 +2,18 @@
 """Run every verification suite over a range of degrees and print a table.
 
 Degrees 2..--max-n run: 5 by default and at most 5, or with --long 6 by
-default and at most 9.  A --max-n below 2 exits 2.
+default and at most 9.  A --max-n below 2 exits 2, and one above the cap
+exits 3 before any degree runs, with the cap in the message.
 A suite is skipped above its degree cap in
 ``rscells.verify.SUITE_MAX_DEGREE``: bar-invariance above 7, crystal-djm
 above 6, and the other suites that read KL polynomials above 8, so at 9
 only knuth, evacuation and crystal-theorem-a run.  Each degree prints a
 line naming the suites it skipped.  A degree at which some suite reads KL
-polynomials warms one KL table that those suites share, written to
---cache-dir when given; any other degree builds none.  Every suite of a
-degree, with a table or without, reads the one ``Ranks`` of that degree
-(``rscells.permutations.rank_arrays``), so S_n is enumerated once.
+polynomials computes one KL table that those suites share, written to
+--cache-dir when given (no polynomial is read from it); any other degree
+builds none.  Every suite of a degree, with a table or without, reads the
+one ``Ranks`` of that degree (``rscells.permutations.rank_arrays``), so
+S_n is enumerated once.
 """
 
 import argparse
@@ -23,9 +25,15 @@ from rscells.verify import _TABLE_SUITES, SUITE_MAX_DEGREE, SUITES, run_suite
 
 
 def top_degree(max_n, long: bool) -> int:
-    """The last degree to run for --max-n ``max_n`` (None when not given)."""
+    """The last degree to run for --max-n ``max_n`` (None when not given);
+    ValueError names the cap that ``max_n`` exceeds."""
     default, cap = (6, MAX_DEGREE) if long else (5, 5)
-    return min(default if max_n is None else max_n, cap)
+    if max_n is None:
+        return default
+    if max_n > cap:
+        without = "" if long else " without --long"
+        raise ValueError(f"--max-n stops at degree {cap}{without}, got {max_n}")
+    return max_n
 
 
 def run_degree(n: int, cache_dir=None) -> int:
@@ -69,7 +77,11 @@ def main() -> int:
         # degrees start at 2, so a smaller --max-n would run nothing and pass
         parser.error(f"--max-n must be at least 2, got {args.max_n}")
 
-    top = top_degree(args.max_n, args.long)
+    try:
+        top = top_degree(args.max_n, args.long)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     failures = sum(run_degree(n, args.cache_dir) for n in range(2, top + 1))
     return 1 if failures else 0
 

@@ -2,9 +2,11 @@
 Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input, 3 degree
-bound exceeded, 4 I/O error.  Output on stdout is deterministic for a given
-input and cache state; timings go to stderr.  The environment variable
-RSCELLS_CACHE_DIR overrides --cache-dir.
+bound exceeded, 4 I/O error or a cache file that differs from its
+recomputation.  Output on stdout is deterministic for a given input;
+timings go to stderr.  No command reads KL polynomials from the cache: the
+cache directory is where ``cache warm`` writes and what ``cache info``
+checks.  The environment variable RSCELLS_CACHE_DIR overrides --cache-dir.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .crystal import crystal_edges
 from .kl import WARM_MAX_DEGREE, KLTable
 from .permutations import MAX_DEGREE, format_permutation, parse_permutation
 from .tableaux import Tableau, insert_word, rs_inverse
-from .verify import _TABLE_SUITES, SUITE_MAX_DEGREE, SUITES, run_suite
+from .verify import SUITE_MAX_DEGREE, SUITES, run_suite
 
 ENV_CACHE_DIR = "RSCELLS_CACHE_DIR"
 DEFAULT_MAX_DEGREE = 8
@@ -140,7 +142,7 @@ def cmd_klpoly(args) -> int:
     w = _parse_perm_arg(args, args.w)
     if len(y) != len(w):
         raise ValueError(f"degree mismatch: {len(y)} vs {len(w)}")
-    poly = KLTable(len(y), cache_dir=args.cache_dir).polynomial(y, w)
+    poly = KLTable(len(y)).polynomial(y, w)
     if args.format == "json":
         _emit_json(
             {
@@ -157,7 +159,7 @@ def cmd_klpoly(args) -> int:
 
 def cmd_cells(args) -> int:
     _check_run(args, "cells", WARM_MAX_DEGREE)
-    part = cell_partition(args.n, args.side, KLTable(args.n, cache_dir=args.cache_dir))
+    part = cell_partition(args.n, args.side, KLTable(args.n))
     if args.format == "json":
         _emit_json(
             {
@@ -185,7 +187,7 @@ def _dot(name: str, edges) -> str:
 def cmd_graph(args) -> int:
     if args.kind == "mu":
         _check_run(args, "graph mu", WARM_MAX_DEGREE)
-        adj = left_cell_graph(args.n, KLTable(args.n, cache_dir=args.cache_dir))
+        adj = left_cell_graph(args.n, KLTable(args.n))
         edges = sorted(
             (format_permutation(a), format_permutation(b), None)
             for a, nbrs in adj.items()
@@ -228,9 +230,7 @@ def cmd_verify(args) -> int:
     _check_run(args, f"verify {args.suite}", SUITE_MAX_DEGREE[args.suite])
     if args.n >= 6 and not args.long:
         raise _BoundsError(f"suite at n={args.n} needs --long")
-    # only the suites that read KL polynomials get a table
-    table = KLTable(args.n, cache_dir=args.cache_dir) if args.suite in _TABLE_SUITES else None
-    report = run_suite(args.suite, args.n, table)
+    report = run_suite(args.suite, args.n)
     if args.format == "json":
         _emit_json(report.to_json())
     else:
@@ -243,13 +243,16 @@ def cmd_verify(args) -> int:
 _CACHE_NAME = re.compile(r"kl_s([1-9])\.tsv")
 
 
-def _cache_records(path: Path) -> int:
-    """Records in one cache file: KLTable.load checks the file as a whole,
-    and parse_stored every record and the trailer's count."""
+def _cache_degree(path: Path) -> int:
+    """The degree of a cache file by its name, refused above the cap of the
+    runs that compute every column."""
     m = _CACHE_NAME.fullmatch(path.name)
     if m is None:
         raise OSError(f"{path}: not a KL cache file name")
-    return KLTable(int(m[1]), cache_dir=path.parent).parse_stored()
+    n = int(m[1])
+    if n > WARM_MAX_DEGREE:
+        raise _BoundsError(f"cache info stops at degree {WARM_MAX_DEGREE}, got {n}")
+    return n
 
 
 def cmd_cache(args) -> int:
@@ -267,9 +270,12 @@ def cmd_cache(args) -> int:
             names.append(f"kl_s{args.n}.right.tsv")  # written by older versions
         files = [root / name for name in names if (root / name).exists()]
     if args.action == "info":
+        # every name and degree first, so a refusal computes nothing
+        degrees = [_cache_degree(f) for f in files]
         total = 0
-        for f in files:
-            count = _cache_records(f)
+        for f, n in zip(files, degrees):
+            # KLTable.load checks the file byte for byte against the table
+            count = KLTable(n, cache_dir=root).load()
             total += count
             _emit(f"{f.name}: {count} entries")
         _emit(f"total: {total} entries")
@@ -285,16 +291,8 @@ def _cache_warm(args, root: Path) -> int:
         raise ValueError("cache warm needs a degree argument")
     _check_run(args, "cache warm", WARM_MAX_DEGREE)
     start = time.perf_counter()
-    try:
-        # warm() parses every stored column, so a bad record fails here too
-        table = KLTable(args.n, cache_dir=root)
-        table.warm()
-    except OSError as exc:
-        # a fresh table, written over the bad file by save() below
-        print(f"note: rebuilding bad cache file: {exc}", file=sys.stderr)
-        table = KLTable(args.n)
-        table.cache_dir = root
-        table.warm()
+    table = KLTable(args.n, cache_dir=root)
+    table.warm()
     table.save()
     _emit(f"warmed S_{args.n}: {table.entry_count()} entries")
     print(f"completed in {time.perf_counter() - start:.2f}s", file=sys.stderr)

@@ -38,11 +38,10 @@ order does not depend on the side, so it is built as [e, v] u [e, v] s_i
 for v = w s_i and a right descent s_i of w, the image of [e, v] being the
 union of at most 2(n - i) masked shifts, one per offset.  The raised part
 of an interval is one AND with the bitset of the ranks whose descents
-contain those of w, and a column walks its set bits once, down the ranks,
-or is checked against it when parsed from the cache.  An interval is read
-only by the intervals one length up, so warm(), parse_stored(), the cell
-graph and the bar-invariance walk drop each length layer once the next is
-built.
+contain those of w, and a column walks its set bits once, down the ranks.
+An interval is read only by the intervals one length up, so warm(),
+save(), the cell graph and the bar-invariance walk drop each length layer
+once the next is built.
 
 A column is two aligned arrays: its raised ranks in ascending order,
 ending with the sentinel n! (two bytes each up to S_8, four at S_9), and
@@ -65,13 +64,10 @@ Columns persist to a cache file in format 2: a version line
 byte offset at which each column's records start, and the sha256 of every
 byte of the file before it.  Files are written column by column to a uniquely
 named temporary file and renamed over the old one, so concurrent readers
-see either the old or the new complete file.  Loading reads the file once,
-checks the version line, the checksum and that the offsets tile the body,
-and keeps the bytes; a column's records are parsed and checked the first
-time the column is asked for, so a query that reaches a few columns parses
-only those.  A parsed column must hold exactly the raised elements of its
-interval, so a record deleted from a file that was then signed again is
-refused rather than served as P = 0.
+see either the old or the new complete file.  No polynomial is ever read
+back: every column is computed, which at S_8 is cheaper than parsing the
+file, and load() checks a file byte for byte against the one save() would
+write, so an edited record is refused even when the file was signed again.
 """
 
 from __future__ import annotations
@@ -79,7 +75,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
-import re
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
@@ -97,10 +92,6 @@ WARM_MAX_DEGREE = 8
 
 # the version in the first line of a cache file
 FORMAT_VERSION = 2
-
-# the coefficient field exactly as save() writes it; int() alone would also
-# take "1_0", " +1" and non-ASCII digits
-_COEFFS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 # a column: its raised ranks ascending plus the sentinel n!, and their
 # polynomials as indices into the table's pool
@@ -138,9 +129,8 @@ class KLTable:
     degree's shared :class:`~rscells.permutations.Ranks`.  A support is an
     int bitset over ranks.  A column holds its polynomials as indices into
     one pool of distinct values, and the polynomial steps of the recursion
-    are memoized on those indices.  With a cache directory, construction
-    loads the cache file, and a column it holds is parsed instead of
-    computed when first needed.
+    are memoized on those indices.  A cache directory only names where
+    save() writes and what load() checks; every column is computed.
     Degrees outside 1..MAX_DEGREE raise ValueError before any enumeration.
     """
 
@@ -171,20 +161,6 @@ class KLTable:
         self._sums: dict[tuple[int, int], int] = {}
         self._corrections: dict[tuple[int, int, int, int], int] = {}
         self._mu_lists: dict[int, MuList] = {}
-        # the loaded cache file: its bytes, rank -> (start, end) of each
-        # column's records in them, and the trailer's record count; columns
-        # are parsed on first use, each coefficient text once per table
-        self._snapshot = b""
-        self._stored: dict[int, tuple[int, int]] = {}
-        self._stored_records = 0
-        self._coeff_texts: dict[str, int] = {}
-        self._name_ranks: tuple[list[str], dict[str, int]] | None = None
-        if self.cache_dir is not None:
-            self.load()
-
-    def _by_length(self, ranks) -> list[int]:
-        # a stable sort by length of the sorted ranks orders by (length, rank)
-        return sorted(sorted(ranks), key=self.ranks.lengths.__getitem__)
 
     def _pool_index(self, p: IntPolynomial) -> int:
         """The index of p's value in the pool, adding p if it is new."""
@@ -286,9 +262,6 @@ class KLTable:
         col = self._columns.get(w)
         if col is not None:
             return col
-        if w in self._stored:
-            col = self._columns[w] = self._parse_column(w)
-            return col
         ranks = self.ranks
         masks, rmasks, lengths, lowest = ranks.masks, ranks.rmasks, ranks.lengths, ranks.lowest
         wmask, wrmask = masks[w], rmasks[w]
@@ -371,9 +344,9 @@ class KLTable:
             return got
         ranks = self.ranks
         lengths, degrees, polys = ranks.lengths, self._degrees, self._polys
-        # 2 deg P_{y,w} <= l(w) - l(y) - 1 for y != w, which the recursion
-        # keeps and parsing checks, so mu(y, w) is nonzero exactly when the
-        # degree meets the bound, and it is then the top coefficient
+        # 2 deg P_{y,w} <= l(w) - l(y) - 1 for y != w, so mu(y, w) is nonzero
+        # exactly when the degree meets the bound, and it is then the top
+        # coefficient
         top = lengths[w] - 1
         # zip stops at the last value, before the sentinel
         mus = {
@@ -387,8 +360,7 @@ class KLTable:
                 mus[step[w]] = 1
         zs = sorted(mus)
         values = list(map(mus.__getitem__, zs))
-        # every mu of S_8 is 1; a cache file may hold any top coefficient,
-        # and a list with one that fits no byte keeps ints
+        # every mu of S_8 is 1; a list with one that fits no byte keeps ints
         with contextlib.suppress(OverflowError):
             values = array("B", values)
         got = self._mu_lists[w] = array(self._keycode, zs), values
@@ -432,8 +404,7 @@ class KLTable:
             self._column(w)
 
     def entry_count(self) -> int:
-        """Entries of the columns held so far, computed or parsed from the
-        cache; columns of a loaded file count once they are first used."""
+        """Entries of the columns computed so far."""
         return sum(len(values) for _, values in self._columns.values())
 
     # -- disk cache --------------------------------------------------------
@@ -443,195 +414,87 @@ class KLTable:
             raise ValueError("no cache directory configured")
         return self.cache_dir / f"kl_s{self.n}.tsv"
 
-    def _header(self) -> bytes:
-        return f"#rscells-kl {FORMAT_VERSION} S_{self.n} left\n".encode()
-
-    def _names(self) -> tuple[list[str], dict[str, int]]:
-        """The digit name of each rank, and name -> rank; built on first use."""
-        if self._name_ranks is None:
-            names = list(map(format_permutation, self.ranks.perms))
-            # the shared int objects, so the dict adds none
-            self._name_ranks = names, dict(zip(names, self.ranks.ints))
-        return self._name_ranks
-
-    def save(self) -> None:
-        """Write every computed or loaded column; atomic replace of the cache
-        file.  The records stream through one sha256 into the file column by
-        column, so the body is never held twice."""
+    def _file(self) -> Iterator[bytes]:
+        """The cache file of S_n in pieces: the version line, the records of
+        each column, computed first where they are not, and the trailer.
+        The pieces stream through one sha256, so the body is never held
+        whole."""
         import hashlib  # OpenSSL takes 4-9 ms to load; runs without a cache skip it
 
-        path = self.cache_path()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        names = self._names()[0]
+        names = list(map(format_permutation, self.ranks.perms))
         lengths, polys = self.ranks.lengths, self._polys
         texts: dict[int, str] = {}  # "c0,c1,..." per pool index
         digest = hashlib.sha256()
         offsets = []
         records = 0
+        header = f"#rscells-kl {FORMAT_VERSION} S_{self.n} left\n".encode()
+        digest.update(header)
+        yield header
+        size = len(header)
+        for w in self._in_length_order():
+            keys, values = self._column(w)
+            records += len(values)
+            wname = names[w]
+            lines = []
+            # the keys ascend, so a stable sort by length gives (length, rank)
+            for y, p in sorted(zip(keys, values), key=lambda e: lengths[e[0]]):
+                text = texts.get(p)
+                if text is None:
+                    text = texts[p] = ",".join(map(str, polys[p].coeffs))
+                lines.append(f"{names[y]}\t{wname}\t{text}\n")
+            chunk = "".join(lines).encode()
+            digest.update(chunk)
+            offsets.append(f"{wname}:{size}")
+            size += len(chunk)
+            yield chunk
+        trailer = f"#end {records} {','.join(offsets)} ".encode()
+        digest.update(trailer)
+        yield trailer + f"{digest.hexdigest()}\n".encode()
+
+    def save(self) -> None:
+        """Write every column of S_n, computing those not yet computed, to a
+        uniquely named temporary file and rename it over the cache file, so
+        that a concurrent reader sees the old or the new complete file."""
+        path = self.cache_path()
+        path.parent.mkdir(parents=True, exist_ok=True)
         # a name no other writer uses; on failure nothing is left behind
         tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
         try:
             with open(tmp, "xb") as fh:
-
-                def put(chunk: bytes) -> None:
-                    digest.update(chunk)
-                    fh.write(chunk)
-
-                put(self._header())
-                for w in self._by_length(self._columns.keys() | self._stored.keys()):
-                    keys, values = self._column(w)
-                    records += len(values)
-                    wname = names[w]
-                    offsets.append(f"{wname}:{fh.tell()}")
-                    lines = []
-                    # the keys ascend, so a stable sort by length gives (length, rank)
-                    for y, p in sorted(zip(keys, values), key=lambda e: lengths[e[0]]):
-                        text = texts.get(p)
-                        if text is None:
-                            text = texts[p] = ",".join(map(str, polys[p].coeffs))
-                        lines.append(f"{names[y]}\t{wname}\t{text}\n")
-                    put("".join(lines).encode())
-                put(f"#end {records} {','.join(offsets)} ".encode())
-                fh.write(f"{digest.hexdigest()}\n".encode())
+                fh.writelines(self._file())
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
 
     def load(self) -> int:
-        """Read the cache file, if present; returns the records it holds.
+        """Check the cache file byte for byte against what save() would
+        write, which computes every column; returns the records it holds.
 
-        Checks the version line, the sha256 of every byte before it and that
-        the trailer's column offsets tile the records, then keeps the bytes.
-        Columns the table already holds win; the others are parsed when
-        first asked for.  Raises OSError naming the file, and the line where
-        there is one, of the first problem.
-        """
-        import hashlib
-
+        No polynomial is read from the file.  Raises OSError naming the
+        file and its first line that differs."""
         path = self.cache_path()
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            return 0
-        header = self._header()
-        if not data.startswith(header):
-            raise OSError(
-                f"{path}:1: not a format-{FORMAT_VERSION} KL cache file of S_{self.n}: "
-                f"the first line is not {header.decode().strip()!r}"
-            )
-        # the trailer is the last line, and the sha256 its last field
-        end = data.rfind(b"\n", 0, len(data) - 1) + 1
-        cut = data.rfind(b" ", end) + 1
-        if end < len(header) or cut <= end or not data.endswith(b"\n"):
-            lineno = data.count(b"\n", 0, end) + 1
-            raise OSError(f"{path}:{lineno}: no trailer with a sha256 on the last line")
-        if hashlib.sha256(memoryview(data)[:cut]).hexdigest().encode() != data[cut:-1]:
-            raise OSError(f"{path}: checksum mismatch: the file is not the one written")
-        try:
-            tag, count, columns = data[end : cut - 1].decode("ascii").split(" ")
-            if tag != "#end" or not count.isdigit():
-                raise ValueError
-            ranks = self._names()[1]
-            starts = []
-            for item in columns.split(","):
-                name, offset = item.split(":")
-                if not offset.isdigit():
-                    raise ValueError
-                starts.append((int(offset), ranks[name]))
-        except (KeyError, ValueError):
-            lineno = data.count(b"\n", 0, end) + 1
-            raise OSError(f"{path}:{lineno}: bad trailer for S_{self.n}") from None
-        # each column once, starting at a line start, in file order, from the
-        # end of the version line up to the trailer
-        bounds = [offset for offset, _ in starts] + [end]
-        stored = {w: (offset, bounds[k + 1]) for k, (offset, w) in enumerate(starts)}
-        if (
-            bounds[0] != len(header)
-            or len(stored) != len(starts)
-            or any(a >= b or data[a - 1] != 10 for a, b in zip(bounds, bounds[1:]))
-        ):
-            raise OSError(f"{path}: the column offsets of the trailer do not tile the records")
-        self._snapshot, self._stored, self._stored_records = data, stored, int(count)
-        return self._stored_records
 
-    def _parse_column(self, w: int) -> Column:
-        """The records of column w in the loaded file, in column form.
+        def differs(lineno: int, found: bytes) -> OSError:
+            text = found[:80].decode(errors="replace")
+            return OSError(f"{path}:{lineno}: differs from the recomputed S_{self.n}: {text!r}")
 
-        Raises OSError naming the file and line of the first record that is
-        malformed (coefficients other than comma-separated ASCII integers
-        included), not of this table's degree, not of column w, not a raised
-        element of [e, w], or not a KL polynomial: P(0) != 1, P_{w,w} != 1,
-        or deg P_{y,w} > (l(w) - l(y) - 1)/2; and naming the column's first
-        line when it misses a raised element of [e, w]."""
-        start, stop = self._stored[w]
-        names, rank_of = self._names()
-        wname = names[w]
-        lengths, degrees, texts = self.ranks.lengths, self._degrees, self._coeff_texts
-        lw = lengths[w]
-        col = {}
-        # the ranks the column must hold, one bit each
-        expected = self._support(w) & self._raised_set(self.ranks.masks[w])
-        inside = expected.to_bytes(len(self._scratch) // 8 + 1, "little")
-        # undecodable bytes become U+FFFD, which fails below as a bad record
-        lines = self._snapshot[start : stop - 1].decode(errors="replace").split("\n")
-        for line in lines:
-            try:
-                ytext, wtext, ctext = line.split("\t")
-                if wtext != wname:
-                    raise ValueError(wtext)
-                y = rank_of[ytext]
-                if not inside[y >> 3] >> (y & 7) & 1:
-                    raise ValueError(ytext)
-                p = texts.get(ctext)
-                if p is None:
-                    if not _COEFFS.fullmatch(ctext):
-                        raise ValueError(ctext)
-                    poly = IntPolynomial(map(int, ctext.split(",")))
-                    if poly.coeff(0) != 1:
-                        raise ValueError(ctext)
-                    p = texts[ctext] = self._pool_index(poly)
-                # 2 deg P_{y,w} < l(w) - l(y) unless y = w, and P_{w,w} = 1 (pool index 1)
-                if lengths[y] + 2 * degrees[p] >= lw and (y != w or p != 1):
-                    raise ValueError(ctext)
-            except (KeyError, ValueError):
-                if not line.strip():
-                    continue
-                # an equal line earlier in the column would have failed first
-                lineno = self._snapshot.count(b"\n", 0, start) + lines.index(line) + 1
-                raise OSError(
-                    f"{self.cache_path()}:{lineno}: bad record for column {wname} "
-                    f"of S_{self.n}: {line!r}"
-                ) from None
-            col[y] = p
-        if len(col) != expected.bit_count():
-            lineno = self._snapshot.count(b"\n", 0, start) + 1
-            raise OSError(
-                f"{self.cache_path()}:{lineno}: column {wname} of S_{self.n} holds "
-                f"{len(col)} of the {expected.bit_count()} raised elements of its "
-                f"Bruhat interval"
-            )
-        return self._compact(col)
-
-    def parse_stored(self) -> int:
-        """Parse every column of the loaded file; returns the records read.
-
-        Raises OSError on the first bad record or column, and when the
-        records differ in number from the trailer's count (a repeated record
-        included).  The columns are parsed in (length, rank) order, which
-        drops the supports one length layer at a time, as warm() does."""
-        records = 0
-        for w in self._in_length_order():
-            if w in self._stored:
-                col = self._parse_column(w)
-                self._columns.setdefault(w, col)
-                records += len(col[1])
-        if records != self._stored_records:
-            raise OSError(
-                f"{self.cache_path()}: the trailer counts {self._stored_records} records "
-                f"but the columns hold {records}"
-            )
-        return records
+        lineno = 1
+        with open(path, "rb") as fh:
+            for chunk in self._file():
+                got = fh.read(len(chunk))
+                if got != chunk:
+                    found, want = got.split(b"\n"), chunk.split(b"\n")
+                    k = next(
+                        (k for k, (a, b) in enumerate(zip(found, want)) if a != b),
+                        min(len(found), len(want)) - 1,
+                    )
+                    raise differs(lineno + k, found[k])
+                lineno += chunk.count(b"\n")
+            rest = fh.read(80)
+        if rest:
+            raise differs(lineno, rest.split(b"\n")[0])
+        return self.entry_count()
 
 
 @functools.lru_cache(maxsize=1)

@@ -273,7 +273,14 @@ def test_verify_bar_invariance_4(capsys):
     assert "cases: 24" in out and "result: PASS" in out
 
 
-def test_verify_bar_invariance_fails_on_a_deleted_cache_record(capsys, tmp_path):
+def _same_without_cache(capsys, cache, argv):
+    """Assert that ``argv`` exits and prints with --cache-dir ``cache`` as
+    it does with no cache directory."""
+    expected = run(capsys, *argv)[:2]
+    assert run(capsys, "--cache-dir", cache, *argv)[:2] == expected, argv
+
+
+def test_verify_bar_invariance_ignores_a_deleted_cache_record(capsys, tmp_path):
     cache = str(tmp_path)
     run(capsys, "--cache-dir", cache, "cache", "warm", "5")
     path = tmp_path / "kl_s5.tsv"
@@ -282,34 +289,58 @@ def test_verify_bar_invariance_fails_on_a_deleted_cache_record(capsys, tmp_path)
     lines.remove(record)
     path.write_text("".join(lines))
     resign(path)
-    # the column no longer holds every raised element of its interval, so
-    # the cache refuses it before the certificate runs; the certificate's
-    # own count of a column is tests/test_verify.py's deleted-entry case
-    code, out, err = run(capsys, "--cache-dir", cache, "verify", "bar-invariance", "5")
-    assert (code, out) == (EXIT_IO, "")
-    assert ": column 34512 of S_5 holds " in err
+    # the certificate runs on computed columns; its own count of a column
+    # is tests/test_verify.py's deleted-entry case
+    _same_without_cache(capsys, cache, ("verify", "bar-invariance", "5"))
 
 
 def test_a_deleted_record_signed_again_exits_4(capsys, tmp_path):
     # the checksum and the column offsets hold after the edit, so only the
-    # comparison of a column with its interval keeps P = 0 from being served
+    # comparison with the recomputed table finds it
     cache = str(tmp_path)
     run(capsys, "--cache-dir", cache, "cache", "warm", "4")
     path = tmp_path / "kl_s4.tsv"
-    lines = path.read_text().splitlines(keepends=True)
-    start = next(k for k, line in enumerate(lines, 1) if line.split("\t")[1:2] == ["3412"])
-    lines.remove("1324\t3412\t1,1\n")
-    path.write_text("".join(lines))
+    clean = path.read_text()
+    lineno = clean.splitlines().index("1324\t3412\t1,1") + 1
+    path.write_text(clean.replace("1324\t3412\t1,1\n", ""))
     resign(path)
-    for argv in (("klpoly", "1324", "3412"), ("cache", "info"), ("verify", "theorem-a", "4")):
-        code, out, err = run(capsys, "--cache-dir", cache, *argv)
-        assert (code, out) == (EXIT_IO, ""), argv
-        assert f"{path}:{start}: column 3412 of S_4 holds 6 of the 7 raised " in err, argv
-    code, out, err = run(capsys, "--cache-dir", cache, "cache", "warm", "4")
-    assert (code, out) == (EXIT_OK, "warmed S_4: 58 entries\n")
-    assert "rebuilding bad cache file" in err
     code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "1324", "3412")
     assert (code, out) == (EXIT_OK, "1 + q\n")
+    _same_without_cache(capsys, cache, ("verify", "theorem-a", "4"))
+    code, out, err = run(capsys, "--cache-dir", cache, "cache", "info")
+    assert (code, out) == (EXIT_IO, "")
+    # the record after the deleted one moved up into its line
+    following = clean.splitlines()[lineno]
+    assert f"{path}:{lineno}: differs from the recomputed S_4: {following!r}" in err
+    code, out, err = run(capsys, "--cache-dir", cache, "cache", "warm", "4")
+    assert (code, out) == (EXIT_OK, "warmed S_4: 58 entries\n")
+    assert path.read_text() == clean
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("1324\t3412\t1,1\n", "1324\t3412\t1,2\n"),
+     ("1324\t3412\t1,1\n", "1324\t3412\t1,1\n1324\t3412\t1\n")],
+    ids=["altered", "repeated"],
+)
+def test_an_edited_record_signed_again_is_never_served(capsys, tmp_path, old, new):
+    cache = str(tmp_path)
+    run(capsys, "--cache-dir", cache, "cache", "warm", "4")
+    path = tmp_path / "kl_s4.tsv"
+    clean = path.read_text()
+    path.write_text(clean.replace(old, new))
+    resign(path)
+    lineno = next(
+        k for k, (a, b) in enumerate(zip(path.read_text().splitlines(), clean.splitlines()), 1)
+        if a != b
+    )
+    code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "1324", "3412")
+    assert (code, out) == (EXIT_OK, "1 + q\n")
+    for suite in ("theorem-a", "bar-invariance"):
+        _same_without_cache(capsys, cache, ("verify", suite, "4"))
+    code, out, err = run(capsys, "--cache-dir", cache, "cache", "info", "4")
+    assert (code, out) == (EXIT_IO, "")
+    assert f"error: {path}:{lineno}: differs from the recomputed S_4: " in err
 
 
 def test_verify_json(capsys):
@@ -343,7 +374,7 @@ def test_cache_workflow(capsys, tmp_path):
     data1 = (tmp_path / "kl_s4.tsv").read_bytes()
     run(capsys, "--cache-dir", cache, "cache", "warm", "4")
     assert (tmp_path / "kl_s4.tsv").read_bytes() == data1
-    # klpoly picks up the cache
+    # klpoly answers with a cache directory too
     code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "1324", "3412")
     assert (code, out) == (EXIT_OK, "1 + q\n")
     code, out, _ = run(capsys, "--cache-dir", cache, "cache", "clear")
@@ -395,6 +426,18 @@ def test_cache_info_and_clear_refuse_a_degree_out_of_range(capsys, tmp_path, arg
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("argv", [("cache", "info"), ("--max-n", "9", "cache", "info", "9")])
+def test_cache_info_refuses_a_file_above_the_warm_cap(capsys, tmp_path, monkeypatch, argv):
+    # checking kl_s9.tsv would compute all of S_9, so the file is refused
+    # before any table, the S_3 file's included
+    (tmp_path / "kl_s3.tsv").write_bytes(b"")
+    (tmp_path / "kl_s9.tsv").write_bytes(b"")
+    _forbid_tables(monkeypatch)
+    code, out, err = run(capsys, "--cache-dir", str(tmp_path), *argv)
+    assert (code, out) == (EXIT_BOUNDS, "")
+    assert err == f"error: cache info stops at degree {WARM_MAX_DEGREE}, got 9\n"
+
+
 def test_cache_env_var_overrides_flag(capsys, tmp_path, monkeypatch):
     envdir = tmp_path / "env"
     flagdir = tmp_path / "flag"
@@ -428,10 +471,12 @@ def test_bad_cache_record_exits_4(capsys, tmp_path, record):
     path = tmp_path / "kl_s4.tsv"
     path.write_text(path.read_text() + record + "\n")
     resign(path)
-    code, out, err = run(capsys, "--cache-dir", cache, "klpoly", "1234", "4321")
+    code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "1234", "4321")
+    assert (code, out) == (EXIT_OK, "1\n")
+    code, out, err = run(capsys, "--cache-dir", cache, "cache", "info", "4")
     assert (code, out) == (EXIT_IO, "")
     # line 1 is the version line, lines 2-59 the 58 records
-    assert f"{path}:60:" in err
+    assert f"{path}:60: differs from the recomputed S_4: {record!r}" in err
 
 
 def test_cache_warm_repairs_a_bad_cache_file(capsys, tmp_path):
@@ -444,7 +489,7 @@ def test_cache_warm_repairs_a_bad_cache_file(capsys, tmp_path):
         resign(path)
         code, out, err = run(capsys, "--cache-dir", cache, "cache", "warm", "4")
         assert (code, out) == (EXIT_OK, "warmed S_4: 58 entries\n")
-        assert f"{path}:60:" in err
+        assert err.startswith("completed in ")
         assert path.read_bytes() == clean
         code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "1234", "4321")
         assert (code, out) == (EXIT_OK, "1\n")
@@ -467,13 +512,13 @@ def test_coefficients_must_be_ascii_integers(capsys, tmp_path, coeffs):
     lineno = clean.splitlines().index(record) + 1
     path.write_text(clean.replace(record, f"1324\t3412\t{coeffs}"), encoding="utf-8")
     resign(path)
-    for argv in (("klpoly", "1324", "3412"), ("cache", "info")):
-        code, out, err = run(capsys, "--cache-dir", cache, *argv)
-        assert (code, out) == (EXIT_IO, ""), argv
-        assert f"{path}:{lineno}:" in err
+    code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "1324", "3412")
+    assert (code, out) == (EXIT_OK, "1 + q\n")
+    code, out, err = run(capsys, "--cache-dir", cache, "cache", "info")
+    assert (code, out) == (EXIT_IO, "")
+    assert f"{path}:{lineno}: differs from the recomputed S_4: " in err
     code, out, err = run(capsys, "--cache-dir", cache, "cache", "warm", "4")
     assert (code, out) == (EXIT_OK, "warmed S_4: 58 entries\n")
-    assert f"{path}:{lineno}:" in err
     assert path.read_text(encoding="utf-8") == clean
     code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "1324", "3412")
     assert (code, out) == (EXIT_OK, "1 + q\n")
@@ -538,44 +583,21 @@ def test_an_edited_cache_file_is_refused_and_rebuilt(capsys, tmp_path, edit, sig
     assert edited != clean
     path.write_bytes(edited)
     if signed_again:
-        # only the record checks stand between the edit and a wrong answer
+        # only the comparison with the recomputed table finds the edit
         resign(path)
-        pairs = zip(edited.splitlines(), clean.splitlines())
-        lineno = next(k for k, (a, b) in enumerate(pairs, 1) if a != b)
-    for argv in (("klpoly", "13254", "34512"), ("verify", "theorem-a", "5"), ("cache", "info")):
-        code, out, err = run(capsys, "--cache-dir", cache, *argv)
-        assert (code, out) == (EXIT_IO, ""), argv
-        assert str(path) in err, argv
-        if signed_again:
-            assert f"{path}:{lineno}: bad record for column 34512" in err, argv
+    pairs = zip(path.read_bytes().splitlines(), clean.splitlines())
+    lineno = next(k for k, (a, b) in enumerate(pairs, 1) if a != b)
+    code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "13254", "34512")
+    assert (code, out) == (EXIT_OK, "1 + q\n")
+    _same_without_cache(capsys, cache, ("verify", "theorem-a", "5"))
+    code, out, err = run(capsys, "--cache-dir", cache, "cache", "info")
+    assert (code, out) == (EXIT_IO, "")
+    assert f"{path}:{lineno}: differs from the recomputed S_5: " in err
     code, out, err = run(capsys, "--cache-dir", cache, "cache", "warm", "5")
     assert (code, out) == (EXIT_OK, "warmed S_5: 682 entries\n")
-    assert "rebuilding bad cache file" in err
     assert path.read_bytes() == clean
     code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "13254", "34512")
     assert (code, out) == (EXIT_OK, "1 + q\n")
-
-
-def test_warm_cache_klpoly_parses_only_the_column_it_reads(capsys, tmp_path, monkeypatch):
-    import rscells.cli as cli
-
-    tables = []
-
-    class Recorded(cli.KLTable):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            tables.append(self)
-
-    cache = str(tmp_path)
-    run(capsys, "--cache-dir", cache, "cache", "warm", "6")
-    monkeypatch.setattr(cli, "KLTable", Recorded)
-    code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "132465", "645321")
-    assert code == EXIT_OK
-    [table] = tables
-    assert out == f"{table.polynomial((1, 3, 2, 4, 6, 5), (6, 4, 5, 3, 2, 1))}\n"
-    assert len(table._stored) == 720
-    # the identity's column, which every table starts with, and w's
-    assert set(table._columns) == {0, table.ranks.rank((6, 4, 5, 3, 2, 1))}
 
 
 def test_cache_info_counts_valid_files(capsys, tmp_path):
@@ -585,20 +607,25 @@ def test_cache_info_counts_valid_files(capsys, tmp_path):
         tbl = KLTable(n, cache_dir=tmp_path)
         tbl.warm()
         tbl.save()
-    s4 = tmp_path / "kl_s4.tsv"
-    s4.write_text(s4.read_text() + "\n  \n")
-    resign(s4)
-    # the count before validation: non-blank lines per file, less the
-    # version line and the trailer
+    # the count before validation: lines per file, less the version line
+    # and the trailer
     counts = {
-        f.name: sum(1 for line in f.read_text().splitlines() if line.strip()) - 2
-        for f in sorted(tmp_path.glob("kl_s*.tsv"))
+        f.name: len(f.read_text().splitlines()) - 2 for f in sorted(tmp_path.glob("kl_s*.tsv"))
     }
     expected = "".join(f"{name}: {c} entries\n" for name, c in counts.items())
     expected += f"total: {sum(counts.values())} entries\n"
     code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "cache", "info")
     assert (code, out) == (EXIT_OK, expected)
-    assert out.startswith("kl_s3.tsv: 8 entries\nkl_s4.tsv: ")
+    assert out.startswith("kl_s3.tsv: 8 entries\nkl_s4.tsv: 58 entries\n")
+    # blank lines, which save() never writes, are refused
+    s4 = tmp_path / "kl_s4.tsv"
+    clean = s4.read_bytes()
+    s4.write_text(s4.read_text() + "\n  \n")
+    resign(s4)
+    code, out, err = run(capsys, "--cache-dir", str(tmp_path), "cache", "info")
+    assert (code, out) == (EXIT_IO, "kl_s3.tsv: 8 entries\n")
+    assert f"{s4}:60: differs from the recomputed S_4: ''" in err
+    s4.write_bytes(clean)
     # a right-sided file, which older versions wrote, is not a cache file
     # name: info refuses it and clear removes it with the others
     stray = s4.read_bytes().replace(b" left\n", b" right\n", 1)
@@ -685,7 +712,9 @@ def _stub(monkeypatch, names, error=AssertionError):
 
 
 def _forbid_tables(monkeypatch):
+    # run_suite builds the table of a suite that reads one
     _stub(monkeypatch, ["KLTable"])
+    monkeypatch.setattr("rscells.verify.KLTable", rscells.cli.KLTable)
 
 
 # every run with a degree cap: its argv with {n} for the degree, its name in
@@ -771,17 +800,33 @@ def test_suites_that_read_no_kl_polynomials_build_no_table(capsys, monkeypatch):
         assert "result: PASS" in out
 
 
-# the child reads its peak from VmHWM, as test_s8_warm_peak_memory_long does
-_THEOREM_A_8 = """
-import contextlib, io
+# the child runs main() on its arguments and prints the exit code and its
+# VmHWM peak in MB, then the run's stdout; it reads VmHWM as
+# test_s8_warm_peak_memory_long does
+_MAIN = """
+import contextlib, io, sys
 from rscells.cli import main
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
-    code = main(["--long", "verify", "theorem-a", "8"])
+    code = main(sys.argv[1:])
 peak = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
 print(code, int(peak.split()[1]) // 1024)
 print(out.getvalue(), end="")
 """
+
+
+def _main_child(*argv):
+    """Exit code, VmHWM peak in MB and stdout lines of ``main(argv)`` in a
+    fresh process with no cache directory from the environment."""
+    src = os.path.dirname(os.path.dirname(rscells.__file__))
+    env = {k: v for k, v in os.environ.items() if k != ENV_CACHE_DIR}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", _MAIN, *argv], env=env, capture_output=True, text=True,
+        check=True, timeout=900,
+    ).stdout.splitlines()
+    code, peak_mb = map(int, out[0].split())
+    return code, peak_mb, out[1:]
 
 
 @pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
@@ -790,14 +835,27 @@ def test_theorem_a_8_peak_memory_long():
     # about 15-17 s at 128 MB with no cache, and the bound is that peak plus
     # about 10 %; the cell graph walks the columns in length order, so each
     # length layer of Bruhat supports is dropped as in warm()
-    src = os.path.dirname(os.path.dirname(rscells.__file__))
-    env = {k: v for k, v in os.environ.items() if k != ENV_CACHE_DIR}
-    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    out = subprocess.run(
-        [sys.executable, "-c", _THEOREM_A_8], env=env, capture_output=True, text=True,
-        check=True, timeout=900,
-    ).stdout.splitlines()
-    code, peak_mb = map(int, out[0].split())
+    code, peak_mb, lines = _main_child("--long", "verify", "theorem-a", "8")
     assert code == EXIT_OK
-    assert "cells: 764" in out and "result: PASS" in out
+    assert "cells: 764" in lines and "result: PASS" in lines
     assert peak_mb < 145, peak_mb
+
+
+@pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_s8_cache_check_peak_memory_long(tmp_path):
+    # cache warm 8 writes the 209 MB file in about 12 s.  cache info 8
+    # computes S_8 again and compares the file with it, about 12 s at a
+    # 116 MB peak; reading the file used to take 286-295 MB.  A klpoly with
+    # that cache directory reads none of it: about 0.15 s at 30 MB, as with
+    # no cache; it took 239-244 MB when it read the file.  Each bound is the measured peak plus about 10 %
+    cache = str(tmp_path)
+    code, _, lines = _main_child("--cache-dir", cache, "cache", "warm", "8")
+    assert (code, lines) == (EXIT_OK, ["warmed S_8: 9551060 entries"])
+    code, peak_mb, lines = _main_child("--cache-dir", cache, "cache", "info", "8")
+    assert (code, lines) == (EXIT_OK, ["kl_s8.tsv: 9551060 entries", "total: 9551060 entries"])
+    assert peak_mb < 128, peak_mb
+    argv = ("klpoly", "12345678", "56781234")
+    code, peak_mb, lines = _main_child("--cache-dir", cache, *argv)
+    assert (code, lines) == (EXIT_OK, ["1 + 9q + 32q^2 + 53q^3 + 38q^4 + 11q^5 + q^6"])
+    assert peak_mb < 33, peak_mb

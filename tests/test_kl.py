@@ -232,8 +232,8 @@ def test_cache_round_trip(tmp_path):
     first = path.read_bytes()
 
     fresh = KLTable(4, cache_dir=tmp_path)
-    # columns are parsed on first use, so parse them all to count them
-    assert fresh.parse_stored() == tbl.entry_count() == fresh.entry_count()
+    # load() computes every column and checks the file against them
+    assert fresh.load() == tbl.entry_count() == fresh.entry_count()
     reference = KLTable(4)
     for y in all_perms(4):
         for w in all_perms(4):
@@ -498,20 +498,21 @@ def test_cache_files_are_byte_identical_to_reference(tmp_path):
         assert hashlib.sha256(data).hexdigest() == digest, name
 
 
-def test_save_after_a_lazy_load_matches_a_cold_save(tmp_path):
+def test_save_computes_every_column_first(tmp_path):
+    # a table that holds one column, or only the identity's, writes all of S_n
     for n in range(1, 7):
-        cold = KLTable(n, cache_dir=tmp_path)
+        cold = KLTable(n, cache_dir=tmp_path / "cold")
         cold.warm()
         cold.save()
         clean = cold.cache_path().read_bytes()
-        loaded = KLTable(n, cache_dir=tmp_path)
-        loaded.warm()
-        loaded.save()
-        assert loaded.cache_path().read_bytes() == clean, n
-        # save() writes the stored columns that were never parsed, too
-        unparsed = KLTable(n, cache_dir=tmp_path)
-        unparsed.save()
-        assert unparsed.cache_path().read_bytes() == clean, n
+        w0 = tuple(range(n, 0, -1))
+        for k, queried in enumerate([(), [w0]]):
+            table = KLTable(n, cache_dir=tmp_path / str(k))
+            for w in queried:
+                table.polynomial(tuple(range(1, n + 1)), w)
+            table.save()
+            assert table.cache_path().read_bytes() == clean, (n, queried)
+            assert table.entry_count() == cold.entry_count(), (n, queried)
 
 
 def test_save_leaves_no_temp_file_on_failure(tmp_path):
@@ -549,18 +550,26 @@ def test_one_object_per_distinct_polynomial(tmp_path):
         assert _columns(loaded) == _columns(warmed), n
 
 
-def test_load_skips_blank_lines_and_normalizes_trailing_zeros(tmp_path):
-    path = tmp_path / "kl_s4.tsv"
-    # column 2134 holds its one raised element, 2134 itself
-    path.write_text("#rscells-kl 2 S_4 left\n1234\t1234\t1\n \t \n\n2134\t2134\t1,0\n")
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("2134\t2134\t1\n", "2134\t2134\t1,0\n"),
+        ("2134\t2134\t1\n", "\n2134\t2134\t1\n"),
+        ("2134\t2134\t1\n", " \t \n2134\t2134\t1\n"),
+    ],
+    ids=["trailing-zero", "blank-line", "whitespace-line"],
+)
+def test_load_refuses_blank_lines_and_trailing_zeros(tmp_path, old, new):
+    # save() writes neither, so a file that holds one is not the file of S_4
+    tbl = KLTable(4, cache_dir=tmp_path)
+    tbl.save()
+    path = tbl.cache_path()
+    clean = path.read_text()
+    lineno = clean.splitlines(keepends=True).index(old) + 1
+    path.write_text(clean.replace(old, new))
     resign(path)
-    tbl = KLTable(4)
-    tbl.cache_dir = tmp_path
-    assert tbl.load() == 2
-    assert tbl.parse_stored() == 2
-    e, s1 = tbl.ranks.rank((1, 2, 3, 4)), tbl.ranks.rank((2, 1, 3, 4))
-    assert read_column(tbl, s1) == {s1: ONE}
-    assert read_column(tbl, s1)[s1] is read_column(tbl, e)[e]
+    with pytest.raises(OSError, match=rf"kl_s4\.tsv:{lineno}: differs from the recomputed S_4"):
+        KLTable(4, cache_dir=tmp_path).load()
 
 
 def test_load_rejects_undecodable_bytes(tmp_path):
@@ -568,9 +577,10 @@ def test_load_rejects_undecodable_bytes(tmp_path):
     path.write_bytes(b"#rscells-kl 2 S_3 left\n123\t123\t1\n123\t213\t\xff\n")
     resign(path)
     tbl = KLTable(3, cache_dir=tmp_path)
-    # the record is checked when its column is first asked for
-    with pytest.raises(OSError, match=r"kl_s3\.tsv:3:"):
-        tbl.polynomial((1, 2, 3), (2, 1, 3))
+    assert tbl.polynomial((1, 2, 3), (2, 1, 3)) == ONE
+    # line 3 is the record of column 132
+    with pytest.raises(OSError, match=r"kl_s3\.tsv:3: differs from the recomputed S_3: '123"):
+        tbl.load()
 
 
 def test_readers_see_complete_files_while_a_writer_saves(tmp_path):
@@ -601,7 +611,6 @@ def test_readers_see_complete_files_while_a_writer_saves(tmp_path):
             reader = KLTable(4)
             reader.cache_dir = tmp_path
             assert reader.load() == records
-            assert reader.parse_stored() == records
             loads += 1
     finally:
         stop.set()
@@ -613,92 +622,107 @@ def test_readers_see_complete_files_while_a_writer_saves(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["kl_s4.tsv"]
 
 
-def test_a_loaded_table_serves_its_snapshot_after_the_file_is_replaced(tmp_path):
-    writer = KLTable(4, cache_dir=tmp_path)
-    writer.warm()
-    writer.save()
-    path = writer.cache_path()
-    clean = path.read_text()
-    loaded = KLTable(4, cache_dir=tmp_path)
-    # another writer replaces the file with different, validly signed content
-    path.write_text(clean.replace("1324\t3412\t1,1\n", "1324\t3412\t1\n"))
-    resign(path)
-    assert KLTable(4, cache_dir=tmp_path).polynomial((1, 3, 2, 4), (3, 4, 1, 2)) == ONE
-    assert loaded.polynomial((1, 3, 2, 4), (3, 4, 1, 2)) == IntPolynomial((1, 1))
-    assert loaded.parse_stored() == writer.entry_count()
-
-
 def _unsigned(data: bytes) -> bytes:
     return data[: data.rindex(b" ") + 1]
 
 
-_BAD_TRAILER = r"tsv:60: bad trailer for S_4"
-_UNTILED = r"tsv: the column offsets of the trailer do not tile the records"
+def _first_difference(edited: bytes, clean: bytes) -> int:
+    """The number of the first line of ``edited`` that is not that line of
+    ``clean``."""
+    pairs = zip(edited.splitlines(keepends=True), clean.splitlines(keepends=True))
+    return next((k for k, (a, b) in enumerate(pairs, 1) if a != b), len(clean.splitlines()) + 1)
 
 
 @pytest.mark.parametrize(
-    "edit, message",
+    "old, new",
+    [("1324\t3412\t1,1\n", "1324\t3412\t1,2\n"),
+     ("1324\t3412\t1,1\n", "1324\t3412\t1,1\n1324\t3412\t1\n")],
+    ids=["altered", "repeated"],
+)
+def test_a_table_reads_no_polynomial_from_its_cache_file(tmp_path, old, new):
+    # the file is signed again, so only the comparison with the recomputed
+    # table finds the edit
+    writer = KLTable(4, cache_dir=tmp_path)
+    writer.save()
+    path = writer.cache_path()
+    clean = path.read_bytes()
+    path.write_bytes(clean.replace(old.encode(), new.encode()))
+    resign(path)
+    lineno = _first_difference(path.read_bytes(), clean)
+    table = KLTable(4, cache_dir=tmp_path)
+    assert table.polynomial((1, 3, 2, 4), (3, 4, 1, 2)) == IntPolynomial((1, 1))
+    with pytest.raises(OSError, match=rf"kl_s4\.tsv:{lineno}: differs from the recomputed S_4"):
+        table.load()
+    reference = KLTable(4)
+    for y in all_perms(4):
+        for w in all_perms(4):
+            assert table.polynomial(y, w) == reference.polynomial(y, w), (y, w)
+
+
+@pytest.mark.parametrize(
+    "edit",
     [
         # edits of a signed file
-        (lambda data: _unsigned(data) + b"0" * 64 + b"\n", r"tsv: checksum mismatch"),
-        (lambda data: data.replace(b"\t4321\t1\n", b"\t4321\t1,1\n"), r"tsv: checksum mismatch"),
-        (lambda data: data + b"1234\t1234\t1\n", r"tsv:61: no trailer"),
-        (lambda data: data.replace(b"S_4 left", b"S_4 right"), r"tsv:1: not a format-2"),
+        lambda data: _unsigned(data) + b"0" * 64 + b"\n",
+        lambda data: data.replace(b"\t4321\t1\n", b"\t4321\t1,1\n"),
+        lambda data: data + b"1234\t1234\t1\n",
+        lambda data: data.replace(b"S_4 left", b"S_4 right"),
         # edits of the trailer, signed again
-        (lambda data: sign(_unsigned(data).replace(b"#end 58 ", b"#end x ")), _BAD_TRAILER),
-        (lambda data: sign(_unsigned(data).replace(b",1243:", b",1244:")), _BAD_TRAILER),
-        (lambda data: sign(_unsigned(data).replace(b" 1234:23,", b" ")), _UNTILED),
-        (lambda data: sign(_unsigned(data).replace(b",1342:71,", b",1342:72,")), _UNTILED),
-        (lambda data: sign(_unsigned(data).replace(b",2134:", b",1243:")), _UNTILED),
+        lambda data: sign(_unsigned(data).replace(b"#end 58 ", b"#end x ")),
+        lambda data: sign(_unsigned(data).replace(b",1243:", b",1244:")),
+        lambda data: sign(_unsigned(data).replace(b" 1234:23,", b" ")),
+        lambda data: sign(_unsigned(data).replace(b",1342:71,", b",1342:72,")),
+        lambda data: sign(_unsigned(data).replace(b",2134:", b",1243:")),
     ],
     ids=["checksum", "record", "after-trailer", "side", "count", "column-name",
          "first-column-missing", "mid-line-offset", "duplicate-column"],
 )
-def test_load_refuses_a_damaged_file(tmp_path, edit, message):
+def test_load_refuses_a_damaged_file(tmp_path, edit):
     tbl = KLTable(4, cache_dir=tmp_path)
-    tbl.warm()
     tbl.save()
     path = tbl.cache_path()
-    path.write_bytes(edit(path.read_bytes()))
-    with pytest.raises(OSError, match=r"kl_s4\." + message):
-        KLTable(4, cache_dir=tmp_path)
+    clean = path.read_bytes()
+    edited = edit(clean)
+    assert edited != clean
+    path.write_bytes(edited)
+    lineno = _first_difference(edited, clean)
+    loaded = KLTable(4, cache_dir=tmp_path)
+    with pytest.raises(OSError, match=rf"kl_s4\.tsv:{lineno}: differs from the recomputed S_4"):
+        loaded.load()
+    assert loaded.polynomial((1, 3, 2, 4), (3, 4, 1, 2)) == IntPolynomial((1, 1))
 
 
 def test_a_column_holds_only_its_own_records(tmp_path):
     tbl = KLTable(4, cache_dir=tmp_path)
-    tbl.warm()
     tbl.save()
     path = tbl.cache_path()
+    clean = path.read_bytes()
     # column 1342 holds lines 6 and 7; start column 1423 at line 7 instead
-    # of line 8, so the trailer tiles the records but misplaces one
-    data = _unsigned(path.read_bytes())
-    assert b",1342:71,1423:95," in data
-    path.write_bytes(sign(data.replace(b",1423:95,", b",1423:83,")))
-    loaded = KLTable(4, cache_dir=tmp_path)
-    # column 1342 lost line 7, so it misses one of its raised elements
-    with pytest.raises(OSError, match=r"kl_s4\.tsv:6: column 1342 of S_4 holds 1 of the 2 raised"):
-        loaded.polynomial((1, 2, 3, 4), (1, 3, 4, 2))
-    with pytest.raises(OSError, match=r"kl_s4\.tsv:7: bad record for column 1423"):
-        loaded.polynomial((1, 2, 3, 4), (1, 4, 2, 3))
-    # without an offset for column 1423, its records fall into column 1342
-    path.write_bytes(sign(data.replace(b",1423:95,", b",")))
-    loaded = KLTable(4, cache_dir=tmp_path)
-    with pytest.raises(OSError, match=r"kl_s4\.tsv:8: bad record for column 1342"):
-        loaded.polynomial((1, 2, 3, 4), (1, 3, 4, 2))
+    # of line 8, or list no offset for it, so that the trailer tiles the
+    # records but gives a record of one column to another
+    assert b",1342:71,1423:95," in clean
+    for offset in (b",1423:83,", b","):
+        path.write_bytes(sign(_unsigned(clean).replace(b",1423:95,", offset)))
+        loaded = KLTable(4, cache_dir=tmp_path)
+        assert loaded.polynomial((1, 2, 3, 4), (1, 3, 4, 2)) == ONE
+        assert loaded.polynomial((1, 2, 3, 4), (1, 4, 2, 3)) == ONE
+        with pytest.raises(OSError, match=r"kl_s4\.tsv:60: differs from the recomputed S_4"):
+            loaded.load()
 
 
 def test_parse_stored_checks_the_record_count(tmp_path):
     tbl = KLTable(4, cache_dir=tmp_path)
-    tbl.warm()
     tbl.save()
     path = tbl.cache_path()
     # a repeated record, signed again: 59 lines for 58 entries
     path.write_text(path.read_text() + "4321\t4321\t1\n")
     resign(path)
     loaded = KLTable(4, cache_dir=tmp_path)
-    assert loaded.load() == 59
-    with pytest.raises(OSError, match=r"the trailer counts 59 records but the columns hold 58"):
-        loaded.parse_stored()
+    # the records are all where save() writes them, and the repeat stands
+    # where the trailer should
+    with pytest.raises(OSError, match=r"kl_s4\.tsv:60: differs from the recomputed S_4: '4321"):
+        loaded.load()
+    assert loaded.polynomial((1, 2, 3, 4), (4, 3, 2, 1)) == ONE
 
 
 # the child reads its peak from VmHWM, the high-water mark of its own

@@ -53,9 +53,27 @@ def test_run_verifications_refuses_a_max_n_that_runs_nothing(max_n):
 
 def test_run_verifications_long_reaches_degree_9():
     top_degree = runpy.run_path(str(ROOT / "scripts" / "run_verifications.py"))["top_degree"]
-    assert [top_degree(None, False), top_degree(9, False)] == [5, 5]
+    assert [top_degree(None, False), top_degree(5, False)] == [5, 5]
     assert [top_degree(None, True), top_degree(8, True), top_degree(9, True)] == [6, 8, 9]
-    assert top_degree(10, True) == 9
+    with pytest.raises(ValueError, match="--max-n stops at degree 5 without --long, got 6"):
+        top_degree(6, False)
+    with pytest.raises(ValueError, match="--max-n stops at degree 9, got 10"):
+        top_degree(10, True)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--max-n", "9"), "--max-n stops at degree 5 without --long, got 9"),
+        (("--long", "--max-n", "10"), "--max-n stops at degree 9, got 10"),
+    ],
+    ids=["9-without-long", "10-with-long"],
+)
+def test_run_verifications_refuses_a_degree_it_would_not_run(argv, message):
+    # it used to run 2..5 or 2..9 and exit 0; the timeout catches a run
+    proc = _run_script("run_verifications.py", *argv)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_run_verifications_names_the_suites_it_skips(monkeypatch, capsys):
