@@ -9,8 +9,7 @@ A suite is skipped above its degree cap in
 above 6, and the other suites that read KL polynomials above 8, so at 9
 only knuth, evacuation and crystal-theorem-a run.  Each degree prints a
 line naming the suites it skipped.  A degree at which some suite reads KL
-polynomials computes one KL table that those suites share, written to
---cache-dir when given (no polynomial is read from it); any other degree
+polynomials computes one KL table that those suites share; any other degree
 builds none.  Every suite of a degree, with a table or without, reads the
 one ``Ranks`` of that degree (``rscells.permutations.rank_arrays``), so
 S_n is enumerated once.
@@ -36,7 +35,7 @@ def top_degree(max_n, long: bool) -> int:
     return max_n
 
 
-def run_degree(n: int, cache_dir=None) -> int:
+def run_degree(n: int) -> int:
     """Run every suite at degree n up to its cap, the ones that read KL
     polynomials on one warm table, print a line for each and one naming
     the suites skipped, and return how many failed."""
@@ -44,10 +43,8 @@ def run_degree(n: int, cache_dir=None) -> int:
     skipped = sorted(set(SUITES) - set(names))
     table = None
     if _TABLE_SUITES.intersection(names):
-        table = KLTable(n, cache_dir=cache_dir)
+        table = KLTable(n)
         table.warm()
-        if cache_dir:
-            table.save()
     if skipped:
         # not an "n=" line: it reports no suite
         print(f"skipped at n={n}, above their degree caps: {' '.join(skipped)}")
@@ -71,7 +68,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=None, help="default 5, or 6 with --long")
     parser.add_argument("--long", action="store_true", help="allow --max-n up to 9")
-    parser.add_argument("--cache-dir", default=None)
     args = parser.parse_args()
     if args.max_n is not None and args.max_n < 2:
         # degrees start at 2, so a smaller --max-n would run nothing and pass
@@ -82,7 +78,7 @@ def main() -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    failures = sum(run_degree(n, args.cache_dir) for n in range(2, top + 1))
+    failures = sum(run_degree(n) for n in range(2, top + 1))
     return 1 if failures else 0
 
 

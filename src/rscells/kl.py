@@ -56,23 +56,20 @@ both are memoized per table on pool indices: S_7 looks them up 61,264
 times and computes 968 of them, S_8 looks them up 1.56 M times and
 computes 29,060.
 
-Columns persist to a cache file in format 2: a version line
-``#rscells-kl 2 S_<n> left``, then one record per line,
+Columns persist to a cache file in format 3: a version line
+``#rscells-kl 3 S_<n> left``, then one record per line,
 ``y<TAB>w<TAB>c0,c1,...,cd`` with permutations in digit notation, in
-(length, rank) order of w and then of y, and last a trailer line
-``#end <records> <w>:<offset>,... <sha256>`` giving the record count, the
-byte offset at which each column's records start, and the sha256 of every
-byte of the file before it.  Files are written column by column to a uniquely
-named temporary file and renamed over the old one, so concurrent readers
-see either the old or the new complete file.  No polynomial is ever read
-back: every column is computed, which at S_8 is cheaper than parsing the
-file, and load() checks a file byte for byte against the one save() would
-write, so an edited record is refused even when the file was signed again.
+(length, rank) order of w and then of y.  Files are written column by
+column to a uniquely named temporary file and renamed over the old one, so
+concurrent readers see either the old or the new complete file.  No
+polynomial is ever read back: every column is computed, which at S_8 is
+cheaper than parsing the file, and load() checks a file byte for byte
+against the one save() would write, so an edited, truncated or extended
+file is refused.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import os
 from array import array
@@ -91,13 +88,13 @@ from .polynomials import ONE, ZERO, IntPolynomial
 WARM_MAX_DEGREE = 8
 
 # the version in the first line of a cache file
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # a column: its raised ranks ascending plus the sentinel n!, and their
 # polynomials as indices into the table's pool
 Column = tuple[array, array]
 # a mu list: the ranks z ascending and mu(z, w) of each
-MuList = tuple[array, "array | list[int]"]
+MuList = tuple[array, array]
 
 
 # the set bits of each byte value, and the translation that marks the
@@ -149,7 +146,7 @@ class KLTable:
         self._polys: list[IntPolynomial] = [ZERO, ONE]
         self._degrees = [ZERO.degree, ONE.degree]
         self._pool: dict[tuple[int, ...], int] = {ZERO.coeffs: 0, ONE.coeffs: 1}
-        self._columns: dict[int, Column] = {0: self._compact({0: 1})}
+        self._columns: dict[int, Column] = {0: self._pack([0], [1])}
         # Bruhat intervals as bitsets over ranks, the identity's {e} first;
         # the tables they are built from, and descent mask -> the bitset of
         # the ranks raised to it, are made on first use
@@ -179,11 +176,6 @@ class KLTable:
         values = array("B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "I", values)
         keys.append(len(self._scratch))
         return array(self._keycode, keys), values
-
-    def _compact(self, col: dict[int, int]) -> Column:
-        """Column form of rank -> pool index."""
-        keys = sorted(col)
-        return self._pack(keys, map(col.__getitem__, keys))
 
     def _entry(self, col: Column, y: int) -> IntPolynomial:
         """The polynomial ``col`` holds for rank y; ZERO when it holds none."""
@@ -359,11 +351,9 @@ class KLTable:
             if wmask >> i & 1:
                 mus[step[w]] = 1
         zs = sorted(mus)
-        values = list(map(mus.__getitem__, zs))
-        # every mu of S_8 is 1; a list with one that fits no byte keeps ints
-        with contextlib.suppress(OverflowError):
-            values = array("B", values)
-        got = self._mu_lists[w] = array(self._keycode, zs), values
+        # every mu of S_n is 0 or 1 for n <= 9 (McLarnan-Warrington 2003),
+        # so one that fits no byte raises OverflowError
+        got = self._mu_lists[w] = array(self._keycode, zs), array("B", map(mus.__getitem__, zs))
         return got
 
     def _mu(self, y: int, w: int) -> int:
@@ -415,25 +405,15 @@ class KLTable:
         return self.cache_dir / f"kl_s{self.n}.tsv"
 
     def _file(self) -> Iterator[bytes]:
-        """The cache file of S_n in pieces: the version line, the records of
-        each column, computed first where they are not, and the trailer.
-        The pieces stream through one sha256, so the body is never held
-        whole."""
-        import hashlib  # OpenSSL takes 4-9 ms to load; runs without a cache skip it
-
+        """The cache file of S_n in pieces: the version line, then the
+        records of each column, computed first where they are not, so the
+        body is never held whole."""
         names = list(map(format_permutation, self.ranks.perms))
         lengths, polys = self.ranks.lengths, self._polys
         texts: dict[int, str] = {}  # "c0,c1,..." per pool index
-        digest = hashlib.sha256()
-        offsets = []
-        records = 0
-        header = f"#rscells-kl {FORMAT_VERSION} S_{self.n} left\n".encode()
-        digest.update(header)
-        yield header
-        size = len(header)
+        yield f"#rscells-kl {FORMAT_VERSION} S_{self.n} left\n".encode()
         for w in self._in_length_order():
             keys, values = self._column(w)
-            records += len(values)
             wname = names[w]
             lines = []
             # the keys ascend, so a stable sort by length gives (length, rank)
@@ -442,14 +422,7 @@ class KLTable:
                 if text is None:
                     text = texts[p] = ",".join(map(str, polys[p].coeffs))
                 lines.append(f"{names[y]}\t{wname}\t{text}\n")
-            chunk = "".join(lines).encode()
-            digest.update(chunk)
-            offsets.append(f"{wname}:{size}")
-            size += len(chunk)
-            yield chunk
-        trailer = f"#end {records} {','.join(offsets)} ".encode()
-        digest.update(trailer)
-        yield trailer + f"{digest.hexdigest()}\n".encode()
+            yield "".join(lines).encode()
 
     def save(self) -> None:
         """Write every column of S_n, computing those not yet computed, to a

@@ -152,9 +152,6 @@ class Tableau:
         return f"Tableau({[list(r) for r in self.rows]!r})"
 
 
-EMPTY_TABLEAU = Tableau()
-
-
 def _from_cells(cells: dict[tuple[int, int], int]) -> Tableau:
     """Rebuild a tableau from a cell dict whose rows are contiguous."""
     nrows = max((x for x, _ in cells), default=0)
@@ -394,11 +391,6 @@ def _semistandard_rows(shape: Sequence[int], max_entry: int) -> Iterator[Rows]:
             row.pop()
 
     return fill(0)
-
-
-def semistandard_tableaux(shape: Sequence[int], max_entry: int) -> Iterator[Tableau]:
-    """All column-strict fillings with entries at most ``max_entry``."""
-    return (Tableau(rows) for rows in _semistandard_rows(shape, max_entry))
 
 
 if __name__ == "__main__":

@@ -19,8 +19,9 @@ reachability in the cell graph, the permutation suites by inserting each
 permutation on its own, the cell suites by scanning every pair of
 elements, and the KL columns by the descent recursion on dict columns and
 set supports.  A few queries on library objects that only the tests make
-(the cell preorder on elements, mu lists of tuples) live here too, and so
-does the sample of ranks that the S_8 and S_9 rank checks walk.
+(the cell preorder on elements, mu lists of tuples, the empty tableau and
+the column-strict tableaux of a shape as Tableau objects) live here too,
+and so does the sample of ranks that the S_8 and S_9 rank checks walk.
 """
 
 import itertools
@@ -50,12 +51,12 @@ from rscells.polynomials import ONE, ZERO, LaurentPoly
 from rscells.knuth import knuth_class
 from rscells.tableaux import (
     Tableau,
+    _semistandard_rows,
     evacuation,
     insert_word,
     p_symbol,
     q_symbol,
     reading_word,
-    semistandard_tableaux,
 )
 from rscells.verify import Report
 
@@ -85,6 +86,15 @@ def as_sets(part: CellPartition) -> set[frozenset]:
 def max_exponent(poly: LaurentPoly):
     """The largest exponent of v; None for the zero polynomial."""
     return max(poly.terms) if poly.terms else None
+
+
+EMPTY_TABLEAU = Tableau()
+
+
+def semistandard_tableaux(shape: Sequence[int], max_entry: int) -> Iterator[Tableau]:
+    """All column-strict fillings of ``shape`` with entries at most
+    ``max_entry``, in the order the crystal checks list them."""
+    return (Tableau(rows) for rows in _semistandard_rows(shape, max_entry))
 
 
 def mu_list(table: KLTable, w: Perm) -> tuple[tuple[Perm, int], ...]:

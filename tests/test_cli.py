@@ -7,7 +7,6 @@ import sys
 import pytest
 
 import rscells
-from cache_files import resign
 from rscells.cli import (
     CRYSTAL_GRAPH_MAX_DEGREE,
     ENV_CACHE_DIR,
@@ -288,22 +287,20 @@ def test_verify_bar_invariance_ignores_a_deleted_cache_record(capsys, tmp_path):
     record = next(line for line in lines if line.startswith("13254\t34512\t"))
     lines.remove(record)
     path.write_text("".join(lines))
-    resign(path)
     # the certificate runs on computed columns; its own count of a column
     # is tests/test_verify.py's deleted-entry case
     _same_without_cache(capsys, cache, ("verify", "bar-invariance", "5"))
 
 
 def test_a_deleted_record_signed_again_exits_4(capsys, tmp_path):
-    # the checksum and the column offsets hold after the edit, so only the
-    # comparison with the recomputed table finds it
+    # the file holds no count, offset or checksum, so only the comparison
+    # with the recomputed table finds the edit
     cache = str(tmp_path)
     run(capsys, "--cache-dir", cache, "cache", "warm", "4")
     path = tmp_path / "kl_s4.tsv"
     clean = path.read_text()
     lineno = clean.splitlines().index("1324\t3412\t1,1") + 1
     path.write_text(clean.replace("1324\t3412\t1,1\n", ""))
-    resign(path)
     code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "1324", "3412")
     assert (code, out) == (EXIT_OK, "1 + q\n")
     _same_without_cache(capsys, cache, ("verify", "theorem-a", "4"))
@@ -324,12 +321,13 @@ def test_a_deleted_record_signed_again_exits_4(capsys, tmp_path):
     ids=["altered", "repeated"],
 )
 def test_an_edited_record_signed_again_is_never_served(capsys, tmp_path, old, new):
+    # the file carries no checksum, so nothing but the comparison with the
+    # recomputed table stands between the edit and a reader
     cache = str(tmp_path)
     run(capsys, "--cache-dir", cache, "cache", "warm", "4")
     path = tmp_path / "kl_s4.tsv"
     clean = path.read_text()
     path.write_text(clean.replace(old, new))
-    resign(path)
     lineno = next(
         k for k, (a, b) in enumerate(zip(path.read_text().splitlines(), clean.splitlines()), 1)
         if a != b
@@ -470,7 +468,6 @@ def test_bad_cache_record_exits_4(capsys, tmp_path, record):
     run(capsys, "--cache-dir", cache, "cache", "warm", "4")
     path = tmp_path / "kl_s4.tsv"
     path.write_text(path.read_text() + record + "\n")
-    resign(path)
     code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "1234", "4321")
     assert (code, out) == (EXIT_OK, "1\n")
     code, out, err = run(capsys, "--cache-dir", cache, "cache", "info", "4")
@@ -486,7 +483,6 @@ def test_cache_warm_repairs_a_bad_cache_file(capsys, tmp_path):
     clean = path.read_bytes()
     for bad in (b"123\t213\t1\n", b"1234\t2134\t\xff\n"):
         path.write_bytes(clean + bad)
-        resign(path)
         code, out, err = run(capsys, "--cache-dir", cache, "cache", "warm", "4")
         assert (code, out) == (EXIT_OK, "warmed S_4: 58 entries\n")
         assert err.startswith("completed in ")
@@ -511,7 +507,6 @@ def test_coefficients_must_be_ascii_integers(capsys, tmp_path, coeffs):
     record = "1324\t3412\t1,1"
     lineno = clean.splitlines().index(record) + 1
     path.write_text(clean.replace(record, f"1324\t3412\t{coeffs}"), encoding="utf-8")
-    resign(path)
     code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "1324", "3412")
     assert (code, out) == (EXIT_OK, "1 + q\n")
     code, out, err = run(capsys, "--cache-dir", cache, "cache", "info")
@@ -537,13 +532,12 @@ def _raise_a_one(data: bytes) -> bytes:
 
 
 def _append_record(data: bytes) -> bytes:
-    lines = data.splitlines(keepends=True)
-    return b"".join(lines[:-1] + [b"12345\t34512\t1\n", lines[-1]])
+    return data + b"12345\t34512\t1\n"
 
 
 def _strip_version_line(data: bytes) -> bytes:
     # a file of format 1: the records alone
-    return b"".join(data.splitlines(keepends=True)[1:-1])
+    return data.split(b"\n", 1)[1]
 
 
 def _over_the_degree_bound(data: bytes) -> bytes:
@@ -560,21 +554,17 @@ def _diagonal_not_one(data: bytes) -> bytes:
     return data.replace(b"34512\t34512\t1\n", b"34512\t34512\t1,1\n")
 
 
+# the ids ending in -signed name edits that a file of format 2 had to be
+# signed again to carry; format 3 has no signature, so every edit here is
+# found only by the comparison with the recomputed table
 @pytest.mark.parametrize(
-    "edit, signed_again",
-    [
-        (_delete_record, False),
-        (_raise_a_one, False),
-        (_append_record, False),
-        (_strip_version_line, False),
-        (_raise_a_one, True),
-        (_over_the_degree_bound, True),
-        (_diagonal_not_one, True),
-    ],
+    "edit",
+    [_delete_record, _raise_a_one, _append_record, _strip_version_line, _raise_a_one,
+     _over_the_degree_bound, _diagonal_not_one],
     ids=["deleted-record", "raised-one-to-7-7", "appended-record", "legacy-v1",
          "raised-one-to-7-7-signed", "over-the-degree-bound-signed", "diagonal-not-one-signed"],
 )
-def test_an_edited_cache_file_is_refused_and_rebuilt(capsys, tmp_path, edit, signed_again):
+def test_an_edited_cache_file_is_refused_and_rebuilt(capsys, tmp_path, edit):
     cache = str(tmp_path)
     run(capsys, "--cache-dir", cache, "cache", "warm", "5")
     path = tmp_path / "kl_s5.tsv"
@@ -582,11 +572,10 @@ def test_an_edited_cache_file_is_refused_and_rebuilt(capsys, tmp_path, edit, sig
     edited = edit(clean)
     assert edited != clean
     path.write_bytes(edited)
-    if signed_again:
-        # only the comparison with the recomputed table finds the edit
-        resign(path)
-    pairs = zip(path.read_bytes().splitlines(), clean.splitlines())
-    lineno = next(k for k, (a, b) in enumerate(pairs, 1) if a != b)
+    pairs = zip(edited.splitlines(), clean.splitlines())
+    lineno = next(
+        (k for k, (a, b) in enumerate(pairs, 1) if a != b), len(clean.splitlines()) + 1
+    )
     code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "13254", "34512")
     assert (code, out) == (EXIT_OK, "1 + q\n")
     _same_without_cache(capsys, cache, ("verify", "theorem-a", "5"))
@@ -600,6 +589,69 @@ def test_an_edited_cache_file_is_refused_and_rebuilt(capsys, tmp_path, edit, sig
     assert (code, out) == (EXIT_OK, "1 + q\n")
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_a_file_cut_before_its_last_column_exits_4(capsys, tmp_path, n):
+    # nothing in the file says how long it is, so only the comparison with
+    # the recomputed table finds that it ends early
+    cache = str(tmp_path)
+    run(capsys, "--cache-dir", cache, "cache", "warm", str(n))
+    path = tmp_path / f"kl_s{n}.tsv"
+    clean = path.read_bytes()
+    lines = clean.splitlines(keepends=True)
+    # the last column, that of w0, starts at its first record
+    w0 = "".join(map(str, range(n, 0, -1))).encode()
+    k = next(k for k, line in enumerate(lines[1:], 1) if line.split(b"\t")[1] == w0)
+    assert 1 < k < len(lines)
+    path.write_bytes(b"".join(lines[:k]))
+    code, out, err = run(capsys, "--cache-dir", cache, "cache", "info")
+    assert (code, out) == (EXIT_IO, "")
+    # line k + 1, the first record of the missing column, reads as nothing
+    assert err == f"error: {path}:{k + 1}: differs from the recomputed S_{n}: ''\n"
+    for argv in (("klpoly", "1324", "3412"), ("klpoly", "132456", "341256")):
+        code, out, _ = run(capsys, "--cache-dir", cache, *argv)
+        assert (code, out) == (EXIT_OK, "1 + q\n"), argv
+    code, out, _ = run(capsys, "--cache-dir", cache, "cache", "warm", str(n))
+    assert code == EXIT_OK
+    assert path.read_bytes() == clean
+
+
+def _format_2(data: bytes) -> bytes:
+    """The file of format 2 with the records of ``data``: version 2, and a
+    trailer giving the record count, the offset of each column and the
+    sha256 of everything before it."""
+    header, *records = data.splitlines(keepends=True)
+    body = header.replace(b" 3 ", b" 2 ", 1)
+    offsets: dict[bytes, int] = {}
+    for line in records:
+        offsets.setdefault(line.split(b"\t")[1], len(body))
+        body += line
+    listing = b",".join(b"%s:%d" % item for item in offsets.items())
+    body += b"#end %d %s " % (len(records), listing)
+    return body + hashlib.sha256(body).hexdigest().encode() + b"\n"
+
+
+# the sha256 of kl_s5.tsv as the writer of format 2 made it
+S5_FORMAT_2_SHA256 = "ae4838b0afcaf146fb1aa85076d70900013bea8dfd12c3e22d603b1f28f530f3"
+
+
+def test_a_file_of_format_2_is_refused_at_line_1_and_rebuilt(capsys, tmp_path):
+    cache = str(tmp_path)
+    run(capsys, "--cache-dir", cache, "cache", "warm", "5")
+    path = tmp_path / "kl_s5.tsv"
+    clean = path.read_bytes()
+    old = _format_2(clean)
+    assert hashlib.sha256(old).hexdigest() == S5_FORMAT_2_SHA256
+    path.write_bytes(old)
+    code, out, err = run(capsys, "--cache-dir", cache, "cache", "info")
+    assert (code, out) == (EXIT_IO, "")
+    assert err == f"error: {path}:1: differs from the recomputed S_5: '#rscells-kl 2 S_5 left'\n"
+    code, out, _ = run(capsys, "--cache-dir", cache, "klpoly", "13254", "34512")
+    assert (code, out) == (EXIT_OK, "1 + q\n")
+    code, out, _ = run(capsys, "--cache-dir", cache, "cache", "warm", "5")
+    assert (code, out) == (EXIT_OK, "warmed S_5: 682 entries\n")
+    assert path.read_bytes() == clean
+
+
 def test_cache_info_counts_valid_files(capsys, tmp_path):
     from rscells.kl import KLTable
 
@@ -607,10 +659,9 @@ def test_cache_info_counts_valid_files(capsys, tmp_path):
         tbl = KLTable(n, cache_dir=tmp_path)
         tbl.warm()
         tbl.save()
-    # the count before validation: lines per file, less the version line
-    # and the trailer
+    # one record per line after the version line
     counts = {
-        f.name: len(f.read_text().splitlines()) - 2 for f in sorted(tmp_path.glob("kl_s*.tsv"))
+        f.name: len(f.read_text().splitlines()) - 1 for f in sorted(tmp_path.glob("kl_s*.tsv"))
     }
     expected = "".join(f"{name}: {c} entries\n" for name, c in counts.items())
     expected += f"total: {sum(counts.values())} entries\n"
@@ -621,7 +672,6 @@ def test_cache_info_counts_valid_files(capsys, tmp_path):
     s4 = tmp_path / "kl_s4.tsv"
     clean = s4.read_bytes()
     s4.write_text(s4.read_text() + "\n  \n")
-    resign(s4)
     code, out, err = run(capsys, "--cache-dir", str(tmp_path), "cache", "info")
     assert (code, out) == (EXIT_IO, "kl_s3.tsv: 8 entries\n")
     assert f"{s4}:60: differs from the recomputed S_4: ''" in err
@@ -644,7 +694,6 @@ def test_cache_info_rejects_bad_records(capsys, tmp_path):
     run(capsys, "--cache-dir", cache, "cache", "warm", "4")
     path = tmp_path / "kl_s4.tsv"
     path.write_text(path.read_text() + "123\t213\t1\n")
-    resign(path)
     code, out, err = run(capsys, "--cache-dir", cache, "cache", "info")
     assert (code, out) == (EXIT_IO, "")
     assert f"{path}:60:" in err
@@ -844,7 +893,7 @@ def test_theorem_a_8_peak_memory_long():
 @pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_s8_cache_check_peak_memory_long(tmp_path):
-    # cache warm 8 writes the 209 MB file in about 12 s.  cache info 8
+    # cache warm 8 writes the 208 MB file in about 12 s.  cache info 8
     # computes S_8 again and compares the file with it, about 12 s at a
     # 116 MB peak; reading the file used to take 286-295 MB.  A klpoly with
     # that cache directory reads none of it: about 0.15 s at 30 MB, as with

@@ -14,6 +14,7 @@ from oracles import (
     highest_weight_rep_greedy,
     partitions,
     reading_word_to_tableau,
+    semistandard_tableaux,
     tensor_e,
     tensor_eps,
     tensor_f,
@@ -31,7 +32,7 @@ from rscells.crystal import (
     phi,
     signature_rule,
 )
-from rscells.tableaux import Tableau, insert_word, reading_word, semistandard_tableaux
+from rscells.tableaux import Tableau, insert_word, reading_word
 
 words = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(st.integers(1, 3), min_size=n, max_size=n).map(tuple)

@@ -10,7 +10,6 @@ from math import factorial
 import pytest
 
 import rscells
-from cache_files import resign, sign
 from kl_entries import read_column, write_column
 from oracles import (
     all_perms,
@@ -169,8 +168,10 @@ def test_mu_list_matches_pointwise_mu():
             assert listed.get(z, 0) == m, (z, w)
 
 
-def test_mu_list_keeps_a_mu_that_fits_no_byte():
-    # a cache file may hold any top coefficient that meets the degree bound
+def test_mu_list_refuses_a_mu_that_fits_no_byte():
+    # every mu of S_n is 0 or 1 for n <= 9, so a mu list is an array of
+    # bytes; a column edited to give a mu outside 0..255 raises and leaves
+    # no list behind, rather than storing a truncated value
     tbl = KLTable(4)
     tbl.warm()
     lengths = tbl.ranks.lengths
@@ -184,9 +185,11 @@ def test_mu_list_keeps_a_mu_that_fits_no_byte():
         col = read_column(tbl, w)
         col[y] = IntPolynomial((1, top))
         write_column(tbl, w, col)
-        zs, ms = tbl._mu_list(w)
-        assert dict(zip(zs, ms))[y] == top == tbl._mu(y, w)
-        assert sorted(zs) == list(zs)
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                tbl._mu_list(w)
+            assert w not in tbl._mu_lists
+        assert tbl._mu(y, w) == top
 
 
 @pytest.mark.parametrize(
@@ -250,14 +253,10 @@ def test_cache_file_format(tmp_path):
     tbl = KLTable(3, cache_dir=tmp_path)
     tbl.warm()
     tbl.save()
-    version, *lines, trailer = tbl.cache_path().read_text().splitlines()
-    assert version == "#rscells-kl 2 S_3 left"
-    listing = "#end 8 123:23,132:33,213:43,231:53,312:73,321:93 "
-    assert trailer.startswith(listing)
-    signed = "".join(f"{line}\n" for line in [version, *lines]) + listing
-    digest = hashlib.sha256(signed.encode())
-    assert trailer == listing + digest.hexdigest()
-    assert lines, "cache file should not be empty"
+    version, *lines = tbl.cache_path().read_text().splitlines()
+    assert version == "#rscells-kl 3 S_3 left"
+    # the records alone follow, one per entry, with no trailer
+    assert len(lines) == tbl.entry_count() == 8
     for line in lines:
         y, w, coeffs = line.split("\t")
         assert y.isdigit() and w.isdigit()
@@ -462,10 +461,10 @@ def test_degree_above_bound_raises_before_enumeration():
 # column representation or the write order must leave the files
 # byte-identical
 CACHE_SHA256 = {
-    "kl_s5.tsv": "ae4838b0afcaf146fb1aa85076d70900013bea8dfd12c3e22d603b1f28f530f3",
+    "kl_s5.tsv": "01268f12d23fdc1c6ab27d1f26f1f202c89dcee857dc249e4d63de55105bd0e2",
 }
-# ... and of the records of the S_5 and S_6 files, the lines between the
-# version line and the trailer, which are the whole files of format 1
+# ... and of the records of the S_5 and S_6 files, the lines after the
+# version line, which are the whole files of format 1
 RECORDS_SHA256 = {
     "kl_s5.tsv": "311d4f11159f66febbe318c72ea72f4124d7a0d9814ee23ee4b1173651a24e2b",
     "kl_s6.tsv": "82dba142cb15a2a80746e473e54180752e20bac8cd0935badbfcee8a9da930ef",
@@ -473,7 +472,7 @@ RECORDS_SHA256 = {
 # ... and the digest and size of the whole S_7 file, which warms in about 1 s
 CACHE_SHA256_S7 = {
     "kl_s7.tsv": (
-        "47ba367f8adcf064fbd2c4f937b3ce5acb68cc7e39ef22b7730843f3256b770f", 5_655_736
+        "e87b843dc5bc980df3e88928f81cef6494f4f0c98f0f7d477de3dba064f09dfa", 5_578_369
     ),
 }
 
@@ -488,10 +487,10 @@ def test_cache_files_are_byte_identical_to_reference(tmp_path):
         data = (tmp_path / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
     for name, digest in RECORDS_SHA256.items():
-        records = b"".join((tmp_path / name).read_bytes().splitlines(keepends=True)[1:-1])
+        records = b"".join((tmp_path / name).read_bytes().splitlines(keepends=True)[1:])
         assert hashlib.sha256(records).hexdigest() == digest, name
         assert len(records) == {"5": 9724, "6": 198060}[name[4]], name
-    assert (tmp_path / "kl_s5.tsv").stat().st_size == 11103
+    assert (tmp_path / "kl_s5.tsv").stat().st_size == 9747
     for name, (digest, size) in CACHE_SHA256_S7.items():
         data = (tmp_path / name).read_bytes()
         assert len(data) == size, name
@@ -567,15 +566,13 @@ def test_load_refuses_blank_lines_and_trailing_zeros(tmp_path, old, new):
     clean = path.read_text()
     lineno = clean.splitlines(keepends=True).index(old) + 1
     path.write_text(clean.replace(old, new))
-    resign(path)
     with pytest.raises(OSError, match=rf"kl_s4\.tsv:{lineno}: differs from the recomputed S_4"):
         KLTable(4, cache_dir=tmp_path).load()
 
 
 def test_load_rejects_undecodable_bytes(tmp_path):
     path = tmp_path / "kl_s3.tsv"
-    path.write_bytes(b"#rscells-kl 2 S_3 left\n123\t123\t1\n123\t213\t\xff\n")
-    resign(path)
+    path.write_bytes(b"#rscells-kl 3 S_3 left\n123\t123\t1\n123\t213\t\xff\n")
     tbl = KLTable(3, cache_dir=tmp_path)
     assert tbl.polynomial((1, 2, 3), (2, 1, 3)) == ONE
     # line 3 is the record of column 132
@@ -622,10 +619,6 @@ def test_readers_see_complete_files_while_a_writer_saves(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["kl_s4.tsv"]
 
 
-def _unsigned(data: bytes) -> bytes:
-    return data[: data.rindex(b" ") + 1]
-
-
 def _first_difference(edited: bytes, clean: bytes) -> int:
     """The number of the first line of ``edited`` that is not that line of
     ``clean``."""
@@ -640,14 +633,13 @@ def _first_difference(edited: bytes, clean: bytes) -> int:
     ids=["altered", "repeated"],
 )
 def test_a_table_reads_no_polynomial_from_its_cache_file(tmp_path, old, new):
-    # the file is signed again, so only the comparison with the recomputed
-    # table finds the edit
+    # the file carries no checksum, so only the comparison with the
+    # recomputed table finds the edit
     writer = KLTable(4, cache_dir=tmp_path)
     writer.save()
     path = writer.cache_path()
     clean = path.read_bytes()
     path.write_bytes(clean.replace(old.encode(), new.encode()))
-    resign(path)
     lineno = _first_difference(path.read_bytes(), clean)
     table = KLTable(4, cache_dir=tmp_path)
     assert table.polynomial((1, 3, 2, 4), (3, 4, 1, 2)) == IntPolynomial((1, 1))
@@ -662,20 +654,12 @@ def test_a_table_reads_no_polynomial_from_its_cache_file(tmp_path, old, new):
 @pytest.mark.parametrize(
     "edit",
     [
-        # edits of a signed file
-        lambda data: _unsigned(data) + b"0" * 64 + b"\n",
         lambda data: data.replace(b"\t4321\t1\n", b"\t4321\t1,1\n"),
+        # a record after the last one, where format 2 put its trailer
         lambda data: data + b"1234\t1234\t1\n",
         lambda data: data.replace(b"S_4 left", b"S_4 right"),
-        # edits of the trailer, signed again
-        lambda data: sign(_unsigned(data).replace(b"#end 58 ", b"#end x ")),
-        lambda data: sign(_unsigned(data).replace(b",1243:", b",1244:")),
-        lambda data: sign(_unsigned(data).replace(b" 1234:23,", b" ")),
-        lambda data: sign(_unsigned(data).replace(b",1342:71,", b",1342:72,")),
-        lambda data: sign(_unsigned(data).replace(b",2134:", b",1243:")),
     ],
-    ids=["checksum", "record", "after-trailer", "side", "count", "column-name",
-         "first-column-missing", "mid-line-offset", "duplicate-column"],
+    ids=["record", "after-trailer", "side"],
 )
 def test_load_refuses_a_damaged_file(tmp_path, edit):
     tbl = KLTable(4, cache_dir=tmp_path)
@@ -692,34 +676,15 @@ def test_load_refuses_a_damaged_file(tmp_path, edit):
     assert loaded.polynomial((1, 3, 2, 4), (3, 4, 1, 2)) == IntPolynomial((1, 1))
 
 
-def test_a_column_holds_only_its_own_records(tmp_path):
+def test_load_refuses_an_appended_record(tmp_path):
     tbl = KLTable(4, cache_dir=tmp_path)
     tbl.save()
     path = tbl.cache_path()
-    clean = path.read_bytes()
-    # column 1342 holds lines 6 and 7; start column 1423 at line 7 instead
-    # of line 8, or list no offset for it, so that the trailer tiles the
-    # records but gives a record of one column to another
-    assert b",1342:71,1423:95," in clean
-    for offset in (b",1423:83,", b","):
-        path.write_bytes(sign(_unsigned(clean).replace(b",1423:95,", offset)))
-        loaded = KLTable(4, cache_dir=tmp_path)
-        assert loaded.polynomial((1, 2, 3, 4), (1, 3, 4, 2)) == ONE
-        assert loaded.polynomial((1, 2, 3, 4), (1, 4, 2, 3)) == ONE
-        with pytest.raises(OSError, match=r"kl_s4\.tsv:60: differs from the recomputed S_4"):
-            loaded.load()
-
-
-def test_parse_stored_checks_the_record_count(tmp_path):
-    tbl = KLTable(4, cache_dir=tmp_path)
-    tbl.save()
-    path = tbl.cache_path()
-    # a repeated record, signed again: 59 lines for 58 entries
+    # a repeated record: 59 records for 58 entries
     path.write_text(path.read_text() + "4321\t4321\t1\n")
-    resign(path)
     loaded = KLTable(4, cache_dir=tmp_path)
-    # the records are all where save() writes them, and the repeat stands
-    # where the trailer should
+    # the records are all where save() writes them, and the repeat follows
+    # the last of them
     with pytest.raises(OSError, match=r"kl_s4\.tsv:60: differs from the recomputed S_4: '4321"):
         loaded.load()
     assert loaded.polynomial((1, 2, 3, 4), (4, 3, 2, 1)) == ONE

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import rscells.tableaux
 from oracles import (
+    EMPTY_TABLEAU,
     SkewTableau,
     all_perms,
     column_strict_fillings,
@@ -20,12 +21,12 @@ from oracles import (
     permutation_tableau,
     reading_word_to_tableau,
     rectify,
+    semistandard_tableaux,
     staircase,
     standard_tableaux,
 )
 from rscells.permutations import Ranks, all_permutations, identity, inverse
 from rscells.tableaux import (
-    EMPTY_TABLEAU,
     Tableau,
     _symbols,
     evacuation,
@@ -36,7 +37,6 @@ from rscells.tableaux import (
     q_tableau,
     reading_word,
     rs_inverse,
-    semistandard_tableaux,
 )
 
 perm_strategy = st.integers(min_value=1, max_value=7).flatmap(
