@@ -3,13 +3,14 @@ Young diagrams and tableaux: Schensted insertion, P/Q-symbols and their
 inverse, evacuation by jeu de taquin slides, reading words, and the
 column-strict fillings of a shape.
 
-Cells are (row, column), 1-based, rows growing downward, so a shape is the
-weakly decreasing tuple of its row lengths.  Construction checks that rows
-and columns weakly increase; strictness down columns (column-strict) or in
-both directions with entries 1..n (standard) is checked by the public
-operations that need it.  Validation happens only there: the bumping and sliding loops
-(``_bump`` and ``_slide``) work on plain lists and cell dicts, and
-``insert_word`` and ``evacuation`` build their ``Tableau`` results once.
+A tableau is its tuple of rows, top row first, so a shape is the weakly
+decreasing tuple of its row lengths; messages number rows and columns from
+1.  Construction checks that rows and columns weakly increase; strictness
+down columns (column-strict) or in both directions with entries 1..n
+(standard) is checked by the public operations that need it.  Validation
+happens only there: the bumping and sliding loops (``_bump`` and
+``_slide``) work on plain lists of rows, and ``insert_word`` and
+``evacuation`` build their ``Tableau`` results once.
 
 The exhaustive callers do not insert one word at a time.  ``_symbols``
 walks the prefix tree of all words of length n over 1..r, or of the
@@ -85,19 +86,6 @@ class Tableau:
         """Number of cells."""
         return sum(len(r) for r in self.rows)
 
-    def entry(self, x: int, y: int) -> int:
-        if not (1 <= x <= len(self.rows) and 1 <= y <= len(self.rows[x - 1])):
-            raise ValueError(f"no cell ({x}, {y})")
-        return self.rows[x - 1][y - 1]
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        for x, row in enumerate(self.rows, start=1):
-            for y in range(1, len(row) + 1):
-                yield (x, y)
-
-    def to_dict(self) -> dict[tuple[int, int], int]:
-        return {(x, y): self.entry(x, y) for (x, y) in self.cells()}
-
     def entries(self) -> Iterator[int]:
         return itertools.chain.from_iterable(self.rows)
 
@@ -121,7 +109,8 @@ class Tableau:
 
     def transpose(self) -> "Tableau":
         """Reflect across the main diagonal."""
-        return _from_cells({(y, x): e for (x, y), e in self.to_dict().items()})
+        columns = itertools.zip_longest(*self.rows)
+        return Tableau([[e for e in column if e is not None] for column in columns])
 
     def to_json(self) -> dict:
         return {"rows": [list(r) for r in self.rows]}
@@ -150,18 +139,6 @@ class Tableau:
 
     def __repr__(self) -> str:
         return f"Tableau({[list(r) for r in self.rows]!r})"
-
-
-def _from_cells(cells: dict[tuple[int, int], int]) -> Tableau:
-    """Rebuild a tableau from a cell dict whose rows are contiguous."""
-    nrows = max((x for x, _ in cells), default=0)
-    rows = []
-    for x in range(1, nrows + 1):
-        ys = sorted(y for (xx, y) in cells if xx == x)
-        if ys != list(range(1, len(ys) + 1)):
-            raise ValueError(f"row {x} is not contiguous: columns {ys}")
-        rows.append(tuple(cells[(x, y)] for y in ys))
-    return Tableau(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +201,16 @@ def rs_inverse(p: Tableau, q: Tableau) -> Perm:
     if p.outer != q.outer:
         raise ValueError("tableaux must share a shape")
     rows = [list(r) for r in p.rows]
-    where = {q.entry(x, y): (x, y) for (x, y) in q.cells()}
+    where = {t: (x, y) for x, row in enumerate(q.rows) for y, t in enumerate(row)}
     out = []
     for t in range(p.size, 0, -1):
         x, y = where[t]
-        if y != len(rows[x - 1]):
+        if y != len(rows[x]) - 1:
             raise ValueError(f"entry {t} of the recording tableau is not a corner")
-        k = rows[x - 1].pop()
-        if not rows[x - 1]:
+        k = rows[x].pop()
+        if not rows[x]:
             rows.pop()
-        for r in range(x - 2, -1, -1):
+        for r in range(x - 1, -1, -1):
             pos = bisect_left(rows[r], k) - 1
             rows[r][pos], k = k, rows[r][pos]
         out.append(k)
@@ -320,20 +297,23 @@ def q_tableau(code: int, n: int) -> Tableau:
 # ---------------------------------------------------------------------------
 # jeu de taquin
 
-def _slide(cells: dict[tuple[int, int], int], x: int, y: int) -> tuple[int, int]:
-    """Move the hole at (x, y) outward in place: it repeatedly swallows the
-    smaller of its right and lower neighbours (the lower one on ties).
-    Return the outer corner it vacates."""
+def _slide(rows: list[list[int]], x: int, y: int) -> tuple[int, int]:
+    """Move the hole at rows[x][y], 0-based, outward in place: it
+    repeatedly swallows the smaller of its right and lower neighbours (the
+    lower one on ties).  Pop the outer corner it vacates and return it; a
+    row it empties stays, as a row of no cells."""
     while True:
-        below = cells.get((x + 1, y))
-        right = cells.get((x, y + 1))
+        row = rows[x]
+        right = row[y + 1] if y + 1 < len(row) else None
+        below = rows[x + 1][y] if x + 1 < len(rows) and y < len(rows[x + 1]) else None
         if below is None and right is None:
+            row.pop()
             return x, y
         if right is None or (below is not None and below <= right):
-            cells[(x, y)] = cells.pop((x + 1, y))
+            row[y] = below
             x += 1
         else:
-            cells[(x, y)] = cells.pop((x, y + 1))
+            row[y] = right
             y += 1
 
 
@@ -357,13 +337,12 @@ def evacuation(tab: Tableau) -> Tableau:
     slide into (1, 1) and record the vacated cell with the complement label."""
     if not tab.is_standard():
         raise ValueError("evacuation requires a standard tableau")
-    n = tab.size
-    cells = tab.to_dict()
-    out: dict[tuple[int, int], int] = {}
-    for label in range(n, 0, -1):
-        del cells[(1, 1)]
-        out[_slide(cells, 1, 1)] = label
-    return _from_cells(out)
+    rows = [list(row) for row in tab.rows]
+    out = [list(row) for row in tab.rows]
+    for label in range(tab.size, 0, -1):
+        x, y = _slide(rows, 0, 0)
+        out[x][y] = label
+    return Tableau(out)
 
 
 # ---------------------------------------------------------------------------

@@ -576,7 +576,7 @@ def evacuation_by_rectify(tab):
     out = {}
     cur = tab
     for step in range(1, n + 1):
-        punctured = SkewTableau((1,), {c: e for c, e in cur.to_dict().items() if c != (1, 1)})
+        punctured = SkewTableau.from_rows([cur.rows[0][1:], *cur.rows[1:]], inner=(1,))
         slid = rectify(punctured)
         old, new = cur.outer, slid.outer + (0,)
         x = next(i for i in range(len(old)) if old[i] != new[i])

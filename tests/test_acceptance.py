@@ -3,19 +3,16 @@
 Long runs (n = 6, 7 and 8 for the cell/Q partition, n = 6 and 7 for the
 bar-invariance certificate, n = 5 to 8 for the descent and mu/Knuth-move
 checks, n = 6 for the crystal checks, n = 8 and 9 for crystal-theorem-a,
-n = 8 for evacuation and knuth) are gated behind RSCELLS_LONG=1.
+n = 8 and 9 for evacuation and knuth) are gated behind RSCELLS_LONG=1.
 """
 
 import hashlib
 import itertools
 import os
-import subprocess
-import sys
 
 import pytest
 
-import rscells
-
+from children import MAIN, run_child
 from oracles import (
     all_perms,
     as_sets,
@@ -234,34 +231,18 @@ def test_criterion_11_crystal_djm_and_signature():
     _ok(11, "DJM checks pass for n = r <= 4; signature rule matches for n <= 5")
 
 
-# the child reads its peak from VmHWM, the high-water mark of its own
-# address space, as the S_8 warm test in test_kl.py does
-_DJM_6 = """
-from rscells.cli import main
-code = main(["--long", "verify", "crystal-djm", "6"])
-peak = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
-print(code, int(peak.split()[1]) // 1024)
-"""
-
-
 @long_run
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_criterion_11_crystal_djm_n6_long():
     # 46,656 words in about 1 s at a 37 MB peak; building a Tableau per
     # word, operator and reading word took 8-11 s and 92 MB
-    src = os.path.dirname(os.path.dirname(rscells.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", _DJM_6], env=env, capture_output=True, text=True, check=True,
-        timeout=300,
-    ).stdout
-    *report, last = out.splitlines(keepends=True)
-    code, peak_mb = map(int, last.split())
-    assert code == 0
-    assert "".join(report).endswith("cases: 46656\nviolations: 0\nresult: PASS\n")
+    proc, peak_mb = run_child(MAIN, "--long", "verify", "crystal-djm", "6", timeout=300)
+    report = proc.stdout
+    assert proc.returncode == 0
+    assert report.endswith("cases: 46656\nviolations: 0\nresult: PASS\n")
     # the stdout of `rscells --long verify crystal-djm 6` while the suite
     # built a Tableau per word, operator and reading word
-    assert hashlib.sha256("".join(report).encode()).hexdigest() == (
+    assert hashlib.sha256(report.encode()).hexdigest() == (
         "9fa12caf3126e1c889e7361b41097af1a19ebe2630b753493ea468d50d1ec423"
     )
     assert peak_mb < 60, peak_mb
@@ -278,31 +259,11 @@ def test_criterion_12_crystal_route_to_theorem_a():
     _ok(12, "crystal components = Q-fibers = left cells on words, n <= 5")
 
 
-# the child reads its peak from VmHWM, as test_criterion_11_crystal_djm_n6_long does
-_SUITE = """
-import contextlib, io, sys
-from rscells.cli import main
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    code = main(["--max-n", "9", "--long", "verify", sys.argv[1], sys.argv[2]])
-peak = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
-print(code, int(peak.split()[1]) // 1024)
-print(out.getvalue(), end="")
-"""
-
-
 def _suite_child(suite, n):
     """The exit code, VmHWM peak in MB and stdout lines of `rscells --max-n 9
     --long verify SUITE N` in a fresh interpreter with no cache."""
-    src = os.path.dirname(os.path.dirname(rscells.__file__))
-    env = {k: v for k, v in os.environ.items() if k != "RSCELLS_CACHE_DIR"}
-    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    first, *out = subprocess.run(
-        [sys.executable, "-c", _SUITE, suite, str(n)], env=env, capture_output=True,
-        text=True, check=True, timeout=900,
-    ).stdout.splitlines(keepends=True)
-    code, peak_mb = map(int, first.split())
-    return code, peak_mb, out
+    proc, peak_mb = run_child(MAIN, "--max-n", "9", "--long", "verify", suite, str(n))
+    return proc.returncode, peak_mb, proc.stdout.splitlines(keepends=True)
 
 
 @long_run
@@ -337,6 +298,29 @@ def test_criterion_12_crystal_route_n9_long():
     )
     assert peak_mb < 250, peak_mb
     _ok(12, "crystal components = Q-fibers for n = 9 (long)")
+
+
+@long_run
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+@pytest.mark.parametrize(
+    "suite, criterion, digest, peak_bound",
+    # neither builds a KL table: evacuation 9 takes about 2-2.5 s at a 149 MB
+    # peak and knuth 9 about 6-8 s at 146 MB; each bound is that peak plus
+    # about 10 %
+    [
+        ("evacuation", 9, "609c60f4c80cd0f30ea1a8db5e72eea42050a89524016e8e06d0875d6c743b56", 164),
+        ("knuth", 8, "3eccd11a858d3695b536b2192ec13f0fb58da4d531ab5f2aefc56f767db3189d", 161),
+    ],
+)
+def test_permutation_suites_n9_long(suite, criterion, digest, peak_bound):
+    code, peak_mb, out = _suite_child(suite, 9)
+    assert code == 0
+    assert "cases: 362880\n" in out and "result: PASS\n" in out
+    # the stdout of `rscells --max-n 9 --long verify SUITE 9` while
+    # evacuation slid through a dict of cells
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
+    assert peak_mb < peak_bound, peak_mb
+    _ok(criterion, f"{suite} passes for n = 9 (long)")
 
 
 def _all_rectifications(tab):

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import os
-import subprocess
 import sys
 import threading
 import time
@@ -9,7 +8,7 @@ from math import factorial
 
 import pytest
 
-import rscells
+from children import run_child
 from kl_entries import read_column, write_column
 from oracles import (
     all_perms,
@@ -690,9 +689,6 @@ def test_load_refuses_an_appended_record(tmp_path):
     assert loaded.polynomial((1, 2, 3, 4), (4, 3, 2, 1)) == ONE
 
 
-# the child reads its peak from VmHWM, the high-water mark of its own
-# address space: getrusage's ru_maxrss, in the child or from wait4, also
-# counts the RSS of the parent it was started from
 _S8_WARM = r"""
 import hashlib
 from rscells.kl import KLTable
@@ -701,8 +697,7 @@ table.warm()
 digest = hashlib.sha256()
 for w in range(len(table.ranks.perms)):
     digest.update(f"{tuple(zip(*table._mu_list(w)))}\n".encode())
-peak = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
-print(table.entry_count(), int(peak.split()[1]) // 1024, digest.hexdigest())
+print(table.entry_count(), digest.hexdigest())
 """
 
 # the sha256 of the S_8 mu lists as _S8_WARM prints them, one line per rank,
@@ -717,13 +712,9 @@ def test_s8_warm_peak_memory_long():
     # and the bound is that peak plus about 10 %; the columns and supports
     # of S_8 took 1.06 GB before they were stored compactly and one support
     # length at a time
-    src = os.path.dirname(os.path.dirname(rscells.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", _S8_WARM], env=env, capture_output=True, text=True, check=True,
-        timeout=900,
-    ).stdout
-    entries, peak_mb, digest = out.split()
+    proc, peak_mb = run_child(_S8_WARM)
+    assert proc.returncode == 0, proc.stderr
+    entries, digest = proc.stdout.split()
     assert int(entries) == 9_551_060
     assert digest == S8_MU_SHA256
-    assert int(peak_mb) < 125, peak_mb
+    assert peak_mb < 125, peak_mb

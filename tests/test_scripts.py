@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from children import run_child
 from rscells.verify import Report
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -102,25 +103,18 @@ def test_run_verifications_names_the_suites_it_skips(monkeypatch, capsys):
     )
 
 
-# the child reads its peak from VmHWM, as test_s8_warm_peak_memory_long does
+# the child exits 1 if a suite failed, as the script does
 _DEGREE = """
 import runpy, sys
 run_degree = runpy.run_path(sys.argv[1])["run_degree"]
-failures = run_degree(int(sys.argv[2]))
-peak = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
-print(failures, int(peak.split()[1]) // 1024)
+sys.exit(1 if run_degree(int(sys.argv[2])) else 0)
 """
 
 
 def _degree_child(n):
-    """The process that runs run_degree(n) with no cache and prints the
-    failures and its VmHWM peak in MB last."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("RSCELLS_CACHE_DIR", None)
-    return subprocess.run(
-        [sys.executable, "-c", _DEGREE, str(ROOT / "scripts" / "run_verifications.py"), str(n)],
-        env=env, capture_output=True, text=True, timeout=900,
-    )
+    """The process that runs run_degree(n) with no cache, and its VmHWM
+    peak in MB."""
+    return run_child(_DEGREE, str(ROOT / "scripts" / "run_verifications.py"), str(n))
 
 
 @pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
@@ -130,13 +124,11 @@ def test_run_verifications_degree_8_on_one_table_long():
     # one warm S_8 table, and crystal-theorem-a, evacuation and knuth read
     # none.  About 18-22 s at a 141-142 MB peak, the warm about half of it,
     # and the bound is that peak plus about 10 %
-    proc = _degree_child(8)
+    proc, peak_mb = _degree_child(8)
     lines = _suite_lines(proc)
     # bar-invariance stops at n = 7 and crystal-djm at 6
     suites = ["crystal-theorem-a", "descents", "evacuation", "knuth", "knuth-mu", "theorem-a"]
     assert [line.split()[:2] for line in lines] == [["n=8", name] for name in suites]
-    failures, peak_mb = map(int, proc.stdout.splitlines()[-1].split())
-    assert failures == 0
     assert peak_mb < 155, peak_mb
 
 
@@ -146,7 +138,7 @@ def test_run_verifications_degree_9_without_a_table_long():
     # knuth, evacuation and crystal-theorem-a, which read no KL table; an
     # S_9 table would take hours.  About 17-24 s at a 222 MB peak, set by the
     # crystal walk; the bound is that peak plus about 10 %
-    proc = _degree_child(9)
+    proc, peak_mb = _degree_child(9)
     lines = _suite_lines(proc)
     suites = ["crystal-theorem-a", "evacuation", "knuth"]
     assert [line.split()[:2] for line in lines] == [["n=9", name] for name in suites]
@@ -154,8 +146,6 @@ def test_run_verifications_degree_9_without_a_table_long():
         "skipped at n=9, above their degree caps: "
         "bar-invariance crystal-djm descents knuth-mu theorem-a\n"
     )
-    failures, peak_mb = map(int, proc.stdout.splitlines()[-1].split())
-    assert failures == 0
     assert peak_mb < 245, peak_mb
 
 

@@ -72,10 +72,6 @@ def test_tableau_validation():
             Tableau([[1], [bad]])
     t = Tableau([[1, 3], [2]])
     assert t.outer == (2, 1) and t.size == 3
-    assert t.entry(1, 2) == 3 and t.entry(2, 1) == 2
-    for x, y in ((2, 2), (3, 1), (0, 1), (1, 0)):
-        with pytest.raises(ValueError):
-            t.entry(x, y)
 
 
 def test_skew_tableau_validation():
@@ -279,7 +275,7 @@ def test_q_code_rejects_what_is_not_a_standard_tableau():
 
 def test_rectify_of_straight_tableau_is_identity():
     t = Tableau([[1, 2], [3]])
-    assert rectify(SkewTableau((), t.to_dict())) == t
+    assert rectify(SkewTableau.from_rows(t.rows, inner=())) == t
 
 
 def test_jdt_slide_rejects_bad_holes():
@@ -394,6 +390,24 @@ def test_transpose():
         for t in standard_tableaux(shape):
             assert t.transpose().outer == conjugate(shape)
             assert t.transpose().transpose() == t
+
+
+def test_row_code_on_the_empty_tableau_a_row_and_a_column():
+    # the slide leaves empty rows behind, and the transpose reads columns
+    # of every length, none included
+    empty = Tableau([])
+    assert empty.transpose() == empty and evacuation(empty) == empty
+    assert rs_inverse(empty, empty) == ()
+    for n in range(1, 7):
+        row = Tableau([range(1, n + 1)])
+        column = Tableau([[e] for e in range(1, n + 1)])
+        assert row.transpose() == column and column.transpose() == row
+        # each shape has one standard filling, which evacuation must keep
+        assert evacuation(row) == row and evacuation(column) == column
+        assert rs_inverse(row, row) == identity(n)
+        assert rs_inverse(column, column) == tuple(range(n, 0, -1))
+    # rows and columns that only weakly increase
+    assert Tableau([[1, 1, 2], [2, 3]]).transpose() == Tableau([[1, 2], [1, 3], [2]])
 
 
 # -- enumeration -----------------------------------------------------------------

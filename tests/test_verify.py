@@ -307,20 +307,22 @@ def test_permutation_suites_match_one_insertion_per_permutation(n):
         assert rep.to_json() == want.to_json()
 
 
-def _slide_to_the_larger(cells, x, y):
+def _slide_to_the_larger(rows, x, y):
     """A jeu de taquin slide whose hole swallows the larger of its right and
     lower neighbours.  The vacated cell is still an outer corner, so
     evacuation still returns a standard tableau, only the wrong one."""
     while True:
-        below = cells.get((x + 1, y))
-        right = cells.get((x, y + 1))
+        row = rows[x]
+        right = row[y + 1] if y + 1 < len(row) else None
+        below = rows[x + 1][y] if x + 1 < len(rows) and y < len(rows[x + 1]) else None
         if below is None and right is None:
+            row.pop()
             return x, y
         if right is None or (below is not None and below > right):
-            cells[(x, y)] = cells.pop((x + 1, y))
+            row[y] = below
             x += 1
         else:
-            cells[(x, y)] = cells.pop((x, y + 1))
+            row[y] = right
             y += 1
 
 
