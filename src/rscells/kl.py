@@ -8,23 +8,22 @@ v = s_i w for the smallest left descent s_i of w:
               - sum over z <= v with s_i z < z and mu(z, v) != 0 of
                 mu(z, v) q^((l(w) - l(z)) / 2) P_{y, z}
 
-Only "raised" y are stored, those whose descent set contains the descent set
-of w; any other y is first pushed up through the descents of w, which leaves
-the polynomial unchanged, so c = 1 in the recursion above.  The mu list of w
-consists of the stored entries whose degree meets the bound
-2 deg P_{y,w} <= l(w) - l(y) - 1, with mu the top coefficient, plus
-the lower covers s_i w for descents s_i of w (the only non-raised pairs
-whose mu can survive the degree bound).
+A column stores only the two-sided extremal y, whose left and right
+descent sets contain those of w: any other y <= w is first pushed up
+through the descents of w on both sides, which leaves the polynomial
+unchanged (F. du Cloux, "Computing Kazhdan-Lusztig polynomials for
+arbitrary Coxeter groups", Experiment. Math. 11, 2002), so c = 1 in the
+recursion above.  S_7 has 50,224 such entries and S_8 1,147,956.  The mu
+list of w consists of the stored entries whose degree meets the bound
+2 deg P_{y,w} <= l(w) - l(y) - 1, with mu the top coefficient, plus the
+lower covers s_i w and w s_i for the left and right descents s_i of w (the
+only other pairs whose mu can survive the degree bound).
 
-The recursion itself runs only at the two-sided extremal y, whose right
-descent set contains that of w as well: P_{y,w} = P_{yt,w} for every right
-descent t of w too (F. du Cloux, "Computing Kazhdan-Lusztig polynomials for
-arbitrary Coxeter groups", Experiment. Math. 11, 2002).  Any other raised y
-lacks some right descent t of w, and y t lies below w, is raised again
-(yt > y keeps every left descent of y) and has a higher rank, so a walk
-down the ranks copies P_{yt,w} into P_{y,w}.  Chained, the copies raise y on
-the right until it is extremal.  S_7 has 50,224 extremal entries among its
-292,070, and S_8 1,147,956 among its 9,551,060.
+P_{y,w} = P_{y^-1,w^-1} (Kazhdan-Lusztig, Invent. Math. 53, 1979), and
+inversion swaps the two descent sets, so where the column of w^-1 is
+computed already, that of w is its image under inversion, sorted.  warm()
+goes in (length, rank) order, so it recurses only for the w that do not
+come after their inverse; a column is never computed just to be inverted.
 
 Inside a table an element is its rank in S_n, and lengths, descent masks
 and the products by each s_i are the arrays of the degree's shared
@@ -36,30 +35,32 @@ takes (Kazhdan-Lusztig 1979), so a table recurses on the left only.
 The Bruhat interval {y : y <= w} is an int bitset over ranks.  Bruhat
 order does not depend on the side, so it is built as [e, v] u [e, v] s_i
 for v = w s_i and a right descent s_i of w, the image of [e, v] being the
-union of at most 2(n - i) masked shifts, one per offset.  The raised part
-of an interval is one AND with the bitset of the ranks whose descents
-contain those of w, and a column walks its set bits once, down the ranks.
-An interval is read only by the intervals one length up, so warm(),
+union of at most 2(n - i) masked shifts, one per offset.  The extremal part
+of an interval is two ANDs, with the bitsets of the ranks whose left and
+right descent sets contain those of w, and a column walks its set bits
+once.  An interval is read only by the intervals one length up, so warm(),
 save(), the cell graph and the bar-invariance walk drop each length layer
 once the next is built.
 
-A column is two aligned arrays: its raised ranks in ascending order,
+A column is two aligned arrays: its extremal ranks in ascending order,
 ending with the sentinel n! (two bytes each up to S_8, four at S_9), and
 each rank's index into the table's pool, the list of distinct polynomials
 (one byte each while the pool holds at most 256, two bytes after that).
 Entries are found by bisection; the sentinel keeps every probe inside the
 array.  A mu list is two arrays too, its ranks z ascending and their mu
-values.  S_7 holds 292,070 entries in about 2 MB, S_8 9,551,060 in about
-44 MB.  The two polynomial steps of the recursion,
-P_{s_i y,v} + q P_{y,v} and p - mu q^k P_{y,z}, see few distinct operands:
-both are memoized per table on pool indices: S_7 looks them up 61,264
-times and computes 968 of them, S_8 looks them up 1.56 M times and
-computes 29,060.
+values.  The columns of S_7 take about 0.8 MB and those of S_8 about
+10 MB.  The two polynomial steps of the recursion, P_{s_i y,v} + q P_{y,v}
+and p - mu q^k P_{y,z}, see few distinct operands: both are memoized per
+table on pool indices: S_7 looks them up 31,894 times and computes 724 of
+them, S_8 looks them up 795 K times and computes 18,736.
 
 Columns persist to a cache file in format 3: a version line
 ``#rscells-kl 3 S_<n> left``, then one record per line,
 ``y<TAB>w<TAB>c0,c1,...,cd`` with permutations in digit notation, in
-(length, rank) order of w and then of y.  Files are written column by
+(length, rank) order of w and then of y.  A file holds the one-sided
+records, every y <= w whose left descent set contains that of w (292,070
+at S_7, 9,551,060 at S_8), expanded from the stored columns as they are
+written; entry_count() counts them too.  Files are written column by
 column to a uniquely named temporary file and renamed over the old one, so
 concurrent readers see either the old or the new complete file.  No
 polynomial is ever read back: every column is computed, which at S_8 is
@@ -81,7 +82,7 @@ from pathlib import Path
 from .permutations import Perm, _right_runs, format_permutation, rank_arrays
 from .polynomials import ONE, ZERO, IntPolynomial
 
-# a table with every column computed takes about 103 MB and 12-15 s at S_8,
+# a table with every column computed takes about 77 MB and 3.5-4.5 s at S_8,
 # but the Bruhat intervals grow 26x, 36x and 48x per degree up to S_8, so S_9
 # would take hours and more memory than a few GB; runs that warm every
 # column stop here
@@ -90,8 +91,8 @@ WARM_MAX_DEGREE = 8
 # the version in the first line of a cache file
 FORMAT_VERSION = 3
 
-# a column: its raised ranks ascending plus the sentinel n!, and their
-# polynomials as indices into the table's pool
+# a column: its two-sided extremal ranks ascending plus the sentinel n!,
+# and their polynomials as indices into the table's pool
 Column = tuple[array, array]
 # a mu list: the ranks z ascending and mu(z, w) of each
 MuList = tuple[array, array]
@@ -135,24 +136,26 @@ class KLTable:
         self.ranks = rank_arrays(n)
         self.n = n
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        size = factorial(n)
+        self._size = size = factorial(n)
+        self._lengths = self.ranks.lengths
         # the array type of column keys and mu list ranks, which run up to
         # the sentinel n!
         self._keycode = "H" if size < 1 << 16 else "I"
-        # a scratch array over ranks that _column fills one column at a time
-        self._scratch = [0] * size
         # the pool: each distinct polynomial once, ZERO and ONE at 0 and 1,
         # their degrees, and coefficients -> index
         self._polys: list[IntPolynomial] = [ZERO, ONE]
         self._degrees = [ZERO.degree, ONE.degree]
         self._pool: dict[tuple[int, ...], int] = {ZERO.coeffs: 0, ONE.coeffs: 1}
         self._columns: dict[int, Column] = {0: self._pack([0], [1])}
+        # the one-sided records of the columns computed so far, the entries
+        # a cache file holds
+        self._entries = 1
         # Bruhat intervals as bitsets over ranks, the identity's {e} first;
-        # the tables they are built from, and descent mask -> the bitset of
-        # the ranks raised to it, are made on first use
+        # the tables they are built from, and (descent mask, side) -> the
+        # bitset of the ranks raised to it on that side, are made on first use
         self._supports: dict[int, int] = {0: 1}
         self._swaps: list[list[tuple[int, int]]] | None = None
-        self._raised: dict[int, int] = {}
+        self._raised: dict[tuple[int, bool], int] = {}
         # memos of the two polynomial steps of _column on pool indices,
         # (a, b) -> a + q b and (p, P, k, m) -> p - m q^k P
         self._sums: dict[tuple[int, int], int] = {}
@@ -174,7 +177,7 @@ class KLTable:
         holds every index of the pool."""
         size = len(self._polys)
         values = array("B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "I", values)
-        keys.append(len(self._scratch))
+        keys.append(self._size)
         return array(self._keycode, keys), values
 
     def _entry(self, col: Column, y: int) -> IntPolynomial:
@@ -190,7 +193,7 @@ class KLTable:
         ``swaps[i - 1]`` holds (M, offset) for each offset of w s_i, M the
         ranks it moves."""
         if self._swaps is None:
-            size = len(self._scratch)
+            size = self._size
             swaps = []
             for i in range(1, self.n):
                 block, run, runs = _right_runs(self.n, i)
@@ -218,14 +221,15 @@ class KLTable:
         self._supports[w] = s
         return s
 
-    def _raised_set(self, wmask: int) -> int:
-        """The bitset of the ranks whose left descent set contains ``wmask``,
-        memoized per mask: the descent masks as bytes, highest rank first,
-        translate to its binary text."""
-        got = self._raised.get(wmask)
+    def _raised_set(self, wmask: int, right: bool = False) -> int:
+        """The bitset of the ranks whose left descent set, or right one,
+        contains ``wmask``, memoized per side and mask: the descent masks as
+        bytes, highest rank first, translate to its binary text."""
+        got = self._raised.get((wmask, right))
         if got is None:
             keep = bytes(48 if wmask & ~m else 49 for m in range(256))
-            got = self._raised[wmask] = int(bytes(self.ranks.masks)[::-1].translate(keep), 2)
+            masks = self.ranks.rmasks if right else self.ranks.masks
+            got = self._raised[wmask, right] = int(bytes(masks)[::-1].translate(keep), 2)
         return got
 
     def _in_length_order(self) -> Iterator[int]:
@@ -247,24 +251,33 @@ class KLTable:
             below = layer
 
     def _column(self, w: int) -> Column:
-        """P_{y,w} for every raised y <= w (descents of w all descend y).
-
-        The recursion runs only at the two-sided extremal y, whose right
-        descents contain those of w as well."""
+        """P_{y,w} for every two-sided extremal y <= w, whose left and right
+        descent sets contain those of w."""
         col = self._columns.get(w)
         if col is not None:
             return col
         ranks = self.ranks
-        masks, rmasks, lengths, lowest = ranks.masks, ranks.rmasks, ranks.lengths, ranks.lowest
+        masks, rmasks, lengths, inverse = ranks.masks, ranks.rmasks, self._lengths, ranks.inverse
         wmask, wrmask = masks[w], rmasks[w]
+        # every column builds its interval, whose left-raised part is the
+        # one-sided records, and the intervals one length up are built from it
+        raised = self._support(w) & self._raised_set(wmask)
+        self._entries += raised.bit_count()
+        col = self._columns.get(inverse[w])
+        if col is not None:
+            # P_{y,w} = P_{y^-1,w^-1}, and inversion swaps the descent sets
+            keys, values = col
+            keys, values = map(list, zip(*sorted(zip(map(inverse.__getitem__, keys[:-1]), values))))
+            col = self._columns[w] = self._pack(keys, values)
+            return col
         ibit = wmask & -wmask
-        step = ranks.steps[lowest[wmask]]
+        step = ranks.steps[ranks.lowest[wmask]]
         v = step[w]
         # the keys of the columns probed below are read as lists for this
         # call: bisection in an array builds an int at every comparison
         keysv, valuesv = self._column(v)
         keysv = keysv.tolist()
-        vmask = masks[v]
+        vmask, vrmask = masks[v], rmasks[v]
         lw = lengths[w]
         # mu(z, v) q^k P_{y,z} is subtracted for each z in the mu list of v
         # with s_i z < z; P_{y,z} is 0 unless y raises into column z
@@ -272,36 +285,27 @@ class KLTable:
         for z, m in zip(*self._mu_list(v)):
             if masks[z] & ibit:
                 keysz, valuesz = self._column(z)
-                muv.append(
-                    (keysz.tolist(), valuesz, masks[z], lengths[z], (lw - lengths[z]) // 2, m)
-                )
+                lz = lengths[z]
+                muv.append((keysz.tolist(), valuesz, masks[z], rmasks[z], lz, (lw - lz) // 2, m))
         raise_to, pool_index, polys = ranks.raise_to, self._pool_index, self._polys
         sums, corrections = self._sums, self._corrections
-        rsteps, scratch = ranks.rsteps, self._scratch
-        keys = list(_ranks(self._support(w) & self._raised_set(wmask)))
-        # walk down the ranks: a raised y that lacks a right descent of w
-        # copies P_{yt,w} for the lowest such t, as y t lies in the interval,
-        # is raised (yt > y keeps every left descent of y) and has a higher
-        # rank, so it is filled already; every other y recurses
-        for y in reversed(keys):
-            rest = wrmask & ~rmasks[y]
-            if rest:
-                scratch[y] = scratch[rsteps[lowest[rest]][y]]
-                continue
-            x = raise_to(step[y], vmask)
+        keys = list(_ranks(raised & self._raised_set(wrmask, True)))
+        values = []
+        for y in keys:
+            x = raise_to(step[y], vmask, vrmask)
             i = bisect_left(keysv, x)
             a = valuesv[i] if keysv[i] == x else 0
-            x = raise_to(y, vmask)
+            x = raise_to(y, vmask, vrmask)
             i = bisect_left(keysv, x)
             b = valuesv[i] if keysv[i] == x else 0
             p = sums.get((a, b))
             if p is None:
                 p = sums[a, b] = pool_index(polys[a] + polys[b].shift(1))
             ly = lengths[y]
-            for keysz, valuesz, zmask, lz, k, m in muv:
+            for keysz, valuesz, zmask, zrmask, lz, k, m in muv:
                 if ly > lz:
                     continue
-                x = raise_to(y, zmask)
+                x = raise_to(y, zmask, zrmask)
                 i = bisect_left(keysz, x)
                 if keysz[i] == x:
                     key = (p, valuesz[i], k, m)
@@ -311,21 +315,21 @@ class KLTable:
                             polys[p] - polys[valuesz[i]].shift(k) * m
                         )
                     p = r
-            scratch[y] = p
-        col = self._columns[w] = self._pack(keys, map(scratch.__getitem__, keys))
+            values.append(p)
+        col = self._columns[w] = self._pack(keys, values)
         return col
 
     def _lookup(self, y: int, w: int) -> IntPolynomial:
         if y == w:
             return ONE
         ranks = self.ranks
-        lengths = ranks.lengths
+        lengths = self._lengths
         if lengths[y] >= lengths[w]:
             return ZERO
         # _column and _entry inlined: the certificate of bar-invariance runs
         # this a few times per interval element
         keys, values = self._columns.get(w) or self._column(w)
-        y = ranks.raise_to(y, ranks.masks[w])
+        y = ranks.raise_to(y, ranks.masks[w], ranks.rmasks[w])
         i = bisect_left(keys, y)
         return self._polys[values[i]] if keys[i] == y else ZERO
 
@@ -335,7 +339,7 @@ class KLTable:
         if got is not None:
             return got
         ranks = self.ranks
-        lengths, degrees, polys = ranks.lengths, self._degrees, self._polys
+        lengths, degrees, polys = self._lengths, self._degrees, self._polys
         # 2 deg P_{y,w} <= l(w) - l(y) - 1 for y != w, so mu(y, w) is nonzero
         # exactly when the degree meets the bound, and it is then the top
         # coefficient
@@ -346,10 +350,13 @@ class KLTable:
             for y, p in zip(*self._column(w))
             if lengths[y] + 2 * degrees[p] == top
         }
-        wmask = ranks.masks[w]
-        for i, step in enumerate(ranks.steps):
+        # and the lower covers s_i w and w s_i, each with mu 1
+        wmask, wrmask = ranks.masks[w], ranks.rmasks[w]
+        for i, (step, rstep) in enumerate(zip(ranks.steps, ranks.rsteps)):
             if wmask >> i & 1:
                 mus[step[w]] = 1
+            if wrmask >> i & 1:
+                mus[rstep[w]] = 1
         zs = sorted(mus)
         # every mu of S_n is 0 or 1 for n <= 9 (McLarnan-Warrington 2003),
         # so one that fits no byte raises OverflowError
@@ -357,7 +364,7 @@ class KLTable:
         return got
 
     def _mu(self, y: int, w: int) -> int:
-        lengths = self.ranks.lengths
+        lengths = self._lengths
         d = lengths[w] - lengths[y]
         if d <= 0 or d % 2 == 0:
             return 0
@@ -375,7 +382,7 @@ class KLTable:
         return self._mu(self.ranks.rank(y), self.ranks.rank(w))
 
     def _mu_sym(self, y: int, w: int) -> int:
-        lengths = self.ranks.lengths
+        lengths = self._lengths
         return self._mu(y, w) if lengths[y] < lengths[w] else self._mu(w, y)
 
     def mu_sym(self, y: Perm, w: Perm) -> int:
@@ -394,8 +401,9 @@ class KLTable:
             self._column(w)
 
     def entry_count(self) -> int:
-        """Entries of the columns computed so far."""
-        return sum(len(values) for _, values in self._columns.values())
+        """The one-sided records of the columns computed so far, those a
+        cache file holds for them."""
+        return self._entries
 
     # -- disk cache --------------------------------------------------------
 
@@ -407,22 +415,35 @@ class KLTable:
     def _file(self) -> Iterator[bytes]:
         """The cache file of S_n in pieces: the version line, then the
         records of each column, computed first where they are not, so the
-        body is never held whole."""
-        names = list(map(format_permutation, self.ranks.perms))
-        lengths, polys = self.ranks.lengths, self._polys
-        texts: dict[int, str] = {}  # "c0,c1,..." per pool index
+        body is never held whole.
+
+        A column's records are its one-sided entries, every y <= w whose
+        left descent set contains that of w.  Walking them down the ranks, a
+        y that lacks a right descent of w copies P_{yt,w} for the lowest
+        such t: y t lies in the interval, keeps every left descent of y and
+        has a higher rank, so it is filled already; the two-sided extremal
+        y are filled from the column."""
+        ranks = self.ranks
+        names = list(map(format_permutation, ranks.perms))
+        masks, rmasks, rsteps, lowest = ranks.masks, ranks.rmasks, ranks.rsteps, ranks.lowest
+        lengths, polys = self._lengths, self._polys
+        texts: list[str] = []  # "c0,c1,..." per pool index
+        scratch = [0] * self._size
         yield f"#rscells-kl {FORMAT_VERSION} S_{self.n} left\n".encode()
         for w in self._in_length_order():
-            keys, values = self._column(w)
+            for y, p in zip(*self._column(w)):
+                scratch[y] = p
+            wrmask = rmasks[w]
+            keys = list(_ranks(self._support(w) & self._raised_set(masks[w])))
+            for y in reversed(keys):
+                rest = wrmask & ~rmasks[y]
+                if rest:
+                    scratch[y] = scratch[rsteps[lowest[rest]][y]]
+            texts += [",".join(map(str, p.coeffs)) for p in polys[len(texts) :]]
             wname = names[w]
-            lines = []
             # the keys ascend, so a stable sort by length gives (length, rank)
-            for y, p in sorted(zip(keys, values), key=lambda e: lengths[e[0]]):
-                text = texts.get(p)
-                if text is None:
-                    text = texts[p] = ",".join(map(str, polys[p].coeffs))
-                lines.append(f"{names[y]}\t{wname}\t{text}\n")
-            yield "".join(lines).encode()
+            keys.sort(key=lengths.__getitem__)
+            yield "".join([f"{names[y]}\t{wname}\t{texts[scratch[y]]}\n" for y in keys]).encode()
 
     def save(self) -> None:
         """Write every column of S_n, computing those not yet computed, to a

@@ -195,18 +195,18 @@ def q_symbol(w: Perm) -> Tableau:
 
 def rs_inverse(p: Tableau, q: Tableau) -> Perm:
     """The unique permutation with the given P- and Q-symbols, by reverse
-    bumping in decreasing order of the entries of ``q``."""
+    bumping in decreasing order of the entries of ``q``.  Both are standard
+    and of one shape, so the largest entry left in ``q`` always ends its
+    row at an outer corner of the shape left in ``p``."""
     if not p.is_standard() or not q.is_standard():
         raise ValueError("both tableaux must be standard")
     if p.outer != q.outer:
         raise ValueError("tableaux must share a shape")
     rows = [list(r) for r in p.rows]
-    where = {t: (x, y) for x, row in enumerate(q.rows) for y, t in enumerate(row)}
+    where = {t: x for x, row in enumerate(q.rows) for t in row}
     out = []
     for t in range(p.size, 0, -1):
-        x, y = where[t]
-        if y != len(rows[x]) - 1:
-            raise ValueError(f"entry {t} of the recording tableau is not a corner")
+        x = where[t]
         k = rows[x].pop()
         if not rows[x]:
             rows.pop()

@@ -179,20 +179,20 @@ def verify_bar_invariance(n: int, table: KLTable | None = None) -> Report:
 
     when sx < x, and q P_{sx,v} + P_{x,v} on the left otherwise.  Also check
     that the stored P_{w,w} is 1, that deg P_{x,w} <= (l(w) - l(x) - 1)/2
-    for x != w, and that column w holds exactly the raised elements of the
-    interval, so no value outside it is ever served.
+    for x != w, and that column w holds exactly the two-sided extremal
+    elements of the interval, so no value outside it is ever served.
 
     The certificate is complete: C'_s is bar-invariant, so by induction on
     length each C'_w = C'_s C'_v - sum mu C'_z is bar-invariant, and with
     P_{w,w} = 1 and the degree bound it is the canonical basis element by
     uniqueness (Kazhdan-Lusztig 1979).  Values are read through the
-    table's own lookup, so non-raised x test the raising shortcut.
+    table's own lookup, so non-extremal x test the two-sided raise.
     """
     report = Report("bar-invariance", n, cases=0)
     table = _table(n, table)
     ranks = table.ranks
     lookup, lengths, masks, steps = table._lookup, ranks.lengths, ranks.masks, ranks.steps
-    perms = ranks.perms
+    perms, rmasks = ranks.perms, ranks.rmasks
     report.cases = len(perms)
     # memos of the two polynomial steps, keyed on operand ids: every operand
     # is in the table's pool or held by these dicts, so no id is reused meanwhile
@@ -206,12 +206,12 @@ def verify_bar_invariance(n: int, table: KLTable | None = None) -> Report:
         if pww != ONE:
             report.violations.append(f"w={_fmt(perms[w])}: P_{{w,w}} = {pww} != 1")
         wmask = masks[w]
-        raised = (support & table._raised_set(wmask)).bit_count()
-        entries = len(col[1])
-        if entries != raised:
+        extremal = support & table._raised_set(wmask) & table._raised_set(rmasks[w], True)
+        entries, want = len(col[1]), extremal.bit_count()
+        if entries != want:
             report.violations.append(
                 f"w={_fmt(perms[w])}: column holds {entries} entries but the interval "
-                f"has {raised} raised elements"
+                f"has {want} two-sided extremal elements"
             )
         if not wmask:
             continue
@@ -341,15 +341,16 @@ def verify_knuth_mu(n: int, table: KLTable | None = None) -> Report:
     For each move K_ij the cases are: every w of the domain D_ij, every pair
     y < w in D_ij with mu(y, w) != 0, and every pair y < w in D_ij that
     shares a left cell.  The nonzero-mu pairs come from the table's mu
-    lists, which hold every such pair: if z < w is not raised (some descent
-    s of w has sz > z) then P_{z,w} = P_{sz,w}, so either sz = w and
-    mu(z, w) = 1, a lower cover the list adds, or the degree bound
-    deg P_{sz,w} <= (l(w) - l(z) - 2)/2 leaves no coefficient of q^((l(w) -
-    l(z) - 1)/2).  The bound is what ``bar-invariance`` certifies.  The
-    same-cell pairs are counted per cell of D_ij: they can fail only where
-    the images of that cell's domain elements meet more than one left cell.
-    Violations come per move: the right-cell lines in domain order, then
-    the pair lines by (y, w), mu before cell, the order of a scan.
+    lists, which hold every such pair: if z < w is not two-sided extremal
+    (some left descent s of w has sz > z, or a right one zs > z) then
+    P_{z,w} = P_{sz,w} (or P_{zs,w}), so either sz = w and mu(z, w) = 1, a
+    lower cover the list adds, or the degree bound deg P_{sz,w} <= (l(w) -
+    l(z) - 2)/2 leaves no coefficient of q^((l(w) - l(z) - 1)/2).  The
+    bound is what ``bar-invariance`` certifies.  The same-cell pairs are
+    counted per cell of D_ij: they can fail only where the images of that
+    cell's domain elements meet more than one left cell.  Violations come
+    per move: the right-cell lines in domain order, then the pair lines by
+    (y, w), mu before cell, the order of a scan.
     """
     report = Report("knuth-mu", n, cases=0)
     table = _table(n, table)
@@ -463,7 +464,7 @@ _TABLE_SUITES = {
 # the largest degree at which each suite is known to finish within minutes;
 # the command line refuses a larger one before any work.  The suites that
 # read KL polynomials warm every column, so they stop at the warm cap: at
-# n = 8 descents takes about 3 s and knuth-mu about 12 s past the ~15 s
+# n = 8 descents takes about 1 s and knuth-mu about 5 s past the ~4 s
 # warm.  bar-invariance 7 checks 3,550,918 interval identities in about
 # 35 s, and 8 would need 170,288,585.  crystal-djm lists all n**n words,
 # 46,656 at 6 and 823,543 at 7, past crystal.MAX_WORDS.  knuth, evacuation

@@ -1,6 +1,7 @@
 """Reading and replacing the entries of a KLTable's columns.
 
-A column holds its raised ranks and, for each, an index into the table's
+A column holds its two-sided extremal ranks, those whose left and right
+descent sets contain that of w, and for each an index into the table's
 pool of distinct polynomials.  Tests read and edit it as a dict rank ->
 polynomial, so they compare values and never pool indices: two tables
 number their pools in the order they meet the values.

@@ -858,21 +858,21 @@ def _main_child(*argv):
 @pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_theorem_a_8_peak_memory_long():
-    # about 15-17 s at 128 MB with no cache, and the bound is that peak plus
+    # about 4-5 s at 100 MB with no cache, and the bound is that peak plus
     # about 10 %; the cell graph walks the columns in length order, so each
     # length layer of Bruhat supports is dropped as in warm()
     code, peak_mb, lines = _main_child("--long", "verify", "theorem-a", "8")
     assert code == EXIT_OK
     assert "cells: 764" in lines and "result: PASS" in lines
-    assert peak_mb < 145, peak_mb
+    assert peak_mb < 110, peak_mb
 
 
 @pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_s8_cache_check_peak_memory_long(tmp_path):
-    # cache warm 8 writes the 208 MB file in about 12 s.  cache info 8
-    # computes S_8 again and compares the file with it, about 12 s at a
-    # 116 MB peak; reading the file used to take 286-295 MB.  A klpoly with
+    # cache warm 8 writes the 208 MB file in about 10 s.  cache info 8
+    # computes S_8 again and compares the file with it, about 11 s at an
+    # 82 MB peak; reading the file used to take 286-295 MB.  A klpoly with
     # that cache directory reads none of it: about 0.15 s at 30 MB, as with
     # no cache; it took 239-244 MB when it read the file.  Each bound is the measured peak plus about 10 %
     cache = str(tmp_path)
@@ -880,7 +880,7 @@ def test_s8_cache_check_peak_memory_long(tmp_path):
     assert (code, lines) == (EXIT_OK, ["warmed S_8: 9551060 entries"])
     code, peak_mb, lines = _main_child("--cache-dir", cache, "cache", "info", "8")
     assert (code, lines) == (EXIT_OK, ["kl_s8.tsv: 9551060 entries", "total: 9551060 entries"])
-    assert peak_mb < 128, peak_mb
+    assert peak_mb < 90, peak_mb
     argv = ("klpoly", "12345678", "56781234")
     code, peak_mb, lines = _main_child("--cache-dir", cache, *argv)
     assert (code, lines) == (EXIT_OK, ["1 + 9q + 32q^2 + 53q^3 + 38q^4 + 11q^5 + q^6"])

@@ -28,6 +28,7 @@ from rscells.permutations import (
     left_descents,
     length,
     multiply_simple,
+    parse_permutation,
     rank_arrays,
     right_descents,
 )
@@ -273,9 +274,14 @@ def test_supports_and_column_keys_match_bruhat_order():
             below = {y for y in perms if bruhat_leq(y, w)}
             assert tbl.support(w) == below, w
             assert tbl._support(tbl.ranks.rank(w)).bit_count() == len(below), w
-            raised = {y for y in below if left_descents(w) <= left_descents(y)}
+            # a column stores the two-sided extremal y alone
+            extremal = {
+                y
+                for y in below
+                if left_descents(w) <= left_descents(y) and right_descents(w) <= right_descents(y)
+            }
             column = read_column(tbl, tbl.ranks.rank(w))
-            assert {tbl.ranks.perms[y] for y in column} == raised, w
+            assert {tbl.ranks.perms[y] for y in column} == extremal, w
 
 
 def _check_interval_tables(tbl, ranks):
@@ -340,13 +346,18 @@ def test_ranks_walks_every_set_bit():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_compact_columns_match_the_dict_recursion(n, side):
     # the table recurses on the left, the oracle on ``side``: the
-    # polynomials and mu lists do not depend on the side, the raised
-    # entries a column stores do
+    # polynomials and mu lists do not depend on the side.  The oracle's
+    # column w holds every y <= w raised on ``side``, and the table's those
+    # of them whose descent set on the other side contains that of w too
     tbl = KLTable(n)
     tbl.warm()
     columns, mu_lists, lookup = kl_by_dict_recursion(tbl, side)
-    if side == "left":
-        assert _columns(tbl) == columns
+    other = tbl.ranks.rmasks if side == "left" else tbl.ranks.masks
+    extremal = {
+        w: {y: p for y, p in column.items() if not other[w] & ~other[y]}
+        for w, column in columns.items()
+    }
+    assert _columns(tbl) == extremal
     ranks = range(len(tbl.ranks.perms))
     assert [tuple(zip(*tbl._mu_list(w))) for w in ranks] == [mu_lists[w] for w in ranks]
     for w in ranks:
@@ -368,24 +379,30 @@ def _two_sided_raise(y, w):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_each_entry_is_the_entry_at_its_two_sided_raise(n):
+    # every left-raised entry of the one-sided recursion equals the stored
+    # entry at its two-sided raise, and raise_to, which raises on the left
+    # and then on the right, reaches the same element as the alternating
+    # oracle: the top of the double coset W_L(w) y W_R(w)
     tbl = KLTable(n)
     tbl.warm()
-    perms = tbl.ranks.perms
+    ranks = tbl.ranks
+    perms, masks, rmasks = ranks.perms, ranks.masks, ranks.rmasks
     columns = kl_by_dict_recursion(tbl)[0]
     for w, column in columns.items():
         stored = read_column(tbl, w)
-        assert stored.keys() == column.keys(), perms[w]
-        for y, p in stored.items():
-            x = tbl.ranks.rank(_two_sided_raise(perms[y], perms[w]))
-            assert x in column and p == column[x], (perms[y], perms[w])
+        assert stored.keys() <= column.keys(), perms[w]
+        for y, p in column.items():
+            x = ranks.raise_to(y, masks[w], rmasks[w])
+            assert x == ranks.rank(_two_sided_raise(perms[y], perms[w])), (perms[y], perms[w])
+            assert stored[x] == p, (perms[y], perms[w])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_the_recursion_runs_only_at_two_sided_extremal_entries(n):
     # column w recurses at y by reading P_{s_i y, v} and P_{y, v} from
-    # column v = s_i w, each first raised to the left descents of v; y has
-    # the descent s_i and s_i y lacks it, and the mu terms raise to descent
-    # sets that hold s_i, which those of v lack
+    # column v = s_i w, each first raised to the descent sets of v; y has
+    # the left descent s_i and s_i y lacks it, and the mu terms raise to
+    # left descent sets that hold s_i, which that of v lacks
     tbl = KLTable(n)
     columns = kl_by_dict_recursion(tbl)[0]
     raises = []
@@ -394,23 +411,53 @@ def test_the_recursion_runs_only_at_two_sided_extremal_entries(n):
     tbl.ranks = ranks = Ranks(n)
     walk = ranks.raise_to
 
-    def raise_to(y, mask):
-        raises.append((y, mask))
-        return walk(y, mask)
+    def raise_to(y, mask, rmask):
+        raises.append((y, mask, rmask))
+        return walk(y, mask, rmask)
 
     ranks.raise_to = raise_to
     perms, masks = ranks.perms, ranks.masks
-    # in length order every column that column w reads is built before it
+    # in length order every column that column w reads is built before it,
+    # and so is column w^-1 where it has the lower rank
     for w in tbl._in_length_order():
         raises.clear()
         tbl._column(w)
         if w == 0:
             continue
+        if ranks.inverse[w] < w:
+            # built from column w^-1 by inversion, with no recursion
+            assert raises == [], perms[w]
+            continue
         i = min(left_descents(perms[w]))
         vmask = masks[ranks.rank(multiply_simple(perms[w], i, "left"))]
-        recursed = {y for y, mask in raises if mask == vmask and i in left_descents(perms[y])}
+        recursed = {y for y, mask, _ in raises if mask == vmask and i in left_descents(perms[y])}
         extremal = {y for y in columns[w] if right_descents(perms[w]) <= right_descents(perms[y])}
         assert recursed == extremal, perms[w]
+
+
+def test_polynomials_are_invariant_under_inversion():
+    # P_{y,w} = P_{y^-1,w^-1} (Kazhdan-Lusztig 1979), the identity that
+    # builds a column from that of w^-1; the oracle computes every column
+    # by the recursion, so it checks the identity independently
+    for n in range(1, 6):
+        tbl = KLTable(n)
+        lookup = kl_by_dict_recursion(tbl)[2]
+        perms, inv = tbl.ranks.perms, tbl.ranks.inverse
+        for y, w in itertools.product(range(len(perms)), repeat=2):
+            p = tbl.polynomial(perms[y], perms[w])
+            assert p == tbl.polynomial(perms[inv[y]], perms[inv[w]]), (perms[y], perms[w])
+            assert p == lookup(inv[y], inv[w]), (perms[y], perms[w])
+
+
+def test_klpoly_queries_compute_no_more_columns_than_their_recursion():
+    # a column is built from that of w^-1 only when that one is computed
+    # already: the one-sided recursion computed 275 columns for these three
+    # queries, and inversion must not add any
+    tbl = KLTable(7)
+    pairs = [("1324576", "4731562"), ("1234567", "7654321"), ("2143576", "5276413")]
+    answers = [str(tbl.polynomial(*map(parse_permutation, pair))) for pair in pairs]
+    assert answers == ["1 + 2q + 2q^2 + q^3", "1", "1 + q + q^2"]
+    assert len(tbl._columns) <= 275
 
 
 def test_every_query_rejects_non_permutations():
@@ -701,20 +748,21 @@ print(table.entry_count(), digest.hexdigest())
 """
 
 # the sha256 of the S_8 mu lists as _S8_WARM prints them, one line per rank,
-# recorded from the recursion that ran at every raised entry
+# recorded from the recursion that ran at every left-raised entry
 S8_MU_SHA256 = "fda5a780776dce4ec8d1b182cd6cc7814b9bb2986da6c6cac8bd45fe298b0475"
 
 
 @pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_s8_warm_peak_memory_long():
-    # about 12-15 s at 103 MB after warm() and 113 MB with every mu list,
+    # about 3.5-4.5 s at 77 MB after warm() and 89 MB with every mu list,
     # and the bound is that peak plus about 10 %; the columns and supports
     # of S_8 took 1.06 GB before they were stored compactly and one support
-    # length at a time
+    # length at a time, and 103 and 111 MB before a column stored only its
+    # two-sided extremal entries
     proc, peak_mb = run_child(_S8_WARM)
     assert proc.returncode == 0, proc.stderr
     entries, digest = proc.stdout.split()
     assert int(entries) == 9_551_060
     assert digest == S8_MU_SHA256
-    assert peak_mb < 125, peak_mb
+    assert peak_mb < 98, peak_mb

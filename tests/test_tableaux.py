@@ -185,6 +185,14 @@ def test_rs_round_trip_s5():
         assert rs_inverse(*pair) == w
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_rs_inverse_inverts_insert_word(n):
+    # rs_inverse pops the largest entry of Q from the end of its row with no
+    # corner check: Q is standard, so that entry always ends its row
+    for w in all_perms(n):
+        assert rs_inverse(*insert_word(w)) == w
+
+
 @given(perm_strategy)
 def test_rs_round_trip_random(w):
     assert rs_inverse(p_symbol(w), q_symbol(w)) == w

@@ -457,7 +457,7 @@ def test_bar_invariance_report_lines_are_unchanged(n):
 
 
 def _poisoned(n, y, w):
-    """A warm table of S_n and the ranks of the raised entry P_{y,w}."""
+    """A warm table of S_n and the ranks of the stored entry P_{y,w}."""
     table = KLTable(n)
     table.warm()
     y, w = table.ranks.rank(y), table.ranks.rank(w)
@@ -475,9 +475,15 @@ def _replace(table, y, w, p):
     write_column(table, w, col)
 
 
-# (n, y, w) of a raised entry P_{y,w} = 1: at n = 4 every such entry has
-# l(w) - l(y) <= 2, at n = 5 this one has 3, so 1 + q keeps the degree bound
-_ENTRIES = [(4, (1, 3, 2, 4), (1, 3, 4, 2)), (5, (1, 2, 3, 5, 4), (5, 1, 2, 3, 4))]
+# (n, y, w) of a stored entry P_{y,w} = 1 with y != w, y two-sided
+# extremal: the one that serves P_{12354,51234} at n = 5, and others with
+# l(w) - l(y) = 1 at n = 4 and 3 at n = 6.  Up to n = 5 every such entry has
+# l(w) - l(y) <= 2, so only at n = 6 does 1 + q keep the degree bound
+_ENTRIES = [
+    (4, (2, 1, 4, 3), (2, 3, 4, 1)),
+    (5, (2, 1, 3, 5, 4), (5, 1, 2, 3, 4)),
+    (6, (2, 1, 3, 4, 6, 5), (2, 3, 4, 5, 6, 1)),
+]
 
 
 @pytest.mark.parametrize("n, y, w", _ENTRIES)
@@ -492,7 +498,7 @@ def test_bar_invariance_fails_on_a_changed_entry(n, y, w):
         v.startswith(f"w={wname} x=") and "= 1 + q" in v and " s_" in v and " v=" in v
         for v in rep.violations
     ), rep.violations[:5]
-    if n == 5:
+    if n == 6:
         assert not any("degree" in v for v in rep.violations)
 
 
