@@ -5,7 +5,7 @@ Degrees 2..--max-n run: 5 by default and at most 5, or with --long 6 by
 default and at most 9.  A --max-n below 2 exits 2, and one above the cap
 exits 3 before any degree runs, with the cap in the message.
 A suite is skipped above its degree cap in
-``rscells.verify.SUITE_MAX_DEGREE``: bar-invariance above 7, crystal-djm
+``rscells.cli.SUITE_MAX_DEGREE``: bar-invariance above 7, crystal-djm
 above 6, and the other suites that read KL polynomials above 8, so at 9
 only knuth, evacuation and crystal-theorem-a run.  Each degree prints a
 line naming the suites it skipped.  A degree at which some suite reads KL
@@ -18,9 +18,10 @@ S_n is enumerated once.
 import argparse
 import sys
 
+from rscells.cli import SUITE_MAX_DEGREE
 from rscells.kl import KLTable
 from rscells.permutations import MAX_DEGREE
-from rscells.verify import _TABLE_SUITES, SUITE_MAX_DEGREE, SUITES, run_suite
+from rscells.verify import _TABLE_SUITES, SUITES, run_suite
 
 
 def top_degree(max_n, long: bool) -> int:

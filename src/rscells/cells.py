@@ -14,8 +14,6 @@ drops each length layer of Bruhat supports as it goes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .kl import KLTable
 from .permutations import Perm, Ranks
 
@@ -89,21 +87,37 @@ def strongly_connected_components(adj: list) -> list[list[int]]:
     return comps
 
 
-@dataclass
 class CellPartition:
     """Cells of S_n with the partial order induced on them.
 
     ``leq`` holds index pairs (i, j) meaning every element of cells[i] is
     below every element of cells[j] in the one-sided preorder; it is
     reflexive and transitive.  ``of_rank[r]`` is the index of the cell of
-    ``perms[r]``, the element of rank r in the table's Ranks.
+    ``perms[r]``, the element of rank r in the table's Ranks.  Two
+    partitions are equal when their side, cells and order are.
     """
 
-    side: str
-    cells: tuple[tuple[Perm, ...], ...]
-    leq: frozenset[tuple[int, int]]
-    of_rank: list[int] = field(repr=False, compare=False)
-    _ranks: Ranks = field(repr=False, compare=False)
+    def __init__(
+        self,
+        side: str,
+        cells: tuple[tuple[Perm, ...], ...],
+        leq: frozenset[tuple[int, int]],
+        of_rank: list[int],
+        _ranks: Ranks,
+    ) -> None:
+        self.side = side
+        self.cells = cells
+        self.leq = leq
+        self.of_rank = of_rank
+        self._ranks = _ranks
+
+    def __eq__(self, other):
+        if not isinstance(other, CellPartition):
+            return NotImplemented
+        return (self.side, self.cells, self.leq) == (other.side, other.cells, other.leq)
+
+    def __repr__(self) -> str:
+        return f"CellPartition(side={self.side!r}, cells={self.cells!r}, leq={self.leq!r})"
 
     def cell_index(self, w: Perm) -> int:
         return self.of_rank[self._ranks.index[tuple(w)]]

@@ -7,6 +7,14 @@ recomputation.  Output on stdout is deterministic for a given input;
 timings go to stderr.  No command reads KL polynomials from the cache: the
 cache directory is where ``cache warm`` writes and what ``cache info``
 checks.  The environment variable RSCELLS_CACHE_DIR overrides --cache-dir.
+
+Each process imports only the layers its command runs.  This module loads
+the permutation, polynomial, KL and cell layers; ``rsk`` and
+``rsk-inverse`` import ``tableaux`` when they run, ``graph N crystal``
+imports ``crystal`` and ``verify`` imports the suites, so ``klpoly``,
+``cells``, ``graph N mu`` and ``cache`` never load them.  The degree caps
+of the runs (``SUITE_MAX_DEGREE``, ``CRYSTAL_GRAPH_MAX_DEGREE``) live here,
+so the argument parser needs no suite module.
 """
 
 from __future__ import annotations
@@ -19,12 +27,10 @@ import sys
 import time
 from pathlib import Path
 
+# perfbench/spans.py patches cell_partition and left_cell_graph here
 from .cells import cells as cell_partition, left_cell_graph
-from .crystal import crystal_edges
 from .kl import WARM_MAX_DEGREE, KLTable
 from .permutations import MAX_DEGREE, format_permutation, parse_permutation
-from .tableaux import Tableau, insert_word, rs_inverse
-from .verify import SUITE_MAX_DEGREE, SUITES, run_suite
 
 ENV_CACHE_DIR = "RSCELLS_CACHE_DIR"
 DEFAULT_MAX_DEGREE = 8
@@ -32,6 +38,25 @@ DEFAULT_MAX_DEGREE = 8
 # length N over 1..N: 46,656 words at 6, and at 7 823,543 words with up to
 # 4.9 M edges
 CRYSTAL_GRAPH_MAX_DEGREE = 6
+# the largest degree at which each verify suite is known to finish within
+# minutes; verify refuses a larger one before any work.  The suites that
+# read KL polynomials warm every column, so they stop at the warm cap: at
+# n = 8 descents takes about 1 s and knuth-mu about 5 s past the ~4 s
+# warm.  bar-invariance 7 checks 3,550,918 interval identities in about
+# 35 s, and 8 would need 170,288,585.  crystal-djm lists all n**n words,
+# 46,656 at 6 and 823,543 at 7, past crystal.MAX_WORDS.  knuth, evacuation
+# and crystal-theorem-a build no table and pass at 9 in about 5, 2 and 12 s,
+# crystal-theorem-a at a 227 MB peak
+SUITE_MAX_DEGREE = {
+    "theorem-a": WARM_MAX_DEGREE,
+    "descents": WARM_MAX_DEGREE,
+    "knuth-mu": WARM_MAX_DEGREE,
+    "bar-invariance": 7,
+    "crystal-djm": 6,
+    "knuth": MAX_DEGREE,
+    "evacuation": MAX_DEGREE,
+    "crystal-theorem-a": MAX_DEGREE,
+}
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -77,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("mu", "crystal"))
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
-    p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("suite", choices=sorted(SUITE_MAX_DEGREE))
     p.add_argument("n", type=int)
 
     p = sub.add_parser("cache", help="inspect or build the KL cache")
@@ -116,6 +141,8 @@ def _emit_json(obj) -> None:
 # -- commands ---------------------------------------------------------------
 
 def cmd_rsk(args) -> int:
+    from .tableaux import insert_word
+
     w = _parse_perm_arg(args, args.w)
     p, q = insert_word(w)
     if args.format == "json":
@@ -126,6 +153,8 @@ def cmd_rsk(args) -> int:
 
 
 def cmd_rsk_inverse(args) -> int:
+    from .tableaux import Tableau, rs_inverse
+
     p = Tableau.from_json(json.loads(args.p))
     q = Tableau.from_json(json.loads(args.q))
     _check_degree(args, p.size)
@@ -206,6 +235,8 @@ def cmd_graph(args) -> int:
             _emit(_dot(f"left_cell_graph_{args.n}", edges))
     else:
         _check_run(args, "graph crystal", CRYSTAL_GRAPH_MAX_DEGREE)
+        from .crystal import crystal_edges
+
         triples = crystal_edges(args.n, args.n)
         fmt_word = lambda word: "".join(str(a) for a in word)
         edges = sorted((fmt_word(a), fmt_word(b), f"f{i}") for a, i, b in triples)
@@ -230,6 +261,8 @@ def cmd_verify(args) -> int:
     _check_run(args, f"verify {args.suite}", SUITE_MAX_DEGREE[args.suite])
     if args.n >= 6 and not args.long:
         raise _BoundsError(f"suite at n={args.n} needs --long")
+    from .verify import run_suite
+
     report = run_suite(args.suite, args.n)
     if args.format == "json":
         _emit_json(report.to_json())

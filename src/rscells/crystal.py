@@ -38,11 +38,10 @@ word on a path once, so it fills no cache that outlives the call.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import Optional
 
-from .tableaux import Rows, Tableau, _semistandard_rows, _symbols, insert_word
+from .tableaux import Rows, _semistandard_rows, _symbols, insert_word
 
 Word = tuple[int, ...]
 
@@ -71,7 +70,7 @@ def _cancel(i: int, word: Word) -> tuple[list[int], list[int]]:
     return open_down, unmatched_up
 
 
-def signature_rule(i: int, word: Word) -> tuple[Optional[int], Optional[int]]:
+def signature_rule(i: int, word: Word) -> tuple[int | None, int | None]:
     """0-based positions that e_i and f_i change: e_i hits the leftmost
     surviving i+1, f_i the rightmost surviving i; None where nothing survives.
 
@@ -83,14 +82,14 @@ def signature_rule(i: int, word: Word) -> tuple[Optional[int], Optional[int]]:
 
 
 @lru_cache(maxsize=None)
-def f_op(i: int, word: Word) -> Optional[Word]:
+def f_op(i: int, word: Word) -> Word | None:
     """Apply the lowering operator f_i; None when it annihilates."""
     pos = signature_rule(i, word)[1]
     return None if pos is None else word[:pos] + (i + 1,) + word[pos + 1 :]
 
 
 @lru_cache(maxsize=None)
-def e_op(i: int, word: Word) -> Optional[Word]:
+def e_op(i: int, word: Word) -> Word | None:
     """Apply the raising operator e_i; None when it annihilates."""
     pos = signature_rule(i, word)[0]
     return None if pos is None else word[:pos] + (i,) + word[pos + 1 :]
@@ -119,12 +118,9 @@ def _check_word(word, r: int) -> Word:
     return word
 
 
-@dataclass(frozen=True)
-class CrystalComponent:
-    label: Word                  # lexicographically least member
-    words: frozenset[Word]
-    q_symbol: Tableau
-    shape: tuple[int, ...]
+# label: the lexicographically least member (a Word); words: a frozenset of
+# Words; q_symbol: their common Tableau; shape: its row lengths
+CrystalComponent = namedtuple("CrystalComponent", "label words q_symbol shape")
 
 
 def highest_weight_rep(word: Word, r: int) -> Word:

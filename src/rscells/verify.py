@@ -8,29 +8,39 @@ values) to debug a counterexample directly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from . import crystal as crystal_mod
 from .cells import cells as cell_partition
 # unused here; perfbench/spans.py patches these names on this module
 from .hecke import bar, c_prime, canonical_basis_by_bar  # noqa: F401
-from .kl import WARM_MAX_DEGREE, KLTable, _ranks
+from .kl import KLTable, _ranks
 from .knuth import knuth_class
-from .permutations import MAX_DEGREE, format_permutation, rank_arrays
+from .permutations import format_permutation, rank_arrays
 from .polynomials import ONE, IntPolynomial
 # p_symbol and q_symbol are unused here; perfbench/spans.py patches them on
 # this module
 from .tableaux import _symbols, evacuation, p_symbol, q_code, q_symbol, q_tableau  # noqa: F401
 
 
-@dataclass
 class Report:
-    suite: str
-    n: int
-    cases: int
-    violations: list[str] = field(default_factory=list)
-    info: dict[str, str] = field(default_factory=dict)
-    wall_time: float = 0.0
+    """A suite's outcome: cases checked, violation messages, ``info``
+    lines for the summary and the wall time that ``run_suite`` sets."""
+
+    def __init__(
+        self,
+        suite: str,
+        n: int,
+        cases: int,
+        violations: list[str] | None = None,
+        info: dict[str, str] | None = None,
+        wall_time: float = 0.0,
+    ) -> None:
+        self.suite = suite
+        self.n = n
+        self.cases = cases
+        self.violations = [] if violations is None else violations
+        self.info = {} if info is None else info
+        self.wall_time = wall_time
 
     @property
     def ok(self) -> bool:
@@ -458,27 +468,6 @@ _TABLE_SUITES = {
     "bar-invariance",
     "descents",
     "knuth-mu",
-}
-
-
-# the largest degree at which each suite is known to finish within minutes;
-# the command line refuses a larger one before any work.  The suites that
-# read KL polynomials warm every column, so they stop at the warm cap: at
-# n = 8 descents takes about 1 s and knuth-mu about 5 s past the ~4 s
-# warm.  bar-invariance 7 checks 3,550,918 interval identities in about
-# 35 s, and 8 would need 170,288,585.  crystal-djm lists all n**n words,
-# 46,656 at 6 and 823,543 at 7, past crystal.MAX_WORDS.  knuth, evacuation
-# and crystal-theorem-a build no table and pass at 9 in about 5, 2 and 12 s,
-# crystal-theorem-a at a 227 MB peak
-SUITE_MAX_DEGREE = {
-    "theorem-a": WARM_MAX_DEGREE,
-    "descents": WARM_MAX_DEGREE,
-    "knuth-mu": WARM_MAX_DEGREE,
-    "bar-invariance": 7,
-    "crystal-djm": 6,
-    "knuth": MAX_DEGREE,
-    "evacuation": MAX_DEGREE,
-    "crystal-theorem-a": MAX_DEGREE,
 }
 
 

@@ -163,6 +163,20 @@ def test_the_cell_layer_keeps_no_process_wide_table():
     assert released() is None
 
 
+def test_partitions_compare_by_side_cells_and_order():
+    # of_rank and the Ranks are derived data and take no part in equality
+    a, b = cells(4, "left", KLTable(4)), cells(4, "left", KLTable(4))
+    assert a == b and not a != b
+    b.of_rank = []
+    assert a == b
+    assert a != cells(4, "right", KLTable(4))
+    assert a != cells(3, "left")
+    assert a != (a.side, a.cells, a.leq)
+    assert repr(a).startswith("CellPartition(side='left', cells=((")
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_graph_is_deterministic():
     a = left_cell_graph(4)
     b = left_cell_graph(4)

@@ -4,7 +4,6 @@ import os
 
 import pytest
 
-import rscells
 from children import MAIN, run_child
 from rscells.cli import (
     CRYSTAL_GRAPH_MAX_DEGREE,
@@ -13,12 +12,13 @@ from rscells.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VIOLATION,
+    SUITE_MAX_DEGREE,
     main,
 )
 from rscells.crystal import MAX_WORDS
 from rscells.kl import WARM_MAX_DEGREE
 from rscells.permutations import MAX_DEGREE
-from rscells.verify import _TABLE_SUITES, SUITE_MAX_DEGREE, SUITES
+from rscells.verify import _TABLE_SUITES, SUITES
 
 
 def run(capsys, *argv):
@@ -747,22 +747,25 @@ def test_hard_max_n_bound(capsys):
     assert "--max-n" in err
 
 
-def _stub(monkeypatch, names, error=AssertionError):
-    """Replace each of ``names`` on rscells.cli, the calls that start a
-    run's work, by a callable that raises ``error`` with its arguments."""
-    import rscells.cli as cli_mod
+# the calls that start a run's work, each on the module the CLI looks it up
+# in: verify and graph N crystal import their module when they run
+_WORK = ["rscells.cli.KLTable", "rscells.verify.run_suite", "rscells.crystal.crystal_edges"]
+
+
+def _stub(monkeypatch, targets, error=AssertionError):
+    """Replace each of ``targets``, dotted names, by a callable that raises
+    ``error`` with its arguments."""
 
     def stub(*args, **kwargs):
         raise error("work started", *args)
 
-    for name in names:
-        monkeypatch.setattr(cli_mod, name, stub)
+    for target in targets:
+        monkeypatch.setattr(target, stub)
 
 
 def _forbid_tables(monkeypatch):
     # run_suite builds the table of a suite that reads one
-    _stub(monkeypatch, ["KLTable"])
-    monkeypatch.setattr("rscells.verify.KLTable", rscells.cli.KLTable)
+    _stub(monkeypatch, ["rscells.cli.KLTable", "rscells.verify.KLTable"])
 
 
 # every run with a degree cap: its argv with {n} for the degree, its name in
@@ -799,7 +802,7 @@ def test_runs_that_warm_every_column_stop_at_degree_8(
     # builds a KLTable, opens a cache file or lists a word; --max-n refuses a
     # run capped at 9 at 10.  Runs that warm every column stop at 8 because a
     # full S_9 table does not fit in memory
-    _stub(monkeypatch, ["KLTable", "run_suite", "crystal_edges"])
+    _stub(monkeypatch, _WORK)
     code, out, err = run(capsys, "--max-n", "9", "--cache-dir", str(tmp_path), *argv)
     assert (code, out) == (EXIT_BOUNDS, "")
     if cap < MAX_DEGREE:
@@ -824,7 +827,7 @@ class _Admitted(Exception):
 def test_runs_at_their_cap_are_admitted(tmp_path, monkeypatch, argv, n):
     # the run passes its checks and starts its work at degree n, which the
     # stubs stop
-    _stub(monkeypatch, ["KLTable", "run_suite", "crystal_edges"], _Admitted)
+    _stub(monkeypatch, _WORK, _Admitted)
     with pytest.raises(_Admitted) as started:
         main(["--max-n", "9", "--cache-dir", str(tmp_path), *argv])
     assert n in started.value.args

@@ -216,6 +216,16 @@ def test_decompose_check_sees_a_recording_tableau_that_varies(monkeypatch):
         decompose(3, 2)
 
 
+def test_components_are_immutable_and_hashable():
+    comps = decompose(3, 2)
+    c = comps[0]
+    assert c._fields == ("label", "words", "q_symbol", "shape")
+    with pytest.raises(AttributeError):
+        c.label = (2, 2, 2)
+    assert len(set(comps)) == len(comps)
+    assert set(decompose(3, 2)) == set(comps)
+
+
 def test_decompose_bounds():
     with pytest.raises(ValueError):
         decompose(12, 12)

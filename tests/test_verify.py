@@ -41,6 +41,17 @@ def test_report_shape():
     }
 
 
+def test_report_defaults_are_fresh_per_report():
+    a, b = Report("demo", 3, cases=6), Report("demo", 3, 6)
+    a.violations.append("x")
+    a.info["k"] = "v"
+    assert (b.violations, b.info, b.wall_time) == ([], {}, 0.0)
+    c = Report("demo", 3, 6, ["y"], {"k": "v"}, 1.5)
+    assert (c.suite, c.n, c.cases, c.violations, c.info, c.wall_time) == (
+        "demo", 3, 6, ["y"], {"k": "v"}, 1.5
+    )
+
+
 def test_unknown_suite():
     with pytest.raises(ValueError):
         run_suite("no-such-suite", 3)
