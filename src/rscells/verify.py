@@ -187,7 +187,9 @@ def verify_bar_invariance(n: int, table: KLTable | None = None) -> Report:
 
         P_{sx,v} + q P_{x,v} = P_{x,w} + sum mu(z,v) q^((l(w)-l(z))/2) P_{x,z}
 
-    when sx < x, and q P_{sx,v} + P_{x,v} on the left otherwise.  Also check
+    when sx < x, and q P_{sx,v} + P_{x,v} on the left otherwise.  [e, w] is
+    walked as the pairs {x, sx} with x < sx (s in L(w) keeps sx in it), whose
+    members share one left side, computed once per pair.  Also check
     that the stored P_{w,w} is 1, that deg P_{x,w} <= (l(w) - l(x) - 1)/2
     for x != w, and that column w holds exactly the two-sided extremal
     elements of the interval, so no value outside it is ever served.
@@ -206,7 +208,7 @@ def verify_bar_invariance(n: int, table: KLTable | None = None) -> Report:
     report.cases = len(perms)
     # memos of the two polynomial steps, keyed on operand ids: every operand
     # is in the table's pool or held by these dicts, so no id is reused meanwhile
-    sums: dict[tuple[int, int, bool], IntPolynomial] = {}
+    sums: dict[tuple[int, int], IntPolynomial] = {}
     corrections: dict[tuple[int, int, int, int], IntPolynomial] = {}
     # the walk drops the supports one length layer at a time, as warm() does
     for w in table._in_length_order():
@@ -233,52 +235,36 @@ def verify_bar_invariance(n: int, table: KLTable | None = None) -> Report:
         muv = [(z, lengths[z], (lw - lengths[z]) // 2, m)
                for z, m in zip(*table._mu_list(v)) if masks[z] & ibit]
         bad = []
-        for x in _ranks(support):
-            lx = lengths[x]
-            sx = step[x]
-            down = lengths[sx] < lx
-            a, b = lookup(sx, v), lookup(x, v)
-            key = (id(a), id(b), down)
-            p = sums.get(key)
-            if p is None:
-                p = sums[key] = a + b.shift(1) if down else a.shift(1) + b
-            for z, lz, k, m in muv:
-                if lx <= lz:
-                    pxz = lookup(x, z)
-                    if pxz:
-                        key = (id(p), id(pxz), k, m)
-                        r = corrections.get(key)
-                        if r is None:
-                            r = corrections[key] = p - pxz.shift(k) * m
-                        p = r
-            pxw = lookup(x, w)
-            if p != pxw:
-                bad.append((x, _identity_violation(table, w, x, i, v, muv)))
-            if x != w and pxw.degree > (lw - lx - 1) // 2:
-                bad.append((x, f"w={_fmt(perms[w])} y={_fmt(perms[x])}: P_{{y,w}} = {pxw} "
-                               f"has degree {pxw.degree} > bound {(lw - lx - 1) // 2}"))
+        for lo in _ranks(support & ~table._raised_set(ibit)):
+            a, b = lookup(lo, v), lookup(step[lo], v)
+            key = (id(a), id(b))
+            lhs = sums.get(key)
+            if lhs is None:
+                lhs = sums[key] = a + b.shift(1)
+            for x in (lo, step[lo]):
+                lx = lengths[x]
+                p = lhs
+                for z, lz, k, m in muv:
+                    if lx <= lz:
+                        pxz = lookup(x, z)
+                        if pxz:
+                            key = (id(p), id(pxz), k, m)
+                            r = corrections.get(key)
+                            if r is None:
+                                r = corrections[key] = p - pxz.shift(k) * m
+                            p = r
+                pxw = lookup(x, w)
+                if p != pxw:
+                    left = "q P_{sx,v} + P_{x,v}" if x == lo else "P_{sx,v} + q P_{x,v}"
+                    bad.append((x, f"w={_fmt(perms[w])} x={_fmt(perms[x])} s_{i} "
+                                   f"v={_fmt(perms[v])}: {left} = {lhs} but P_{{x,w}} + "
+                                   f"sum mu(z,v) q^k P_{{x,z}} = {pxw + (lhs - p)}"))
+                if x != w and pxw.degree > (lw - lx - 1) // 2:
+                    bad.append((x, f"w={_fmt(perms[w])} y={_fmt(perms[x])}: P_{{y,w}} = {pxw} "
+                                   f"has degree {pxw.degree} > bound {(lw - lx - 1) // 2}"))
         bad.sort(key=lambda item: item[0])
         report.violations.extend(text for _, text in bad)
     return report
-
-
-def _identity_violation(table: KLTable, w: int, x: int, i: int, v: int, muv) -> str:
-    """Both sides of the T_x coordinate of C'_s C'_v = C'_w + sum mu C'_z."""
-    lookup, ranks = table._lookup, table.ranks
-    perms, lengths = ranks.perms, ranks.lengths
-    sx = ranks.steps[i - 1][x]
-    a, b = lookup(sx, v), lookup(x, v)
-    if lengths[sx] < lengths[x]:
-        left, lhs = "P_{sx,v} + q P_{x,v}", a + b.shift(1)
-    else:
-        left, lhs = "q P_{sx,v} + P_{x,v}", a.shift(1) + b
-    rhs = lookup(x, w)
-    for z, _, k, m in muv:
-        rhs = rhs + lookup(x, z).shift(k) * m
-    return (
-        f"w={_fmt(perms[w])} x={_fmt(perms[x])} s_{i} v={_fmt(perms[v])}: "
-        f"{left} = {lhs} but P_{{x,w}} + sum mu(z,v) q^k P_{{x,z}} = {rhs}"
-    )
 
 
 def _descent_list(mask: int) -> list[int]:

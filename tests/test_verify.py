@@ -549,6 +549,96 @@ def test_bar_invariance_fails_on_a_diagonal_entry():
     assert rep.violations[0] == "w=51234: P_{w,w} = 1 + q != 1"
 
 
+def test_bar_invariance_fails_on_poisoned_mu_lists():
+    # with every mu list empty the identity subtracts no mu(z, v) C'_z, so
+    # it fails at each x where a true correction term is nonzero
+    counts = [len(run_suite("bar-invariance", n, _NoMuTable(n)).violations) for n in (3, 4, 5)]
+    assert counts == [2, 44, 1012]
+    rep = run_suite("bar-invariance", 4, _NoMuTable(4))
+    assert rep.violations[0] == (
+        "w=1432 x=1234 s_2 v=1423: q P_{sx,v} + P_{x,v} = 1 + q "
+        "but P_{x,w} + sum mu(z,v) q^k P_{x,z} = 1"
+    )
+    assert rep.lines()[-1] == "result: FAIL"
+
+
+# (number, sha256 of "\n".join(Report.violations)) of poisoned bar-invariance
+# reports, every violation and not only the 100 that lines() shows; recorded
+# while the suite still walked the interval one x at a time
+POISONED_BAR_SHA256 = {
+    ("changed", 4): (
+        7,
+        "253cae97e667487b3063926a8e3c4c5b98c93e4665be64e5301722a718f6dc0e",
+    ),
+    ("changed", 5): (
+        25,
+        "d479c3ce625a7efe5d156ed0363cb20c038279ec2ad17c5e0a61199b95c0a5c1",
+    ),
+    ("changed", 6): (
+        4,
+        "1380029806e90f801a1a3ec8f2e37c14f5f068b8889b4479cbab3b19c0cf6ed0",
+    ),
+    ("deleted", 4): (
+        5,
+        "95dfd492df88eeb76bcd932d92bbb7acc2ab3ecf752f9dd9f27c03fd70e85f09",
+    ),
+    ("deleted", 5): (
+        25,
+        "685b4ce487e5b6f5c8beec9bba2500a0b1ccfa4a45f9103bbd574005cfb2e05f",
+    ),
+    ("deleted", 6): (
+        5,
+        "d31c3d9ffaee36037c0d210f42936defb338d6c70c86ec02f10596b3d8d41bb7",
+    ),
+    ("degree", 4): (
+        8,
+        "fae8135fb982e79557481bfef7f08484138f718a77f0c0f3c2b2e0248b5a8d6d",
+    ),
+    ("degree", 5): (
+        28,
+        "7d98e428fb6c4df6f5f0d7a2ea1b76ee220caa840498d1b605345409f2b04835",
+    ),
+    ("degree", 6): (
+        7,
+        "5c28fbdbde1c31a399b1087eeae0854c2bac567add78636ceba6d661c2bf3c54",
+    ),
+    ("no-mu", 4): (
+        44,
+        "46e7dff2cbf9207d4941eb73d016050f7d213796523b2da2ad50c21027263e62",
+    ),
+    ("short-mu", 4): (
+        10,
+        "ce4432918a386e9bde869f888c23036a8fdac268ce7b805a586e17be3b80f36b",
+    ),
+    ("no-mu", 5): (
+        1012,
+        "28da8819c83d65a292a19aa38f486addcb4031efc54a20825766f10768244248",
+    ),
+    ("short-mu", 5): (
+        448,
+        "6916a1bc3e553672f22b67ce72451d371617f0949506ce6c4a9e2c1585b781e2",
+    ),
+}
+
+
+def _bar_poison(kind, n):
+    if kind == "no-mu":
+        return _NoMuTable(n)
+    if kind == "short-mu":
+        return _short_mu_table(n)
+    table, yr, wr = _poisoned(*next(e for e in _ENTRIES if e[0] == n))
+    p = {"changed": IntPolynomial((1, 1)), "deleted": None, "degree": IntPolynomial((7, 7, 7))}
+    _replace(table, yr, wr, p[kind])
+    return table
+
+
+@pytest.mark.parametrize("kind, n", list(POISONED_BAR_SHA256))
+def test_poisoned_bar_invariance_reports_are_pinned(kind, n):
+    rep = run_suite("bar-invariance", n, _bar_poison(kind, n))
+    digest = hashlib.sha256("\n".join(rep.violations).encode()).hexdigest()
+    assert (len(rep.violations), digest) == POISONED_BAR_SHA256[kind, n]
+
+
 def test_suites_without_a_table_build_no_step_arrays():
     # crystal-theorem-a 9 and the degree-9 script run stay under their
     # memory bounds only while these suites leave the n! * n step arrays
