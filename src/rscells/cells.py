@@ -29,7 +29,9 @@ def _rank_graph(n: int, table: KLTable | None) -> tuple[KLTable, list[list[int]]
     adj: list[list[int]] = [[] for _ in masks]
     for w in table._in_length_order():
         mw = masks[w]
-        for z in table._mu_list(w)[0]:
+        zs, _, lo, hi = table._mu_list(w)
+        for i in range(lo, hi):
+            z = zs[i]
             mz = masks[z]
             if mz & ~mw:
                 adj[z].append(w)

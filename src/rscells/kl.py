@@ -42,16 +42,21 @@ once.  An interval is read only by the intervals one length up, so warm(),
 save(), the cell graph and the bar-invariance walk drop each length layer
 once the next is built.
 
-A column is two aligned arrays: its extremal ranks in ascending order,
-ending with the sentinel n! (two bytes each up to S_8, four at S_9), and
-each rank's index into the table's pool, the list of distinct polynomials
-(one byte each while the pool holds at most 256, two bytes after that).
-Entries are found by bisection; the sentinel keeps every probe inside the
-array.  A mu list is two arrays too, its ranks z ascending and their mu
-values.  The columns of S_7 take about 0.8 MB and those of S_8 about
-10 MB.  The two polynomial steps of the recursion, P_{s_i y,v} + q P_{y,v}
-and p - mu q^k P_{y,z}, see few distinct operands: both are memoized per
-table on pool indices: S_7 looks them up 31,894 times and computes 724 of
+Every column of a table lies in one flat store, appended when it is
+computed: its extremal ranks in ascending order, then the sentinel n! (two
+bytes each up to S_8, four at S_9), and aligned with them each rank's index
+into the table's pool, the list of distinct polynomials (one byte each
+while the pool holds at most 256, widened once to two bytes when it grows
+past that, as at S_7).  Per rank, two int arrays hold the offsets of its
+column's first entry and of its sentinel.  Entries are found by bisection
+between the two; the sentinel keeps every probe inside the column.  The mu
+lists share a second flat store the same way, the ranks z ascending and
+their mu values.  With every mu list built, the columns of S_7 take 0.26 MB
+and the mu lists 0.17 MB; at S_8 they take 5.2 and 1.7 MB (as one pair of
+arrays each, they took 14.4 and 11.5 MB, mostly object headers).  The two
+polynomial steps of the recursion, P_{s_i y,v} + q P_{y,v} and
+p - mu q^k P_{y,z}, see few distinct operands: both are memoized per table
+on pool indices: S_7 looks them up 31,894 times and computes 724 of
 them, S_8 looks them up 795 K times and computes 18,736.
 
 Columns persist to a cache file in format 3: a version line
@@ -75,14 +80,14 @@ import functools
 import os
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from math import factorial
 from pathlib import Path
 
 from .permutations import Perm, _right_runs, format_permutation, rank_arrays
 from .polynomials import ONE, ZERO, IntPolynomial
 
-# a table with every column computed takes about 77 MB and 3.5-4.5 s at S_8,
+# a table with every column computed takes about 63 MB and 3-4 s at S_8,
 # but the Bruhat intervals grow 26x, 36x and 48x per degree up to S_8, so S_9
 # would take hours and more memory than a few GB; runs that warm every
 # column stop here
@@ -91,11 +96,9 @@ WARM_MAX_DEGREE = 8
 # the version in the first line of a cache file
 FORMAT_VERSION = 3
 
-# a column: its two-sided extremal ranks ascending plus the sentinel n!,
-# and their polynomials as indices into the table's pool
-Column = tuple[array, array]
-# a mu list: the ranks z ascending and mu(z, w) of each
-MuList = tuple[array, array]
+# a mu list: the table's flat arrays of z and of mu(z, w), and the bounds
+# of w's list in them, the z ascending
+MuList = tuple[array, array, int, int]
 
 
 # the set bits of each byte value, and the translation that marks the
@@ -146,7 +149,16 @@ class KLTable:
         self._polys: list[IntPolynomial] = [ZERO, ONE]
         self._degrees = [ZERO.degree, ONE.degree]
         self._pool: dict[tuple[int, ...], int] = {ZERO.coeffs: 0, ONE.coeffs: 1}
-        self._columns: dict[int, Column] = {0: self._pack([0], [1])}
+        # every column in one flat store, in the order they are computed: its
+        # two-sided extremal ranks ascending and then the sentinel n!, and
+        # aligned with them their pool indices (0 at the sentinel); per rank
+        # the index of its column's first entry (-1 until it is computed)
+        # and of its sentinel
+        self._keys = array(self._keycode, [0, size])
+        self._values = array("B", [1, 0])
+        self._starts = array("i", [-1]) * size
+        self._ends = array("i", [0]) * size
+        self._starts[0], self._ends[0] = 0, 1
         # the one-sided records of the columns computed so far, the entries
         # a cache file holds
         self._entries = 1
@@ -160,7 +172,14 @@ class KLTable:
         # (a, b) -> a + q b and (p, P, k, m) -> p - m q^k P
         self._sums: dict[tuple[int, int], int] = {}
         self._corrections: dict[tuple[int, int, int, int], int] = {}
-        self._mu_lists: dict[int, MuList] = {}
+        # every mu list in one flat store the same way: the z, their mu
+        # values, and per rank the bounds of its list (start -1 until built)
+        self._mu_zs = array(self._keycode)
+        self._mu_ms = array("B")
+        self._mu_starts = array("i", [-1]) * size
+        self._mu_ends = array("i", [0]) * size
+        # _lookup's raise_to and descent masks, on first use
+        self._raising: tuple | None = None
 
     def _pool_index(self, p: IntPolynomial) -> int:
         """The index of p's value in the pool, adding p if it is new."""
@@ -171,20 +190,30 @@ class KLTable:
             self._degrees.append(p.degree)
         return i
 
-    def _pack(self, keys: list[int], values: Iterable[int]) -> Column:
-        """Column form of the ascending ranks ``keys`` and their pool indices
-        ``values``, the indices in the narrowest unsigned array type that
-        holds every index of the pool."""
+    def _store(self, w: int, keys: list[int], values: list[int]) -> tuple[int, int]:
+        """Append column w, the ascending ranks ``keys`` and their pool
+        indices ``values``, to the flat store and point w's bounds at it.
+        The pool indices are widened first, once each, to the narrowest
+        unsigned array type that holds every index of the pool."""
         size = len(self._polys)
-        values = array("B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "I", values)
-        keys.append(self._size)
-        return array(self._keycode, keys), values
+        code = "B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "I"
+        if code != self._values.typecode:
+            self._values = array(code, self._values)
+        lo = len(self._keys)
+        self._keys.fromlist(keys)
+        self._keys.append(self._size)
+        self._values.fromlist(values)
+        self._values.append(0)
+        hi = lo + len(keys)
+        self._starts[w], self._ends[w] = lo, hi
+        return lo, hi
 
-    def _entry(self, col: Column, y: int) -> IntPolynomial:
-        """The polynomial ``col`` holds for rank y; ZERO when it holds none."""
-        keys, values = col
-        i = bisect_left(keys, y)
-        return self._polys[values[i]] if keys[i] == y else ZERO
+    def _entry(self, y: int, w: int) -> IntPolynomial:
+        """The polynomial column w stores for rank y; ZERO when it stores
+        none."""
+        lo, hi = self._column(w)
+        i = bisect_left(self._keys, y, lo, hi)
+        return self._polys[self._values[i]] if self._keys[i] == y else ZERO
 
     # -- the recursion -----------------------------------------------------
 
@@ -250,12 +279,13 @@ class KLTable:
                 self._supports.pop(v, None)
             below = layer
 
-    def _column(self, w: int) -> Column:
-        """P_{y,w} for every two-sided extremal y <= w, whose left and right
-        descent sets contain those of w."""
-        col = self._columns.get(w)
-        if col is not None:
-            return col
+    def _column(self, w: int) -> tuple[int, int]:
+        """The bounds in the flat store of P_{y,w} for every two-sided
+        extremal y <= w, whose left and right descent sets contain those of
+        w: the index of its first entry and that of its sentinel."""
+        lo = self._starts[w]
+        if lo >= 0:
+            return lo, self._ends[w]
         ranks = self.ranks
         masks, rmasks, lengths, inverse = ranks.masks, ranks.rmasks, self._lengths, ranks.inverse
         wmask, wrmask = masks[w], rmasks[w]
@@ -263,93 +293,111 @@ class KLTable:
         # one-sided records, and the intervals one length up are built from it
         raised = self._support(w) & self._raised_set(wmask)
         self._entries += raised.bit_count()
-        col = self._columns.get(inverse[w])
-        if col is not None:
+        lo = self._starts[inverse[w]]
+        if lo >= 0:
             # P_{y,w} = P_{y^-1,w^-1}, and inversion swaps the descent sets
-            keys, values = col
-            keys, values = map(list, zip(*sorted(zip(map(inverse.__getitem__, keys[:-1]), values))))
-            col = self._columns[w] = self._pack(keys, values)
-            return col
+            hi = self._ends[inverse[w]]
+            pairs = sorted(zip(map(inverse.__getitem__, self._keys[lo:hi]), self._values[lo:hi]))
+            return self._store(w, [y for y, _ in pairs], [p for _, p in pairs])
         ibit = wmask & -wmask
         step = ranks.steps[ranks.lowest[wmask]]
         v = step[w]
-        # the keys of the columns probed below are read as lists for this
-        # call: bisection in an array builds an int at every comparison
-        keysv, valuesv = self._column(v)
-        keysv = keysv.tolist()
+        # the keys of each column probed below are read as one list for this
+        # call, bisection in an array building an int at every comparison,
+        # and the value at position i of column v at lov + i in the store
+        lov, hiv = self._column(v)
+        keysv = self._keys[lov : hiv + 1].tolist()
         vmask, vrmask = masks[v], rmasks[v]
         lw = lengths[w]
         # mu(z, v) q^k P_{y,z} is subtracted for each z in the mu list of v
         # with s_i z < z; P_{y,z} is 0 unless y raises into column z
+        zs, ms, lo, hi = self._mu_list(v)
         muv = []
-        for z, m in zip(*self._mu_list(v)):
+        for j in range(lo, hi):
+            z = zs[j]
             if masks[z] & ibit:
-                keysz, valuesz = self._column(z)
+                loz, hiz = self._column(z)
                 lz = lengths[z]
-                muv.append((keysz.tolist(), valuesz, masks[z], rmasks[z], lz, (lw - lz) // 2, m))
+                keysz = self._keys[loz : hiz + 1].tolist()
+                muv.append((keysz, loz, masks[z], rmasks[z], lz, (lw - lz) // 2, ms[j]))
+        # read once the columns above are computed: a new column can widen it
+        values = self._values
         raise_to, pool_index, polys = ranks.raise_to, self._pool_index, self._polys
         sums, corrections = self._sums, self._corrections
         keys = list(_ranks(raised & self._raised_set(wrmask, True)))
-        values = []
+        new = []
         for y in keys:
             x = raise_to(step[y], vmask, vrmask)
             i = bisect_left(keysv, x)
-            a = valuesv[i] if keysv[i] == x else 0
+            a = values[lov + i] if keysv[i] == x else 0
             x = raise_to(y, vmask, vrmask)
             i = bisect_left(keysv, x)
-            b = valuesv[i] if keysv[i] == x else 0
+            b = values[lov + i] if keysv[i] == x else 0
             p = sums.get((a, b))
             if p is None:
                 p = sums[a, b] = pool_index(polys[a] + polys[b].shift(1))
             ly = lengths[y]
-            for keysz, valuesz, zmask, zrmask, lz, k, m in muv:
+            for keysz, loz, zmask, zrmask, lz, k, m in muv:
                 if ly > lz:
                     continue
                 x = raise_to(y, zmask, zrmask)
                 i = bisect_left(keysz, x)
                 if keysz[i] == x:
-                    key = (p, valuesz[i], k, m)
+                    c = values[loz + i]
+                    key = (p, c, k, m)
                     r = corrections.get(key)
                     if r is None:
-                        r = corrections[key] = pool_index(
-                            polys[p] - polys[valuesz[i]].shift(k) * m
-                        )
+                        r = corrections[key] = pool_index(polys[p] - polys[c].shift(k) * m)
                     p = r
-            values.append(p)
-        col = self._columns[w] = self._pack(keys, values)
-        return col
+            new.append(p)
+        return self._store(w, keys, new)
+
+    def _raise_arrays(self) -> tuple:
+        """raise_to and the descent masks it takes, kept for _lookup, which
+        reads them as one attribute: a read of each from ``ranks`` costs a
+        cached-property lookup."""
+        ranks = self.ranks
+        self._raising = ranks.raise_to, ranks.masks, ranks.rmasks
+        return self._raising
 
     def _lookup(self, y: int, w: int) -> IntPolynomial:
         if y == w:
             return ONE
-        ranks = self.ranks
         lengths = self._lengths
         if lengths[y] >= lengths[w]:
             return ZERO
         # _column and _entry inlined: the certificate of bar-invariance runs
         # this a few times per interval element
-        keys, values = self._columns.get(w) or self._column(w)
-        y = ranks.raise_to(y, ranks.masks[w], ranks.rmasks[w])
-        i = bisect_left(keys, y)
-        return self._polys[values[i]] if keys[i] == y else ZERO
+        lo = self._starts[w]
+        if lo < 0:
+            lo, hi = self._column(w)
+        else:
+            hi = self._ends[w]
+        raise_to, masks, rmasks = self._raising or self._raise_arrays()
+        y = raise_to(y, masks[w], rmasks[w])
+        keys = self._keys
+        i = bisect_left(keys, y, lo, hi)
+        return self._polys[self._values[i]] if keys[i] == y else ZERO
 
     def _mu_list(self, w: int) -> MuList:
-        """The z with mu(z, w) != 0, ascending, and mu(z, w) of each."""
-        got = self._mu_lists.get(w)
-        if got is not None:
-            return got
+        """The z with mu(z, w) != 0, ascending, and mu(z, w) of each: the
+        flat arrays of every mu list and the bounds of that of w."""
+        lo = self._mu_starts[w]
+        if lo >= 0:
+            return self._mu_zs, self._mu_ms, lo, self._mu_ends[w]
         ranks = self.ranks
         lengths, degrees, polys = self._lengths, self._degrees, self._polys
         # 2 deg P_{y,w} <= l(w) - l(y) - 1 for y != w, so mu(y, w) is nonzero
         # exactly when the degree meets the bound, and it is then the top
         # coefficient
         top = lengths[w] - 1
-        # zip stops at the last value, before the sentinel
-        mus = {
-            y: polys[p].coeffs[-1]
-            for y, p in zip(*self._column(w))
-            if lengths[y] + 2 * degrees[p] == top
-        }
+        lo, hi = self._column(w)
+        keys, values = self._keys, self._values
+        mus = {}
+        for i in range(lo, hi):
+            y, p = keys[i], values[i]
+            if lengths[y] + 2 * degrees[p] == top:
+                mus[y] = polys[p].coeffs[-1]
         # and the lower covers s_i w and w s_i, each with mu 1
         wmask, wrmask = ranks.masks[w], ranks.rmasks[w]
         for i, (step, rstep) in enumerate(zip(ranks.steps, ranks.rsteps)):
@@ -359,9 +407,14 @@ class KLTable:
                 mus[rstep[w]] = 1
         zs = sorted(mus)
         # every mu of S_n is 0 or 1 for n <= 9 (McLarnan-Warrington 2003),
-        # so one that fits no byte raises OverflowError
-        got = self._mu_lists[w] = array(self._keycode, zs), array("B", map(mus.__getitem__, zs))
-        return got
+        # so one that fits no byte raises OverflowError, before anything is
+        # stored
+        ms = array("B", map(mus.__getitem__, zs))
+        lo, hi = len(self._mu_zs), len(self._mu_zs) + len(zs)
+        self._mu_zs.fromlist(zs)
+        self._mu_ms.extend(ms)
+        self._mu_starts[w], self._mu_ends[w] = lo, hi
+        return self._mu_zs, self._mu_ms, lo, hi
 
     def _mu(self, y: int, w: int) -> int:
         lengths = self._lengths
@@ -431,8 +484,10 @@ class KLTable:
         scratch = [0] * self._size
         yield f"#rscells-kl {FORMAT_VERSION} S_{self.n} left\n".encode()
         for w in self._in_length_order():
-            for y, p in zip(*self._column(w)):
-                scratch[y] = p
+            lo, hi = self._column(w)
+            keys, values = self._keys, self._values
+            for i in range(lo, hi):
+                scratch[keys[i]] = values[i]
             wrmask = rmasks[w]
             keys = list(_ranks(self._support(w) & self._raised_set(masks[w])))
             for y in reversed(keys):

@@ -212,14 +212,14 @@ def verify_bar_invariance(n: int, table: KLTable | None = None) -> Report:
     corrections: dict[tuple[int, int, int, int], IntPolynomial] = {}
     # the walk drops the supports one length layer at a time, as warm() does
     for w in table._in_length_order():
-        col = table._column(w)
+        start, end = table._column(w)
         support = table._support(w)
-        pww = table._entry(col, w)
+        pww = table._entry(w, w)
         if pww != ONE:
             report.violations.append(f"w={_fmt(perms[w])}: P_{{w,w}} = {pww} != 1")
         wmask = masks[w]
         extremal = support & table._raised_set(wmask) & table._raised_set(rmasks[w], True)
-        entries, want = len(col[1]), extremal.bit_count()
+        entries, want = end - start, extremal.bit_count()
         if entries != want:
             report.violations.append(
                 f"w={_fmt(perms[w])}: column holds {entries} entries but the interval "
@@ -232,8 +232,12 @@ def verify_bar_invariance(n: int, table: KLTable | None = None) -> Report:
         step = steps[i - 1]
         v = step[w]
         lw = lengths[w]
-        muv = [(z, lengths[z], (lw - lengths[z]) // 2, m)
-               for z, m in zip(*table._mu_list(v)) if masks[z] & ibit]
+        zs, ms, start, end = table._mu_list(v)
+        muv = []
+        for j in range(start, end):
+            z = zs[j]
+            if masks[z] & ibit:
+                muv.append((z, lengths[z], (lw - lengths[z]) // 2, ms[j]))
         bad = []
         for lo in _ranks(support & ~table._raised_set(ibit)):
             a, b = lookup(lo, v), lookup(step[lo], v)
@@ -373,7 +377,10 @@ def verify_knuth_mu(n: int, table: KLTable | None = None) -> Report:
                 image[r] = u if rmasks[u] & bj else sj[r]
         # the nonzero-mu pairs (z, w, mu) inside the domain: every z in the
         # mu list of w lies below w, so z < w as ranks
-        pairs = [(z, w, m) for w in image for z, m in zip(*mu_list(w)) if z in image]
+        pairs = []
+        for w in image:
+            zs, ms, lo, hi = mu_list(w)
+            pairs += [(zs[j], w, ms[j]) for j in range(lo, hi) if zs[j] in image]
         cases += len(image) + len(pairs)
         for w, kw in image.items():
             if right[w] != right[kw]:

@@ -100,7 +100,8 @@ def semistandard_tableaux(shape: Sequence[int], max_entry: int) -> Iterator[Tabl
 def mu_list(table: KLTable, w: Perm) -> tuple[tuple[Perm, int], ...]:
     """All (z, mu(z, w)) with z < w and mu(z, w) != 0, z ascending."""
     perms = table.ranks.perms
-    return tuple((perms[z], m) for z, m in zip(*table._mu_list(table.ranks.rank(w))))
+    zs, ms, lo, hi = table._mu_list(table.ranks.rank(w))
+    return tuple((perms[zs[i]], ms[i]) for i in range(lo, hi))
 
 
 # -- Bruhat order, reduced words and coset representatives --------------------

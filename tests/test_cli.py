@@ -861,21 +861,23 @@ def _main_child(*argv):
 @pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_theorem_a_8_peak_memory_long():
-    # about 4-5 s at 100 MB with no cache, and the bound is that peak plus
-    # about 10 %; the cell graph walks the columns in length order, so each
-    # length layer of Bruhat supports is dropped as in warm()
+    # about 4-5 s at 78 MB with no cache, and the bound is that peak plus
+    # about 10 % (it was 100 MB before a table kept its columns and mu lists
+    # in one flat store each); the cell graph walks the columns in length
+    # order, so each length layer of Bruhat supports is dropped as in warm()
     code, peak_mb, lines = _main_child("--long", "verify", "theorem-a", "8")
     assert code == EXIT_OK
     assert "cells: 764" in lines and "result: PASS" in lines
-    assert peak_mb < 110, peak_mb
+    assert peak_mb < 86, peak_mb
 
 
 @pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_s8_cache_check_peak_memory_long(tmp_path):
     # cache warm 8 writes the 208 MB file in about 10 s.  cache info 8
-    # computes S_8 again and compares the file with it, about 11 s at an
-    # 82 MB peak; reading the file used to take 286-295 MB.  A klpoly with
+    # computes S_8 again and compares the file with it, about 10 s at a
+    # 69 MB peak (82 MB before the flat column store); reading the file used
+    # to take 286-295 MB.  A klpoly with
     # that cache directory reads none of it: about 0.15 s at 30 MB, as with
     # no cache; it took 239-244 MB when it read the file.  Each bound is the measured peak plus about 10 %
     cache = str(tmp_path)
@@ -883,8 +885,37 @@ def test_s8_cache_check_peak_memory_long(tmp_path):
     assert (code, lines) == (EXIT_OK, ["warmed S_8: 9551060 entries"])
     code, peak_mb, lines = _main_child("--cache-dir", cache, "cache", "info", "8")
     assert (code, lines) == (EXIT_OK, ["kl_s8.tsv: 9551060 entries", "total: 9551060 entries"])
-    assert peak_mb < 90, peak_mb
+    assert peak_mb < 76, peak_mb
     argv = ("klpoly", "12345678", "56781234")
     code, peak_mb, lines = _main_child("--cache-dir", cache, *argv)
     assert (code, lines) == (EXIT_OK, ["1 + 9q + 32q^2 + 53q^3 + 38q^4 + 11q^5 + q^6"])
     assert peak_mb < 33, peak_mb
+
+
+# sha256 of the stdout of the two S_8 commands that walk every mu list,
+# recorded while each column and mu list of a KLTable was a pair of arrays
+# of its own
+S8_MU_WALK_SHA256 = {
+    "knuth-mu": "2ad50a1489e980d64765df426373673dda414fe5eeaef31fb33abe7bd74521ac",
+    "cells": "19d5d20d51c795559f1d0ec10e4f56a19421a5e91646f57024bd5fb2274a6a01",
+}
+
+
+@pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+@pytest.mark.parametrize(
+    "name, argv, bound",
+    [
+        ("knuth-mu", ("--long", "verify", "knuth-mu", "8"), 87),
+        ("cells", ("cells", "8"), 86),
+    ],
+)
+def test_s8_mu_list_walks_peak_memory_long(name, argv, bound):
+    # knuth-mu 8 takes about 6-7 s at 79 MB and cells 8 about 4 s at 78 MB,
+    # and each bound is that peak plus about 10 %; they took 110-113 and
+    # 97-98 MB before the columns and mu lists of a table were kept in one
+    # flat store each
+    proc, peak_mb = run_child(MAIN, *argv)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == S8_MU_WALK_SHA256[name]
+    assert peak_mb < bound, peak_mb

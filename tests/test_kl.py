@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import os
+import random
 import sys
 import threading
 import time
@@ -9,7 +10,7 @@ from math import factorial
 import pytest
 
 from children import run_child
-from kl_entries import read_column, write_column
+from kl_entries import computed, read_column, read_mu_list, write_column
 from oracles import (
     all_perms,
     bruhat_leq,
@@ -188,7 +189,8 @@ def test_mu_list_refuses_a_mu_that_fits_no_byte():
         for _ in range(2):
             with pytest.raises(OverflowError):
                 tbl._mu_list(w)
-            assert w not in tbl._mu_lists
+            assert tbl._mu_starts[w] == -1
+            assert (len(tbl._mu_zs), len(tbl._mu_ms)) == (0, 0)
         assert tbl._mu(y, w) == top
 
 
@@ -208,14 +210,14 @@ def test_column_keys_take_two_bytes_up_to_s8_and_four_at_s9(n):
     # the keys run up to the sentinel n!, which two bytes hold up to 8! = 40,320
     tbl = KLTable(n)
     s1 = tbl.ranks.rank((2, 1) + tuple(range(3, n + 1)))
-    keys, values = tbl._column(s1)
-    zs, ms = tbl._mu_list(s1)
+    lo, hi = tbl._column(s1)
+    zs = tbl._mu_list(s1)[0]
     code = "H" if n <= 8 else "I"
-    assert (keys.typecode, zs.typecode) == (code, code)
+    assert (tbl._keys.typecode, zs.typecode) == (code, code)
     # s_1 is the only element below s_1 with the left descent s_1, and the
     # identity its only lower cover
-    assert (list(keys), [tbl._polys[p] for p in values]) == ([s1, factorial(n)], [ONE])
-    assert (list(zs), list(ms)) == ([0], [1])
+    assert (tbl._keys[lo : hi + 1].tolist(), read_column(tbl, s1)) == ([s1, factorial(n)], {s1: ONE})
+    assert read_mu_list(tbl, s1) == ((0, 1),)
 
 
 def test_degree_mismatch_errors():
@@ -359,9 +361,37 @@ def test_compact_columns_match_the_dict_recursion(n, side):
     }
     assert _columns(tbl) == extremal
     ranks = range(len(tbl.ranks.perms))
-    assert [tuple(zip(*tbl._mu_list(w))) for w in ranks] == [mu_lists[w] for w in ranks]
+    assert [read_mu_list(tbl, w) for w in ranks] == [mu_lists[w] for w in ranks]
     for w in ranks:
         assert [tbl._lookup(y, w) for y in ranks] == [lookup(y, w) for y in ranks], w
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_a_scrambled_order_of_columns_stores_the_same_table(n, tmp_path):
+    # the flat stores take each column and mu list when it is computed: in
+    # the recursion order of polynomial() queries, by inversion, or in the
+    # length order of warm().  A table queried at seeded random pairs first
+    # serves the same columns, mu lists, lookups and cache file as one
+    # warmed in order
+    ordered = KLTable(n, cache_dir=tmp_path / "ordered")
+    ordered.warm()
+    scrambled = KLTable(n, cache_dir=tmp_path / "scrambled")
+    perms = scrambled.ranks.perms
+    rng = random.Random(n)
+    for _ in range(3 * n):
+        scrambled.polynomial(rng.choice(perms), rng.choice(perms))
+    scrambled.warm()
+    if n >= 4:
+        assert scrambled._starts != ordered._starts
+        assert scrambled._mu_starts != ordered._mu_starts
+    ranks = range(len(perms))
+    assert [read_column(scrambled, w) for w in ranks] == [read_column(ordered, w) for w in ranks]
+    assert [read_mu_list(scrambled, w) for w in ranks] == [read_mu_list(ordered, w) for w in ranks]
+    for w in ranks:
+        assert [scrambled._lookup(y, w) for y in ranks] == [ordered._lookup(y, w) for y in ranks]
+    scrambled.save()
+    ordered.save()
+    assert scrambled.cache_path().read_bytes() == ordered.cache_path().read_bytes()
 
 
 def _two_sided_raise(y, w):
@@ -457,7 +487,7 @@ def test_klpoly_queries_compute_no_more_columns_than_their_recursion():
     pairs = [("1324576", "4731562"), ("1234567", "7654321"), ("2143576", "5276413")]
     answers = [str(tbl.polynomial(*map(parse_permutation, pair))) for pair in pairs]
     assert answers == ["1 + 2q + 2q^2 + q^3", "1", "1 + q + q^2"]
-    assert len(tbl._columns) <= 275
+    assert len(computed(tbl)) <= 275
 
 
 def test_every_query_rejects_non_permutations():
@@ -570,7 +600,7 @@ def test_save_leaves_no_temp_file_on_failure(tmp_path):
 
 
 def _columns(tbl):
-    return {w: read_column(tbl, w) for w in tbl._columns}
+    return {w: read_column(tbl, w) for w in computed(tbl)}
 
 
 def _distinct_objects(tbl):
@@ -743,7 +773,8 @@ table = KLTable(8)
 table.warm()
 digest = hashlib.sha256()
 for w in range(len(table.ranks.perms)):
-    digest.update(f"{tuple(zip(*table._mu_list(w)))}\n".encode())
+    zs, ms, lo, hi = table._mu_list(w)
+    digest.update(f"{tuple(zip(zs[lo:hi], ms[lo:hi]))}\n".encode())
 print(table.entry_count(), digest.hexdigest())
 """
 
@@ -755,14 +786,15 @@ S8_MU_SHA256 = "fda5a780776dce4ec8d1b182cd6cc7814b9bb2986da6c6cac8bd45fe298b0475
 @pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_s8_warm_peak_memory_long():
-    # about 3.5-4.5 s at 77 MB after warm() and 89 MB with every mu list,
-    # and the bound is that peak plus about 10 %; the columns and supports
-    # of S_8 took 1.06 GB before they were stored compactly and one support
-    # length at a time, and 103 and 111 MB before a column stored only its
-    # two-sided extremal entries
+    # about 3-4 s at 63 MB after warm() and 66 MB with every mu list, and
+    # the bound is that peak plus about 10 %; it was 77 and 89 MB while each
+    # column and mu list was a pair of arrays of its own.  The columns and
+    # supports of S_8 took 1.06 GB before they were stored compactly and one
+    # support length at a time, and 103 and 111 MB before a column stored
+    # only its two-sided extremal entries
     proc, peak_mb = run_child(_S8_WARM)
     assert proc.returncode == 0, proc.stderr
     entries, digest = proc.stdout.split()
     assert int(entries) == 9_551_060
     assert digest == S8_MU_SHA256
-    assert peak_mb < 98, peak_mb
+    assert peak_mb < 73, peak_mb

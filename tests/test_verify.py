@@ -6,7 +6,7 @@ import pytest
 
 import rscells.tableaux
 import rscells.verify
-from kl_entries import read_column, write_column
+from kl_entries import computed, read_column, write_column
 from oracles import (
     descents_by_scan,
     evacuation_by_insertion,
@@ -107,7 +107,7 @@ class _PoisonedMuTable(KLTable):
     ``poison_list`` and ``poison_mu``.  The suites read both, and so do the
     pair scans, through the cells and ``mu_sym``.  ``poison_list`` edits a
     mu list as a tuple of (z, mu) pairs, z ascending, and the table serves
-    it back as the two sequences ``_mu_list`` returns."""
+    it back as the two sequences and bounds ``_mu_list`` returns."""
 
     def __init__(self, n):
         self._poisoned = False
@@ -116,11 +116,11 @@ class _PoisonedMuTable(KLTable):
         self._poisoned = True
 
     def _mu_list(self, w):
-        got = super()._mu_list(w)
+        zs, ms, lo, hi = super()._mu_list(w)
         if not self._poisoned:
-            return got
-        pairs = self.poison_list(w, tuple(zip(*got)))
-        return tuple(zip(*pairs)) or ((), ())
+            return zs, ms, lo, hi
+        pairs = self.poison_list(w, tuple(zip(zs[lo:hi], ms[lo:hi])))
+        return [z for z, _ in pairs], [m for _, m in pairs], 0, len(pairs)
 
     def _mu(self, y, w):
         m = super()._mu(y, w)
@@ -172,7 +172,7 @@ def _short_mu_table(n):
     table = KLTable(n)
     table.warm()
     lengths = table.ranks.lengths
-    for w in list(table._columns):
+    for w in computed(table):
         col = read_column(table, w)
         for y, p in col.items():
             d = lengths[w] - lengths[y]
