@@ -33,7 +33,6 @@ _LAZY = {
     name: module
     for module, names in (
         ("tableaux", "Tableau evacuation insert_word p_symbol q_symbol reading_word rs_inverse"),
-        ("knuth", "knuth_class knuth_neighbors"),
         ("hecke", "HeckeElement bar c_prime canonical_basis_by_bar"),
         ("crystal", "CrystalComponent decompose e_op eps f_op phi signature_rule"),
         ("verify", "Report run_suite"),

@@ -45,8 +45,8 @@ CRYSTAL_GRAPH_MAX_DEGREE = 6
 # warm.  bar-invariance 7 checks 3,550,918 interval identities in about
 # 16 s, and 8 would need 170,288,585.  crystal-djm lists all n**n words,
 # 46,656 at 6 and 823,543 at 7, past crystal.MAX_WORDS.  knuth, evacuation
-# and crystal-theorem-a build no table and pass at 9 in about 5, 2 and 12 s,
-# crystal-theorem-a at a 227 MB peak
+# and crystal-theorem-a build no table and pass at 9 in about 1.5, 2 and
+# 12 s, crystal-theorem-a at a 227 MB peak
 SUITE_MAX_DEGREE = {
     "theorem-a": WARM_MAX_DEGREE,
     "descents": WARM_MAX_DEGREE,
@@ -217,17 +217,16 @@ def cmd_graph(args) -> int:
     if args.kind == "mu":
         _check_run(args, "graph mu", WARM_MAX_DEGREE)
         adj = left_cell_graph(args.n, KLTable(args.n))
-        edges = sorted(
-            (format_permutation(a), format_permutation(b), None)
-            for a, nbrs in adj.items()
-            for b in nbrs
-        )
+        # the keys come in rank order and each neighbour tuple sorted, which
+        # for digit strings is the sorted order of the edges
+        names = {w: format_permutation(w) for w in adj}
+        edges = [(names[a], names[b], None) for a, nbrs in adj.items() for b in nbrs]
         if args.format == "json":
             _emit_json(
                 {
                     "n": args.n,
                     "kind": "mu",
-                    "nodes": [format_permutation(w) for w in sorted(adj)],
+                    "nodes": list(names.values()),
                     "edges": [[a, b] for a, b, _ in edges],
                 }
             )

@@ -2,19 +2,21 @@
 Exhaustive verification suites over S_n.  Each suite returns a
 :class:`Report`; a suite passes exactly when its violation list is empty.
 Violation messages carry enough provenance (elements, descent sets, mu
-values) to debug a counterexample directly.
+values) to debug a counterexample directly.  The right star moves K_ij are
+built in one place, ``_star_moves``: ``knuth`` joins them into classes, and
+``knuth-mu`` checks mu and the cells across them.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 
 from . import crystal as crystal_mod
 from .cells import cells as cell_partition
 # unused here; perfbench/spans.py patches these names on this module
 from .hecke import bar, c_prime, canonical_basis_by_bar  # noqa: F401
 from .kl import KLTable, _ranks
-from .knuth import knuth_class
 from .permutations import format_permutation, rank_arrays
 from .polynomials import ONE, IntPolynomial
 # p_symbol and q_symbol are unused here; perfbench/spans.py patches them on
@@ -120,27 +122,69 @@ def verify_theorem_a(n: int, table: KLTable | None = None) -> Report:
     return report
 
 
+def _star_moves(ranks) -> Iterator[tuple[int, int, dict[int, int]]]:
+    """Each right star move K_ij of S_n, i and j adjacent, as (i, j, image):
+    the rank of K_ij(w) for each rank w of the domain D_ij = {w : i in R(w),
+    j not in R(w)}, in rank order.  With y0 the minimal element of the coset
+    w<s_i, s_j>, K_ij maps y0 s_i to y0 s_i s_j = w s_j, and y0 s_j s_i to
+    y0 s_j = w s_i, which is the case where j is a descent of w s_i.  These
+    are the elementary Knuth relations (Kazhdan-Lusztig 1979, section 4)."""
+    # rank -> rank of w s_i, and right descent masks, bit i - 1 for s_i
+    rsteps, rmasks = ranks.rsteps, ranks.rmasks
+    for k in range(1, ranks.n - 1):
+        for i, j in ((k, k + 1), (k + 1, k)):
+            bi, bj = 1 << (i - 1), 1 << (j - 1)
+            si, sj = rsteps[i - 1], rsteps[j - 1]
+            image = {}
+            for r, m in enumerate(rmasks):
+                if m & bi and not m & bj:
+                    u = si[r]
+                    image[r] = u if rmasks[u] & bj else sj[r]
+            yield i, j, image
+
+
+def knuth_class(ranks) -> list[int]:
+    """Each rank's Knuth class, named by its least rank: the components of
+    the undirected graph that joins w and K_ij(w) for every star move."""
+    parent = list(ranks.ints)
+    for _, _, image in _star_moves(ranks):
+        for a, b in image.items():
+            # the roots of a and b, halving each path: every link points to
+            # a lower rank, so each root is the least rank of its class
+            while a != (p := parent[a]):
+                parent[a] = a = parent[p]
+            while b != (p := parent[b]):
+                parent[b] = b = parent[p]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    # in rank order each link already points to a finished root
+    for r, p in enumerate(parent):
+        parent[r] = parent[p]
+    return parent
+
+
 def verify_knuth_classes(n: int) -> Report:
-    """Knuth closure classes versus fibers of the insertion tableau, keyed
-    by P index."""
+    """Knuth classes versus fibers of the insertion tableau, keyed by P
+    index.  The permutations are read only to write a violation."""
     report = Report("knuth", n, cases=0)
-    perms = rank_arrays(n).perms
-    report.cases = len(perms)
+    ranks = rank_arrays(n)
     pidx = _symbols(n, n, permutations=True)[0]
-    fibers: dict[int, set] = {}
-    for w, p in zip(perms, pidx):
-        fibers.setdefault(p, set()).add(w)
+    report.cases = len(pidx)
+    members: dict[int, list[int]] = {}
+    fibers: dict[int, list[int]] = {}
+    # perfbench/spans.py patches knuth_class on this module
+    for r, (c, p) in enumerate(zip(knuth_class(ranks), pidx)):
+        members.setdefault(c, []).append(r)
+        fibers.setdefault(p, []).append(r)
     report.info["classes"] = str(len(fibers))
-    done = set()
-    for w, p in zip(perms, pidx):
-        if w in done:
-            continue
-        cls = knuth_class(w)
-        done.update(cls)
-        if cls != frozenset(fibers[p]):
+    names = lambda rs: [_fmt(ranks.perms[r]) for r in rs]
+    for c, rs in members.items():
+        if rs != fibers[pidx[c]]:
             report.violations.append(
-                f"w={_fmt(w)} knuth class {sorted(map(_fmt, cls))} != "
-                f"P-fiber {sorted(map(_fmt, fibers[p]))}"
+                f"w={_fmt(ranks.perms[c])} knuth class {names(rs)} != "
+                f"P-fiber {names(fibers[pidx[c]])}"
             )
     return report
 
@@ -358,34 +402,19 @@ def verify_knuth_mu(n: int, table: KLTable | None = None) -> Report:
     perms, mu_sym, mu_list = table.ranks.perms, table._mu_sym, table._mu_list
     # the right cell of w is the inverse of the left cell of w^-1
     right = [left[r] for r in table.ranks.inverse]
-    # rank -> rank of w s_i, and right descent masks, bit i - 1 for s_i
-    rsteps, rmasks = table.ranks.rsteps, table.ranks.rmasks
     cases = 0
-    moves = [(i2, j2) for i in range(1, n - 1) for i2, j2 in ((i, i + 1), (i + 1, i))]
-    for i2, j2 in moves:
-        # rank -> rank of its image, over the domain D_ij = {w : i in R(w),
-        # j not in R(w)} in rank order.  With y0 the minimal element of the
-        # coset w<s_i, s_j>, K_ij maps y0 s_i to y0 s_i s_j = w s_j, and
-        # y0 s_j s_i to y0 s_j = w s_i, which is the case where j is a
-        # descent of w s_i
-        bi, bj = 1 << (i2 - 1), 1 << (j2 - 1)
-        si, sj = rsteps[i2 - 1], rsteps[j2 - 1]
-        image = {}
-        for r, m in enumerate(rmasks):
-            if m & bi and not m & bj:
-                u = si[r]
-                image[r] = u if rmasks[u] & bj else sj[r]
+    for i, j, image in _star_moves(table.ranks):
         # the nonzero-mu pairs (z, w, mu) inside the domain: every z in the
         # mu list of w lies below w, so z < w as ranks
         pairs = []
         for w in image:
             zs, ms, lo, hi = mu_list(w)
-            pairs += [(zs[j], w, ms[j]) for j in range(lo, hi) if zs[j] in image]
+            pairs += [(zs[x], w, ms[x]) for x in range(lo, hi) if zs[x] in image]
         cases += len(image) + len(pairs)
         for w, kw in image.items():
             if right[w] != right[kw]:
                 report.violations.append(
-                    f"w={_fmt(perms[w])} K_{i2}{j2}(w)={_fmt(perms[kw])} "
+                    f"w={_fmt(perms[w])} K_{i}{j}(w)={_fmt(perms[kw])} "
                     f"not in one right cell"
                 )
         bad = [(y, w, 0, m) for y, w, m in pairs if not mu_sym(image[y], image[w])]
@@ -405,12 +434,12 @@ def verify_knuth_mu(n: int, table: KLTable | None = None) -> Report:
             if same_cell:
                 report.violations.append(
                     f"y={_fmt(perms[y])} w={_fmt(perms[w])} share a left cell but "
-                    f"K_{i2}{j2} images do not"
+                    f"K_{i}{j} images do not"
                 )
             else:
                 report.violations.append(
                     f"y={_fmt(perms[y])} w={_fmt(perms[w])} mu={m} but "
-                    f"mu(K(y)|K(w))=0 for (i,j)=({i2},{j2}), "
+                    f"mu(K(y)|K(w))=0 for (i,j)=({i},{j}), "
                     f"K(y)={_fmt(perms[image[y]])} K(w)={_fmt(perms[image[w]])}"
                 )
     report.cases = cases

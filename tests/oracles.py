@@ -4,9 +4,11 @@ Everything here deliberately avoids the code paths it checks: Bruhat order
 by sorted-prefix dominance and via subwords of one fixed reduced word,
 reduced words and minimal coset representatives by stripping descents,
 composition via explicit function application, involution counting by
-direct scan, the Knuth moves K_ij through minimal coset representatives,
-crystal operators by the recursive tensor-product rule, crystal components
-by a search on word tuples, highest-weight words one word at a time, the
+direct scan, the elementary Knuth relations on tuples by their window
+rule and the Knuth classes by a search from each class, the Knuth moves
+K_ij through minimal coset representatives, crystal operators by the
+recursive tensor-product rule, crystal components by a search on word
+tuples, highest-weight words one word at a time, the
 crystal-djm checks on validated tableaux built per word, operator and
 reading word, a skew tableau type of its own (an inner shape and a cell
 dict), jeu de taquin slides on it with their own sliding loop,
@@ -48,7 +50,6 @@ from rscells.permutations import (
     right_descents,
 )
 from rscells.polynomials import ONE, ZERO, LaurentPoly
-from rscells.knuth import knuth_class
 from rscells.tableaux import (
     Tableau,
     _semistandard_rows,
@@ -590,6 +591,36 @@ def evacuation_by_rectify(tab):
 
 
 # -- Knuth moves K_ij ---------------------------------------------------------
+
+def knuth_neighbors(w: Perm) -> frozenset[Perm]:
+    """Permutations one elementary Knuth relation away from ``w``.
+
+    In a window of three consecutive letters (x, y, z): swap the last two
+    when x lies strictly between them, swap the first two when z does.
+    """
+    out = set()
+    for i in range(len(w) - 2):
+        x, y, z = w[i : i + 3]
+        if min(y, z) < x < max(y, z):
+            out.add(w[: i + 1] + (z, y) + w[i + 3 :])
+        if min(x, y) < z < max(x, y):
+            out.add(w[:i] + (y, x) + w[i + 2 :])
+    return frozenset(out)
+
+
+def knuth_class(w: Perm) -> frozenset[Perm]:
+    """Transitive closure of :func:`knuth_neighbors` containing ``w``, by a
+    breadth-first search."""
+    seen = {w}
+    queue = deque((w,))
+    while queue:
+        cur = queue.popleft()
+        for nxt in knuth_neighbors(cur):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return frozenset(seen)
+
 
 def _check_adjacent(i: int, j: int, n: int) -> None:
     if abs(i - j) != 1:

@@ -271,8 +271,8 @@ def _suite_child(suite, n):
 @pytest.mark.parametrize(
     "suite, criterion, peak_bound",
     # none of the three needs a KL table: crystal-theorem-a 8 takes about
-    # 1.5 s at 45 MB, evacuation 8 and knuth 8 0.5 s at 29 MB and 0.8 s at
-    # 33 MB; a bound near the S_8 table's 180 MB would miss a suite that
+    # 1.5 s at 45 MB, evacuation 8 and knuth 8 0.5 s at 29 MB and 0.2 s at
+    # 26 MB; a bound near the S_8 table's 180 MB would miss a suite that
     # warms it again
     [("crystal-theorem-a", 12, 75), ("evacuation", 9, 45), ("knuth", 8, 50)],
 )
@@ -305,11 +305,12 @@ def test_criterion_12_crystal_route_n9_long():
 @pytest.mark.parametrize(
     "suite, criterion, digest, peak_bound",
     # neither builds a KL table: evacuation 9 takes about 2-2.5 s at a 149 MB
-    # peak and knuth 9 about 6-8 s at 146 MB; each bound is that peak plus
-    # about 10 %
+    # peak and knuth 9 about 1.5-2 s at 98 MB (3.5-3.7 s at 145 MB while it
+    # searched each class on permutation tuples); each bound is that peak
+    # plus about 10 %
     [
         ("evacuation", 9, "609c60f4c80cd0f30ea1a8db5e72eea42050a89524016e8e06d0875d6c743b56", 164),
-        ("knuth", 8, "3eccd11a858d3695b536b2192ec13f0fb58da4d531ab5f2aefc56f767db3189d", 161),
+        ("knuth", 8, "3eccd11a858d3695b536b2192ec13f0fb58da4d531ab5f2aefc56f767db3189d", 108),
     ],
 )
 def test_permutation_suites_n9_long(suite, criterion, digest, peak_bound):

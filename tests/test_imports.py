@@ -22,7 +22,6 @@ EXPORTS = {
         "left_descents length longest_element multiply_simple parse_permutation right_descents",
         "polynomials": "IntPolynomial LaurentPoly",
         "tableaux": "Tableau evacuation insert_word p_symbol q_symbol reading_word rs_inverse",
-        "knuth": "knuth_class knuth_neighbors",
         "kl": "KLTable default_table kl_polynomial mu mu_sym",
         "hecke": "HeckeElement bar c_prime canonical_basis_by_bar",
         "cells": "CellPartition cells left_cell_graph",
@@ -72,8 +71,7 @@ print(json.dumps({"code": code, "import": sorted(imported), "run": sorted(ran)})
         (("graph", "3", "crystal"), {"rscells.crystal", "rscells.tableaux"}),
         (
             ("verify", "theorem-a", "4"),
-            {"rscells.verify", "rscells.crystal", "rscells.tableaux", "rscells.hecke",
-             "rscells.knuth"},
+            {"rscells.verify", "rscells.crystal", "rscells.tableaux", "rscells.hecke"},
         ),
     ],
     ids=" ".join,

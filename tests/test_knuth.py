@@ -1,7 +1,6 @@
 import pytest
 
-from oracles import all_perms, in_knuth_domain, knuth_move
-from rscells.knuth import knuth_class, knuth_neighbors
+from oracles import all_perms, in_knuth_domain, knuth_class, knuth_move, knuth_neighbors
 from rscells.permutations import identity, right_descents
 from rscells.tableaux import p_symbol
 

@@ -12,11 +12,12 @@ from oracles import (
     evacuation_by_insertion,
     knuth_by_insertion,
     knuth_mu_by_scan,
+    knuth_neighbors,
     theorem_a_by_scan,
 )
 from rscells import crystal
 from rscells.kl import KLTable
-from rscells.permutations import rank_arrays
+from rscells.permutations import format_permutation, rank_arrays
 from rscells.polynomials import ONE, IntPolynomial
 from rscells.verify import SUITES, Report, run_suite
 
@@ -370,6 +371,58 @@ def test_knuth_fails_when_the_walk_merges_two_p_indices(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_star_moves_are_the_elementary_knuth_relations(n):
+    ranks = rank_arrays(n)
+    perms = ranks.perms
+    pairs = {
+        (perms[w], perms[kw])
+        for _, _, image in rscells.verify._star_moves(ranks)
+        for w, kw in image.items()
+    }
+    assert pairs == {(w, y) for w in perms for y in knuth_neighbors(w)}
+
+
+def _poison_star_moves(monkeypatch, poison):
+    """Run every star move's image through ``poison(ranks, i, j, image)``."""
+    moves = rscells.verify._star_moves
+
+    def poisoned(ranks):
+        for i, j, image in moves(ranks):
+            yield i, j, poison(ranks, i, j, image)
+
+    monkeypatch.setattr(rscells.verify, "_star_moves", poisoned)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_knuth_fails_on_a_one_way_star_pair(monkeypatch, n):
+    def w0_to_e(ranks, i, j, image):
+        # w0 is in no domain, and no move takes e back to it
+        if (i, j) == (1, 2):
+            image[len(ranks.rmasks) - 1] = 0
+        return image
+
+    _poison_star_moves(monkeypatch, w0_to_e)
+    rep = run_suite("knuth", n)
+    e, w0 = "".join(map(str, range(1, n + 1))), "".join(map(str, range(n, 0, -1)))
+    assert rep.violations == [f"w={e} knuth class ['{e}', '{w0}'] != P-fiber ['{e}']"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_knuth_fails_when_each_move_takes_w_s_i(monkeypatch, n):
+    def w_s_i(ranks, i, j, image):
+        si = ranks.rsteps[i - 1]
+        return {w: si[w] for w in image}
+
+    _poison_star_moves(monkeypatch, w_s_i)
+    ranks = rank_arrays(n)
+    # S_n falls into two classes: w0 alone, and the rest
+    assert len(set(rscells.verify.knuth_class(ranks))) == 2
+    rep = run_suite("knuth", n)
+    rest = [format_permutation(w) for w in ranks.perms[:-1]]
+    assert rep.violations == [f"w={rest[0]} knuth class {rest} != P-fiber ['{rest[0]}']"]
+
+
 def test_crystal_theorem_a_fails_when_no_letter_cancels(monkeypatch, clean_operator_caches):
     def never(i, word):
         return (
@@ -642,9 +695,15 @@ def test_poisoned_bar_invariance_reports_are_pinned(kind, n):
 def test_suites_without_a_table_build_no_step_arrays():
     # crystal-theorem-a 9 and the degree-9 script run stay under their
     # memory bounds only while these suites leave the n! * n step arrays
-    # and the descent masks unbuilt
+    # and the descent masks unbuilt; knuth reads the right steps and
+    # descents, and no other array
     rank_arrays.cache_clear()
-    for name in ("knuth", "evacuation", "crystal-theorem-a"):
+    assert run_suite("knuth", 5).ok
+    built = vars(rank_arrays(5))
+    assert {"rsteps", "rmasks"} <= built.keys()
+    assert not built.keys() & {"steps", "masks", "inverse", "index"}, sorted(built)
+    rank_arrays.cache_clear()
+    for name in ("evacuation", "crystal-theorem-a"):
         assert run_suite(name, 5).ok
     built = vars(rank_arrays(5))
     assert "perms" in built
