@@ -43,7 +43,7 @@ CRYSTAL_GRAPH_MAX_DEGREE = 6
 # read KL polynomials warm every column, so they stop at the warm cap: at
 # n = 8 descents takes about 1 s and knuth-mu about 5 s past the ~4 s
 # warm.  bar-invariance 7 checks 3,550,918 interval identities in about
-# 16 s, and 8 would need 170,288,585.  crystal-djm lists all n**n words,
+# 5 s, and 8 would need 170,288,585.  crystal-djm lists all n**n words,
 # 46,656 at 6 and 823,543 at 7, past crystal.MAX_WORDS.  knuth, evacuation
 # and crystal-theorem-a build no table and pass at 9 in about 1.5, 2 and
 # 12 s, crystal-theorem-a at a 227 MB peak

@@ -178,8 +178,6 @@ class KLTable:
         self._mu_ms = array("B")
         self._mu_starts = array("i", [-1]) * size
         self._mu_ends = array("i", [0]) * size
-        # _lookup's raise_to and descent masks, on first use
-        self._raising: tuple | None = None
 
     def _pool_index(self, p: IntPolynomial) -> int:
         """The index of p's value in the pool, adding p if it is new."""
@@ -207,13 +205,6 @@ class KLTable:
         hi = lo + len(keys)
         self._starts[w], self._ends[w] = lo, hi
         return lo, hi
-
-    def _entry(self, y: int, w: int) -> IntPolynomial:
-        """The polynomial column w stores for rank y; ZERO when it stores
-        none."""
-        lo, hi = self._column(w)
-        i = bisect_left(self._keys, y, lo, hi)
-        return self._polys[self._values[i]] if self._keys[i] == y else ZERO
 
     # -- the recursion -----------------------------------------------------
 
@@ -352,32 +343,43 @@ class KLTable:
             new.append(p)
         return self._store(w, keys, new)
 
-    def _raise_arrays(self) -> tuple:
-        """raise_to and the descent masks it takes, kept for _lookup, which
-        reads them as one attribute: a read of each from ``ranks`` costs a
-        cached-property lookup."""
-        ranks = self.ranks
-        self._raising = ranks.raise_to, ranks.masks, ranks.rmasks
-        return self._raising
-
     def _lookup(self, y: int, w: int) -> IntPolynomial:
         if y == w:
             return ONE
         lengths = self._lengths
         if lengths[y] >= lengths[w]:
             return ZERO
-        # _column and _entry inlined: the certificate of bar-invariance runs
-        # this a few times per interval element
+        # _column inlined: knuth-mu 8 runs this about 1.5 M times
         lo = self._starts[w]
         if lo < 0:
             lo, hi = self._column(w)
         else:
             hi = self._ends[w]
-        raise_to, masks, rmasks = self._raising or self._raise_arrays()
-        y = raise_to(y, masks[w], rmasks[w])
+        ranks = self.ranks
+        y = ranks.raise_to(y, ranks.masks[w], ranks.rmasks[w])
         keys = self._keys
         i = bisect_left(keys, y, lo, hi)
         return self._polys[self._values[i]] if keys[i] == y else ZERO
+
+    def _expand(self, c: int, xs: list[int], got) -> None:
+        """Set ``got[x]`` to the pool index of P_{x,c} for each x in the
+        ascending ranks ``xs``: column c is written first, then xs is walked
+        down, an x that lacks a right descent t of c copying x t, else one that
+        lacks a left descent s copying s x, both of higher rank (du Cloux 2002).
+        ``got`` must read 0 at extremal x missing from column c and past xs."""
+        ranks = self.ranks
+        masks, rmasks, steps, rsteps = ranks.masks, ranks.rmasks, ranks.steps, ranks.rsteps
+        lowest = ranks.lowest
+        lo, hi = self._column(c)
+        keys, values = self._keys, self._values
+        for i in range(lo, hi):
+            got[keys[i]] = values[i]
+        cmask, crmask = masks[c], rmasks[c]
+        for x in reversed(xs):
+            if rest := crmask & ~rmasks[x]:
+                got[x] = got[rsteps[lowest[rest]][x]]
+            elif rest := cmask & ~masks[x]:
+                got[x] = got[steps[lowest[rest]][x]]
 
     def _mu_list(self, w: int) -> MuList:
         """The z with mu(z, w) != 0, ascending, and mu(z, w) of each: the
@@ -471,29 +473,17 @@ class KLTable:
         body is never held whole.
 
         A column's records are its one-sided entries, every y <= w whose
-        left descent set contains that of w.  Walking them down the ranks, a
-        y that lacks a right descent of w copies P_{yt,w} for the lowest
-        such t: y t lies in the interval, keeps every left descent of y and
-        has a higher rank, so it is filled already; the two-sided extremal
-        y are filled from the column."""
-        ranks = self.ranks
-        names = list(map(format_permutation, ranks.perms))
-        masks, rmasks, rsteps, lowest = ranks.masks, ranks.rmasks, ranks.rsteps, ranks.lowest
+        left descent set contains that of w, expanded by _expand: one list
+        serves every column, as they are closed under right raises through
+        the descents of w and column w holds every extremal one."""
+        names = list(map(format_permutation, self.ranks.perms))
         lengths, polys = self._lengths, self._polys
         texts: list[str] = []  # "c0,c1,..." per pool index
         scratch = [0] * self._size
         yield f"#rscells-kl {FORMAT_VERSION} S_{self.n} left\n".encode()
         for w in self._in_length_order():
-            lo, hi = self._column(w)
-            keys, values = self._keys, self._values
-            for i in range(lo, hi):
-                scratch[keys[i]] = values[i]
-            wrmask = rmasks[w]
-            keys = list(_ranks(self._support(w) & self._raised_set(masks[w])))
-            for y in reversed(keys):
-                rest = wrmask & ~rmasks[y]
-                if rest:
-                    scratch[y] = scratch[rsteps[lowest[rest]][y]]
+            keys = list(_ranks(self._support(w) & self._raised_set(self.ranks.masks[w])))
+            self._expand(w, keys, scratch)
             texts += [",".join(map(str, p.coeffs)) for p in polys[len(texts) :]]
             wname = names[w]
             # the keys ascend, so a stable sort by length gives (length, rank)

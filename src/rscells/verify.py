@@ -10,6 +10,7 @@ built in one place, ``_star_moves``: ``knuth`` joins them into classes, and
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from collections.abc import Iterator
 
 from . import crystal as crystal_mod
@@ -241,26 +242,35 @@ def verify_bar_invariance(n: int, table: KLTable | None = None) -> Report:
     The certificate is complete: C'_s is bar-invariant, so by induction on
     length each C'_w = C'_s C'_v - sum mu C'_z is bar-invariant, and with
     P_{w,w} = 1 and the degree bound it is the canonical basis element by
-    uniqueness (Kazhdan-Lusztig 1979).  Values are read through the
-    table's own lookup, so non-extremal x test the two-sided raise.
+    uniqueness (Kazhdan-Lusztig 1979).  Columns are read by the walk that
+    writes cache files, not by the raise of the recursion; P_{c,c} reads 1.
     """
     report = Report("bar-invariance", n, cases=0)
     table = _table(n, table)
     ranks = table.ranks
-    lookup, lengths, masks, steps = table._lookup, ranks.lengths, ranks.masks, ranks.steps
+    lengths, masks, steps, polys = ranks.lengths, ranks.masks, ranks.steps, table._polys
     perms, rmasks = ranks.perms, ranks.rmasks
     report.cases = len(perms)
-    # memos of the two polynomial steps, keyed on operand ids: every operand
-    # is in the table's pool or held by these dicts, so no id is reused meanwhile
+
+    def expand(c: int, xs: list[int]) -> defaultdict[int, int]:
+        got: defaultdict[int, int] = defaultdict(int)
+        table._expand(c, xs, got)
+        got[c] = 1
+        return got
+
+    # memos of the two polynomial steps, keyed on pool indices and coefficients
     sums: dict[tuple[int, int], IntPolynomial] = {}
-    corrections: dict[tuple[int, int, int, int], IntPolynomial] = {}
+    corrections: dict[tuple[tuple[int, ...], int, int, int], IntPolynomial] = {}
     # the walk drops the supports one length layer at a time, as warm() does
     for w in table._in_length_order():
         start, end = table._column(w)
         support = table._support(w)
-        pww = table._entry(w, w)
+        colw: defaultdict[int, int] = defaultdict(int)
+        table._expand(w, list(_ranks(support)), colw)
+        pww = polys[colw[w]]
         if pww != ONE:
             report.violations.append(f"w={_fmt(perms[w])}: P_{{w,w}} = {pww} != 1")
+        colw[w] = 1
         wmask = masks[w]
         extremal = support & table._raised_set(wmask) & table._raised_set(rmasks[w], True)
         entries, want = end - start, extremal.bit_count()
@@ -276,32 +286,32 @@ def verify_bar_invariance(n: int, table: KLTable | None = None) -> Report:
         step = steps[i - 1]
         v = step[w]
         lw = lengths[w]
+        # [e, v] is held still, one length layer below w
+        xs = list(_ranks(table._support(v)))
+        colv = expand(v, xs)
         zs, ms, start, end = table._mu_list(v)
         muv = []
         for j in range(start, end):
             z = zs[j]
             if masks[z] & ibit:
-                muv.append((z, lengths[z], (lw - lengths[z]) // 2, ms[j]))
+                muv.append((expand(z, xs), lengths[z], (lw - lengths[z]) // 2, ms[j]))
         bad = []
         for lo in _ranks(support & ~table._raised_set(ibit)):
-            a, b = lookup(lo, v), lookup(step[lo], v)
-            key = (id(a), id(b))
+            key = (colv[lo], colv[step[lo]])
             lhs = sums.get(key)
             if lhs is None:
-                lhs = sums[key] = a + b.shift(1)
+                lhs = sums[key] = polys[key[0]] + polys[key[1]].shift(1)
             for x in (lo, step[lo]):
                 lx = lengths[x]
                 p = lhs
-                for z, lz, k, m in muv:
-                    if lx <= lz:
-                        pxz = lookup(x, z)
-                        if pxz:
-                            key = (id(p), id(pxz), k, m)
-                            r = corrections.get(key)
-                            if r is None:
-                                r = corrections[key] = p - pxz.shift(k) * m
-                            p = r
-                pxw = lookup(x, w)
+                for colz, lz, k, m in muv:
+                    if lx <= lz and colz[x]:
+                        key = (p.coeffs, colz[x], k, m)
+                        r = corrections.get(key)
+                        if r is None:
+                            r = corrections[key] = p - polys[colz[x]].shift(k) * m
+                        p = r
+                pxw = polys[colw[x]]
                 if p != pxw:
                     left = "q P_{sx,v} + P_{x,v}" if x == lo else "P_{sx,v} + q P_{x,v}"
                     bad.append((x, f"w={_fmt(perms[w])} x={_fmt(perms[x])} s_{i} "

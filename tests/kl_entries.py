@@ -9,6 +9,8 @@ indices: two tables number their pools in the order they meet the values.
 
 from array import array
 
+from rscells.kl import _ranks
+
 
 def computed(table):
     """The ranks whose columns ``table`` has computed, ascending."""
@@ -19,6 +21,15 @@ def read_column(table, w):
     """Column w of ``table`` (computed if need be) as rank -> polynomial."""
     lo, hi = table._column(w)
     return {table._keys[i]: table._polys[table._values[i]] for i in range(lo, hi)}
+
+
+def expanded_column(table, w):
+    """P_{x,w} for every x in the interval [e, w] as ``_expand`` reads it
+    from column w, the walk that writes cache files: rank -> polynomial."""
+    xs = list(_ranks(table._support(w)))
+    got = {}
+    table._expand(w, xs, got)
+    return {x: table._polys[got[x]] for x in xs}
 
 
 def read_mu_list(table, w):

@@ -140,7 +140,7 @@ def test_criterion_05_kl_oracle_s4():
 @long_run
 @pytest.mark.parametrize("n, cases", [(6, 720), (7, 5040)])
 def test_criterion_05_bar_invariance_certificate_n6_n7_long(capsys, n, cases):
-    # 98,406 and 3,550,918 interval identities; n = 7 takes about 35 s
+    # 98,406 and 3,550,918 interval identities; n = 7 takes about 5 s
     code = main(["--long", "verify", "bar-invariance", str(n)])
     out = capsys.readouterr().out
     assert code == 0

@@ -892,6 +892,28 @@ def test_s8_cache_check_peak_memory_long(tmp_path):
     assert peak_mb < 33, peak_mb
 
 
+# sha256 of the text and JSON stdout of `rscells --long verify bar-invariance
+# 7`, recorded while the certificate read every value through the table's
+# point lookup
+BAR_INVARIANCE_7_SHA256 = {
+    "text": "1dd00f01251b524ee1e57e4006bfa0bdd6eaff7964e3d3d6881076d72ef4b17a",
+    "json": "a51c8e57383ca13b6791c416daed1dd42c3e12887ce8ef4c4dcb0f033252d439",
+}
+
+
+@pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_bar_invariance_7_report_is_pinned_long(fmt):
+    # about 5 s at a 21 MB peak, and the bound is that peak plus about 10 %;
+    # it took 14-21 s at 19 MB while the certificate read every value
+    # through the point lookup
+    proc, peak_mb = run_child(MAIN, "--format", fmt, "--long", "verify", "bar-invariance", "7")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == BAR_INVARIANCE_7_SHA256[fmt]
+    assert peak_mb < 23, peak_mb
+
+
 # sha256 of the stdout of the S_8 commands that walk every mu list: knuth-mu
 # and cells recorded while each column and mu list of a KLTable was a pair
 # of arrays of its own, the graph in DOT and JSON while graph N mu sorted

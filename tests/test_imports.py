@@ -74,7 +74,8 @@ print(json.dumps({"code": code, "import": sorted(imported), "run": sorted(ran)})
             {"rscells.verify", "rscells.crystal", "rscells.tableaux", "rscells.hecke"},
         ),
     ],
-    ids=" ".join,
+    # the sets sorted, so the ids do not change with PYTHONHASHSEED
+    ids=lambda v: " ".join(v if isinstance(v, tuple) else sorted(v)),
 )
 def test_a_cli_process_imports_only_the_layers_its_command_runs(tmp_path, argv, loads):
     proc, _peak = run_child(_LOADS, "--cache-dir", str(tmp_path), *argv, timeout=120)

@@ -10,7 +10,7 @@ from math import factorial
 import pytest
 
 from children import run_child
-from kl_entries import computed, read_column, read_mu_list, write_column
+from kl_entries import computed, expanded_column, read_column, read_mu_list, write_column
 from oracles import (
     all_perms,
     bruhat_leq,
@@ -364,6 +364,23 @@ def test_compact_columns_match_the_dict_recursion(n, side):
     assert [read_mu_list(tbl, w) for w in ranks] == [mu_lists[w] for w in ranks]
     for w in ranks:
         assert [tbl._lookup(y, w) for y in ranks] == [lookup(y, w) for y in ranks], w
+        # the walk that writes cache files and feeds bar-invariance
+        column = expanded_column(tbl, w)
+        assert column == {x: lookup(x, w) for x in column}, w
+
+
+@pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
+def test_lookups_match_the_expanded_columns_on_s7_long():
+    # bar-invariance reads its columns by the walk of _expand, so this ties
+    # the two-sided raise of _lookup to it at all 3,550,919 pairs x <= w of
+    # S_7, in about 7 s
+    tbl = KLTable(7)
+    reads = 0
+    for w in tbl._in_length_order():
+        column = expanded_column(tbl, w)
+        assert column == {x: tbl._lookup(x, w) for x in column}, w
+        reads += len(column)
+    assert reads == 3_550_919
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

@@ -6,7 +6,7 @@ import pytest
 
 import rscells.tableaux
 import rscells.verify
-from kl_entries import computed, read_column, write_column
+from kl_entries import computed, expanded_column, read_column, write_column
 from oracles import (
     descents_by_scan,
     evacuation_by_insertion,
@@ -17,7 +17,7 @@ from oracles import (
 )
 from rscells import crystal
 from rscells.kl import KLTable
-from rscells.permutations import format_permutation, rank_arrays
+from rscells.permutations import Ranks, format_permutation, rank_arrays
 from rscells.polynomials import ONE, IntPolynomial
 from rscells.verify import SUITES, Report, run_suite
 
@@ -690,6 +690,37 @@ def test_poisoned_bar_invariance_reports_are_pinned(kind, n):
     rep = run_suite("bar-invariance", n, _bar_poison(kind, n))
     digest = hashlib.sha256("\n".join(rep.violations).encode()).hexdigest()
     assert (len(rep.violations), digest) == POISONED_BAR_SHA256[kind, n]
+
+
+def _left_raise(ranks):
+    """Poisoned raise_to: y is raised through the left descents of w only,
+    so a lookup misses the entry of a y that lacks a right descent of w."""
+    masks, steps, lowest = ranks.masks, ranks.steps, ranks.lowest
+
+    def raise_to(y, wmask, wrmask):
+        while rest := wmask & ~masks[y]:
+            y = steps[lowest[rest]][y]
+        return y
+
+    return raise_to
+
+
+def test_lookups_that_skip_the_right_raise_are_caught(monkeypatch):
+    # the recursion raises with raise_to and the certificate reads the
+    # stored columns by the walk of _expand, which does not.  The S_3
+    # columns stay right, so bar-invariance passes there while lookups go
+    # wrong, and only their tie to the expanded columns catches it
+    monkeypatch.setattr(Ranks, "raise_to", property(_left_raise))
+    counts = [len(run_suite("bar-invariance", n).violations) for n in (3, 4, 5)]
+    assert counts == [0, 10, 486]
+    table = KLTable(3)
+    wrong = [
+        (x, w)
+        for w in range(6)
+        for x, p in expanded_column(table, w).items()
+        if table._lookup(x, w) != p
+    ]
+    assert wrong, "the tie of _lookup to _expand misses the one-sided raise"
 
 
 def test_suites_without_a_table_build_no_step_arrays():
