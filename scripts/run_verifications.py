@@ -12,7 +12,9 @@ line naming the suites it skipped.  A degree at which some suite reads KL
 polynomials computes one KL table that those suites share; any other degree
 builds none.  Every suite of a degree, with a table or without, reads the
 one ``Ranks`` of that degree (``rscells.permutations.rank_arrays``), so
-S_n is enumerated once.
+S_n is enumerated once.  The suites that read the P- and Q-symbols of S_n
+share one symbol walk (``rscells.tableaux._symbols``), and those on the
+table share its one left-cell partition (``rscells.cells.cells``).
 """
 
 import argparse

@@ -18,13 +18,17 @@ from .kl import KLTable
 from .permutations import Perm, Ranks
 
 
-def _rank_graph(n: int, table: KLTable | None) -> tuple[KLTable, list[list[int]]]:
-    """``table``, or a fresh KLTable(n) when it is None, and the graph as
-    rank -> the ranks it has an edge to."""
+def _table(n: int, table: KLTable | None) -> KLTable:
+    """``table``, or a fresh KLTable(n) when it is None."""
     if table is None:
-        table = KLTable(n)
-    elif table.n != n:
+        return KLTable(n)
+    if table.n != n:
         raise ValueError(f"cells of S_{n} need a table of degree {n}, got {table.n}")
+    return table
+
+
+def _rank_graph(table: KLTable) -> list[list[int]]:
+    """The graph as rank -> the ranks it has an edge to."""
     masks = table.ranks.masks
     adj: list[list[int]] = [[] for _ in masks]
     for w in table._in_length_order():
@@ -37,13 +41,14 @@ def _rank_graph(n: int, table: KLTable | None) -> tuple[KLTable, list[list[int]]
                 adj[z].append(w)
             if mw & ~mz:
                 adj[w].append(z)
-    return table, adj
+    return adj
 
 
 def left_cell_graph(n: int, table: KLTable | None = None) -> dict[Perm, tuple[Perm, ...]]:
     """Adjacency of the chain-step graph: edge x -> x' iff L(x) is not a
     subset of L(x') and mu does not vanish between x and x'."""
-    table, adj = _rank_graph(n, table)
+    table = _table(n, table)
+    adj = _rank_graph(table)
     perms = table.ranks.perms
     return {perms[w]: tuple(perms[x] for x in sorted(nbrs)) for w, nbrs in enumerate(adj)}
 
@@ -133,11 +138,20 @@ def cells(n: int, side: str = "left", table: KLTable | None = None) -> CellParti
     their least element.
 
     Right cells are computed from the left ones through inversion, which
-    matches the definition via right descent chains.
+    matches the definition via right descent chains.  Each side's partition
+    of a table is computed once and kept on the table.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    table, adj = _rank_graph(n, table)
+    table = _table(n, table)
+    part = table._cells.get(side)
+    if part is None:
+        part = table._cells[side] = _partition(side, table)
+    return part
+
+
+def _partition(side: str, table: KLTable) -> CellPartition:
+    adj = _rank_graph(table)
     comps = strongly_connected_components(adj)
     comp_of = [0] * len(adj)
     for k, comp in enumerate(comps):

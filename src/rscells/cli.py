@@ -46,7 +46,7 @@ CRYSTAL_GRAPH_MAX_DEGREE = 6
 # 5 s, and 8 would need 170,288,585.  crystal-djm lists all n**n words,
 # 46,656 at 6 and 823,543 at 7, past crystal.MAX_WORDS.  knuth, evacuation
 # and crystal-theorem-a build no table and pass at 9 in about 1.5, 2 and
-# 12 s, crystal-theorem-a at a 227 MB peak
+# 6-9 s, crystal-theorem-a at a 222 MB peak
 SUITE_MAX_DEGREE = {
     "theorem-a": WARM_MAX_DEGREE,
     "descents": WARM_MAX_DEGREE,

@@ -54,13 +54,12 @@ MAX_WORDS = 500_000
 def _cancel(i: int, word: Word) -> tuple[list[int], list[int]]:
     """0-based positions of the letters i+1 and i left uncancelled when each
     letter i cancels the most recent open i+1.  Every surviving i lies left
-    of every surviving i+1."""
-    if i < 1:
-        raise ValueError(f"operator index must be at least 1, got {i}")
+    of every surviving i+1.  The public operators check that i >= 1."""
+    above = i + 1
     open_down: list[int] = []   # positions of uncancelled letters i+1
     unmatched_up: list[int] = []  # positions of uncancelled letters i
     for pos, a in enumerate(word):
-        if a == i + 1:
+        if a == above:
             open_down.append(pos)
         elif a == i:
             if open_down:
@@ -70,6 +69,11 @@ def _cancel(i: int, word: Word) -> tuple[list[int], list[int]]:
     return open_down, unmatched_up
 
 
+def _check_index(i: int) -> None:
+    if i < 1:
+        raise ValueError(f"operator index must be at least 1, got {i}")
+
+
 def signature_rule(i: int, word: Word) -> tuple[int | None, int | None]:
     """0-based positions that e_i and f_i change: e_i hits the leftmost
     surviving i+1, f_i the rightmost surviving i; None where nothing survives.
@@ -77,6 +81,7 @@ def signature_rule(i: int, word: Word) -> tuple[int | None, int | None]:
     >>> signature_rule(1, (2, 1, 1, 2))
     (3, 2)
     """
+    _check_index(i)
     down, up = _cancel(i, word)
     return (down[0] if down else None), (up[-1] if up else None)
 
@@ -98,12 +103,14 @@ def e_op(i: int, word: Word) -> Word | None:
 @lru_cache(maxsize=None)
 def phi(i: int, word: Word) -> int:
     """Largest k with f_i^k applicable: the surviving letters i."""
+    _check_index(i)
     return len(_cancel(i, word)[1])
 
 
 @lru_cache(maxsize=None)
 def eps(i: int, word: Word) -> int:
     """Largest k with e_i^k applicable: the surviving letters i+1."""
+    _check_index(i)
     return len(_cancel(i, word)[0])
 
 
@@ -138,7 +145,9 @@ def highest_weight_reps(words, r: int) -> list[Word]:
     once.  The code of a word of length n is its base-r number, letter a
     being the digit a - 1.  The walk keeps the word as a list and changes it
     and its code in place: e_i turns a letter i + 1 at 0-based position p
-    into i, which lowers the code by r^(n - 1 - p)."""
+    into i, which lowers the code by r^(n - 1 - p).  Every e_j with j < i
+    annihilated before, and for j <= i - 2 it reads only letters below i,
+    which e_i did not touch, so the next search starts at i - 1."""
     # length -> (code -> highest-weight word, r^(n - 1 - p) by p)
     memos: dict[int, tuple[dict[int, Word], list[int]]] = {}
     out = []
@@ -152,9 +161,10 @@ def highest_weight_reps(words, r: int) -> list[Word]:
         for a in word:
             code = code * r + a - 1
         path = []
+        i = 1
         while code not in top:
             path.append(code)
-            for i in range(1, r):
+            for i in range(max(i - 1, 1), r):
                 down = _cancel(i, word)[0]
                 if down:
                     pos = down[0]

@@ -178,6 +178,8 @@ class KLTable:
         self._mu_ms = array("B")
         self._mu_starts = array("i", [-1]) * size
         self._mu_ends = array("i", [0]) * size
+        # side -> the CellPartition that cells() computed from the mu lists
+        self._cells: dict = {}
 
     def _pool_index(self, p: IntPolynomial) -> int:
         """The index of p's value in the pool, adding p if it is new."""

@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
+from functools import lru_cache
 
 from .permutations import Perm, check_permutation
 
@@ -217,20 +218,26 @@ def rs_inverse(p: Tableau, q: Tableau) -> Perm:
     return tuple(reversed(out))
 
 
+@lru_cache(maxsize=1)
 def _symbols(
     n: int, r: int, permutations: bool = False
-) -> tuple[list[int], list[int], list[Rows], dict[Rows, int]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[Rows, ...], dict[Rows, int]]:
     """(P index by rank, Q code by rank, the distinct P as row tuples, their
     indices) of all words of length n over 1..r, or with ``permutations``
     of the words that repeat no letter, each in lexicographic order.  The
     prefix w.a has P(w.a) = P(w) <- a, and the letters that may follow w
     are those not in P(w) when letters are not repeated, so a walk down the
-    prefix tree bumps each distinct P once per letter that may follow it."""
+    prefix tree bumps each distinct P once per letter that may follow it.
+    Each level keeps only the distinct P of its own length.  The last walk
+    is kept for the process, so the suites of a degree share it, and its
+    sequences are tuples, which no caller can edit."""
     prows: list[Rows] = [()]
     pindex = {(): 0}
-    steps: dict[int, list[tuple[int, int]]] = {}  # P -> (P <- a, row it grew) per letter
     pidx, qcode = [0], [0]
     for _ in range(n):
+        next_rows: list[Rows] = []
+        pindex = {}
+        steps: dict[int, list[tuple[int, int]]] = {}  # P -> (P <- a, row it grew) per letter
         next_p, next_q = [], []
         for p, q in zip(pidx, qcode):
             if p not in steps:
@@ -242,14 +249,14 @@ def _symbols(
                     grown = [list(row) for row in prows[p]]
                     x = _bump(grown, a)[0] - 1
                     rows = tuple(map(tuple, grown))
-                    if pindex.setdefault(rows, len(prows)) == len(prows):
-                        prows.append(rows)
+                    if pindex.setdefault(rows, len(next_rows)) == len(next_rows):
+                        next_rows.append(rows)
                     steps[p].append((pindex[rows], x))
             for p2, x in steps[p]:
                 next_p.append(p2)
                 next_q.append(q * n + x)
-        pidx, qcode = next_p, next_q
-    return pidx, qcode, prows, pindex
+        prows, pidx, qcode = next_rows, next_p, next_q
+    return tuple(pidx), tuple(qcode), tuple(prows), pindex
 
 
 def q_code(tab: Tableau) -> int:

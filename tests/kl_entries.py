@@ -41,10 +41,11 @@ def read_mu_list(table, w):
 def write_column(table, w, col):
     """Replace column w of ``table`` by the rank -> polynomial dict ``col``:
     the new column is appended to the flat store and w's bounds point at it.
-    The mu store is emptied, so the mu lists are recomputed from the edited
-    columns."""
+    The mu store and the cell partitions are emptied, so both are
+    recomputed from the edited columns."""
     keys = sorted(col)
     table._store(w, keys, [table._pool_index(col[y]) for y in keys])
     table._mu_zs = array(table._keycode)
     table._mu_ms = array("B")
     table._mu_starts = array("i", [-1]) * len(table._starts)
+    table._cells.clear()

@@ -163,6 +163,14 @@ def test_the_cell_layer_keeps_no_process_wide_table():
     assert released() is None
 
 
+def test_a_table_computes_each_side_once():
+    table, other = KLTable(4), KLTable(4)
+    left, right = cells(4, "left", table), cells(4, "right", table)
+    assert cells(4, "left", table) is left and cells(4, "right", table) is right
+    assert cells(4, "left", other) is not left
+    assert cells(4, "left", other) == left
+
+
 def test_partitions_compare_by_side_cells_and_order():
     # of_rank and the Ranks are derived data and take no part in equality
     a, b = cells(4, "left", KLTable(4)), cells(4, "left", KLTable(4))

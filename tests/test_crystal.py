@@ -62,10 +62,10 @@ def test_two_letter_examples():
 
 
 def test_operator_index_validation():
-    with pytest.raises(ValueError):
-        f_op(0, (1, 2))
-    with pytest.raises(ValueError):
-        eps(-1, (1,))
+    for op in (signature_rule, f_op, e_op, phi, eps):
+        for i in (0, -1):
+            with pytest.raises(ValueError, match=f"operator index must be at least 1, got {i}"):
+                op(i, (1, 2))
 
 
 def test_partial_inverse_exhaustive():
@@ -160,6 +160,20 @@ def test_highest_weight_reps_match_the_greedy_walk():
         assert [highest_weight_rep(word, r) for word in words[:50]] == want[:50]
 
 
+def test_highest_weight_reps_resume_at_the_index_below(monkeypatch):
+    # after e_i the search starts at i - 1: 7,113 signature scans over S_6,
+    # where a search from 1 after every step makes 9,118
+    cancel, calls = rscells.crystal._cancel, []
+
+    def counted(i, word):
+        calls.append(i)
+        return cancel(i, word)
+
+    monkeypatch.setattr(rscells.crystal, "_cancel", counted)
+    highest_weight_reps(all_perms(6), 6)
+    assert len(calls) == 7113
+
+
 def test_highest_weight_rep_checks_its_word():
     for word, r in (((), 2), ((3, 1), 2), ((1, 0), 2)):
         with pytest.raises(ValueError):
@@ -208,6 +222,7 @@ def test_decompose_check_sees_a_recording_tableau_that_varies(monkeypatch):
 
     def poisoned(n, r):
         pidx, qcode, prows, pindex = symbols(n, r)
+        qcode = list(qcode)
         qcode[-1] += 1
         return pidx, qcode, prows, pindex
 
@@ -266,7 +281,9 @@ def test_djm_violations_match_the_tableau_oracle(n, r):
 
 
 @pytest.mark.parametrize("n, r", [(3, 3), (4, 3), (4, 4)])
-def test_djm_violations_match_the_tableau_oracle_on_a_poisoned_bump(monkeypatch, n, r):
+def test_djm_violations_match_the_tableau_oracle_on_a_poisoned_bump(
+    monkeypatch, clean_symbol_cache, n, r
+):
     # a bump that replaces an equal entry breaks all three checks, in the
     # library's prefix walk and in the oracle's insert_word alike
     monkeypatch.setattr(rscells.tableaux, "bisect_right", bisect.bisect_left)

@@ -121,22 +121,22 @@ def _degree_child(n):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_run_verifications_degree_8_on_one_table_long():
     # every suite that runs at n = 8: theorem-a, descents and knuth-mu read
-    # one warm S_8 table, and crystal-theorem-a, evacuation and knuth read
-    # none.  About 18-22 s at a 141-142 MB peak, the warm about half of it,
-    # and the bound is that peak plus about 10 %
+    # one warm S_8 table and its one left-cell partition, and
+    # crystal-theorem-a, evacuation and knuth read none.  About 6.5 s at an
+    # 81 MB peak, and the bound is that peak plus about 10 %
     proc, peak_mb = _degree_child(8)
     lines = _suite_lines(proc)
     # bar-invariance stops at n = 7 and crystal-djm at 6
     suites = ["crystal-theorem-a", "descents", "evacuation", "knuth", "knuth-mu", "theorem-a"]
     assert [line.split()[:2] for line in lines] == [["n=8", name] for name in suites]
-    assert peak_mb < 155, peak_mb
+    assert peak_mb < 90, peak_mb
 
 
 @pytest.mark.skipif(not os.environ.get("RSCELLS_LONG"), reason="long run; set RSCELLS_LONG=1")
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_run_verifications_degree_9_without_a_table_long():
     # knuth, evacuation and crystal-theorem-a, which read no KL table; an
-    # S_9 table would take hours.  About 17-24 s at a 222 MB peak, set by the
+    # S_9 table would take hours.  About 7.4 s at a 220 MB peak, set by the
     # crystal walk; the bound is that peak plus about 10 %
     proc, peak_mb = _degree_child(9)
     lines = _suite_lines(proc)
@@ -146,7 +146,7 @@ def test_run_verifications_degree_9_without_a_table_long():
         "skipped at n=9, above their degree caps: "
         "bar-invariance crystal-djm descents knuth-mu theorem-a\n"
     )
-    assert peak_mb < 245, peak_mb
+    assert peak_mb < 242, peak_mb
 
 
 def test_cell_census_has_no_mixed_cells():

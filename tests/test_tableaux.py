@@ -242,6 +242,14 @@ def test_symbol_walk_is_in_table_rank_order(n):
         assert rs_inverse(Tableau(prows[pidx[r]]), q_tableau(qcode[r], n)) == w
 
 
+def test_symbol_walk_is_kept_and_cannot_be_edited():
+    pidx, qcode, prows, _ = walk = _symbols(4, 4, permutations=True)
+    assert _symbols(4, 4, permutations=True) is walk
+    for seq in (pidx, qcode, prows):
+        with pytest.raises(TypeError):
+            seq[-1] += 1
+
+
 def test_symbol_walk_on_words_matches_insert_word():
     for n, r in ((1, 3), (3, 3), (4, 2), (2, 4)):
         pidx, qcode, prows, _ = _symbols(n, r)
